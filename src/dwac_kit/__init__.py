@@ -9,7 +9,6 @@ out-of-domain detection. A conventional softmax head is included for
 comparison.
 """
 
-from .backends import active_backend, available_backends, set_backend
 from .conformal import (
     EPSILON_GRID,
     MEASURES,
@@ -96,10 +95,8 @@ __all__ = [
     "TrainConfig",
     "TrainResult",
     "accuracy",
-    "active_backend",
     "adam_step",
     "agreement_at_k",
-    "available_backends",
     "backward",
     "calibrate",
     "calibration_mae",
@@ -125,7 +122,6 @@ __all__ = [
     "pairwise_sq_distances",
     "predict",
     "save_model",
-    "set_backend",
     "shuffle_split",
     "softmax_batch_loss",
     "softmax_predict",

@@ -48,6 +48,7 @@ from .data import (
 )
 from .evaluate import (
     HIST_BINS,
+    SPLIT_STREAM,
     accuracy,
     calibration_mae,
     ood_cross_dataset,
@@ -60,7 +61,6 @@ from .trainer import TrainConfig, predict, train
 
 log = logging.getLogger("dwac_kit")
 
-SPLIT_STREAM = 2
 BLOBS_STREAM = 3
 
 BOTH = "both"
@@ -151,7 +151,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             raise ValueError(f"{args.config}: unknown config keys {sorted(unknown)}")
         merged.update(file_values)
     for key, value in vars(args).items():
-        if key in ("command", "config", "func") or value is None:
+        if key in ("command", "config", "func", "verbose") or value is None:
             continue
         merged[key] = value
     for key, parser in _LIST_PARSERS.items():
@@ -565,12 +565,12 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--schema", help="JSON schema for CSV data")
     p.add_argument("--out", help="output directory")
     p.add_argument("--seed", type=int, help="base seed (default 0)")
-    p.add_argument("--sigma", type=float, help="kernel width (default 0.5)")
     p.add_argument("-v", "--verbose", action="store_true", default=None)
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--head", choices=HEAD_CHOICES)
+    p.add_argument("--sigma", type=float, help="kernel width (default 0.5)")
     p.add_argument("--h-dim", dest="h_dim", type=int, help="embedding width (default: #classes)")
     p.add_argument("--hidden", help="hidden layer sizes, e.g. 32,8")
     p.add_argument("--dropout", type=float)

@@ -16,13 +16,10 @@ variant, so finite-sample coverage can undershoot 1 - epsilon by about
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import atomic_write_text
 from .heads import Predictions
 
 NEG_PROB = "neg_prob"
@@ -160,15 +157,3 @@ def coverage_report(
             )
         )
     return rows
-
-
-def write_coverage_csv(rows: list[CoverageRow], path: str) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["epsilon", "coverage", "mean_set_size", "empty_rate", "singleton_rate"])
-    for r in rows:
-        writer.writerow(
-            [r.epsilon, repr(r.coverage), repr(r.mean_set_size),
-             repr(r.empty_rate), repr(r.singleton_rate)]
-        )
-    atomic_write_text(path, buf.getvalue())

@@ -10,15 +10,12 @@ a width-matched foreign dataset.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .conformal import calibrate, conformal_predict
-from .data import Dataset, atomic_write_text, standardize_splits
+from .data import Dataset, standardize_splits
 from .heads import DEFAULT_SIGMA, EmbeddedTrainingSet, Predictions
 from .linalg import make_rng, shuffle_split
 from .network import DWAC, EmbeddingModel
@@ -94,15 +91,6 @@ def calibration_mae(probs: np.ndarray, labels: np.ndarray, per_bin: int = 100) -
         bins.append(CalibrationBin(mean_predicted=mean_p, frequency=freq, count=hi - lo))
         errors[b] = abs(mean_p - freq)
     return CalibrationMae(bins=bins, mae=float(np.mean(errors)))
-
-
-def write_calibration_csv(result: CalibrationMae, path: str) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["bin", "mean_predicted", "frequency", "count"])
-    for i, b in enumerate(result.bins):
-        writer.writerow([i, repr(b.mean_predicted), repr(b.frequency), b.count])
-    atomic_write_text(path, buf.getvalue())
 
 
 @dataclass
@@ -242,29 +230,3 @@ def ood_cross_dataset(
     in_cred = conformal_predict(in_preds, calibration_scores, measure).credibility()
     out_cred = conformal_predict(out_preds, calibration_scores, measure).credibility()
     return _ood_report(measure, in_cred, out_cred)
-
-
-def write_ood_histogram_csv(report: OodReport, path: str) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["bin_low", "bin_high", "in_domain_count", "out_of_domain_count"])
-    for i in range(report.hist_edges.size - 1):
-        writer.writerow(
-            [repr(float(report.hist_edges[i])), repr(float(report.hist_edges[i + 1])),
-             int(report.in_counts[i]), int(report.out_counts[i])]
-        )
-    atomic_write_text(path, buf.getvalue())
-
-
-def write_ood_summary_json(reports: dict[str, OodReport], path: str) -> None:
-    doc = {
-        name: {
-            "measure": r.measure,
-            "in_domain_mean": r.in_mean,
-            "out_of_domain_mean": r.out_mean,
-            "in_domain_n": int(r.in_domain.size),
-            "out_of_domain_n": int(r.out_of_domain.size),
-        }
-        for name, r in sorted(reports.items())
-    }
-    atomic_write_text(path, json.dumps(doc, indent=1, sort_keys=True))

@@ -11,12 +11,11 @@ what justifies showing users only a short prefix.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import Dataset, atomic_write_text
+from .data import Dataset
 from .heads import DEFAULT_SIGMA, EmbeddedTrainingSet, kernel_weights
 from .network import DWAC, EmbeddingModel, forward
 
@@ -137,20 +136,12 @@ def explain(
     keeps all of them); the decisive prefix still accounts for the exact
     truncated mass.
     """
-    if model.head != DWAC:
-        raise ValueError("explanations require a dwac head; softmax has no reference instances")
-    if len(train) == 0:
-        raise ValueError("cannot explain against an empty training set")
-    if k is not None and k < 1:
-        raise ValueError(f"k must be >= 1 or None for all, got {k}")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
     if x.shape[0] != 1:
         raise ValueError("explain takes one instance; use explain_many for batches")
-    h, _ = forward(model, x, mode="eval")
-    w = kernel_weights(h, train.h, sigma=sigma)[0]
-    return _explain_row(w, train, k, query_id)
+    return replace(explain_many(x, model, train, k=k, sigma=sigma)[0], query_id=query_id)
 
 
 def explain_many(
@@ -170,12 +161,6 @@ def explain_many(
     h, _ = forward(model, x, mode="eval")
     weights = kernel_weights(h, train.h, sigma=sigma)
     return [_explain_row(weights[i], train, k, i) for i in range(weights.shape[0])]
-
-
-def write_explanations_json(explanations: list[Explanation], path: str) -> None:
-    atomic_write_text(
-        path, json.dumps([e.to_json_dict() for e in explanations], indent=1, sort_keys=True)
-    )
 
 
 def agreement_at_k(

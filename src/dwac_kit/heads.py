@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import backends
 from .linalg import as_matrix, pairwise_sq_distances
 
 DEFAULT_SIGMA = 0.5
@@ -82,11 +81,17 @@ class Predictions:
 def kernel_weights(
     h_query: np.ndarray, h_ref: np.ndarray, sigma: float = DEFAULT_SIGMA
 ) -> np.ndarray:
-    """Gaussian kernel weights exp(-d^2 / (2 sigma)); entries in (0, 1]."""
+    """Gaussian kernel weights exp(-d^2 / (2 sigma)); entries in [0, 1].
+
+    Scaled and exponentiated in place, so the distance matrix is the only
+    query x reference array allocated.
+    """
     if sigma <= 0.0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
-    d2 = pairwise_sq_distances(h_query, h_ref)
-    return np.exp(-d2 / (2.0 * sigma))
+    w = pairwise_sq_distances(h_query, h_ref)
+    w *= -1.0 / (2.0 * sigma)
+    np.exp(w, out=w)
+    return w
 
 
 def dwac_predict(
@@ -97,16 +102,14 @@ def dwac_predict(
     """Predict by kernel-weighted averaging over the embedded training set."""
     if len(train) == 0:
         raise ValueError("embedded training set is empty")
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
     h_query = as_matrix(h_query, "h_query")
     if h_query.shape[1] != train.h.shape[1]:
         raise ValueError(
             f"query dim {h_query.shape[1]} != training dim {train.h.shape[1]}"
         )
-    sums = backends.class_weight_sums(
-        h_query, train.h, train.labels, train.num_classes, 1.0 / (2.0 * sigma)
-    )
+    onehot = np.zeros((len(train), train.num_classes))
+    onehot[np.arange(len(train)), train.labels] = 1.0
+    sums = kernel_weights(h_query, train.h, sigma) @ onehot
     total = sums.sum(axis=1)
     degenerate = total == 0.0
     safe_total = np.where(degenerate, 1.0, total)
@@ -154,7 +157,25 @@ def dwac_batch_loss(
         raise ValueError("labels must be a vector matching the batch")
     if labels.min() < 0 or labels.max() >= num_classes:
         raise ValueError("labels out of range 0..num_classes-1")
-    return backends.loo_loss_grad(h_batch, labels, 1.0 / (2.0 * sigma), prob_floor)
+
+    w = kernel_weights(h_batch, h_batch, sigma)
+    np.fill_diagonal(w, 0.0)
+    same = (labels[:, None] == labels[None, :]).astype(np.float64)
+
+    denom = w.sum(axis=1)
+    numer = (w * same).sum(axis=1)
+    safe = denom > 0.0
+    p_raw = np.where(safe, numer / np.where(safe, denom, 1.0), 0.0)
+    p = np.clip(p_raw, prob_floor, 1.0)
+    loss = float(np.mean(-np.log(p)))
+
+    # d(loss)/dP is zero wherever the floor clamp is active (or the row had
+    # no kernel mass at all).
+    g = np.where(p_raw > prob_floor, -1.0 / (b * p), 0.0)
+    coeff = (g / np.where(safe, denom, 1.0))[:, None] * (same - p_raw[:, None]) * w
+    m = coeff + coeff.T
+    grad = (1.0 / sigma) * (m @ h_batch - m.sum(axis=1)[:, None] * h_batch)
+    return loss, grad
 
 
 def softmax_batch_loss(

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import backends
-
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator for a (seed, stream) pair.
@@ -49,7 +47,12 @@ def pairwise_sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"column mismatch: a has {a2.shape[1]} columns, b has {b2.shape[1]}"
         )
-    out = backends.pairwise_sq(a2, b2)
+    # ||a||^2 + ||b||^2 - 2 a.b, clamped: cancellation can leave tiny negatives
+    # and downstream exp(-d^2) needs d^2 >= 0.
+    sq_a = np.einsum("ij,ij->i", a2, a2)
+    sq_b = np.einsum("ij,ij->i", b2, b2)
+    out = sq_a[:, None] + sq_b[None, :] - 2.0 * (a2 @ b2.T)
+    np.maximum(out, 0.0, out=out)
     if same_object:
         np.fill_diagonal(out, 0.0)
     return out

@@ -2,21 +2,19 @@
 
 The loop is deterministic given the config seed: one RNG stream drives
 parameter init, a second drives epoch shuffling and dropout masks, so
-rerunning a config reproduces the parameter trajectory bitwise (within a
-fixed backend). Validation runs after every epoch; when calibration
+rerunning a config reproduces the parameter trajectory bitwise.
+Validation runs after every epoch; when calibration
 accuracy fails to improve for ``patience`` epochs the loop stops and the
 best epoch's parameters are restored.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, atomic_write_text
+from .data import Dataset
 from .heads import (
     DEFAULT_SIGMA,
     EmbeddedTrainingSet,
@@ -64,6 +62,8 @@ class TrainConfig:
             raise ValueError("dwac needs batch_size >= 2 for leave-one-out loss")
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
             raise ValueError("batch_size, max_epochs, and patience must be positive")
+        if self.sigma <= 0.0 or self.learning_rate <= 0.0:
+            raise ValueError("sigma and learning_rate must be > 0")
 
 
 @dataclass
@@ -216,12 +216,3 @@ def train(proper: Dataset, calibration: Dataset, config: TrainConfig) -> TrainRe
         best_calib_accuracy=float(best_acc) if validate else float("nan"),
         stopped_early=stopped_early,
     )
-
-
-def write_history_csv(history: list[EpochStats], path: str) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["epoch", "mean_loss", "calib_accuracy"])
-    for row in history:
-        writer.writerow([row.epoch, repr(row.mean_loss), repr(row.calib_accuracy)])
-    atomic_write_text(path, buf.getvalue())

@@ -1,8 +1,8 @@
 """Brute-force reference implementations used to pin down the fast paths.
 
 Everything here is written as plain Python loops over scalars, on purpose:
-these are the oracles the vectorized and compiled kernels are checked
-against, so they must not share any code or vectorization tricks with the
+these are the oracles the vectorized kernels are checked against, so
+they must not share any code or vectorization tricks with the
 implementations under test.
 """
 

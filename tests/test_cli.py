@@ -60,7 +60,8 @@ def test_train_summary_layout(trained_dir):
 
 def test_train_reruns_are_byte_identical(trained_dir, tmp_path):
     again = tmp_path / "again"
-    assert run(["train", "--data", BLOBS, "--out", str(again), *FAST]) == 0
+    # -v only sets the log level; it must not reach the config or the outputs
+    assert run(["train", "--data", BLOBS, "--out", str(again), *FAST, "-v"]) == 0
     for name in ("summary.csv", "model_dwac_trial0.json", "history_softmax_trial0.csv"):
         assert (again / name).read_bytes() == (trained_dir / name).read_bytes()
 
@@ -75,9 +76,14 @@ def test_train_multi_trial_summary(tmp_path):
     assert (out / "model_dwac_trial1.json").exists()
 
 
-def test_train_requires_data_and_out(tmp_path):
+def test_train_requires_data_and_out(tmp_path, capsys):
     assert run(["train", "--out", str(tmp_path / "x")]) == 2
     assert run(["train", "--data", BLOBS]) == 2
+    for flag in ("--sigma", "--learning-rate"):
+        capsys.readouterr()
+        assert run(["train", "--data", BLOBS, "--out", str(tmp_path / "x"), flag, "0"]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +114,17 @@ def test_predict_round_trip_is_byte_identical(trained_dir, tmp_path):
 
 def test_predict_requires_exactly_one_model(trained_dir, tmp_path):
     assert run(["predict", "--data", BLOBS, "--out", str(tmp_path / "x")]) == 2
+
+
+def test_sigma_is_only_a_training_flag(trained_dir, tmp_path):
+    # predict, explain and conformal use the artifact's sigma, so they refuse the flag
+    model = str(trained_dir / "model_dwac_trial0.json")
+    for command in ("predict", "explain", "conformal"):
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--data", BLOBS, "--model", model,
+                 "--out", str(tmp_path / command), "--sigma", "100"])
+        assert exc.value.code == 2
+        assert not (tmp_path / command).exists()
 
 
 # ---------------------------------------------------------------------------

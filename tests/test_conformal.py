@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 import pytest
 
@@ -15,7 +13,6 @@ from dwac_kit.conformal import (
     coverage_report,
     nonconformity,
     p_values,
-    write_coverage_csv,
 )
 from dwac_kit.heads import EmbeddedTrainingSet, Predictions, dwac_predict
 from dwac_kit.linalg import make_rng
@@ -153,18 +150,6 @@ def test_coverage_report_grid_size():
     scores = ConformalScores(NEG_PROB, np.full((5, 2), 0.5), np.zeros(5, dtype=np.int64))
     rows = coverage_report(scores, np.zeros(5, dtype=np.int64))
     assert len(rows) == len(EPSILON_GRID) == 21
-
-
-def test_coverage_csv_round_trip(tmp_path):
-    scores = ConformalScores(NEG_PROB, np.full((5, 2), 0.5), np.zeros(5, dtype=np.int64))
-    rows = coverage_report(scores, np.zeros(5, dtype=np.int64), epsilons=(0.0, 0.1))
-    path = tmp_path / "coverage.csv"
-    write_coverage_csv(rows, str(path))
-    with open(path, newline="") as f:
-        parsed = list(csv.reader(f))
-    assert parsed[0][0] == "epsilon"
-    assert len(parsed) == 3
-    assert float(parsed[1][1]) == rows[0].coverage
 
 
 def test_calibrate_validates_alignment():

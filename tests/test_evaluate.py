@@ -1,8 +1,5 @@
 from __future__ import annotations
 
-import csv
-import json
-
 import numpy as np
 import pytest
 
@@ -22,12 +19,7 @@ from dwac_kit import (
     predict,
 )
 from dwac_kit.conformal import NEG_PROB, NEG_WEIGHT_SUM
-from dwac_kit.evaluate import (
-    drop_class,
-    write_calibration_csv,
-    write_ood_histogram_csv,
-    write_ood_summary_json,
-)
+from dwac_kit.evaluate import drop_class
 
 
 # ---------------------------------------------------------------------------
@@ -117,18 +109,6 @@ def test_calibration_mae_validation():
         calibration_mae(np.ones((3, 2)), np.zeros(2, dtype=np.int64))
     with pytest.raises(ValueError):
         calibration_mae(np.ones((0, 2)), np.zeros(0, dtype=np.int64))
-
-
-def test_calibration_csv_round_trip(tmp_path):
-    labels = np.tile(np.array([0, 1]), 20)
-    result = calibration_mae(np.eye(2)[labels], labels, per_bin=40)
-    path = tmp_path / "calib.csv"
-    write_calibration_csv(result, str(path))
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
-    assert rows[0] == ["bin", "mean_predicted", "frequency", "count"]
-    assert len(rows) == 1 + result.bin_count
-    assert float(rows[1][1]) == result.bins[0].mean_predicted
 
 
 # ---------------------------------------------------------------------------
@@ -268,25 +248,3 @@ def test_cross_dataset_validation(dwac_run):
     with pytest.raises(ValueError):
         ood_cross_dataset(result.model, None, scores, NEG_PROB,
                           in_domain=test, foreign=test)
-
-
-# ---------------------------------------------------------------------------
-# report files
-# ---------------------------------------------------------------------------
-
-def test_ood_files_round_trip(tmp_path, holdout_reports):
-    report = holdout_reports[NEG_WEIGHT_SUM]
-    hist_path = tmp_path / "hist.csv"
-    write_ood_histogram_csv(report, str(hist_path))
-    with open(hist_path, newline="") as f:
-        rows = list(csv.reader(f))
-    assert rows[0] == ["bin_low", "bin_high", "in_domain_count", "out_of_domain_count"]
-    assert len(rows) == 21
-    assert sum(int(r[2]) for r in rows[1:]) == report.in_domain.size
-
-    summary_path = tmp_path / "summary.json"
-    write_ood_summary_json(holdout_reports, str(summary_path))
-    doc = json.loads(summary_path.read_text())
-    assert set(doc) == {NEG_PROB, NEG_WEIGHT_SUM}
-    assert doc[NEG_WEIGHT_SUM]["out_of_domain_mean"] == report.out_mean
-    assert doc[NEG_WEIGHT_SUM]["out_of_domain_n"] == report.out_of_domain.size

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 
@@ -9,7 +7,6 @@ from dwac_kit.explain import (
     agreement_at_k,
     explain,
     explain_many,
-    write_explanations_json,
 )
 from dwac_kit.heads import EmbeddedTrainingSet, dwac_predict
 from dwac_kit.linalg import make_rng
@@ -185,16 +182,3 @@ def test_restricted_argmax_matches_manual_check():
     table = dict(agreement_at_k(model, train, ds, (1, 3)))
     assert table[1] == 0.0  # top instance says class 1, full vote says 0
     assert table[3] == 1.0
-
-
-def test_explanations_json_export(tmp_path, dwac_run):
-    result, _, _, test = dwac_run
-    explanations = explain_many(test.x[:3], result.model, result.embedded, k=4)
-    path = tmp_path / "explanations.json"
-    write_explanations_json(explanations, str(path))
-    with open(path) as f:
-        doc = json.load(f)
-    assert len(doc) == 3
-    assert set(doc[0]) == {"query_id", "predicted_label", "entries", "decisive_prefix"}
-    assert len(doc[0]["entries"]) == 4
-    assert doc[1]["query_id"] == 1

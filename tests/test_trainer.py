@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 import pytest
 
@@ -14,7 +12,6 @@ from dwac_kit.trainer import (
     embed_training_set,
     predict,
     train,
-    write_history_csv,
 )
 from helpers import quick_split, quick_train
 
@@ -107,17 +104,6 @@ def test_embed_training_set_requires_labels():
     model = build_model(TrainConfig(head=DWAC), 2, 2)
     with pytest.raises(ValueError):
         embed_training_set(model, ds)
-
-
-def test_history_csv_round_trip(tmp_path, dwac_run):
-    result, *_ = dwac_run
-    path = tmp_path / "history.csv"
-    write_history_csv(result.history, str(path))
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))
-    assert rows[0] == ["epoch", "mean_loss", "calib_accuracy"]
-    assert len(rows) == len(result.history) + 1
-    assert float(rows[1][1]) == result.history[0].mean_loss
 
 
 def test_splits_share_no_instances(dwac_run):
