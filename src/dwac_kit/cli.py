@@ -19,6 +19,8 @@ import json
 import logging
 import os
 import sys
+import types
+import typing
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -66,6 +68,8 @@ BLOBS_STREAM = 3
 BOTH = "both"
 HEAD_CHOICES = (SOFTMAX, DWAC, BOTH)
 MEASURE_CHOICES = MEASURES + (BOTH,)
+# Commands that train a model and so take sigma; the others use the artifact's.
+TRAINING_COMMANDS = ("train", "ood")
 
 
 @dataclass(frozen=True)
@@ -96,6 +100,10 @@ class RunConfig:
     k_list: tuple[int, ...] = (1, 5, 10, 100)
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _conforms(value, _FIELD_TYPES[f.name]):
+                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if any(not 0.0 <= e <= 1.0 for e in self.epsilons):
@@ -109,6 +117,8 @@ class RunConfig:
         """Canonical JSON of the semantic config: everything that shapes the
         numbers, none of the filesystem paths."""
         skip = {"schema", "model", "out"}
+        if self.command not in TRAINING_COMMANDS:
+            skip.add("sigma")
         sources = ("data", "test_data", "foreign")
         doc = {}
         for f in fields(self):
@@ -119,6 +129,28 @@ class RunConfig:
                 continue  # CSV paths are location, not meaning; blob specs stay
             doc[f.name] = list(value) if isinstance(value, tuple) else value
         return json.dumps(doc, sort_keys=True)
+
+
+_FIELD_TYPES = typing.get_type_hints(RunConfig)
+
+
+def _conforms(value, hint) -> bool:
+    """Whether ``value`` has the annotated type; ints pass for floats, bools
+    pass for nothing."""
+    args = typing.get_args(hint)
+    if isinstance(hint, types.UnionType):
+        return any(_conforms(value, h) for h in args)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, tuple):
+            return False
+        if len(args) == 2 and args[1] is Ellipsis:
+            return all(_conforms(v, args[0]) for v in value)
+        return len(value) == len(args) and all(map(_conforms, value, args))
+    if isinstance(value, bool):
+        return False
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -149,6 +181,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         unknown = set(file_values) - known
         if unknown:
             raise ValueError(f"{args.config}: unknown config keys {sorted(unknown)}")
+        if "sigma" in file_values and args.command not in TRAINING_COMMANDS:
+            raise ValueError(
+                f"{args.config}: {args.command} uses the model artifact's sigma; "
+                "sigma is a training key"
+            )
         merged.update(file_values)
     for key, value in vars(args).items():
         if key in ("command", "config", "func", "verbose") or value is None:

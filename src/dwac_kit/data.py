@@ -80,13 +80,34 @@ class Schema:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "Schema":
-        columns = tuple(ColumnSpec(c["name"], c["role"]) for c in obj["columns"])
-        return cls(columns=columns, label_values=tuple(obj["label_values"]))
+        """Inverse of :meth:`to_json_dict`; a missing or malformed key raises
+        ValueError naming it."""
+        if not isinstance(obj, dict):
+            raise ValueError("schema must be a JSON object")
+        for key in ("columns", "label_values"):
+            if key not in obj:
+                raise ValueError(f"schema is missing {key!r}")
+        columns, label_values = obj["columns"], obj["label_values"]
+        if not isinstance(columns, list) or not all(
+            isinstance(c, dict) and isinstance(c.get("name"), str)
+            and isinstance(c.get("role"), str) for c in columns
+        ):
+            raise ValueError("schema 'columns' must be a list of objects with string "
+                             "'name' and 'role'")
+        if not isinstance(label_values, list) or not all(
+            isinstance(v, str) for v in label_values
+        ):
+            raise ValueError("schema 'label_values' must be a list of strings")
+        return cls(columns=tuple(ColumnSpec(c["name"], c["role"]) for c in columns),
+                   label_values=tuple(label_values))
 
     @classmethod
     def from_file(cls, path: str) -> "Schema":
-        with open(path, "r", encoding="utf-8") as f:
-            return cls.from_json_dict(json.load(f))
+        try:
+            with open(path, "r", encoding="utf-8") as f:
+                return cls.from_json_dict(json.load(f))
+        except ValueError as e:
+            raise ValueError(f"{path}: {e}") from None
 
     def to_json_dict(self) -> dict:
         return {

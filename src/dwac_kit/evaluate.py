@@ -60,9 +60,11 @@ def calibration_mae(probs: np.ndarray, labels: np.ndarray, per_bin: int = 100) -
 
     All n*c (probability, is-true-class) pairs are pooled and sorted by
     probability; consecutive runs of ``per_bin`` pairs form bins (the last
-    bin absorbs the remainder, and fewer than ``per_bin`` pairs total fall
-    back to a single bin). mae averages |mean probability - frequency|
-    over bins.
+    bin absorbs the remainder, and fewer than ``2 * per_bin`` pairs total
+    fall back to a single bin). mae averages |mean probability - frequency|
+    over bins. It is NaN when there is a single bin: the pooled rows sum to
+    1, so one bin's mean probability equals its frequency and would always
+    score 0.
     """
     if per_bin < 10:
         raise ValueError(f"per_bin must be >= 10, got {per_bin}")
@@ -90,7 +92,8 @@ def calibration_mae(probs: np.ndarray, labels: np.ndarray, per_bin: int = 100) -
         freq = float(np.mean(flat_hit[lo:hi]))
         bins.append(CalibrationBin(mean_predicted=mean_p, frequency=freq, count=hi - lo))
         errors[b] = abs(mean_p - freq)
-    return CalibrationMae(bins=bins, mae=float(np.mean(errors)))
+    mae = float(np.mean(errors)) if num_bins > 1 else float("nan")
+    return CalibrationMae(bins=bins, mae=mae)
 
 
 @dataclass

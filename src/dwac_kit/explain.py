@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset
-from .heads import DEFAULT_SIGMA, EmbeddedTrainingSet, kernel_weights
+from .heads import DEFAULT_SIGMA, EmbeddedTrainingSet, kernel_weights, row_blocks
 from .network import DWAC, EmbeddingModel, forward
 
 
@@ -151,7 +151,10 @@ def explain_many(
     k: int | None = None,
     sigma: float = DEFAULT_SIGMA,
 ) -> list[Explanation]:
-    """Explain each row of ``x``; query_id is the row position."""
+    """Explain each row of ``x``; query_id is the row position.
+
+    Kernel weights are computed one query-row block at a time.
+    """
     if model.head != DWAC:
         raise ValueError("explanations require a dwac head; softmax has no reference instances")
     if len(train) == 0:
@@ -159,8 +162,11 @@ def explain_many(
     if k is not None and k < 1:
         raise ValueError(f"k must be >= 1 or None for all, got {k}")
     h, _ = forward(model, x, mode="eval")
-    weights = kernel_weights(h, train.h, sigma=sigma)
-    return [_explain_row(weights[i], train, k, i) for i in range(weights.shape[0])]
+    out = []
+    for rows in row_blocks(h.shape[0], len(train)):
+        weights = kernel_weights(h[rows], train.h, sigma=sigma)
+        out.extend(_explain_row(w, train, k, rows.start + i) for i, w in enumerate(weights))
+    return out
 
 
 def agreement_at_k(
@@ -174,32 +180,34 @@ def agreement_at_k(
     training instances matches the full-model argmax, per k.
 
     k values at or above the training set size agree exactly by
-    construction (the restriction keeps everything).
+    construction (the restriction keeps everything). Each row ranks only
+    its top kmax weights, kmax being the largest k below the training set
+    size, and each prefix mass is summed in rank order.
     """
     if len(train) == 0:
         raise ValueError("agreement needs a nonempty training set")
     if any(k < 1 for k in k_list):
         raise ValueError("k_list entries must be >= 1")
+    if len(test) == 0:
+        raise ValueError("agreement of an empty test set is undefined")
+    n, t = len(test), len(train)
+    short = sorted({k for k in k_list if k < t})
+    if not short:
+        return [(k, 1.0) for k in k_list]
+    hits = dict.fromkeys(short, 0)
     h, _ = forward(model, test.x, mode="eval")
-    weights = kernel_weights(h, train.h, sigma=sigma)
-    n, t = weights.shape
-    c = train.num_classes
-    order = np.argsort(-weights, axis=1, kind="stable")
-    sorted_w = np.take_along_axis(weights, order, axis=1)
-    sorted_labels = train.labels[order]
-    rows = np.arange(n)[:, None]
-
-    full_masses = np.zeros((n, c))
-    np.add.at(full_masses, (rows, sorted_labels), sorted_w)
-    full_argmax = full_masses.argmax(axis=1)
-
-    out = []
-    for k in k_list:
-        kk = min(k, t)
-        if kk == t:
-            out.append((k, 1.0))
-            continue
-        masses = np.zeros((n, c))
-        np.add.at(masses, (rows, sorted_labels[:, :kk]), sorted_w[:, :kk])
-        out.append((k, float(np.mean(masses.argmax(axis=1) == full_argmax))))
-    return out
+    onehot = train.onehot()
+    for rows in row_blocks(n, t):
+        weights = kernel_weights(h[rows], train.h, sigma=sigma)
+        full_argmax = (weights @ onehot).argmax(axis=1)
+        top = np.stack([_top_indices(w, short[-1]) for w in weights])
+        top_w = np.take_along_axis(weights, top, axis=1)
+        top_labels = train.labels[top]
+        block = np.arange(top.shape[0])[:, None]
+        masses = np.zeros((top.shape[0], train.num_classes))
+        done = 0
+        for k in short:
+            np.add.at(masses, (block, top_labels[:, done:k]), top_w[:, done:k])
+            done = k
+            hits[k] += int(np.count_nonzero(masses.argmax(axis=1) == full_argmax))
+    return [(k, hits[k] / n if k < t else 1.0) for k in k_list]

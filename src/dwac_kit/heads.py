@@ -24,6 +24,9 @@ from .linalg import as_matrix, pairwise_sq_distances
 
 DEFAULT_SIGMA = 0.5
 PROB_FLOOR = 1e-12
+# Kernel entries per query-row block: 2**21 float64 values, 16 MB. Kernel sums
+# run one block at a time, so their memory is O(block x t) rather than O(q x t).
+BLOCK_ENTRIES = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -52,6 +55,12 @@ class EmbeddedTrainingSet:
 
     def __len__(self) -> int:
         return self.h.shape[0]
+
+    def onehot(self) -> np.ndarray:
+        """t x c label indicators; ``w @ onehot()`` sums kernel weights per class."""
+        out = np.zeros((len(self), self.num_classes))
+        out[np.arange(len(self)), self.labels] = 1.0
+        return out
 
 
 @dataclass
@@ -94,12 +103,28 @@ def kernel_weights(
     return w
 
 
+def row_blocks(q: int, t: int) -> list[slice]:
+    """Consecutive query-row slices, as even in size as possible, whose
+    blocks of the q x t kernel hold at most BLOCK_ENTRIES entries (one row
+    each when t exceeds it). Even sizes leave no small tail block, which
+    BLAS may sum in another order than a large one. q = 0 gives one empty
+    block, so argument checks still run."""
+    step = max(1, BLOCK_ENTRIES // max(t, 1))
+    n = max(1, -(-q // step))
+    bounds = [q * i // n for i in range(n + 1)]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
 def dwac_predict(
     h_query: np.ndarray,
     train: EmbeddedTrainingSet,
     sigma: float = DEFAULT_SIGMA,
 ) -> Predictions:
-    """Predict by kernel-weighted averaging over the embedded training set."""
+    """Predict by kernel-weighted averaging over the embedded training set.
+
+    The per-class weight sums are filled one query-row block at a time, so
+    at most one block of the q x t kernel is held in memory.
+    """
     if len(train) == 0:
         raise ValueError("embedded training set is empty")
     h_query = as_matrix(h_query, "h_query")
@@ -107,9 +132,10 @@ def dwac_predict(
         raise ValueError(
             f"query dim {h_query.shape[1]} != training dim {train.h.shape[1]}"
         )
-    onehot = np.zeros((len(train), train.num_classes))
-    onehot[np.arange(len(train)), train.labels] = 1.0
-    sums = kernel_weights(h_query, train.h, sigma) @ onehot
+    onehot = train.onehot()
+    sums = np.empty((h_query.shape[0], train.num_classes))
+    for rows in row_blocks(h_query.shape[0], len(train)):
+        sums[rows] = kernel_weights(h_query[rows], train.h, sigma) @ onehot
     total = sums.sum(axis=1)
     degenerate = total == 0.0
     safe_total = np.where(degenerate, 1.0, total)

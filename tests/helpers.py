@@ -96,6 +96,34 @@ def loo_loss_oracle(
     return total / n
 
 
+def agreement_oracle(
+    weights: np.ndarray, labels: np.ndarray, num_classes: int, k_list,
+) -> list[tuple[int, float]]:
+    """Agreement at k from a full ranking of every row: descending weight,
+    ties by ascending index. Class masses add up in rank order, and the
+    argmax keeps the lowest class index among equal masses."""
+    n, t = weights.shape
+
+    def prefix_argmax(row, order, k):
+        masses = [0.0] * num_classes
+        for j in order[:k]:
+            masses[labels[j]] += row[j]
+        best = 0
+        for cls in range(1, num_classes):
+            if masses[cls] > masses[best]:
+                best = cls
+        return best
+
+    agree = {k: 0 for k in k_list}
+    for row in weights:
+        order = sorted(range(t), key=lambda j: (-row[j], j))
+        full = prefix_argmax(row, order, t)
+        for k in k_list:
+            if prefix_argmax(row, order, min(k, t)) == full:
+                agree[k] += 1
+    return [(k, 1.0 if k >= t else agree[k] / n) for k in k_list]
+
+
 def p_value_oracle(calibration: np.ndarray, score: float) -> float:
     count = 0
     for v in calibration:

@@ -17,6 +17,11 @@ def run(argv):
     return main(argv)
 
 
+def assert_one_error_line(capsys):
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
 def read_table(path):
     with open(path, newline="") as f:
         comment = f.readline()
@@ -82,8 +87,7 @@ def test_train_requires_data_and_out(tmp_path, capsys):
     for flag in ("--sigma", "--learning-rate"):
         capsys.readouterr()
         assert run(["train", "--data", BLOBS, "--out", str(tmp_path / "x"), flag, "0"]) == 2
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert_one_error_line(capsys)
 
 
 # ---------------------------------------------------------------------------
@@ -116,15 +120,26 @@ def test_predict_requires_exactly_one_model(trained_dir, tmp_path):
     assert run(["predict", "--data", BLOBS, "--out", str(tmp_path / "x")]) == 2
 
 
-def test_sigma_is_only_a_training_flag(trained_dir, tmp_path):
-    # predict, explain and conformal use the artifact's sigma, so they refuse the flag
+def test_sigma_is_only_a_training_flag(trained_dir, tmp_path, capsys):
+    # predict, explain and conformal use the artifact's sigma, so they refuse
+    # it as a flag and as a config key, and leave it out of their provenance
     model = str(trained_dir / "model_dwac_trial0.json")
+    cfg = tmp_path / "sigma.json"
+    cfg.write_text(json.dumps({"sigma": 100}))
     for command in ("predict", "explain", "conformal"):
         with pytest.raises(SystemExit) as exc:
             run([command, "--data", BLOBS, "--model", model,
                  "--out", str(tmp_path / command), "--sigma", "100"])
         assert exc.value.code == 2
+        capsys.readouterr()
+        assert run([command, "--data", BLOBS, "--model", model, "--config", str(cfg),
+                    "--out", str(tmp_path / command)]) == 2
+        assert_one_error_line(capsys)
         assert not (tmp_path / command).exists()
+    assert run(["predict", "--data", BLOBS, "--model", model,
+                "--out", str(tmp_path / "p")]) == 0
+    doc = json.loads((tmp_path / "p" / "predictions.json").read_text())
+    assert "sigma" not in doc["provenance"]
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +278,26 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     rc = run(["train", "--config", str(cfg), "--data", BLOBS,
               "--out", str(tmp_path / "x")])
     assert rc == 2
+
+
+def test_config_file_values_are_type_checked(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"trials": "3"}))
+    capsys.readouterr()
+    assert run(["train", "--config", str(cfg), "--data", BLOBS,
+                "--out", str(tmp_path / "x")]) == 2
+    assert_one_error_line(capsys)
+
+
+def test_schema_without_columns_is_an_error(tmp_path, capsys):
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps({"label_values": ["a", "b"]}))
+    data = tmp_path / "data.csv"
+    data.write_text("x,y\n1.0,a\n2.0,b\n")
+    capsys.readouterr()
+    assert run(["train", "--data", str(data), "--schema", str(schema),
+                "--out", str(tmp_path / "x")]) == 2
+    assert_one_error_line(capsys)
 
 
 def test_bad_blob_specs(tmp_path):

@@ -89,6 +89,7 @@ def test_calibration_single_bin_fallback():
     result = calibration_mae(probs, labels, per_bin=100)
     assert result.bin_count == 1
     assert result.bins[0].count == 8
+    assert np.isnan(result.mae)  # one bin always scores 0, which says nothing
 
 
 def test_calibration_mae_invariant_to_instance_order():

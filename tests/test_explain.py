@@ -8,10 +8,12 @@ from dwac_kit.explain import (
     explain,
     explain_many,
 )
-from dwac_kit.heads import EmbeddedTrainingSet, dwac_predict
+from dwac_kit.data import Dataset
+from dwac_kit.heads import EmbeddedTrainingSet, kernel_weights
 from dwac_kit.linalg import make_rng
 from dwac_kit.network import DWAC, SOFTMAX, EmbeddingModel, MlpSpec
 from dwac_kit.trainer import predict
+from helpers import agreement_oracle
 
 
 def identity_model(d: int) -> EmbeddingModel:
@@ -129,6 +131,22 @@ def test_top_k_is_prefix_of_full_ranking(dwac_run):
     assert top.total_weight == full.total_weight
 
 
+def test_explanations_across_row_blocks_keep_global_query_ids():
+    # t = 20,000 gives 104-row blocks, so 250 queries span three of them
+    rng = make_rng(22)
+    train = EmbeddedTrainingSet(h=rng.standard_normal((20_000, 2)),
+                                labels=rng.integers(0, 2, size=20_000), num_classes=2)
+    x = rng.standard_normal((250, 2))
+    explanations = explain_many(x, identity_model(2), train, k=3)
+    assert [e.query_id for e in explanations] == list(range(250))
+    for i in (0, 103, 104, 249):
+        # a one-row kernel goes through GEMV, so weights agree to rounding only
+        alone = explain(x[i], identity_model(2), train, k=3)
+        assert [e.index for e in explanations[i].entries] == [e.index for e in alone.entries]
+        assert np.allclose(explanations[i].cumulative_weight, alone.cumulative_weight,
+                           rtol=1e-12, atol=0.0)
+
+
 def test_query_equal_to_training_point_ranks_first(dwac_run):
     result, proper, _, _ = dwac_run
     train = result.embedded
@@ -171,12 +189,26 @@ def test_agreement_values_bounded(dwac_run):
         agreement_at_k(result.model, result.embedded, test, (0,))
 
 
+def test_agreement_matches_full_ranking_oracle_with_tied_weights():
+    # Points on a small integer grid, each position held several times under
+    # different labels: many weights tie exactly, also across the k boundary.
+    rng = make_rng(21)
+    t, c = 90, 3
+    h = rng.integers(-2, 3, size=(t, 2)).astype(np.float64)
+    train = EmbeddedTrainingSet(h=h, labels=rng.integers(0, c, size=t), num_classes=c)
+    queries = rng.integers(-3, 4, size=(40, 2)).astype(np.float64)
+    test = Dataset(x=queries, y=None, num_classes=c, feature_names=("a", "b"))
+    weights = kernel_weights(queries, h)
+    for k_list in ((1, 4, 7, 12), (1, 20, t - 1, t, t + 50)):
+        expected = agreement_oracle(weights, train.labels, c, k_list)
+        assert agreement_at_k(identity_model(2), train, test, k_list) == expected
+    assert 0.0 < dict(expected)[1] < 1.0
+
+
 def test_restricted_argmax_matches_manual_check():
     # hand-checkable: nearest neighbor disagrees with the full vote
     train, query = train_set_with_weights([0.6, 0.55, 0.5], [1, 0, 0], 2)
     model = identity_model(3)
-    from dwac_kit.data import Dataset
-
     ds = Dataset(x=query[None, :], y=None, num_classes=2,
                  feature_names=("a", "b", "c"))
     table = dict(agreement_at_k(model, train, ds, (1, 3)))

@@ -3,11 +3,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import tracemalloc
+
 from dwac_kit.heads import (
+    BLOCK_ENTRIES,
     EmbeddedTrainingSet,
     dwac_batch_loss,
     dwac_predict,
     kernel_weights,
+    row_blocks,
     softmax_batch_loss,
     softmax_predict,
 )
@@ -71,6 +75,50 @@ def test_dwac_predict_errors():
                                 num_classes=3)
     with pytest.raises(ValueError):
         dwac_predict(np.zeros((2, 4)), empty)
+
+
+def test_row_blocks_cover_every_row_once():
+    assert row_blocks(0, 10) == [slice(0, 0)]
+    assert row_blocks(5, BLOCK_ENTRIES + 1) == [slice(i, i + 1) for i in range(5)]
+    # at most 104 rows of 20,000 entries per block, split evenly
+    assert [(b.start, b.stop) for b in row_blocks(250, 20_000)] == [(0, 83), (83, 166),
+                                                                    (166, 250)]
+    assert row_blocks(104, 20_000) == [slice(0, 104)]
+
+
+def test_blocked_sums_equal_one_shot_kernel_sums():
+    # q = 250 and 1,250 are not multiples of the 104-row cap at t = 20,000
+    train = random_train(11, t=20_000, d=4, c=4)
+    for rows in (250, 1_250):
+        q = make_rng(12).standard_normal((rows, 4))
+        one_shot = kernel_weights(q, train.h) @ train.onehot()
+        assert np.array_equal(dwac_predict(q, train).weight_sums, one_shot)
+
+
+def test_single_row_blocks_above_the_block_size():
+    # Each block is one row here. numpy hands a one-row product to GEMV, which
+    # sums in another order than the GEMM of a multi-row one-shot, so the sums
+    # agree to rounding rather than bit for bit.
+    t = BLOCK_ENTRIES + 3
+    train = random_train(13, t=t, d=1, c=2)
+    q = make_rng(14).standard_normal((3, 1))
+    assert len(row_blocks(3, t)) == 3
+    preds = dwac_predict(q, train)
+    one_shot = kernel_weights(q, train.h) @ train.onehot()
+    assert np.allclose(preds.weight_sums, one_shot, rtol=1e-12, atol=0.0)
+    assert np.array_equal(preds.predicted, one_shot.argmax(axis=1))
+
+
+def test_dwac_predict_memory_is_one_block():
+    train = random_train(15, t=20_000, d=4, c=4)
+    q = make_rng(16).standard_normal((2_000, 4))
+    tracemalloc.start()
+    try:
+        dwac_predict(q, train)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20  # the unblocked 2,000 x 20,000 kernel alone is 305 MB
 
 
 def test_softmax_predict_properties():
