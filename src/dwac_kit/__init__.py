@@ -39,7 +39,6 @@ from .evaluate import (
     accuracy,
     calibration_mae,
     ood_cross_dataset,
-    ood_holdout_class,
     ood_holdout_class_multi,
 )
 from .explain import Explanation, agreement_at_k, explain, explain_many
@@ -116,7 +115,6 @@ __all__ = [
     "make_rng",
     "nonconformity",
     "ood_cross_dataset",
-    "ood_holdout_class",
     "ood_holdout_class_multi",
     "p_values",
     "pairwise_sq_distances",

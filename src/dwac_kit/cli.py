@@ -68,8 +68,6 @@ BLOBS_STREAM = 3
 BOTH = "both"
 HEAD_CHOICES = (SOFTMAX, DWAC, BOTH)
 MEASURE_CHOICES = MEASURES + (BOTH,)
-# Commands that train a model and so take sigma; the others use the artifact's.
-TRAINING_COMMANDS = ("train", "ood")
 
 
 @dataclass(frozen=True)
@@ -113,11 +111,19 @@ class RunConfig:
         if self.measure not in MEASURE_CHOICES:
             raise ValueError(f"measure must be one of {MEASURE_CHOICES}")
 
+    @property
+    def trains(self) -> bool:
+        """Whether the run trains a model and so takes sigma: ``train`` and
+        hold-out ``ood``. The others score with the artifact's sigma."""
+        return self.command == "train" or (
+            self.command == "ood" and self.held_class is not None
+        )
+
     def provenance(self) -> str:
         """Canonical JSON of the semantic config: everything that shapes the
         numbers, none of the filesystem paths."""
         skip = {"schema", "model", "out"}
-        if self.command not in TRAINING_COMMANDS:
+        if not self.trains:
             skip.add("sigma")
         sources = ("data", "test_data", "foreign")
         doc = {}
@@ -181,11 +187,6 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         unknown = set(file_values) - known
         if unknown:
             raise ValueError(f"{args.config}: unknown config keys {sorted(unknown)}")
-        if "sigma" in file_values and args.command not in TRAINING_COMMANDS:
-            raise ValueError(
-                f"{args.config}: {args.command} uses the model artifact's sigma; "
-                "sigma is a training key"
-            )
         merged.update(file_values)
     for key, value in vars(args).items():
         if key in ("command", "config", "func", "verbose") or value is None:
@@ -198,7 +199,14 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             merged[key] = tuple(merged[key])
     if "model" in merged and isinstance(merged["model"], (list, tuple)):
         merged["model"] = tuple(merged["model"])
-    return RunConfig(**merged)
+    cfg = RunConfig(**merged)
+    if "sigma" in merged and not cfg.trains:
+        source = "--sigma" if getattr(args, "sigma", None) is not None else args.config
+        raise ValueError(
+            f"{source}: {cfg.command} uses the model artifact's sigma; "
+            "sigma is a training key (ood takes it only with --held-class)"
+        )
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +377,13 @@ def cmd_train(cfg: RunConfig) -> int:
     fixed_test = _load_raw(cfg.test_data, cfg, schema=raw.schema) if cfg.test_data else None
     if raw.rows is not None and not raw.has_labels:
         raise ValueError(f"{cfg.data}: training data must include the label column")
+    parts = len(cfg.fractions) - (fixed_test is not None)
+    if len(raw) < parts:
+        raise ValueError(
+            f"{cfg.data}: {len(raw)} data rows, too few to split into {parts} parts"
+        )
+    if fixed_test is not None and len(fixed_test) == 0:
+        raise ValueError(f"{cfg.test_data}: 0 data rows, nothing to test on")
 
     summary_rows = []
     for head in _heads(cfg):

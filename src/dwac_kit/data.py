@@ -487,7 +487,9 @@ def load_model(path: str) -> ModelArtifact:
             doc = json.load(f)
     except json.JSONDecodeError as e:
         raise ValueError(f"{path}: truncated or corrupt model file: {e}") from None
-    if not isinstance(doc, dict) or doc.get("format") != FORMAT_VERSION:
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: model file must hold a JSON object")
+    if doc.get("format") != FORMAT_VERSION:
         raise ValueError(
             f"{path}: unsupported format {doc.get('format')!r}, expected {FORMAT_VERSION!r}"
         )

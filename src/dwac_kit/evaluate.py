@@ -196,18 +196,6 @@ def ood_holdout_class_multi(
     return reports
 
 
-def ood_holdout_class(
-    dataset: Dataset,
-    held_class: int,
-    config: TrainConfig,
-    measure: str,
-    fractions: tuple[float, float, float] = (0.6, 0.2, 0.2),
-) -> OodReport:
-    """Train without one class, then compare credibility on in-domain test
-    data against the held-out class."""
-    return ood_holdout_class_multi(dataset, held_class, config, [measure], fractions)[measure]
-
-
 def ood_cross_dataset(
     model: EmbeddingModel,
     train_set: EmbeddedTrainingSet | None,

@@ -37,8 +37,9 @@ def pairwise_sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """All squared Euclidean distances between rows of ``a`` and rows of ``b``.
 
     Entry (i, j) is ``sum_k (a[i,k] - b[j,k])**2``, computed via the
-    norm-expansion trick and clamped at zero. When ``a`` and ``b`` are the
-    same array the diagonal is forced to exactly zero.
+    norm-expansion trick as one product of augmented matrices and clamped
+    at zero. When ``a`` and ``b`` are the same array the diagonal is forced
+    to exactly zero.
     """
     same_object = a is b
     a2 = as_matrix(a, "a")
@@ -47,11 +48,21 @@ def pairwise_sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"column mismatch: a has {a2.shape[1]} columns, b has {b2.shape[1]}"
         )
-    # ||a||^2 + ||b||^2 - 2 a.b, clamped: cancellation can leave tiny negatives
-    # and downstream exp(-d^2) needs d^2 >= 0.
-    sq_a = np.einsum("ij,ij->i", a2, a2)
-    sq_b = np.einsum("ij,ij->i", b2, b2)
-    out = sq_a[:, None] + sq_b[None, :] - 2.0 * (a2 @ b2.T)
+    # ||a||^2 + ||b||^2 - 2 a.b as a single GEMM:
+    # [a | ||a||^2 | 1] @ [-2b | 1 | ||b||^2]^T. The (d + 2)-column factors
+    # are small, so the product is the only q x t array allocated.
+    d = a2.shape[1]
+    aug_a = np.empty((a2.shape[0], d + 2))
+    aug_a[:, :d] = a2
+    np.einsum("ij,ij->i", a2, a2, out=aug_a[:, d])
+    aug_a[:, d + 1] = 1.0
+    aug_b = np.empty((b2.shape[0], d + 2))
+    np.multiply(b2, -2.0, out=aug_b[:, :d])
+    aug_b[:, d] = 1.0
+    np.einsum("ij,ij->i", b2, b2, out=aug_b[:, d + 1])
+    out = aug_a @ aug_b.T
+    # Cancellation can leave tiny negatives and downstream exp(-d^2) needs
+    # d^2 >= 0.
     np.maximum(out, 0.0, out=out)
     if same_object:
         np.fill_diagonal(out, 0.0)

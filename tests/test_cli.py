@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dwac_kit import load_model, save_model
-from dwac_kit.cli import main
+from dwac_kit.cli import build_config, main, make_parser
 
 BLOBS = "blobs:n=200,c=3,d=3,sep=8,seed=0"
 FAST = ["--max-epochs", "30", "--batch-size", "64"]
@@ -121,8 +121,9 @@ def test_predict_requires_exactly_one_model(trained_dir, tmp_path):
 
 
 def test_sigma_is_only_a_training_flag(trained_dir, tmp_path, capsys):
-    # predict, explain and conformal use the artifact's sigma, so they refuse
-    # it as a flag and as a config key, and leave it out of their provenance
+    # predict, explain, conformal and ood --foreign use the artifact's sigma,
+    # so they refuse it as a flag and as a config key, and leave it out of
+    # their provenance; ood --held-class trains, so it keeps it
     model = str(trained_dir / "model_dwac_trial0.json")
     cfg = tmp_path / "sigma.json"
     cfg.write_text(json.dumps({"sigma": 100}))
@@ -140,6 +141,20 @@ def test_sigma_is_only_a_training_flag(trained_dir, tmp_path, capsys):
                 "--out", str(tmp_path / "p")]) == 0
     doc = json.loads((tmp_path / "p" / "predictions.json").read_text())
     assert "sigma" not in doc["provenance"]
+
+    foreign = ["ood", "--data", BLOBS, "--foreign", "blobs:n=30,c=3,d=3,sep=8,seed=9",
+               "--model", model, "--out", str(tmp_path / "ood")]
+    for extra in (["--sigma", "100"], ["--config", str(cfg)]):
+        capsys.readouterr()
+        assert run(foreign + extra) == 2
+        assert_one_error_line(capsys)
+        assert not (tmp_path / "ood").exists()
+    assert run(foreign) == 0
+    doc = json.loads((tmp_path / "ood" / "ood_summary.json").read_text())
+    assert "sigma" not in doc["provenance"]
+    held = build_config(make_parser().parse_args(
+        ["ood", "--data", BLOBS, "--held-class", "2", "--config", str(cfg)]))
+    assert held.sigma == 100 and json.loads(held.provenance())["sigma"] == 100
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +313,37 @@ def test_schema_without_columns_is_an_error(tmp_path, capsys):
     assert run(["train", "--data", str(data), "--schema", str(schema),
                 "--out", str(tmp_path / "x")]) == 2
     assert_one_error_line(capsys)
+
+
+def test_model_file_that_is_not_an_object(tmp_path, capsys):
+    model = tmp_path / "list.json"
+    model.write_text("[1, 2]")
+    capsys.readouterr()
+    assert run(["predict", "--data", BLOBS, "--model", str(model),
+                "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and str(model) in err
+
+
+def test_empty_data_names_its_file(tmp_path, capsys):
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps({
+        "columns": [{"name": "x", "role": "continuous"}, {"name": "y", "role": "label"}],
+        "label_values": ["a", "b"],
+    }))
+    data = tmp_path / "header_only.csv"
+    data.write_text("x,y\n")
+    capsys.readouterr()
+    assert run(["train", "--data", str(data), "--schema", str(schema),
+                "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and str(data) in err and "0 data rows" in err
+    train = tmp_path / "train.csv"
+    train.write_text("x,y\n" + "".join(f"{i},{'ab'[i % 2]}\n" for i in range(20)))
+    assert run(["train", "--data", str(train), "--test-data", str(data),
+                "--schema", str(schema), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and str(data) in err and "0 data rows" in err
 
 
 def test_bad_blob_specs(tmp_path):

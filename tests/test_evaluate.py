@@ -14,7 +14,6 @@ from dwac_kit import (
     make_blobs,
     make_rng,
     ood_cross_dataset,
-    ood_holdout_class,
     ood_holdout_class_multi,
     predict,
 )
@@ -180,7 +179,7 @@ def test_holdout_weight_sums_flag_the_held_class(holdout_reports):
 def test_holdout_single_measure_matches_multi(holdout_reports):
     blobs = make_blobs(480, 4, 4, 8.0, make_rng(11, 3))
     config = TrainConfig(head="dwac", seed=11, max_epochs=40, batch_size=64)
-    single = ood_holdout_class(blobs, 3, config, NEG_WEIGHT_SUM)
+    single = ood_holdout_class_multi(blobs, 3, config, [NEG_WEIGHT_SUM])[NEG_WEIGHT_SUM]
     assert np.array_equal(single.out_of_domain,
                           holdout_reports[NEG_WEIGHT_SUM].out_of_domain)
 
@@ -189,7 +188,7 @@ def test_holdout_validation():
     two = make_blobs(40, 2, 2, 6.0, make_rng(0, 3))
     config = TrainConfig(head="dwac", seed=0, max_epochs=2)
     with pytest.raises(ValueError):
-        ood_holdout_class(two, 0, config, NEG_PROB)
+        ood_holdout_class_multi(two, 0, config, [NEG_PROB])[NEG_PROB]
     three = make_blobs(60, 3, 2, 6.0, make_rng(0, 3))
     with pytest.raises(ValueError):
         ood_holdout_class_multi(three, 0, config, [])

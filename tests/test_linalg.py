@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from dwac_kit.heads import kernel_weights
 from dwac_kit.linalg import (
     as_matrix,
     gaussian_sample,
@@ -49,6 +52,46 @@ def test_pairwise_self_diagonal_exactly_zero():
     d = pairwise_sq_distances(a, a)
     assert np.all(np.diag(d) == 0.0)
     assert np.all(d >= 0.0)
+
+
+def test_pairwise_offset_rows_with_near_duplicates():
+    # a 1e3 offset makes ||a||^2 + ||b||^2 - 2 a.b cancel heavily; pairs
+    # 1e-6 apart must still come out close to the loops, and never negative
+    rng = make_rng(12)
+    a = 1e3 + rng.standard_normal((30, 4))
+    b = np.concatenate([a[:10] + 1e-6 * rng.standard_normal((10, 4)),
+                        1e3 + rng.standard_normal((15, 4))])
+    got = pairwise_sq_distances(a, b)
+    assert np.max(np.abs(got - pairwise_sq_oracle(a, b))) <= 1e-6
+    assert np.all(got >= 0.0)
+    same = pairwise_sq_distances(a, a)
+    assert np.max(np.abs(same - pairwise_sq_oracle(a, a))) <= 1e-6
+    assert np.all(same >= 0.0)
+    assert np.all(np.diag(same) == 0.0)
+
+
+def test_pairwise_edge_shapes():
+    b = make_rng(13).standard_normal((5, 3))
+    assert pairwise_sq_distances(np.zeros((0, 3)), b).shape == (0, 5)
+    a1 = make_rng(14).standard_normal((4, 1))
+    b1 = make_rng(15).standard_normal((6, 1))
+    assert np.max(np.abs(pairwise_sq_distances(a1, b1) - pairwise_sq_oracle(a1, b1))) < 1e-12
+
+
+@pytest.mark.parametrize("kernel", [pairwise_sq_distances, kernel_weights])
+def test_pairwise_allocates_one_q_by_t_array(kernel):
+    # the augmented factors are q x (d + 2) and t x (d + 2); the product is
+    # the only q x t allocation, and kernel_weights works on it in place
+    rng = make_rng(16)
+    a = rng.standard_normal((1_000, 4))
+    b = rng.standard_normal((2_000, 4))
+    tracemalloc.start()
+    try:
+        kernel(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 1_000 * 2_000 * 8
 
 
 def test_pairwise_dim_mismatch():
