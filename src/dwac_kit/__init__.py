@@ -41,7 +41,13 @@ from .evaluate import (
     ood_cross_dataset,
     ood_holdout_class_multi,
 )
-from .explain import Explanation, agreement_at_k, explain, explain_many
+from .explain import (
+    Explanation,
+    agreement_at_k,
+    explain,
+    explain_many,
+    explain_with_agreement,
+)
 from .heads import (
     DEFAULT_SIGMA,
     EmbeddedTrainingSet,
@@ -106,6 +112,7 @@ __all__ = [
     "embed_training_set",
     "explain",
     "explain_many",
+    "explain_with_agreement",
     "forward",
     "init_model",
     "kernel_weights",

@@ -56,7 +56,8 @@ from .evaluate import (
     ood_cross_dataset,
     ood_holdout_class_multi,
 )
-from .explain import agreement_at_k, explain_many
+from .explain import explain_with_agreement
+from .heads import Predictions
 from .linalg import make_rng, shuffle_split
 from .network import DWAC, SOFTMAX
 from .trainer import TrainConfig, predict, train
@@ -68,6 +69,13 @@ BLOBS_STREAM = 3
 BOTH = "both"
 HEAD_CHOICES = (SOFTMAX, DWAC, BOTH)
 MEASURE_CHOICES = MEASURES + (BOTH,)
+# Settings that only training reads; runs that train nothing refuse them.
+TRAINING_KEYS = frozenset({
+    "head", "sigma", "h_dim", "hidden", "dropout", "learning_rate", "batch_size",
+    "max_epochs", "patience", "fractions", "trials",
+})
+# All that ood --foreign reads besides paths, and so all its provenance holds.
+FOREIGN_KEYS = ("command", "data", "foreign", "measure", "seed")
 
 
 @dataclass(frozen=True)
@@ -119,16 +127,23 @@ class RunConfig:
             self.command == "ood" and self.held_class is not None
         )
 
+    @property
+    def refused(self) -> frozenset[str]:
+        """Keys this run may not be given: runs that do not train score with
+        the artifact's sigma, and ood --foreign trains nothing at all."""
+        if self.trains:
+            return frozenset()
+        return TRAINING_KEYS if self.command == "ood" else frozenset({"sigma"})
+
     def provenance(self) -> str:
         """Canonical JSON of the semantic config: everything that shapes the
         numbers, none of the filesystem paths."""
-        skip = {"schema", "model", "out"}
-        if not self.trains:
-            skip.add("sigma")
+        skip = {"schema", "model", "out"} | self.refused
+        foreign = self.command == "ood" and not self.trains
         sources = ("data", "test_data", "foreign")
         doc = {}
         for f in fields(self):
-            if f.name in skip:
+            if f.name in skip or (foreign and f.name not in FOREIGN_KEYS):
                 continue
             value = getattr(self, f.name)
             if f.name in sources and value is not None and not value.startswith("blobs:"):
@@ -200,11 +215,14 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if "model" in merged and isinstance(merged["model"], (list, tuple)):
         merged["model"] = tuple(merged["model"])
     cfg = RunConfig(**merged)
-    if "sigma" in merged and not cfg.trains:
-        source = "--sigma" if getattr(args, "sigma", None) is not None else args.config
+    refused = sorted(cfg.refused & merged.keys())
+    if refused:
+        key = refused[0]
+        flag = "--" + key.replace("_", "-")
+        source = flag if getattr(args, key, None) is not None else args.config
         raise ValueError(
-            f"{source}: {cfg.command} uses the model artifact's sigma; "
-            "sigma is a training key (ood takes it only with --held-class)"
+            f"{source}: {key} is a training key; {cfg.command} scores with the model "
+            "artifact and trains nothing (ood trains only with --held-class)"
         )
     return cfg
 
@@ -364,6 +382,12 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _degenerate(preds: Predictions) -> int:
+    """Rows whose kernel mass underflowed to zero, scored as uniform; softmax
+    predictions have none."""
+    return 0 if preds.degenerate is None else int(np.count_nonzero(preds.degenerate))
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -402,10 +426,8 @@ def cmd_train(cfg: RunConfig) -> int:
                 head, trial, seed, len(result.history), acc, mae,
             )
 
-            calib_preds = predict(result.model, calib_set.x, train=result.embedded,
-                                  sigma=cfg.sigma)
             calibrations = {
-                m: calibrate(calib_preds, calib_set.y, m)
+                m: calibrate(result.calib_predictions, calib_set.y, m)
                 for m in _measures_for(head, BOTH)
             }
             artifact = ModelArtifact(
@@ -465,7 +487,7 @@ def cmd_predict(cfg: RunConfig) -> int:
     doc = {"provenance": json.loads(cfg.provenance()), "predictions": records}
     atomic_write_text(os.path.join(out, "predictions.json"),
                       json.dumps(doc, indent=1, sort_keys=True))
-    log.info("wrote %d predictions", len(records))
+    log.info("wrote %d predictions (%d degenerate)", len(records), _degenerate(preds))
     return 0
 
 
@@ -477,17 +499,16 @@ def cmd_explain(cfg: RunConfig) -> int:
     if artifact.model.head != DWAC:
         raise ValueError("explanations need a dwac artifact")
     ds = _encode_for_artifact(cfg.data, cfg, artifact)
-    explanations = explain_many(ds.x, artifact.model, artifact.embedded,
-                                k=cfg.k, sigma=artifact.sigma)
+    explanations, table = explain_with_agreement(
+        ds.x, artifact.model, artifact.embedded, k=cfg.k, k_list=cfg.k_list,
+        sigma=artifact.sigma,
+    )
     doc = {
         "provenance": json.loads(cfg.provenance()),
         "explanations": [e.to_json_dict() for e in explanations],
     }
     atomic_write_text(os.path.join(out, "explanations.json"),
                       json.dumps(doc, indent=1, sort_keys=True))
-
-    table = agreement_at_k(artifact.model, artifact.embedded, ds, cfg.k_list,
-                           sigma=artifact.sigma)
     _write_csv(
         os.path.join(out, "agreement.csv"),
         cfg.provenance(),
@@ -534,8 +555,9 @@ def cmd_conformal(cfg: RunConfig) -> int:
                 [[_fmt(edges[i]), _fmt(edges[i + 1]), int(counts[i])]
                  for i in range(counts.size)],
             )
-            log.info("head=%s measure=%s coverage@0.05=%s", head, measure,
-                     next((r.coverage for r in rows if abs(r.epsilon - 0.05) < 1e-9), "n/a"))
+            log.info("head=%s measure=%s coverage@0.05=%s degenerate=%d", head, measure,
+                     next((r.coverage for r in rows if abs(r.epsilon - 0.05) < 1e-9), "n/a"),
+                     _degenerate(preds))
     return 0
 
 

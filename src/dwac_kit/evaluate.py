@@ -183,13 +183,12 @@ def ood_holdout_class_multi(
     proper, calib, test, held = standardize_splits(proper, calib, test, held)
 
     result = train(proper, calib, config)
-    calib_preds = predict(result.model, calib.x, train=result.embedded, sigma=config.sigma)
     in_preds = predict(result.model, test.x, train=result.embedded, sigma=config.sigma)
     out_preds = predict(result.model, held.x, train=result.embedded, sigma=config.sigma)
 
     reports = {}
     for measure in measures:
-        calib_scores = calibrate(calib_preds, calib.y, measure)
+        calib_scores = calibrate(result.calib_predictions, calib.y, measure)
         in_cred = conformal_predict(in_preds, calib_scores, measure).credibility()
         out_cred = conformal_predict(out_preds, calib_scores, measure).credibility()
         reports[measure] = _ood_report(measure, in_cred, out_cred)

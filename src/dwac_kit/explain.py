@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Dataset
-from .heads import DEFAULT_SIGMA, EmbeddedTrainingSet, kernel_weights, row_blocks
+from .heads import DEFAULT_SIGMA, EmbeddedTrainingSet, kernel_blocks
 from .network import DWAC, EmbeddingModel, forward
 
 
@@ -66,19 +66,20 @@ class Explanation:
         }
 
 
-def _top_indices(w: np.ndarray, k: int | None) -> np.ndarray:
-    """Indices of the k largest weights, descending weight then ascending
-    index. Uses a partial selection when k is well below the set size; the
-    pivot tie scan keeps boundary ties deterministic."""
-    t = w.size
-    if k is None or k >= t:
-        return np.argsort(-w, kind="stable")
+def _top_positions(w: np.ndarray, index: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the k largest weights in ``w``, by descending weight and
+    then ascending ``index`` (the original training index of each position).
+    Uses a partial selection when k is below the row size; the pivot tie scan
+    keeps boundary ties deterministic."""
+    if k >= w.size:
+        return np.lexsort((index, -w))
     cand = np.argpartition(-w, k - 1)[:k]
     pivot = w[cand].min()
-    above = np.nonzero(w > pivot)[0]
-    ties = np.nonzero(w == pivot)[0]
-    chosen = np.concatenate([above, ties[: k - above.size]])
-    return chosen[np.lexsort((chosen, -w[chosen]))]
+    above = np.flatnonzero(w > pivot)
+    ties = np.flatnonzero(w == pivot)
+    ties = ties[np.argsort(index[ties])][: k - above.size]
+    chosen = np.concatenate([above, ties])
+    return chosen[np.lexsort((index[chosen], -w[chosen]))]
 
 
 def _decisive_prefix(
@@ -100,21 +101,22 @@ def _decisive_prefix(
 
 
 def _explain_row(
-    w: np.ndarray, train: EmbeddedTrainingSet, k: int | None, query_id: int
+    w: np.ndarray, sums: np.ndarray, top: np.ndarray, train: EmbeddedTrainingSet,
+    query_id: int,
 ) -> Explanation:
-    total = float(w.sum())
-    full_masses = np.bincount(train.labels, weights=w, minlength=train.num_classes)
-    predicted = int(np.argmax(full_masses))
-    order = _top_indices(w, k)
-    entry_weights = w[order]
-    entry_labels = train.labels[order]
+    """One query's explanation from its class-sorted weights, class sums and
+    ranked positions."""
+    total = float(sums.sum())
+    index = train.order[top]
+    entry_weights = w[top]
+    entry_labels = train.labels[index]
     entries = [
         Entry(index=int(i), weight=float(wt), label=int(lb))
-        for i, wt, lb in zip(order, entry_weights, entry_labels)
+        for i, wt, lb in zip(index, entry_weights, entry_labels)
     ]
     return Explanation(
         query_id=query_id,
-        predicted_label=predicted,
+        predicted_label=int(np.argmax(sums)),
         entries=entries,
         cumulative_weight=np.cumsum(entry_weights),
         decisive_prefix=_decisive_prefix(entry_labels, entry_weights, total, train.num_classes),
@@ -151,22 +153,8 @@ def explain_many(
     k: int | None = None,
     sigma: float = DEFAULT_SIGMA,
 ) -> list[Explanation]:
-    """Explain each row of ``x``; query_id is the row position.
-
-    Kernel weights are computed one query-row block at a time.
-    """
-    if model.head != DWAC:
-        raise ValueError("explanations require a dwac head; softmax has no reference instances")
-    if len(train) == 0:
-        raise ValueError("cannot explain against an empty training set")
-    if k is not None and k < 1:
-        raise ValueError(f"k must be >= 1 or None for all, got {k}")
-    h, _ = forward(model, x, mode="eval")
-    out = []
-    for rows in row_blocks(h.shape[0], len(train)):
-        weights = kernel_weights(h[rows], train.h, sigma=sigma)
-        out.extend(_explain_row(w, train, k, rows.start + i) for i, w in enumerate(weights))
-    return out
+    """Explain each row of ``x``; query_id is the row position."""
+    return explain_with_agreement(x, model, train, k=k, k_list=(), sigma=sigma)[0]
 
 
 def agreement_at_k(
@@ -180,34 +168,63 @@ def agreement_at_k(
     training instances matches the full-model argmax, per k.
 
     k values at or above the training set size agree exactly by
-    construction (the restriction keeps everything). Each row ranks only
-    its top kmax weights, kmax being the largest k below the training set
-    size, and each prefix mass is summed in rank order.
+    construction (the restriction keeps everything). The pass also builds
+    one-entry explanations, which are dropped.
     """
+    return explain_with_agreement(test.x, model, train, k=1, k_list=k_list, sigma=sigma)[1]
+
+
+def explain_with_agreement(
+    x: np.ndarray,
+    model: EmbeddingModel,
+    train: EmbeddedTrainingSet,
+    k: int | None,
+    k_list: tuple[int, ...],
+    sigma: float = DEFAULT_SIGMA,
+) -> tuple[list[Explanation], list[tuple[int, float]]]:
+    """``explain_many`` and ``agreement_at_k`` of the same queries from one
+    embedding and one pass of ``kernel_blocks``.
+
+    ``k`` truncates each ranked list to the k heaviest neighbors (None keeps
+    all of them); the decisive prefix still accounts for the exact truncated
+    mass. For agreement, each row ranks only its top kmax weights, kmax being
+    the largest k in ``k_list`` below the training set size, and each prefix
+    mass is summed in rank order.
+    """
+    if model.head != DWAC:
+        raise ValueError("explanations require a dwac head; softmax has no reference instances")
     if len(train) == 0:
-        raise ValueError("agreement needs a nonempty training set")
-    if any(k < 1 for k in k_list):
+        raise ValueError("cannot explain against an empty training set")
+    if k is not None and k < 1:
+        raise ValueError(f"k must be >= 1 or None for all, got {k}")
+    if any(kk < 1 for kk in k_list):
         raise ValueError("k_list entries must be >= 1")
-    if len(test) == 0:
+    h, _ = forward(model, x, mode="eval")
+    n, t = h.shape[0], len(train)
+    if k_list and n == 0:
         raise ValueError("agreement of an empty test set is undefined")
-    n, t = len(test), len(train)
-    short = sorted({k for k in k_list if k < t})
-    if not short:
-        return [(k, 1.0) for k in k_list]
+    short = sorted({kk for kk in k_list if kk < t})
+    depth = t if k is None else max([k, *short])
     hits = dict.fromkeys(short, 0)
-    h, _ = forward(model, test.x, mode="eval")
-    onehot = train.onehot()
-    for rows in row_blocks(n, t):
-        weights = kernel_weights(h[rows], train.h, sigma=sigma)
-        full_argmax = (weights @ onehot).argmax(axis=1)
-        top = np.stack([_top_indices(w, short[-1]) for w in weights])
-        top_w = np.take_along_axis(weights, top, axis=1)
-        top_labels = train.labels[top]
-        block = np.arange(top.shape[0])[:, None]
-        masses = np.zeros((top.shape[0], train.num_classes))
+    explanations = []
+    for rows, w, sums in kernel_blocks(h, train, sigma):
+        top = [_top_positions(row, train.order, depth) for row in w]
+        explanations.extend(
+            _explain_row(w[i], sums[i], top[i][:k], train, rows.start + i)
+            for i in range(w.shape[0])
+        )
+        if not short:
+            continue
+        ranked = np.stack([p[: short[-1]] for p in top])
+        top_w = np.take_along_axis(w, ranked, axis=1)
+        top_labels = train.labels[train.order[ranked]]
+        block = np.arange(ranked.shape[0])[:, None]
+        masses = np.zeros((ranked.shape[0], train.num_classes))
+        full_argmax = sums.argmax(axis=1)
         done = 0
-        for k in short:
-            np.add.at(masses, (block, top_labels[:, done:k]), top_w[:, done:k])
-            done = k
-            hits[k] += int(np.count_nonzero(masses.argmax(axis=1) == full_argmax))
-    return [(k, hits[k] / n if k < t else 1.0) for k in k_list]
+        for kk in short:
+            np.add.at(masses, (block, top_labels[:, done:kk]), top_w[:, done:kk])
+            done = kk
+            hits[kk] += int(np.count_nonzero(masses.argmax(axis=1) == full_argmax))
+    table = [(kk, hits[kk] / n if kk < t else 1.0) for kk in k_list]
+    return explanations, table

@@ -16,17 +16,20 @@ each instance's probability is estimated from the *other* batch members
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import as_matrix, pairwise_sq_distances
+from .linalg import as_matrix, pairwise_sq_distances, query_factor, reference_factor
 
 DEFAULT_SIGMA = 0.5
 PROB_FLOOR = 1e-12
-# Kernel entries per query-row block: 2**21 float64 values, 16 MB. Kernel sums
-# run one block at a time, so their memory is O(block x t) rather than O(q x t).
-BLOCK_ENTRIES = 1 << 21
+# Kernel entries per query-row block: 2**17 float64 values, 1 MiB. Kernel sums
+# run one block at a time, so their memory is O(block x t) rather than O(q x t),
+# and a block small enough for a core's L2 cache stays there through the
+# product, clamp, scale, exp and class sums.
+BLOCK_ENTRIES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -35,11 +38,19 @@ class EmbeddedTrainingSet:
 
     This is the whole prediction substrate for the averaging head: after
     training only these low-dimensional vectors need to be stored.
+
+    The rows are also kept sorted by class (``sorted_h``, a stable sort, so
+    ``order[j]`` is the original index of sorted row j), and class k holds
+    sorted rows ``bounds[k]:bounds[k + 1]``. Kernel sums run over this
+    layout, so each class's weight mass is the sum of one contiguous range.
     """
 
     h: np.ndarray
     labels: np.ndarray
     num_classes: int
+    order: np.ndarray = field(init=False, repr=False, compare=False)
+    bounds: np.ndarray = field(init=False, repr=False, compare=False)
+    sorted_h: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h = as_matrix(self.h, "embeddings")
@@ -50,17 +61,16 @@ class EmbeddedTrainingSet:
             raise ValueError("num_classes must be >= 1")
         if labels.size and (labels.min() < 0 or labels.max() >= self.num_classes):
             raise ValueError("labels out of range 0..num_classes-1")
+        order = np.argsort(labels, kind="stable")
+        counts = np.bincount(labels, minlength=self.num_classes)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "bounds", np.concatenate([[0], np.cumsum(counts)]))
+        object.__setattr__(self, "sorted_h", h[order])
 
     def __len__(self) -> int:
         return self.h.shape[0]
-
-    def onehot(self) -> np.ndarray:
-        """t x c label indicators; ``w @ onehot()`` sums kernel weights per class."""
-        out = np.zeros((len(self), self.num_classes))
-        out[np.arange(len(self)), self.labels] = 1.0
-        return out
 
 
 @dataclass
@@ -106,13 +116,58 @@ def kernel_weights(
 def row_blocks(q: int, t: int) -> list[slice]:
     """Consecutive query-row slices, as even in size as possible, whose
     blocks of the q x t kernel hold at most BLOCK_ENTRIES entries (one row
-    each when t exceeds it). Even sizes leave no small tail block, which
-    BLAS may sum in another order than a large one. q = 0 gives one empty
-    block, so argument checks still run."""
+    each when t exceeds it). q = 0 gives one empty block."""
     step = max(1, BLOCK_ENTRIES // max(t, 1))
     n = max(1, -(-q // step))
     bounds = [q * i // n for i in range(n + 1)]
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def kernel_blocks(
+    h_query: np.ndarray, train: EmbeddedTrainingSet, sigma: float = DEFAULT_SIGMA
+) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """Kernel weights of the queries against the training set, one query-row
+    block at a time: yields ``(rows, w, sums)`` for each block of
+    ``row_blocks``.
+
+    ``w[i, j]`` is the weight of query ``rows.start + i`` on training row
+    ``train.order[j]`` (columns are in class-sorted order), and ``sums[i, k]``
+    the total weight of class k. ``w`` lives in one buffer that every block
+    reuses: it is valid until the next block is requested. The arithmetic is
+    that of ``kernel_weights``, and no result depends on the block size.
+    """
+    if sigma <= 0.0:
+        raise ValueError(f"sigma must be > 0, got {sigma}")
+    if len(train) == 0:
+        raise ValueError("embedded training set is empty")
+    h_query = as_matrix(h_query, "h_query")
+    q, d = h_query.shape
+    if d != train.h.shape[1]:
+        raise ValueError(f"query dim {d} != training dim {train.h.shape[1]}")
+    # BLAS rounds a one-row product (numpy hands it to GEMV) and a trailing
+    # partial tile of columns (t mod 8 with OpenBLAS) otherwise than the rest.
+    # Zero rows and columns pad the factors so every product avoids both, and
+    # no result depends on the block size.
+    t = len(train)
+    left = np.concatenate([query_factor(h_query), np.zeros((2, d + 2))])
+    right = np.zeros((d + 2, -(-t // 8) * 8))
+    right[:, :t] = reference_factor(train.sorted_h).T
+    blocks = row_blocks(q, t)
+    buf = np.empty((max(2, *(b.stop - b.start for b in blocks)), right.shape[1]))
+    scale = -1.0 / (2.0 * sigma)  # not folded into a factor: that moves the rounding
+    bounds = train.bounds
+    for rows in blocks:
+        n = rows.stop - rows.start
+        m = max(n, 2)
+        np.matmul(left[rows.start : rows.start + m], right, out=buf[:m])
+        w = buf[:n, :t]
+        np.maximum(w, 0.0, out=w)
+        w *= scale
+        np.exp(w, out=w)
+        sums = np.empty((n, train.num_classes))
+        for k in range(train.num_classes):
+            np.add.reduce(w[:, bounds[k] : bounds[k + 1]], axis=1, out=sums[:, k])
+        yield rows, w, sums
 
 
 def dwac_predict(
@@ -122,20 +177,10 @@ def dwac_predict(
 ) -> Predictions:
     """Predict by kernel-weighted averaging over the embedded training set.
 
-    The per-class weight sums are filled one query-row block at a time, so
-    at most one block of the q x t kernel is held in memory.
+    The per-class weight sums come from ``kernel_blocks``, so at most one
+    block of the q x t kernel is held in memory.
     """
-    if len(train) == 0:
-        raise ValueError("embedded training set is empty")
-    h_query = as_matrix(h_query, "h_query")
-    if h_query.shape[1] != train.h.shape[1]:
-        raise ValueError(
-            f"query dim {h_query.shape[1]} != training dim {train.h.shape[1]}"
-        )
-    onehot = train.onehot()
-    sums = np.empty((h_query.shape[0], train.num_classes))
-    for rows in row_blocks(h_query.shape[0], len(train)):
-        sums[rows] = kernel_weights(h_query[rows], train.h, sigma) @ onehot
+    sums = np.concatenate([s for _, _, s in kernel_blocks(h_query, train, sigma)])
     total = sums.sum(axis=1)
     degenerate = total == 0.0
     safe_total = np.where(degenerate, 1.0, total)

@@ -33,6 +33,28 @@ def as_matrix(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     return out
 
 
+def query_factor(a: np.ndarray) -> np.ndarray:
+    """``[a | ||a||^2 | 1]``, the left factor of the squared distances."""
+    d = a.shape[1]
+    out = np.empty((a.shape[0], d + 2))
+    out[:, :d] = a
+    np.einsum("ij,ij->i", a, a, out=out[:, d])
+    out[:, d + 1] = 1.0
+    return out
+
+
+def reference_factor(b: np.ndarray) -> np.ndarray:
+    """``[-2b | 1 | ||b||^2]``: ``query_factor(a) @ reference_factor(b).T``
+    is ``||a||^2 + ||b||^2 - 2 a.b`` for every row pair, in one GEMM whose
+    (d + 2)-column factors are small next to the q x t product."""
+    d = b.shape[1]
+    out = np.empty((b.shape[0], d + 2))
+    np.multiply(b, -2.0, out=out[:, :d])
+    out[:, d] = 1.0
+    np.einsum("ij,ij->i", b, b, out=out[:, d + 1])
+    return out
+
+
 def pairwise_sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """All squared Euclidean distances between rows of ``a`` and rows of ``b``.
 
@@ -48,19 +70,7 @@ def pairwise_sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"column mismatch: a has {a2.shape[1]} columns, b has {b2.shape[1]}"
         )
-    # ||a||^2 + ||b||^2 - 2 a.b as a single GEMM:
-    # [a | ||a||^2 | 1] @ [-2b | 1 | ||b||^2]^T. The (d + 2)-column factors
-    # are small, so the product is the only q x t array allocated.
-    d = a2.shape[1]
-    aug_a = np.empty((a2.shape[0], d + 2))
-    aug_a[:, :d] = a2
-    np.einsum("ij,ij->i", a2, a2, out=aug_a[:, d])
-    aug_a[:, d + 1] = 1.0
-    aug_b = np.empty((b2.shape[0], d + 2))
-    np.multiply(b2, -2.0, out=aug_b[:, :d])
-    aug_b[:, d] = 1.0
-    np.einsum("ij,ij->i", b2, b2, out=aug_b[:, d + 1])
-    out = aug_a @ aug_b.T
+    out = query_factor(a2) @ reference_factor(b2).T
     # Cancellation can leave tiny negatives and downstream exp(-d^2) needs
     # d^2 >= 0.
     np.maximum(out, 0.0, out=out)

@@ -75,8 +75,13 @@ class EpochStats:
 
 @dataclass
 class TrainResult:
+    """The trained model with what validation already computed for it:
+    ``embedded`` is its embedded proper split (dwac only) and
+    ``calib_predictions`` its predictions on the calibration split."""
+
     model: EmbeddingModel
     embedded: EmbeddedTrainingSet | None
+    calib_predictions: Predictions
     history: list[EpochStats] = field(default_factory=list)
     best_epoch: int = 0
     best_calib_accuracy: float = float("nan")
@@ -124,14 +129,6 @@ def predict(
     return softmax_predict(h)
 
 
-def _accuracy(model: EmbeddingModel, dataset: Dataset,
-              train: EmbeddedTrainingSet | None, sigma: float) -> float:
-    if len(dataset) == 0 or dataset.y is None:
-        return float("nan")
-    preds = predict(model, dataset.x, train=train, sigma=sigma)
-    return float(np.mean(preds.predicted == dataset.y))
-
-
 def train(proper: Dataset, calibration: Dataset, config: TrainConfig) -> TrainResult:
     """Fit a model on the proper training split.
 
@@ -149,6 +146,7 @@ def train(proper: Dataset, calibration: Dataset, config: TrainConfig) -> TrainRe
 
     n = len(proper)
     best_params = model.copy_parameters()
+    best_embedded, best_preds = None, None
     best_acc = -np.inf
     best_epoch = 0
     bad_epochs = 0
@@ -186,7 +184,8 @@ def train(proper: Dataset, calibration: Dataset, config: TrainConfig) -> TrainRe
         mean_loss = loss_sum / used if used else float("nan")
         if validate:
             ref = embed_training_set(model, proper) if config.head == DWAC else None
-            acc = _accuracy(model, calibration, ref, config.sigma)
+            preds = predict(model, calibration.x, train=ref, sigma=config.sigma)
+            acc = float(np.mean(preds.predicted == calibration.y))
         else:
             acc = float("nan")
         history.append(EpochStats(epoch=epoch, mean_loss=mean_loss, calib_accuracy=acc))
@@ -196,6 +195,7 @@ def train(proper: Dataset, calibration: Dataset, config: TrainConfig) -> TrainRe
                 best_acc = acc
                 best_epoch = epoch
                 best_params = model.copy_parameters()
+                best_embedded, best_preds = ref, preds
                 bad_epochs = 0
             else:
                 bad_epochs += 1
@@ -207,10 +207,13 @@ def train(proper: Dataset, calibration: Dataset, config: TrainConfig) -> TrainRe
             best_params = model.copy_parameters()
 
     model.set_parameters(best_params)
-    embedded = embed_training_set(model, proper) if config.head == DWAC else None
+    if not validate:  # an empty or unlabeled calibration split
+        best_embedded = embed_training_set(model, proper) if config.head == DWAC else None
+        best_preds = predict(model, calibration.x, train=best_embedded, sigma=config.sigma)
     return TrainResult(
         model=model,
-        embedded=embedded,
+        embedded=best_embedded,
+        calib_predictions=best_preds,
         history=history,
         best_epoch=best_epoch,
         best_calib_accuracy=float(best_acc) if validate else float("nan"),

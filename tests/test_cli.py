@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import csv
+import importlib
 import json
 
 import numpy as np
 import pytest
 
-from dwac_kit import load_model, save_model
-from dwac_kit.cli import build_config, main, make_parser
+from dataclasses import replace
+
+from dwac_kit import heads, load_model, save_model
+from dwac_kit.cli import FOREIGN_KEYS, build_config, main, make_parser
 
 BLOBS = "blobs:n=200,c=3,d=3,sep=8,seed=0"
 FAST = ["--max-epochs", "30", "--batch-size", "64"]
@@ -263,6 +266,63 @@ def test_ood_cross_dataset(trained_dir, tmp_path):
     assert set(doc["combinations"]) == {"dwac/neg_prob", "dwac/neg_weight_sum"}
     assert doc["combinations"]["dwac/neg_prob"]["out_of_domain_n"] == 80
     assert doc["provenance"]["foreign"].startswith("blobs:")
+
+
+def test_ood_foreign_refuses_training_settings(trained_dir, tmp_path, capsys):
+    # the foreign protocol scores with the artifact and trains nothing, so a
+    # training flag or config key is an error, and its provenance holds only
+    # what the protocol reads
+    model = str(trained_dir / "model_dwac_trial0.json")
+    foreign = ["ood", "--data", BLOBS, "--foreign", "blobs:n=30,c=3,d=3,sep=8,seed=9",
+               "--model", model, "--out", str(tmp_path / "ood")]
+    cfg = tmp_path / "train.json"
+    cfg.write_text(json.dumps({"hidden": [99, 99], "trials": 2}))
+    for extra in (["--hidden", "99,99"], ["--learning-rate", "0.9"], ["--max-epochs", "3"],
+                  ["--head", "dwac"], ["--fractions", "0.5,0.3,0.2"], ["--config", str(cfg)]):
+        capsys.readouterr()
+        assert run(foreign + extra) == 2
+        assert_one_error_line(capsys)
+        assert not (tmp_path / "ood").exists()
+    assert run(foreign + ["--measure", "neg_prob"]) == 0
+    doc = json.loads((tmp_path / "ood" / "ood_summary.json").read_text())
+    assert set(doc["provenance"]) == set(FOREIGN_KEYS)
+    assert doc["provenance"]["measure"] == "neg_prob"
+
+
+def test_explain_runs_the_kernel_once_per_query_block(trained_dir, tmp_path, monkeypatch):
+    # 200 queries against 120 reference rows, 16 rows per block
+    monkeypatch.setattr(heads, "BLOCK_ENTRIES", 120 * 16)
+    calls, blocks = [], []
+
+    def counted(h_query, train, sigma):
+        calls.append(len(h_query))
+        for block in heads.kernel_blocks(h_query, train, sigma):
+            blocks.append(block[0])
+            yield block
+
+    # the package exports a function named explain, which hides the module
+    monkeypatch.setattr(importlib.import_module("dwac_kit.explain"), "kernel_blocks", counted)
+    model = trained_dir / "model_dwac_trial0.json"
+    assert len(load_model(str(model)).embedded) == 120
+    assert run(["explain", "--data", BLOBS, "--model", str(model),
+                "--out", str(tmp_path / "e")]) == 0
+    assert calls == [200]
+    assert blocks == heads.row_blocks(200, 120) and len(blocks) == 13
+
+
+def test_degenerate_rows_are_logged(trained_dir, tmp_path, caplog):
+    # a reference set moved far from every query: all kernel mass underflows
+    artifact = load_model(str(trained_dir / "model_dwac_trial0.json"))
+    far = replace(artifact.embedded, h=artifact.embedded.h + 1e4)
+    model = tmp_path / "far.json"
+    save_model(replace(artifact, embedded=far), str(model))
+    with caplog.at_level("INFO", logger="dwac_kit"):
+        assert run(["predict", "--data", BLOBS, "--model", str(model),
+                    "--out", str(tmp_path / "p")]) == 0
+        assert run(["conformal", "--data", BLOBS, "--model", str(model),
+                    "--measure", "neg_prob", "--out", str(tmp_path / "c")]) == 0
+    assert "wrote 200 predictions (200 degenerate)" in caplog.text
+    assert "degenerate=200" in caplog.text
 
 
 def test_ood_needs_a_protocol(tmp_path):

@@ -3,10 +3,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from dwac_kit import heads
 from dwac_kit.explain import (
     agreement_at_k,
     explain,
     explain_many,
+    explain_with_agreement,
 )
 from dwac_kit.data import Dataset
 from dwac_kit.heads import EmbeddedTrainingSet, kernel_weights
@@ -132,7 +134,7 @@ def test_top_k_is_prefix_of_full_ranking(dwac_run):
 
 
 def test_explanations_across_row_blocks_keep_global_query_ids():
-    # t = 20,000 gives 104-row blocks, so 250 queries span three of them
+    # t = 20,000 gives blocks of 5 or 6 rows, so 250 queries span 42 of them
     rng = make_rng(22)
     train = EmbeddedTrainingSet(h=rng.standard_normal((20_000, 2)),
                                 labels=rng.integers(0, 2, size=20_000), num_classes=2)
@@ -140,7 +142,7 @@ def test_explanations_across_row_blocks_keep_global_query_ids():
     explanations = explain_many(x, identity_model(2), train, k=3)
     assert [e.query_id for e in explanations] == list(range(250))
     for i in (0, 103, 104, 249):
-        # a one-row kernel goes through GEMV, so weights agree to rounding only
+        # the same query explained alone, in a block of its own
         alone = explain(x[i], identity_model(2), train, k=3)
         assert [e.index for e in explanations[i].entries] == [e.index for e in alone.entries]
         assert np.allclose(explanations[i].cumulative_weight, alone.cumulative_weight,
@@ -214,3 +216,32 @@ def test_restricted_argmax_matches_manual_check():
     table = dict(agreement_at_k(model, train, ds, (1, 3)))
     assert table[1] == 0.0  # top instance says class 1, full vote says 0
     assert table[3] == 1.0
+
+
+def test_explanations_and_agreement_do_not_depend_on_the_block_size(monkeypatch):
+    # Grid points held several times under different labels, so many weights
+    # tie exactly; the 0.37 spacing makes the products round. 2**10 and 2**12
+    # give one-row blocks at t = 3,003, 2**40 a single block; t is no multiple
+    # of 8, so BLAS would meet a partial tile of columns.
+    rng = make_rng(23)
+    t, c = 3_003, 3
+    h = 0.37 * rng.integers(-3, 4, size=(t, 2))
+    train = EmbeddedTrainingSet(h=h, labels=rng.integers(0, c, size=t), num_classes=c)
+    x = 0.37 * rng.integers(-4, 5, size=(60, 2))
+    runs = []
+    for entries in (1 << 10, 1 << 12, 1 << 13, 1 << 15, 1 << 40):
+        monkeypatch.setattr(heads, "BLOCK_ENTRIES", entries)
+        explanations, table = explain_with_agreement(
+            x, identity_model(2), train, k=25, k_list=(1, 4, 30, 200, t))
+        runs.append(([(e.to_json_dict(), e.total_weight) for e in explanations], table))
+    assert all(run == runs[0] for run in runs[1:])
+    # entries are each row's heaviest weights by weight, then training index
+    weights = np.empty((60, t))
+    for rows, w, _ in heads.kernel_blocks(x, train):
+        weights[rows][:, train.order] = w
+    assert np.allclose(weights, kernel_weights(x, h), rtol=1e-12, atol=0.0)
+    for i, (doc, _) in enumerate(runs[0][0]):
+        ranked = sorted(range(t), key=lambda j: (-weights[i, j], j))[:25]
+        assert [e["index"] for e in doc["entries"]] == ranked
+        assert [e["weight"] for e in doc["entries"]] == list(weights[i, ranked])
+    assert runs[0][1] == agreement_oracle(weights, train.labels, c, (1, 4, 30, 200, t))

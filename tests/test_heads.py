@@ -5,18 +5,20 @@ import pytest
 
 import tracemalloc
 
+from dwac_kit import heads
 from dwac_kit.heads import (
     BLOCK_ENTRIES,
     EmbeddedTrainingSet,
     dwac_batch_loss,
     dwac_predict,
+    kernel_blocks,
     kernel_weights,
     row_blocks,
     softmax_batch_loss,
     softmax_predict,
 )
 from dwac_kit.linalg import make_rng
-from helpers import dwac_predict_oracle, loo_loss_oracle
+from helpers import class_weight_sums_oracle, dwac_predict_oracle, loo_loss_oracle
 
 
 def random_train(seed, t=25, d=4, c=3):
@@ -80,31 +82,68 @@ def test_dwac_predict_errors():
 def test_row_blocks_cover_every_row_once():
     assert row_blocks(0, 10) == [slice(0, 0)]
     assert row_blocks(5, BLOCK_ENTRIES + 1) == [slice(i, i + 1) for i in range(5)]
-    # at most 104 rows of 20,000 entries per block, split evenly
-    assert [(b.start, b.stop) for b in row_blocks(250, 20_000)] == [(0, 83), (83, 166),
-                                                                    (166, 250)]
-    assert row_blocks(104, 20_000) == [slice(0, 104)]
+    # at most 6 rows of 20,000 entries per block, split evenly
+    blocks = row_blocks(250, 20_000)
+    assert len(blocks) == 42 and {b.stop - b.start for b in blocks} == {5, 6}
+    assert [b.start for b in blocks[1:]] == [b.stop for b in blocks[:-1]]
+    assert (blocks[0].start, blocks[-1].stop) == (0, 250)
+    assert row_blocks(6, 20_000) == [slice(0, 6)]
 
 
-def test_blocked_sums_equal_one_shot_kernel_sums():
-    # q = 250 and 1,250 are not multiples of the 104-row cap at t = 20,000
+@pytest.mark.parametrize("rows", [250, 1_250])
+def test_weight_sums_do_not_depend_on_the_block_size(monkeypatch, rows):
+    # 2**12 to 2**15 give one-row blocks at t = 20,000, 2**16 three rows and
+    # 2**21 104; 2**40 puts every query in one block
     train = random_train(11, t=20_000, d=4, c=4)
-    for rows in (250, 1_250):
-        q = make_rng(12).standard_normal((rows, 4))
-        one_shot = kernel_weights(q, train.h) @ train.onehot()
-        assert np.array_equal(dwac_predict(q, train).weight_sums, one_shot)
+    q = make_rng(12).standard_normal((rows, 4))
+    sums = []
+    for entries in [*(1 << e for e in range(12, 22)), 1 << 40]:
+        monkeypatch.setattr(heads, "BLOCK_ENTRIES", entries)
+        sums.append(dwac_predict(q, train).weight_sums)
+    for other in sums[1:]:
+        assert np.array_equal(other, sums[0])
+    sample = slice(None, None, 125)
+    oracle = class_weight_sums_oracle(q[sample], train.h, train.labels, 4, 0.5)
+    assert np.allclose(sums[0][sample], oracle, rtol=1e-12, atol=0.0)
+
+
+def test_kernel_blocks_ignore_the_block_size_at_any_reference_size(monkeypatch):
+    # t = 2,003 leaves BLAS a partial tile of columns (t mod 8 = 3); blocks of
+    # 1 (padded to 2), 3, 13 and 104 rows, and one block of all 300
+    train = random_train(19, t=2_003, d=3, c=3)
+    q = make_rng(20).standard_normal((300, 3))
+    runs = []
+    for rows in (1, 3, 13, 104, 300):
+        monkeypatch.setattr(heads, "BLOCK_ENTRIES", rows * 2_003)
+        runs.append(np.vstack([w.copy() for _, w, _ in kernel_blocks(q, train)]))
+    for other in runs[1:]:
+        assert np.array_equal(other, runs[0])
+
+
+@pytest.mark.parametrize("sigma", [0.5, 0.7, 1.3])
+def test_engine_entries_equal_kernel_weights(sigma):
+    # bit for bit, which a 1/(2 sigma) folded into the distance factor breaks
+    train = random_train(17, t=3_000, d=3, c=3)
+    q = make_rng(18).standard_normal((100, 3))
+    one_shot = kernel_weights(q, train.h, sigma)[:, train.order]
+    covered = 0
+    for rows, w, sums in kernel_blocks(q, train, sigma):
+        assert np.array_equal(w, one_shot[rows])
+        assert sums.shape == (rows.stop - rows.start, 3)
+        covered += w.shape[0]
+    assert covered == 100
 
 
 def test_single_row_blocks_above_the_block_size():
-    # Each block is one row here. numpy hands a one-row product to GEMV, which
-    # sums in another order than the GEMM of a multi-row one-shot, so the sums
-    # agree to rounding rather than bit for bit.
+    # Each block is one row here. The one-shot sums below are a GEMM over the
+    # whole row, which adds in another order than the per-class sums, so the
+    # two agree to rounding rather than bit for bit.
     t = BLOCK_ENTRIES + 3
     train = random_train(13, t=t, d=1, c=2)
     q = make_rng(14).standard_normal((3, 1))
     assert len(row_blocks(3, t)) == 3
     preds = dwac_predict(q, train)
-    one_shot = kernel_weights(q, train.h) @ train.onehot()
+    one_shot = kernel_weights(q, train.h) @ np.eye(train.num_classes)[train.labels]
     assert np.allclose(preds.weight_sums, one_shot, rtol=1e-12, atol=0.0)
     assert np.array_equal(preds.predicted, one_shot.argmax(axis=1))
 

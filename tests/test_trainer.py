@@ -118,3 +118,18 @@ def test_quick_split_fractions():
     ds = make_blobs(100, 2, 3, 6.0, make_rng(5, 3))
     proper, calib, test = quick_split(ds, (0.6, 0.2, 0.2), 0)
     assert (len(proper), len(calib), len(test)) == (60, 20, 20)
+
+
+@pytest.mark.parametrize("head", [DWAC, SOFTMAX])
+def test_result_keeps_the_best_epochs_calibration_predictions(head):
+    result, proper, calib, _ = quick_train(head, max_epochs=20, patience=3)
+    assert result.best_epoch < len(result.history)  # later epochs moved the weights
+    fresh_ref = embed_training_set(result.model, proper) if head == DWAC else None
+    fresh = predict(result.model, calib.x, train=fresh_ref)
+    kept = result.calib_predictions
+    assert np.array_equal(kept.probs, fresh.probs)
+    assert np.array_equal(kept.predicted, fresh.predicted)
+    if head == DWAC:
+        assert np.array_equal(result.embedded.h, fresh_ref.h)
+        assert np.array_equal(kept.weight_sums, fresh.weight_sums)
+    assert result.best_calib_accuracy == accuracy(kept, calib.y)
