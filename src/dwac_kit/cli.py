@@ -35,6 +35,7 @@ from .conformal import (
     coverage_report,
 )
 from .data import (
+    CsvData,
     Dataset,
     ModelArtifact,
     Schema,
@@ -46,19 +47,18 @@ from .data import (
     read_csv_rows,
     save_model,
     standardize,
-    standardize_splits,
 )
 from .evaluate import (
     HIST_BINS,
-    SPLIT_STREAM,
     accuracy,
     calibration_mae,
     ood_cross_dataset,
     ood_holdout_class_multi,
+    trial_splits,
 )
 from .explain import explain_with_agreement
 from .heads import Predictions
-from .linalg import make_rng, shuffle_split
+from .linalg import make_rng
 from .network import DWAC, SOFTMAX
 from .trainer import TrainConfig, predict, train
 
@@ -74,8 +74,16 @@ TRAINING_KEYS = frozenset({
     "head", "sigma", "h_dim", "hidden", "dropout", "learning_rate", "batch_size",
     "max_epochs", "patience", "fractions", "trials",
 })
+# Locations, not meaning: every command takes them and no provenance holds them.
+PATH_KEYS = frozenset({"schema", "model", "out"})
 # All that ood --foreign reads besides paths, and so all its provenance holds.
 FOREIGN_KEYS = ("command", "data", "foreign", "measure", "seed")
+# The same for the commands that score with a saved artifact.
+SCORING_KEYS = {
+    "predict": ("command", "data", "seed"),
+    "explain": ("command", "data", "seed", "k", "k_list"),
+    "conformal": ("command", "data", "seed", "measure", "epsilons"),
+}
 
 
 @dataclass(frozen=True)
@@ -128,22 +136,28 @@ class RunConfig:
         )
 
     @property
-    def refused(self) -> frozenset[str]:
-        """Keys this run may not be given: runs that do not train score with
-        the artifact's sigma, and ood --foreign trains nothing at all."""
+    def reads(self) -> tuple[str, ...] | None:
+        """The keys a run that trains nothing reads besides paths; None for
+        runs that train, which read them all."""
         if self.trains:
+            return None
+        return FOREIGN_KEYS if self.command == "ood" else SCORING_KEYS[self.command]
+
+    @property
+    def refused(self) -> frozenset[str]:
+        """Keys this run may not be given: whatever a run that trains nothing
+        does not read, since it would shape nothing."""
+        if self.reads is None:
             return frozenset()
-        return TRAINING_KEYS if self.command == "ood" else frozenset({"sigma"})
+        return frozenset(f.name for f in fields(self)) - PATH_KEYS - set(self.reads)
 
     def provenance(self) -> str:
         """Canonical JSON of the semantic config: everything that shapes the
         numbers, none of the filesystem paths."""
-        skip = {"schema", "model", "out"} | self.refused
-        foreign = self.command == "ood" and not self.trains
         sources = ("data", "test_data", "foreign")
         doc = {}
         for f in fields(self):
-            if f.name in skip or (foreign and f.name not in FOREIGN_KEYS):
+            if f.name in PATH_KEYS or f.name in self.refused:
                 continue
             value = getattr(self, f.name)
             if f.name in sources and value is not None and not value.startswith("blobs:"):
@@ -198,7 +212,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             file_values = json.load(f)
         if not isinstance(file_values, dict):
             raise ValueError(f"{args.config}: config file must hold a JSON object")
-        known = {f.name for f in fields(RunConfig)}
+        known = {f.name for f in fields(RunConfig)} - {"command"}  # the subcommand decides
         unknown = set(file_values) - known
         if unknown:
             raise ValueError(f"{args.config}: unknown config keys {sorted(unknown)}")
@@ -220,30 +234,19 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         key = refused[0]
         flag = "--" + key.replace("_", "-")
         source = flag if getattr(args, key, None) is not None else args.config
-        raise ValueError(
-            f"{source}: {key} is a training key; {cfg.command} scores with the model "
-            "artifact and trains nothing (ood trains only with --held-class)"
-        )
+        if key in TRAINING_KEYS:
+            raise ValueError(
+                f"{source}: {key} is a training key; {cfg.command} scores with the model "
+                "artifact and trains nothing (ood trains only with --held-class)"
+            )
+        raise ValueError(f"{source}: {cfg.command} does not read {key}; it reads only "
+                         f"{', '.join(k for k in cfg.reads if k != 'command')} besides paths")
     return cfg
 
 
 # ---------------------------------------------------------------------------
 # data plumbing
 # ---------------------------------------------------------------------------
-
-@dataclass
-class RawData:
-    """Unsplit input data: either a generated blob dataset or parsed CSV rows
-    awaiting per-trial normalization."""
-
-    blobs: Dataset | None = None
-    rows: list | None = None
-    has_labels: bool = False
-    schema: Schema | None = None
-
-    def __len__(self) -> int:
-        return len(self.blobs) if self.blobs is not None else len(self.rows)
-
 
 def _parse_blob_spec(spec: str, default_seed: int) -> Dataset:
     body = spec.split(":", 1)[1]
@@ -268,68 +271,65 @@ def _parse_blob_spec(spec: str, default_seed: int) -> Dataset:
     )
 
 
-def _load_raw(source: str, cfg: RunConfig, schema: Schema | None = None) -> RawData:
+def _load_raw(source: str, cfg: RunConfig, schema: Schema | None = None) -> Dataset | CsvData:
+    """Generated blobs, or a CSV read but not encoded: its stats come from
+    each trial's proper split."""
     if source.startswith("blobs:"):
-        return RawData(blobs=_parse_blob_spec(source, cfg.seed))
+        return _parse_blob_spec(source, cfg.seed)
     if schema is None:
         if cfg.schema is None:
             raise ValueError(f"{source}: CSV data needs --schema")
         schema = Schema.from_file(cfg.schema)
-    rows, has_labels = read_csv_rows(source, schema)
-    return RawData(rows=rows, has_labels=has_labels, schema=schema)
+    table, has_labels = read_csv_rows(source, schema)
+    return CsvData(table=table, schema=schema, has_labels=has_labels)
 
 
-def _trial_splits(
-    raw: RawData, trial_seed: int, fractions: tuple[float, ...], fixed_test: RawData | None
-) -> tuple[Dataset, Dataset, Dataset]:
-    """Split data for one trial; normalization stats always come from the
-    proper training part. With a fixed test file, the train file is split
-    proper/calibration only (first two fractions, renormalized)."""
-    if fixed_test is not None:
-        a, b = fractions[0], fractions[1]
-        fractions = (a / (a + b), b / (a + b))
-    parts = shuffle_split(len(raw), fractions, make_rng(trial_seed, SPLIT_STREAM))
-    if raw.blobs is not None:
-        sets = [raw.blobs.subset(p) for p in parts]
-        if fixed_test is not None:
-            sets.append(fixed_test.blobs)
-        return standardize_splits(*sets)
-    proper_rows = [raw.rows[i] for i in parts[0]]
-    stats = fit_stats(proper_rows, raw.schema)
-    sets = [
-        encode_rows([raw.rows[i] for i in p], raw.schema, stats, has_labels=raw.has_labels)
-        for p in parts
-    ]
-    if fixed_test is not None:
-        sets.append(
-            encode_rows(fixed_test.rows, raw.schema, stats, has_labels=fixed_test.has_labels)
-        )
-    return tuple(sets)
+class _Source:
+    """A --data or --foreign input scored against saved artifacts. A CSV is
+    read once per schema, and the input is encoded once per distinct schema
+    and stats, so the artifacts of one training run share one encoding."""
 
+    def __init__(self, source: str, cfg: RunConfig):
+        self.source = source
+        self.cfg = cfg
+        self._read: dict[Schema, CsvData] = {}
+        self._encoded: list[tuple[tuple, Dataset]] = []
 
-def _encode_for_artifact(source: str, cfg: RunConfig, artifact: ModelArtifact) -> Dataset:
-    """Encode prediction-time data the same way the artifact's training data
-    was encoded."""
-    if source.startswith("blobs:"):
-        ds = _parse_blob_spec(source, cfg.seed)
-        if artifact.stats is not None and not artifact.stats.vocabs:
-            ds = standardize(ds, artifact.stats)
-    elif artifact.schema is not None and artifact.stats is not None:
-        rows, has_labels = read_csv_rows(source, artifact.schema)
-        ds = encode_rows(rows, artifact.schema, artifact.stats, has_labels=has_labels)
-    else:
-        if cfg.schema is None:
-            raise ValueError(
-                f"{source}: artifact carries no schema; pass --schema (stats will be "
-                "fitted on this file, which is only sound for training-like data)"
-            )
-        schema = Schema.from_file(cfg.schema)
-        rows, has_labels = read_csv_rows(source, schema)
-        ds = encode_rows(rows, schema, fit_stats(rows, schema), has_labels=has_labels)
-    expected = artifact.model.spec.input_dim
-    if ds.dim != expected:
-        raise ValueError(f"{source}: feature width {ds.dim}, model expects {expected}")
-    return ds
+    def for_artifact(self, artifact: ModelArtifact) -> Dataset:
+        """The input encoded the way ``artifact``'s training data was."""
+        key = (artifact.schema, artifact.stats)
+        ds = next((ds for k, ds in self._encoded if k == key), None)
+        if ds is None:
+            ds = self._encode(artifact)
+            self._encoded.append((key, ds))
+        expected = artifact.model.spec.input_dim
+        if ds.dim != expected:
+            raise ValueError(f"{self.source}: feature width {ds.dim}, model expects {expected}")
+        return ds
+
+    def _csv(self, schema: Schema) -> CsvData:
+        if schema not in self._read:
+            self._read[schema] = _load_raw(self.source, self.cfg, schema)
+        return self._read[schema]
+
+    def _encode(self, artifact: ModelArtifact) -> Dataset:
+        if self.source.startswith("blobs:"):
+            ds = _parse_blob_spec(self.source, self.cfg.seed)
+            if artifact.stats is not None and not artifact.stats.vocabs:
+                ds = standardize(ds, artifact.stats)
+            return ds
+        if artifact.schema is not None and artifact.stats is not None:
+            data = self._csv(artifact.schema)
+            stats = artifact.stats
+        else:
+            if self.cfg.schema is None:
+                raise ValueError(
+                    f"{self.source}: artifact carries no schema; pass --schema (stats will be "
+                    "fitted on this file, which is only sound for training-like data)"
+                )
+            data = self._csv(Schema.from_file(self.cfg.schema))
+            stats = fit_stats(data.table, data.schema)
+        return encode_rows(data.table, data.schema, stats, has_labels=data.has_labels)
 
 
 def _heads(cfg: RunConfig) -> list[str]:
@@ -398,8 +398,9 @@ def cmd_train(cfg: RunConfig) -> int:
     out = _require_out(cfg)
     prov = cfg.provenance()
     raw = _load_raw(cfg.data, cfg)
-    fixed_test = _load_raw(cfg.test_data, cfg, schema=raw.schema) if cfg.test_data else None
-    if raw.rows is not None and not raw.has_labels:
+    schema = raw.schema if isinstance(raw, CsvData) else None
+    fixed_test = _load_raw(cfg.test_data, cfg, schema=schema) if cfg.test_data else None
+    if isinstance(raw, CsvData) and not raw.has_labels:
         raise ValueError(f"{cfg.data}: training data must include the label column")
     parts = len(cfg.fractions) - (fixed_test is not None)
     if len(raw) < parts:
@@ -409,18 +410,20 @@ def cmd_train(cfg: RunConfig) -> int:
     if fixed_test is not None and len(fixed_test) == 0:
         raise ValueError(f"{cfg.test_data}: 0 data rows, nothing to test on")
 
-    summary_rows = []
-    for head in _heads(cfg):
-        accs, maes = [], []
-        for trial in range(cfg.trials):
-            seed = cfg.seed + trial
-            proper, calib_set, test = _trial_splits(raw, seed, cfg.fractions, fixed_test)
+    heads = _heads(cfg)
+    accs = {head: [] for head in heads}
+    maes = {head: [] for head in heads}
+    for trial in range(cfg.trials):
+        seed = cfg.seed + trial
+        # one encoding per trial, shared by every head
+        proper, calib_set, test = trial_splits(raw, seed, cfg.fractions, fixed_test)
+        for head in heads:
             result = train(proper, calib_set, _train_config(cfg, head, seed))
             preds = predict(result.model, test.x, train=result.embedded, sigma=cfg.sigma)
             acc = accuracy(preds, test.y)
             mae = calibration_mae(preds.probs, test.y).mae
-            accs.append(acc)
-            maes.append(mae)
+            accs[head].append(acc)
+            maes[head].append(mae)
             log.info(
                 "head=%s trial=%d seed=%d epochs=%d acc=%.4f mae=%.4f",
                 head, trial, seed, len(result.history), acc, mae,
@@ -434,7 +437,7 @@ def cmd_train(cfg: RunConfig) -> int:
                 model=result.model,
                 sigma=cfg.sigma,
                 num_classes=proper.num_classes,
-                schema=raw.schema,
+                schema=schema,
                 stats=proper.stats,
                 embedded=result.embedded,
                 calibrations=calibrations,
@@ -446,16 +449,13 @@ def cmd_train(cfg: RunConfig) -> int:
                 ["epoch", "mean_loss", "calib_accuracy"],
                 [[e.epoch, _fmt(e.mean_loss), _fmt(e.calib_accuracy)] for e in result.history],
             )
-        summary_rows.append(
-            [head, _fmt(np.mean(accs)), _fmt(np.std(accs)), _fmt(np.mean(maes)),
-             _fmt(np.std(maes))]
-        )
     _write_csv(
         os.path.join(out, "summary.csv"),
         prov,
         ["head", "accuracy_mean", "accuracy_std", "calibration_mae_mean",
          "calibration_mae_std"],
-        summary_rows,
+        [[head, _fmt(np.mean(accs[head])), _fmt(np.std(accs[head])),
+          _fmt(np.mean(maes[head])), _fmt(np.std(maes[head]))] for head in heads],
     )
     return 0
 
@@ -471,7 +471,7 @@ def cmd_predict(cfg: RunConfig) -> int:
         raise ValueError("predict needs --data")
     out = _require_out(cfg)
     artifact = _single_model(cfg)
-    ds = _encode_for_artifact(cfg.data, cfg, artifact)
+    ds = _Source(cfg.data, cfg).for_artifact(artifact)
     preds = predict(artifact.model, ds.x, train=artifact.embedded, sigma=artifact.sigma)
     label_names = artifact.schema.label_values if artifact.schema else None
     records = []
@@ -498,7 +498,7 @@ def cmd_explain(cfg: RunConfig) -> int:
     artifact = _single_model(cfg)
     if artifact.model.head != DWAC:
         raise ValueError("explanations need a dwac artifact")
-    ds = _encode_for_artifact(cfg.data, cfg, artifact)
+    ds = _Source(cfg.data, cfg).for_artifact(artifact)
     explanations, table = explain_with_agreement(
         ds.x, artifact.model, artifact.embedded, k=cfg.k, k_list=cfg.k_list,
         sigma=artifact.sigma,
@@ -527,10 +527,11 @@ def cmd_conformal(cfg: RunConfig) -> int:
         raise ValueError("conformal needs at least one --model")
     out = _require_out(cfg)
     prov = cfg.provenance()
+    data = _Source(cfg.data, cfg)
     for path in cfg.model:
         artifact = load_model(path)
         head = artifact.model.head
-        ds = _encode_for_artifact(cfg.data, cfg, artifact)
+        ds = data.for_artifact(artifact)
         if ds.y is None:
             raise ValueError(f"{cfg.data}: coverage evaluation needs labels")
         preds = predict(artifact.model, ds.x, train=artifact.embedded, sigma=artifact.sigma)
@@ -569,16 +570,12 @@ def cmd_ood(cfg: RunConfig) -> int:
         if cfg.data is None:
             raise ValueError("hold-out ood needs --data")
         raw = _load_raw(cfg.data, cfg)
-        if raw.blobs is not None:
-            dataset = raw.blobs
-        else:
-            if not raw.has_labels:
-                raise ValueError(f"{cfg.data}: hold-out ood needs labels")
-            dataset = encode_rows(raw.rows, raw.schema, fit_stats(raw.rows, raw.schema))
+        if isinstance(raw, CsvData) and not raw.has_labels:
+            raise ValueError(f"{cfg.data}: hold-out ood needs labels")
         for head in _heads(cfg):
             measures = _measures_for(head, cfg.measure)
             per_measure = ood_holdout_class_multi(
-                dataset, cfg.held_class, _train_config(cfg, head, cfg.seed), measures,
+                raw, cfg.held_class, _train_config(cfg, head, cfg.seed), measures,
                 fractions=cfg.fractions,
             )
             for measure, report in per_measure.items():
@@ -588,11 +585,12 @@ def cmd_ood(cfg: RunConfig) -> int:
             raise ValueError("cross-dataset ood needs --data as the in-domain reference")
         if not cfg.model:
             raise ValueError("cross-dataset ood needs --model")
+        in_data, foreign_data = _Source(cfg.data, cfg), _Source(cfg.foreign, cfg)
         for path in cfg.model:
             artifact = load_model(path)
             head = artifact.model.head
-            in_ds = _encode_for_artifact(cfg.data, cfg, artifact)
-            foreign_ds = _encode_for_artifact(cfg.foreign, cfg, artifact)
+            in_ds = in_data.for_artifact(artifact)
+            foreign_ds = foreign_data.for_artifact(artifact)
             for measure in _measures_for(head, cfg.measure):
                 if measure not in artifact.calibrations:
                     raise ValueError(

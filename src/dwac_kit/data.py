@@ -6,7 +6,9 @@ vocabulary. Continuous columns are z-scored with statistics fitted on
 training data only; categorical columns become indicator blocks with a
 trailing unknown-category slot so unseen values at prediction time encode
 instead of crashing. Missing continuous values are rejected outright;
-silent imputation would corrupt reproductions.
+silent imputation would corrupt reproductions. A file is read once into a
+columnar table; stats are fitted on, and rows encoded from, any subset of
+its rows by index, so splitting copies no cells.
 
 Model artifacts are single JSON documents (format ``dwac-kit/1``) whose
 numeric arrays are serialized as decimal strings that round-trip float64
@@ -20,6 +22,8 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -66,11 +70,11 @@ class Schema:
         if len(set(names)) != len(names):
             raise ValueError("duplicate column names in schema")
 
-    @property
+    @cached_property
     def label_column(self) -> str:
         return next(c.name for c in self.columns if c.role == ROLE_LABEL)
 
-    @property
+    @cached_property
     def feature_columns(self) -> tuple[ColumnSpec, ...]:
         return tuple(c for c in self.columns if c.role in (ROLE_CONTINUOUS, ROLE_CATEGORICAL))
 
@@ -165,10 +169,40 @@ class Dataset:
 # CSV ingestion
 # ---------------------------------------------------------------------------
 
-def read_csv_rows(path: str, schema: Schema) -> tuple[list[dict[str, str]], bool]:
-    """Parse a headered CSV into per-row dicts of stripped cells.
+@dataclass(frozen=True)
+class CsvTable:
+    """A CSV body held column by column: ``columns[name][i]`` is the stripped
+    cell of data row i, blank lines not counted."""
 
-    Returns (rows, has_labels). The file must contain every schema column
+    columns: dict[str, list[str]]
+    rows: int
+
+    def __len__(self) -> int:
+        return self.rows
+
+
+@dataclass(frozen=True)
+class CsvData:
+    """A CSV file read but not yet encoded; encoding waits for stats fitted
+    on a proper training split."""
+
+    table: CsvTable
+    schema: Schema
+    has_labels: bool
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+    @property
+    def num_classes(self) -> int:
+        return self.schema.num_classes
+
+
+def read_csv_rows(path: str, schema: Schema) -> tuple[CsvTable, bool]:
+    """Parse a headered CSV into a table of stripped cells, one list per
+    header column.
+
+    Returns (table, has_labels). The file must contain every schema column
     except that the label column may be absent (unlabeled data); columns
     not named in the schema are rejected.
     """
@@ -189,7 +223,7 @@ def read_csv_rows(path: str, schema: Schema) -> tuple[list[dict[str, str]], bool
             raise ValueError(f"{path}: schema columns missing from file: {sorted(missing)}")
         has_labels = schema.label_column in header
 
-        rows = []
+        records = []
         for line_no, record in enumerate(reader, start=2):
             if not record:
                 continue
@@ -197,90 +231,118 @@ def read_csv_rows(path: str, schema: Schema) -> tuple[list[dict[str, str]], bool
                 raise ValueError(
                     f"{path}: row {line_no} has {len(record)} cells, header has {len(header)}"
                 )
-            rows.append({name: cell.strip() for name, cell in zip(header, record)})
-    return rows, has_labels
+            records.append(record)
+    cells = zip(*records) if records else ((),) * len(header)
+    columns = {name: list(map(str.strip, column)) for name, column in zip(header, cells)}
+    return CsvTable(columns=columns, rows=len(records)), has_labels
 
 
-def fit_stats(rows: list[dict[str, str]], schema: Schema, path: str = "<rows>") -> FeatureStats:
-    """Fit z-score moments and sorted category vocabularies on training rows."""
+def _positions(index) -> list[int] | None:
+    return None if index is None else np.asarray(index, dtype=np.intp).tolist()
+
+
+def _cells(table: CsvTable, name: str, positions: list[int] | None) -> list[str]:
+    column = table.columns[name]
+    return column if positions is None else [column[i] for i in positions]
+
+
+def fit_stats(
+    table: CsvTable, schema: Schema, path: str = "<rows>", index=None
+) -> FeatureStats:
+    """Fit z-score moments and sorted category vocabularies on the training
+    rows ``index`` of ``table`` (all rows when None), in that order."""
+    positions = _positions(index)
     means: dict[str, float] = {}
     stds: dict[str, float] = {}
     vocabs: dict[str, tuple[str, ...]] = {}
     for col in schema.feature_columns:
+        cells = _cells(table, col.name, positions)
         if col.role == ROLE_CONTINUOUS:
-            values = _parse_continuous_column(rows, col.name, path)
+            values = _parse_continuous(cells, col.name, path)
             mean = float(np.mean(values)) if len(values) else 0.0
             std = float(np.std(values)) if len(values) else 1.0
             means[col.name] = mean
             stds[col.name] = std if std > 0.0 else 1.0
         else:
-            vocabs[col.name] = tuple(sorted({r[col.name] for r in rows}))
+            vocabs[col.name] = tuple(sorted(set(cells)))
     return FeatureStats(means=means, stds=stds, vocabs=vocabs)
 
 
-def _parse_continuous_column(rows, name, path):
-    values = np.empty(len(rows))
-    for i, row in enumerate(rows):
-        cell = row[name]
-        if cell == "":
-            raise ValueError(f"{path}: row {i + 2}, column {name!r}: missing continuous value")
-        try:
-            values[i] = float(cell)
-        except ValueError:
-            raise ValueError(
-                f"{path}: row {i + 2}, column {name!r}: cannot parse {cell!r} as a number"
-            ) from None
-    return values
+def _parse_continuous(cells: list[str], name: str, path: str) -> np.ndarray:
+    """One float() per cell; on a bad cell, a row scan names the first one."""
+    try:
+        return np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
+    except ValueError:
+        for i, cell in enumerate(cells):
+            if cell == "":
+                raise ValueError(
+                    f"{path}: row {i + 2}, column {name!r}: missing continuous value"
+                ) from None
+            try:
+                float(cell)
+            except ValueError:
+                raise ValueError(
+                    f"{path}: row {i + 2}, column {name!r}: cannot parse {cell!r} as a number"
+                ) from None
+        raise
+
+
+def label_codes(
+    table: CsvTable, schema: Schema, path: str = "<rows>", index=None
+) -> np.ndarray:
+    """Class indices of the rows ``index`` of ``table`` (all rows when None)."""
+    cells = _cells(table, schema.label_column, _positions(index))
+    lookup = {v: i for i, v in enumerate(schema.label_values)}
+    y = np.fromiter(map(lookup.get, cells, repeat(-1)), dtype=np.int64, count=len(cells))
+    bad = np.flatnonzero(y < 0)
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"{path}: row {i + 2}: label {cells[i]!r} not in schema label_values")
+    return y
 
 
 def encode_rows(
-    rows: list[dict[str, str]],
+    table: CsvTable,
     schema: Schema,
     stats: FeatureStats,
     has_labels: bool = True,
     path: str = "<rows>",
+    index=None,
 ) -> Dataset:
-    """Encode parsed rows into a Dataset with the given fitted stats.
+    """Encode the rows ``index`` of ``table`` (all rows when None), in that
+    order, into a Dataset with the given fitted stats.
 
     Feature width is sum(|vocab| + 1) over categoricals plus the number of
     continuous columns; the +1 is the unknown-category slot, which is what
-    unseen values fall into at prediction time.
+    unseen values fall into at prediction time. Error messages count rows
+    from 2 in the order encoded.
     """
+    positions = _positions(index)
+    n = len(table) if positions is None else len(positions)
+    widths = [len(stats.vocabs[c.name]) + 1 if c.role == ROLE_CATEGORICAL else 1
+              for c in schema.feature_columns]
+    x = np.zeros((n, sum(widths)))
     names: list[str] = []
-    blocks: list[np.ndarray] = []
-    n = len(rows)
-    for col in schema.feature_columns:
+    offset = 0
+    for col, width in zip(schema.feature_columns, widths):
+        cells = _cells(table, col.name, positions)
         if col.role == ROLE_CONTINUOUS:
-            values = _parse_continuous_column(rows, col.name, path)
-            blocks.append(((values - stats.means[col.name]) / stats.stds[col.name])[:, None])
+            values = _parse_continuous(cells, col.name, path)
+            x[:, offset] = (values - stats.means[col.name]) / stats.stds[col.name]
             names.append(col.name)
         else:
             vocab = stats.vocabs[col.name]
-            index = {v: i for i, v in enumerate(vocab)}
-            width = len(vocab) + 1
-            block = np.zeros((n, width))
-            for i, row in enumerate(rows):
-                block[i, index.get(row[col.name], width - 1)] = 1.0
-            blocks.append(block)
+            slot = {v: offset + i for i, v in enumerate(vocab)}
+            unknown = offset + width - 1
+            x[np.arange(n), np.fromiter(map(slot.get, cells, repeat(unknown)),
+                                        dtype=np.intp, count=n)] = 1.0
             names.extend(f"{col.name}={v}" for v in vocab)
             names.append(f"{col.name}=<unknown>")
+        offset += width
 
-    y = None
-    if has_labels:
-        label_index = {v: i for i, v in enumerate(schema.label_values)}
-        y = np.empty(n, dtype=np.int64)
-        for i, row in enumerate(rows):
-            cell = row[schema.label_column]
-            if cell not in label_index:
-                raise ValueError(
-                    f"{path}: row {i + 2}: label {cell!r} not in schema label_values"
-                )
-            y[i] = label_index[cell]
-
-    x = np.hstack(blocks) if blocks else np.zeros((n, 0))
     return Dataset(
         x=x,
-        y=y,
+        y=label_codes(table, schema, path, index) if has_labels else None,
         num_classes=schema.num_classes,
         feature_names=tuple(names),
         stats=stats,
@@ -293,10 +355,10 @@ def load_csv(path: str, schema: Schema, stats: FeatureStats | None = None) -> Da
     Pass the stats of the training dataset when loading calibration, test,
     or prediction data so normalization comes from the training split only.
     """
-    rows, has_labels = read_csv_rows(path, schema)
+    table, has_labels = read_csv_rows(path, schema)
     if stats is None:
-        stats = fit_stats(rows, schema, path)
-    return encode_rows(rows, schema, stats, has_labels=has_labels, path=path)
+        stats = fit_stats(table, schema, path)
+    return encode_rows(table, schema, stats, has_labels=has_labels, path=path)
 
 
 def standardize(dataset: Dataset, stats: FeatureStats | None = None) -> Dataset:

@@ -5,17 +5,18 @@ sorts by predicted probability, and cuts equal-count bins so every bin is
 equally well populated regardless of how probabilities cluster. The two
 OOD protocols score credibility (max conformal p-value) on data the model
 never saw the likes of: either a class held out of training entirely, or
-a width-matched foreign dataset.
+a width-matched foreign dataset. Training and the hold-out study split
+their data the same way, by :func:`trial_splits`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .conformal import calibrate, conformal_predict
-from .data import Dataset, standardize_splits
+from .data import CsvData, Dataset, encode_rows, fit_stats, label_codes, standardize_splits
 from .heads import DEFAULT_SIGMA, EmbeddedTrainingSet, Predictions
 from .linalg import make_rng, shuffle_split
 from .network import DWAC, EmbeddingModel
@@ -126,6 +127,18 @@ def _ood_report(measure: str, in_cred: np.ndarray, out_cred: np.ndarray) -> OodR
     )
 
 
+def _holdout_remap(labels: np.ndarray, num_classes: int, held_class: int) -> np.ndarray:
+    """Old label -> dense label of the remaining classes in ascending order,
+    and -1 for the held class, which must have rows."""
+    if not 0 <= held_class < num_classes:
+        raise ValueError(f"held_class {held_class} out of range 0..{num_classes - 1}")
+    if not np.any(labels == held_class):
+        raise ValueError(f"class {held_class} has no instances")
+    remap = np.full(num_classes, -1, dtype=np.int64)
+    remap[np.arange(num_classes) != held_class] = np.arange(num_classes - 1)
+    return remap
+
+
 def drop_class(dataset: Dataset, held_class: int) -> tuple[Dataset, Dataset]:
     """Split a dataset into (remaining with dense relabeling, held-out rows).
 
@@ -134,15 +147,8 @@ def drop_class(dataset: Dataset, held_class: int) -> tuple[Dataset, Dataset]:
     """
     if dataset.y is None:
         raise ValueError("hold-out protocol needs labels")
-    if not 0 <= held_class < dataset.num_classes:
-        raise ValueError(f"held_class {held_class} out of range 0..{dataset.num_classes - 1}")
+    remap = _holdout_remap(dataset.y, dataset.num_classes, held_class)
     held_mask = dataset.y == held_class
-    if not held_mask.any():
-        raise ValueError(f"class {held_class} has no instances")
-    remap = np.full(dataset.num_classes, -1, dtype=np.int64)
-    kept = [k for k in range(dataset.num_classes) if k != held_class]
-    for new, old in enumerate(kept):
-        remap[old] = new
     remaining = Dataset(
         x=dataset.x[~held_mask],
         y=remap[dataset.y[~held_mask]],
@@ -160,8 +166,66 @@ def drop_class(dataset: Dataset, held_class: int) -> tuple[Dataset, Dataset]:
     return remaining, held
 
 
+def trial_splits(
+    data: Dataset | CsvData,
+    seed: int,
+    fractions: tuple[float, ...],
+    fixed_test: Dataset | CsvData | None = None,
+    held_class: int | None = None,
+) -> tuple[Dataset, ...]:
+    """Proper, calibration and test sets of one trial, normalized with stats
+    fitted on the proper set only.
+
+    The rows are split with the ``SPLIT_STREAM`` generator of ``seed``. With
+    ``fixed_test``, ``data`` is split proper/calibration only (the first two
+    fractions, renormalized) and ``fixed_test`` is the test set. With
+    ``held_class``, that class's rows are dropped before the split, the rest
+    are relabeled as by :func:`drop_class`, and the held rows follow as a
+    fourth, unlabeled set; a hold-out study takes no fixed test set. Blob
+    data is z-scored column by column; CSV rows are encoded once each, with
+    moments and vocabularies from the proper rows.
+    """
+    if fixed_test is not None:
+        if held_class is not None:
+            raise ValueError("a hold-out study takes no fixed test set")
+        if isinstance(fixed_test, Dataset) != isinstance(data, Dataset):
+            raise ValueError("test data must be blobs when the training data is, "
+                             "and CSV when it is CSV")
+        a, b = fractions[0], fractions[1]
+        fractions = (a / (a + b), b / (a + b))
+    rng = make_rng(seed, SPLIT_STREAM)
+    if isinstance(data, Dataset):
+        extra = [] if fixed_test is None else [fixed_test]
+        if held_class is not None:
+            data, held = drop_class(data, held_class)
+            extra.append(held)
+        parts = shuffle_split(len(data), fractions, rng)
+        return standardize_splits(*(data.subset(p) for p in parts), *extra)
+
+    table, schema = data.table, data.schema
+    if held_class is None:
+        parts = shuffle_split(len(data), fractions, rng)
+    else:
+        if not data.has_labels:
+            raise ValueError("hold-out protocol needs labels")
+        labels = label_codes(table, schema)
+        remap = _holdout_remap(labels, schema.num_classes, held_class)
+        kept = np.flatnonzero(labels != held_class)
+        parts = [kept[p] for p in shuffle_split(kept.size, fractions, rng)]
+    stats = fit_stats(table, schema, index=parts[0])
+    sets = [encode_rows(table, schema, stats, data.has_labels, index=p) for p in parts]
+    if fixed_test is not None:
+        sets.append(encode_rows(fixed_test.table, schema, stats, fixed_test.has_labels))
+    if held_class is None:
+        return tuple(sets)
+    held = encode_rows(table, schema, stats, has_labels=False,
+                       index=np.flatnonzero(labels == held_class))
+    return (*(replace(ds, y=remap[ds.y], num_classes=ds.num_classes - 1) for ds in sets),
+            replace(held, num_classes=held.num_classes - 1))
+
+
 def ood_holdout_class_multi(
-    dataset: Dataset,
+    data: Dataset | CsvData,
     held_class: int,
     config: TrainConfig,
     measures: list[str],
@@ -170,17 +234,16 @@ def ood_holdout_class_multi(
     """Hold-out protocol scored under several measures with one training run.
 
     The remaining classes are split proper/calibration/test with the config
-    seed, the model is trained and conformally calibrated, and credibility
-    is scored for the in-domain test split and every held-out instance.
+    seed by :func:`trial_splits`, the model is trained and conformally
+    calibrated, and credibility is scored for the in-domain test split and
+    every held-out instance.
     """
-    if dataset.num_classes < 3:
+    if data.num_classes < 3:
         raise ValueError("hold-out protocol needs >= 3 classes so training stays multiclass")
     if not measures:
         raise ValueError("need at least one nonconformity measure")
-    remaining, held = drop_class(dataset, held_class)
-    parts = shuffle_split(len(remaining), fractions, make_rng(config.seed, SPLIT_STREAM))
-    proper, calib, test = (remaining.subset(p) for p in parts)
-    proper, calib, test, held = standardize_splits(proper, calib, test, held)
+    proper, calib, test, held = trial_splits(data, config.seed, fractions,
+                                             held_class=held_class)
 
     result = train(proper, calib, config)
     in_preds = predict(result.model, test.x, train=result.embedded, sigma=config.sigma)

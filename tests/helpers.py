@@ -8,12 +8,13 @@ implementations under test.
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
 
-from dwac_kit import TrainConfig, make_blobs, make_rng, shuffle_split, train
-from dwac_kit.data import standardize_splits
+from dwac_kit import Dataset, FeatureStats, TrainConfig, make_blobs, make_rng, shuffle_split, train
+from dwac_kit.data import ROLE_CONTINUOUS, ROLE_LABEL, standardize_splits
 from dwac_kit.evaluate import SPLIT_STREAM
 
 
@@ -151,3 +152,99 @@ def quick_train(head: str, n: int = 400, c: int = 3, d: int = 6, sep: float = 8.
     config = TrainConfig(head=head, seed=seed, max_epochs=max_epochs,
                          batch_size=64, **overrides)
     return train(proper, calib, config), proper, calib, test
+
+
+def read_rows_oracle(path: str, schema) -> tuple[list[dict[str, str]], bool]:
+    """A headered CSV as one dict of stripped cells per row; the same checks
+    and messages as ``read_csv_rows``."""
+    with open(path, "r", encoding="utf-8", newline="") as f:
+        reader = csv.reader(f)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty file, expected a header row") from None
+        header = [h.strip() for h in header]
+        known = {c.name for c in schema.columns}
+        extra = [h for h in header if h not in known]
+        if extra:
+            raise ValueError(f"{path}: columns not in schema: {extra}")
+        required = {c.name for c in schema.columns if c.role != ROLE_LABEL}
+        missing = required - set(header)
+        if missing:
+            raise ValueError(f"{path}: schema columns missing from file: {sorted(missing)}")
+        has_labels = schema.label_column in header
+        rows = []
+        for line_no, record in enumerate(reader, start=2):
+            if not record:
+                continue
+            if len(record) != len(header):
+                raise ValueError(
+                    f"{path}: row {line_no} has {len(record)} cells, header has {len(header)}"
+                )
+            rows.append({name: cell.strip() for name, cell in zip(header, record)})
+    return rows, has_labels
+
+
+def _parse_continuous_oracle(rows, name, path):
+    values = np.empty(len(rows))
+    for i, row in enumerate(rows):
+        cell = row[name]
+        if cell == "":
+            raise ValueError(f"{path}: row {i + 2}, column {name!r}: missing continuous value")
+        try:
+            values[i] = float(cell)
+        except ValueError:
+            raise ValueError(
+                f"{path}: row {i + 2}, column {name!r}: cannot parse {cell!r} as a number"
+            ) from None
+    return values
+
+
+def fit_stats_oracle(rows, schema, path: str = "<rows>") -> FeatureStats:
+    """Moments and sorted vocabularies fitted on row dicts, one cell at a time."""
+    means, stds, vocabs = {}, {}, {}
+    for col in schema.feature_columns:
+        if col.role == ROLE_CONTINUOUS:
+            values = _parse_continuous_oracle(rows, col.name, path)
+            means[col.name] = float(np.mean(values)) if len(values) else 0.0
+            std = float(np.std(values)) if len(values) else 1.0
+            stds[col.name] = std if std > 0.0 else 1.0
+        else:
+            vocabs[col.name] = tuple(sorted({r[col.name] for r in rows}))
+    return FeatureStats(means=means, stds=stds, vocabs=vocabs)
+
+
+def encode_rows_oracle(rows, schema, stats, has_labels: bool = True,
+                       path: str = "<rows>") -> Dataset:
+    """Row dicts encoded one cell at a time into a block per column, the
+    blocks stacked side by side."""
+    names, blocks = [], []
+    n = len(rows)
+    for col in schema.feature_columns:
+        if col.role == ROLE_CONTINUOUS:
+            values = _parse_continuous_oracle(rows, col.name, path)
+            blocks.append(((values - stats.means[col.name]) / stats.stds[col.name])[:, None])
+            names.append(col.name)
+        else:
+            vocab = stats.vocabs[col.name]
+            index = {v: i for i, v in enumerate(vocab)}
+            width = len(vocab) + 1
+            block = np.zeros((n, width))
+            for i, row in enumerate(rows):
+                block[i, index.get(row[col.name], width - 1)] = 1.0
+            blocks.append(block)
+            names.extend(f"{col.name}={v}" for v in vocab)
+            names.append(f"{col.name}=<unknown>")
+    y = None
+    if has_labels:
+        label_index = {v: i for i, v in enumerate(schema.label_values)}
+        y = np.empty(n, dtype=np.int64)
+        for i, row in enumerate(rows):
+            cell = row[schema.label_column]
+            if cell not in label_index:
+                raise ValueError(
+                    f"{path}: row {i + 2}: label {cell!r} not in schema label_values"
+                )
+            y[i] = label_index[cell]
+    return Dataset(x=np.hstack(blocks), y=y, num_classes=schema.num_classes,
+                   feature_names=tuple(names), stats=stats)

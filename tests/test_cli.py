@@ -10,7 +10,7 @@ import pytest
 from dataclasses import replace
 
 from dwac_kit import heads, load_model, save_model
-from dwac_kit.cli import FOREIGN_KEYS, build_config, main, make_parser
+from dwac_kit.cli import FOREIGN_KEYS, SCORING_KEYS, build_config, main, make_parser
 
 BLOBS = "blobs:n=200,c=3,d=3,sep=8,seed=0"
 FAST = ["--max-epochs", "30", "--batch-size", "64"]
@@ -158,6 +158,41 @@ def test_sigma_is_only_a_training_flag(trained_dir, tmp_path, capsys):
     held = build_config(make_parser().parse_args(
         ["ood", "--data", BLOBS, "--held-class", "2", "--config", str(cfg)]))
     assert held.sigma == 100 and json.loads(held.provenance())["sigma"] == 100
+
+
+def test_scoring_commands_read_only_their_keys(trained_dir, tmp_path, capsys):
+    # predict, explain and conformal refuse every setting they do not read,
+    # from a flag or a config file, and their provenance holds only those
+    model = str(trained_dir / "model_dwac_trial0.json")
+    outputs = {"predict": "predictions.json", "explain": "explanations.json",
+               "conformal": "coverage_dwac_neg_prob.csv"}
+    unread = {"predict": {"k": 3}, "explain": {"measure": "neg_prob"},
+              "conformal": {"k_list": [1]}}
+    for command, output in outputs.items():
+        out = tmp_path / command
+        for key_value in ({"hidden": [99]}, {"trials": 2}, {"held_class": 1},
+                          {"test_data": "blobs:n=9"}, unread[command]):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(key_value))
+            capsys.readouterr()
+            assert run([command, "--data", BLOBS, "--model", model, "--config", str(cfg),
+                        "--out", str(out)]) == 2
+            assert_one_error_line(capsys)
+            assert not out.exists()
+        assert run([command, "--data", BLOBS, "--model", model, "--out", str(out)]) == 0
+        path = out / output
+        if output.endswith(".json"):
+            prov = json.loads(path.read_text())["provenance"]
+        else:
+            prov, _ = read_table(path)
+        assert set(prov) == set(SCORING_KEYS[command])
+    # the subcommand, not a config file, names the command
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "train"}))
+    capsys.readouterr()
+    assert run(["predict", "--data", BLOBS, "--model", model, "--config", str(cfg),
+                "--out", str(tmp_path / "x")]) == 2
+    assert_one_error_line(capsys)
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +441,89 @@ def test_empty_data_names_its_file(tmp_path, capsys):
     assert err.count("error:") == 1 and str(data) in err and "0 data rows" in err
 
 
+def test_test_data_must_match_the_kind_of_data(tmp_path, capsys):
+    data, schema = _write_csv_data(tmp_path)
+    for train_data, test_data in ((BLOBS, data), (data, BLOBS)):
+        capsys.readouterr()
+        assert run(["train", "--data", train_data, "--test-data", test_data,
+                    "--schema", schema, "--out", str(tmp_path / "x"), *FAST]) == 2
+        assert_one_error_line(capsys)
+
+
 def test_bad_blob_specs(tmp_path):
     out = str(tmp_path / "x")
     assert run(["train", "--data", "blobs:q=3", "--out", out]) == 2
     assert run(["train", "--data", "blobs:nope", "--out", out]) == 2
     assert run(["train", "--data", "blobs:n=2,c=3", "--out", out]) == 2
+
+
+# ---------------------------------------------------------------------------
+# CSV data: split, then encode each row once
+# ---------------------------------------------------------------------------
+
+def _write_csv_data(tmp_path):
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps({
+        "columns": [{"name": "size", "role": "continuous"},
+                    {"name": "color", "role": "categorical"},
+                    {"name": "species", "role": "label"}],
+        "label_values": ["a", "b", "c"],
+    }))
+    rng = np.random.default_rng(0)
+    lines = ["size,color,species"]
+    for i in range(150):
+        label = "abc"[i % 3]
+        color = "purple" if label == "c" else ["red", "blue"][int(rng.integers(2))]
+        lines.append(f"{4 * (i % 3) + rng.normal():.4f},{color},{label}")
+    data = tmp_path / "data.csv"
+    data.write_text("\n".join(lines) + "\n")
+    return str(data), str(schema)
+
+
+def _count_calls(monkeypatch, name, sizes):
+    """Record len() of every result of ``dwac_kit.data.<name>`` in ``sizes``,
+    wherever a dwac_kit module calls it from."""
+    from dwac_kit import cli, data, evaluate
+
+    original = getattr(data, name)
+
+    def counted(*args, **kwargs):
+        result = original(*args, **kwargs)
+        sizes.append(len(result[0] if isinstance(result, tuple) else result))
+        return result
+
+    for module in (cli, data, evaluate):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+
+
+def test_csv_rows_are_read_once_and_encoded_once_per_trial(tmp_path, monkeypatch):
+    data, schema = _write_csv_data(tmp_path)
+    reads, encoded = [], []
+    _count_calls(monkeypatch, "read_csv_rows", reads)
+    _count_calls(monkeypatch, "encode_rows", encoded)
+    out = tmp_path / "train"
+    assert run(["train", "--data", data, "--schema", schema, "--head", "both",
+                "--trials", "2", "--out", str(out), *FAST]) == 0
+    assert reads == [150]
+    # three splits per trial, every row in one of them, for both heads
+    assert len(encoded) == 2 * 3 and sum(encoded) == 2 * 150
+
+    reads.clear(), encoded.clear()
+    assert run(["conformal", "--data", data,
+                "--model", str(out / "model_dwac_trial0.json"),
+                "--model", str(out / "model_softmax_trial0.json"),
+                "--out", str(tmp_path / "conf")]) == 0
+    assert reads == [150] and encoded == [150]
+
+
+def test_ood_holdout_on_csv(tmp_path):
+    data, schema = _write_csv_data(tmp_path)
+    out = tmp_path / "ood"
+    assert run(["ood", "--data", data, "--schema", schema, "--held-class", "2",
+                "--head", "dwac", "--out", str(out), *FAST]) == 0
+    doc = json.loads((out / "ood_summary.json").read_text())
+    assert set(doc["combinations"]) == {"dwac/neg_prob", "dwac/neg_weight_sum"}
+    for stats in doc["combinations"].values():
+        assert stats["out_of_domain_n"] == 50
+        assert stats["in_domain_n"] == 100 - int(100 * 0.6) - int(100 * 0.2)

@@ -18,7 +18,9 @@ from dwac_kit import (
     predict,
 )
 from dwac_kit.conformal import NEG_PROB, NEG_WEIGHT_SUM
-from dwac_kit.evaluate import drop_class
+from dwac_kit.data import CsvData, Schema, read_csv_rows
+from dwac_kit.evaluate import SPLIT_STREAM, drop_class, trial_splits
+from dwac_kit.linalg import shuffle_split
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +139,41 @@ def test_drop_class_validation():
     unlabeled = Dataset(x=np.ones((4, 1)), y=None, num_classes=3, feature_names=("a",))
     with pytest.raises(ValueError):
         drop_class(unlabeled, 0)
+
+
+def test_csv_holdout_splits_fit_stats_on_proper_rows_only(tmp_path):
+    # class 2 is the only purple one, so once it is held out purple is an
+    # unseen colour: it must encode to the unknown slot, and the moments of
+    # "size" must come from the proper rows of the other classes alone
+    schema = Schema.from_json_dict({
+        "columns": [{"name": "size", "role": "continuous"},
+                    {"name": "color", "role": "categorical"},
+                    {"name": "species", "role": "label"}],
+        "label_values": ["a", "b", "c"],
+    })
+    lines = ["size,color,species"]
+    for i in range(60):
+        label = "abc"[i % 3]
+        lines.append(f"{i * i},{'purple' if label == 'c' else 'red blue'.split()[i % 2]},{label}")
+    path = tmp_path / "data.csv"
+    path.write_text("\n".join(lines) + "\n")
+    table, has_labels = read_csv_rows(str(path), schema)
+    data = CsvData(table=table, schema=schema, has_labels=has_labels)
+
+    proper, calib, test, held = trial_splits(data, 4, (0.6, 0.2, 0.2), held_class=2)
+    assert proper.feature_names == ("size", "color=blue", "color=red", "color=<unknown>")
+    assert len(held) == 20 and held.y is None
+    assert np.array_equal(held.x[:, 1:], np.tile([0.0, 0.0, 1.0], (20, 1)))
+    assert len(proper) + len(calib) + len(test) == 40
+    for ds in (proper, calib, test, held):
+        assert ds.num_classes == 2
+    # classes a and b keep labels 0 and 1; the rows are those of the split
+    kept = np.array([i for i in range(60) if i % 3 != 2])
+    rows = kept[shuffle_split(40, (0.6, 0.2, 0.2), make_rng(4, SPLIT_STREAM))[0]]
+    assert np.array_equal(proper.y, rows % 3)
+    sizes = (rows * rows).astype(np.float64)
+    assert proper.stats.means["size"] == float(np.mean(sizes))
+    assert np.allclose(proper.x[:, 0], (sizes - sizes.mean()) / sizes.std())
 
 
 # ---------------------------------------------------------------------------
