@@ -417,6 +417,10 @@ def cmd_train(cfg: RunConfig) -> int:
         seed = cfg.seed + trial
         # one encoding per trial, shared by every head
         proper, calib_set, test = trial_splits(raw, seed, cfg.fractions, fixed_test)
+        if len(test) < proper.num_classes:
+            log.warning("trial %d: the test split has %d rows, fewer than the %d classes; "
+                        "its accuracy and calibration error say little",
+                        trial, len(test), proper.num_classes)
         for head in heads:
             result = train(proper, calib_set, _train_config(cfg, head, seed))
             preds = predict(result.model, test.x, train=result.embedded, sigma=cfg.sigma)
@@ -572,11 +576,12 @@ def cmd_ood(cfg: RunConfig) -> int:
         raw = _load_raw(cfg.data, cfg)
         if isinstance(raw, CsvData) and not raw.has_labels:
             raise ValueError(f"{cfg.data}: hold-out ood needs labels")
+        # one split and encoding, shared by every head
+        splits = trial_splits(raw, cfg.seed, cfg.fractions, held_class=cfg.held_class)
         for head in _heads(cfg):
             measures = _measures_for(head, cfg.measure)
             per_measure = ood_holdout_class_multi(
-                raw, cfg.held_class, _train_config(cfg, head, cfg.seed), measures,
-                fractions=cfg.fractions,
+                splits, _train_config(cfg, head, cfg.seed), measures
             )
             for measure, report in per_measure.items():
                 reports[f"{head}/{measure}"] = report

@@ -172,13 +172,15 @@ class Dataset:
 @dataclass(frozen=True)
 class CsvTable:
     """A CSV body held column by column: ``columns[name][i]`` is the stripped
-    cell of data row i, blank lines not counted."""
+    cell of data row i, blank lines not counted, and ``lines[i]`` is the line
+    of ``path`` that row i came from, so errors can name it."""
 
+    path: str
     columns: dict[str, list[str]]
-    rows: int
+    lines: list[int]
 
     def __len__(self) -> int:
-        return self.rows
+        return len(self.lines)
 
 
 @dataclass(frozen=True)
@@ -224,17 +226,19 @@ def read_csv_rows(path: str, schema: Schema) -> tuple[CsvTable, bool]:
         has_labels = schema.label_column in header
 
         records = []
-        for line_no, record in enumerate(reader, start=2):
-            if not record:
-                continue
-            if len(record) != len(header):
-                raise ValueError(
-                    f"{path}: row {line_no} has {len(record)} cells, header has {len(header)}"
-                )
-            records.append(record)
+        lines = []
+        line_no = reader.line_num + 1  # where the next record starts; quoted cells span lines
+        for record in reader:
+            if record:
+                if len(record) != len(header):
+                    raise ValueError(f"{path}: row {line_no} has {len(record)} cells, "
+                                     f"header has {len(header)}")
+                records.append(record)
+                lines.append(line_no)
+            line_no = reader.line_num + 1
     cells = zip(*records) if records else ((),) * len(header)
     columns = {name: list(map(str.strip, column)) for name, column in zip(header, cells)}
-    return CsvTable(columns=columns, rows=len(records)), has_labels
+    return CsvTable(path=path, columns=columns, lines=lines), has_labels
 
 
 def _positions(index) -> list[int] | None:
@@ -246,9 +250,12 @@ def _cells(table: CsvTable, name: str, positions: list[int] | None) -> list[str]
     return column if positions is None else [column[i] for i in positions]
 
 
-def fit_stats(
-    table: CsvTable, schema: Schema, path: str = "<rows>", index=None
-) -> FeatureStats:
+def _where(table: CsvTable, positions: list[int] | None, i: int) -> str:
+    """``path: row N`` for the i-th selected row, N its line in the file."""
+    return f"{table.path}: row {table.lines[i if positions is None else positions[i]]}"
+
+
+def fit_stats(table: CsvTable, schema: Schema, index=None) -> FeatureStats:
     """Fit z-score moments and sorted category vocabularies on the training
     rows ``index`` of ``table`` (all rows when None), in that order."""
     positions = _positions(index)
@@ -256,48 +263,47 @@ def fit_stats(
     stds: dict[str, float] = {}
     vocabs: dict[str, tuple[str, ...]] = {}
     for col in schema.feature_columns:
-        cells = _cells(table, col.name, positions)
         if col.role == ROLE_CONTINUOUS:
-            values = _parse_continuous(cells, col.name, path)
+            values = _parse_continuous(table, col.name, positions)
             mean = float(np.mean(values)) if len(values) else 0.0
             std = float(np.std(values)) if len(values) else 1.0
             means[col.name] = mean
             stds[col.name] = std if std > 0.0 else 1.0
         else:
-            vocabs[col.name] = tuple(sorted(set(cells)))
+            vocabs[col.name] = tuple(sorted(set(_cells(table, col.name, positions))))
     return FeatureStats(means=means, stds=stds, vocabs=vocabs)
 
 
-def _parse_continuous(cells: list[str], name: str, path: str) -> np.ndarray:
+def _parse_continuous(table: CsvTable, name: str, positions: list[int] | None) -> np.ndarray:
     """One float() per cell; on a bad cell, a row scan names the first one."""
+    cells = _cells(table, name, positions)
     try:
         return np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
     except ValueError:
         for i, cell in enumerate(cells):
             if cell == "":
                 raise ValueError(
-                    f"{path}: row {i + 2}, column {name!r}: missing continuous value"
+                    f"{_where(table, positions, i)}, column {name!r}: missing continuous value"
                 ) from None
             try:
                 float(cell)
             except ValueError:
-                raise ValueError(
-                    f"{path}: row {i + 2}, column {name!r}: cannot parse {cell!r} as a number"
-                ) from None
+                raise ValueError(f"{_where(table, positions, i)}, column {name!r}: "
+                                 f"cannot parse {cell!r} as a number") from None
         raise
 
 
-def label_codes(
-    table: CsvTable, schema: Schema, path: str = "<rows>", index=None
-) -> np.ndarray:
+def label_codes(table: CsvTable, schema: Schema, index=None) -> np.ndarray:
     """Class indices of the rows ``index`` of ``table`` (all rows when None)."""
-    cells = _cells(table, schema.label_column, _positions(index))
+    positions = _positions(index)
+    cells = _cells(table, schema.label_column, positions)
     lookup = {v: i for i, v in enumerate(schema.label_values)}
     y = np.fromiter(map(lookup.get, cells, repeat(-1)), dtype=np.int64, count=len(cells))
     bad = np.flatnonzero(y < 0)
     if bad.size:
         i = int(bad[0])
-        raise ValueError(f"{path}: row {i + 2}: label {cells[i]!r} not in schema label_values")
+        raise ValueError(f"{_where(table, positions, i)}: label {cells[i]!r} "
+                         "not in schema label_values")
     return y
 
 
@@ -306,7 +312,6 @@ def encode_rows(
     schema: Schema,
     stats: FeatureStats,
     has_labels: bool = True,
-    path: str = "<rows>",
     index=None,
 ) -> Dataset:
     """Encode the rows ``index`` of ``table`` (all rows when None), in that
@@ -314,8 +319,8 @@ def encode_rows(
 
     Feature width is sum(|vocab| + 1) over categoricals plus the number of
     continuous columns; the +1 is the unknown-category slot, which is what
-    unseen values fall into at prediction time. Error messages count rows
-    from 2 in the order encoded.
+    unseen values fall into at prediction time. Error messages name the file
+    and the line a bad row came from.
     """
     positions = _positions(index)
     n = len(table) if positions is None else len(positions)
@@ -325,15 +330,15 @@ def encode_rows(
     names: list[str] = []
     offset = 0
     for col, width in zip(schema.feature_columns, widths):
-        cells = _cells(table, col.name, positions)
         if col.role == ROLE_CONTINUOUS:
-            values = _parse_continuous(cells, col.name, path)
+            values = _parse_continuous(table, col.name, positions)
             x[:, offset] = (values - stats.means[col.name]) / stats.stds[col.name]
             names.append(col.name)
         else:
             vocab = stats.vocabs[col.name]
             slot = {v: offset + i for i, v in enumerate(vocab)}
             unknown = offset + width - 1
+            cells = _cells(table, col.name, positions)
             x[np.arange(n), np.fromiter(map(slot.get, cells, repeat(unknown)),
                                         dtype=np.intp, count=n)] = 1.0
             names.extend(f"{col.name}={v}" for v in vocab)
@@ -342,7 +347,7 @@ def encode_rows(
 
     return Dataset(
         x=x,
-        y=label_codes(table, schema, path, index) if has_labels else None,
+        y=label_codes(table, schema, index) if has_labels else None,
         num_classes=schema.num_classes,
         feature_names=tuple(names),
         stats=stats,
@@ -357,8 +362,8 @@ def load_csv(path: str, schema: Schema, stats: FeatureStats | None = None) -> Da
     """
     table, has_labels = read_csv_rows(path, schema)
     if stats is None:
-        stats = fit_stats(table, schema, path)
-    return encode_rows(table, schema, stats, has_labels=has_labels, path=path)
+        stats = fit_stats(table, schema)
+    return encode_rows(table, schema, stats, has_labels=has_labels)
 
 
 def standardize(dataset: Dataset, stats: FeatureStats | None = None) -> Dataset:

@@ -185,6 +185,8 @@ def trial_splits(
     data is z-scored column by column; CSV rows are encoded once each, with
     moments and vocabularies from the proper rows.
     """
+    if held_class is not None and data.num_classes < 3:
+        raise ValueError("hold-out protocol needs >= 3 classes so training stays multiclass")
     if fixed_test is not None:
         if held_class is not None:
             raise ValueError("a hold-out study takes no fixed test set")
@@ -225,25 +227,21 @@ def trial_splits(
 
 
 def ood_holdout_class_multi(
-    data: Dataset | CsvData,
-    held_class: int,
+    splits: tuple[Dataset, Dataset, Dataset, Dataset],
     config: TrainConfig,
     measures: list[str],
-    fractions: tuple[float, float, float] = (0.6, 0.2, 0.2),
 ) -> dict[str, OodReport]:
     """Hold-out protocol scored under several measures with one training run.
 
-    The remaining classes are split proper/calibration/test with the config
-    seed by :func:`trial_splits`, the model is trained and conformally
-    calibrated, and credibility is scored for the in-domain test split and
-    every held-out instance.
+    ``splits`` are the proper, calibration, test and held-out sets that
+    :func:`trial_splits` makes with ``held_class``, so every head of a study
+    can share one split. The model is trained and conformally calibrated,
+    and credibility is scored for the in-domain test split and every
+    held-out instance.
     """
-    if data.num_classes < 3:
-        raise ValueError("hold-out protocol needs >= 3 classes so training stays multiclass")
     if not measures:
         raise ValueError("need at least one nonconformity measure")
-    proper, calib, test, held = trial_splits(data, config.seed, fractions,
-                                             held_class=held_class)
+    proper, calib, test, held = splits
 
     result = train(proper, calib, config)
     in_preds = predict(result.model, test.x, train=result.embedded, sigma=config.sigma)

@@ -231,21 +231,39 @@ def dwac_batch_loss(
 
     w = kernel_weights(h_batch, h_batch, sigma)
     np.fill_diagonal(w, 0.0)
-    same = (labels[:, None] == labels[None, :]).astype(np.float64)
+    # same[i, j] = 1[y_i == y_j]: rows of a c x b class indicator, by label
+    indicator = np.zeros((num_classes, b))
+    indicator[labels, np.arange(b)] = 1.0
+    same = indicator[labels]
 
-    denom = w.sum(axis=1)
-    numer = (w * same).sum(axis=1)
+    coeff = np.multiply(w, same)  # reused below for the gradient coefficients
+    denom = np.add.reduce(w, axis=1)
+    numer = np.add.reduce(coeff, axis=1)
     safe = denom > 0.0
-    p_raw = np.where(safe, numer / np.where(safe, denom, 1.0), 0.0)
-    p = np.clip(p_raw, prob_floor, 1.0)
-    loss = float(np.mean(-np.log(p)))
+    safe_denom = np.where(safe, denom, 1.0)
+    p_raw = np.where(safe, numer / safe_denom, 0.0)
+    p = np.minimum(np.maximum(p_raw, prob_floor), 1.0)
+    loss = -float(np.add.reduce(np.log(p))) / b
 
     # d(loss)/dP is zero wherever the floor clamp is active (or the row had
     # no kernel mass at all).
     g = np.where(p_raw > prob_floor, -1.0 / (b * p), 0.0)
-    coeff = (g / np.where(safe, denom, 1.0))[:, None] * (same - p_raw[:, None]) * w
-    m = coeff + coeff.T
-    grad = (1.0 / sigma) * (m @ h_batch - m.sum(axis=1)[:, None] * h_batch)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = g / safe_denom
+        np.subtract(same, p_raw[:, None], out=coeff)
+        coeff *= scale[:, None]
+        coeff *= w
+    rows = np.flatnonzero(np.isinf(scale))
+    if rows.size:
+        # A subnormal kernel mass overflows g / denom (and inf * 0 is NaN);
+        # those rows normalize their weights first, which keeps them finite.
+        coeff[rows] = (same[rows] - p_raw[rows, None]) * g[rows, None] * (
+            w[rows] / denom[rows, None])
+    m = np.ascontiguousarray(coeff.T)
+    m += coeff
+    grad = m @ h_batch
+    grad -= np.add.reduce(m, axis=1)[:, None] * h_batch
+    grad *= 1.0 / sigma
     return loss, grad
 
 

@@ -135,17 +135,19 @@ def forward(
     a = x
     for i in range(n_layers - 1):
         inputs.append(a)
-        z = a @ model.weights[i] + model.biases[i]
+        z = a @ model.weights[i]
+        z += model.biases[i]
         pre.append(z)
         a = np.maximum(z, 0.0)
         if use_dropout:
             mask = (rng.random(a.shape) >= p) / (1.0 - p)
-            a = a * mask
+            a *= mask  # a is this layer's own array
             masks.append(mask)
         else:
             masks.append(None)
     inputs.append(a)
-    h = a @ model.weights[-1] + model.biases[-1]
+    h = a @ model.weights[-1]
+    h += model.biases[-1]
 
     cache = {
         "inputs": inputs,
@@ -182,8 +184,8 @@ def backward(
             d_a = d_a @ model.weights[i].T
             mask = cache["masks"][i - 1]
             if mask is not None:
-                d_a = d_a * mask
-            d_a = d_a * (cache["pre"][i - 1] > 0.0)
+                d_a *= mask
+            d_a *= cache["pre"][i - 1] > 0.0
     return grads
 
 

@@ -141,8 +141,13 @@ def train(proper: Dataset, calibration: Dataset, config: TrainConfig) -> TrainRe
     c = proper.num_classes
     model = build_model(config, proper.dim, c)
     rng = make_rng(config.seed, SHUFFLE_STREAM)
+    # Every parameter lives in one flat vector and Adam updates it in one
+    # call; Adam is elementwise, so this is bit-identical to a per-array update.
     params = model.parameters()
-    adam = AdamState.for_parameters(params, learning_rate=config.learning_rate)
+    shapes = [p.shape for p in params]
+    bounds = np.cumsum([0, *(p.size for p in params)])
+    flat = np.concatenate(params, axis=None)
+    adam = AdamState.for_parameters([flat], learning_rate=config.learning_rate)
 
     n = len(proper)
     best_params = model.copy_parameters()
@@ -176,8 +181,10 @@ def train(proper: Dataset, calibration: Dataset, config: TrainConfig) -> TrainRe
                     f"(batch starting at {start})"
                 )
             grads = backward(model, cache, d_h)
-            params, adam = adam_step(params, grads, adam)
-            model.set_parameters(params)
+            (flat,), adam = adam_step([flat], [np.concatenate(grads, axis=None)], adam)
+            model.set_parameters(
+                [flat[a:b].reshape(s) for a, b, s in zip(bounds, bounds[1:], shapes)]
+            )
             loss_sum += loss * idx.size
             used += idx.size
 

@@ -1,9 +1,12 @@
 """Brute-force reference implementations used to pin down the fast paths.
 
-Everything here is written as plain Python loops over scalars, on purpose:
-these are the oracles the vectorized kernels are checked against, so
-they must not share any code or vectorization tricks with the
-implementations under test.
+Most of these are written as plain Python loops over scalars, on purpose:
+they are the oracles the vectorized kernels are checked against, so they
+must not share any code or vectorization tricks with the implementations
+under test. The exceptions are the training-step oracles
+(``dwac_batch_loss_oracle``, ``train_per_array_oracle``): they keep the
+first, plainest numpy form of the minibatch step, which the leaner one
+must match bit for bit.
 """
 
 from __future__ import annotations
@@ -16,6 +19,9 @@ import numpy as np
 from dwac_kit import Dataset, FeatureStats, TrainConfig, make_blobs, make_rng, shuffle_split, train
 from dwac_kit.data import ROLE_CONTINUOUS, ROLE_LABEL, standardize_splits
 from dwac_kit.evaluate import SPLIT_STREAM
+from dwac_kit.heads import kernel_weights, softmax_batch_loss
+from dwac_kit.network import DWAC, AdamState, adam_step, backward, forward
+from dwac_kit.trainer import SHUFFLE_STREAM, build_model
 
 
 def pairwise_sq_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -97,6 +103,54 @@ def loo_loss_oracle(
     return total / n
 
 
+def dwac_batch_loss_oracle(h_batch, labels, num_classes, sigma=0.5, prob_floor=1e-12):
+    """Leave-one-out loss and gradient, one whole-array expression per step."""
+    b = h_batch.shape[0]
+    w = kernel_weights(h_batch, h_batch, sigma)
+    np.fill_diagonal(w, 0.0)
+    same = (labels[:, None] == labels[None, :]).astype(np.float64)
+
+    denom = w.sum(axis=1)
+    numer = (w * same).sum(axis=1)
+    safe = denom > 0.0
+    p_raw = np.where(safe, numer / np.where(safe, denom, 1.0), 0.0)
+    p = np.clip(p_raw, prob_floor, 1.0)
+    loss = float(np.mean(-np.log(p)))
+
+    g = np.where(p_raw > prob_floor, -1.0 / (b * p), 0.0)
+    coeff = (g / np.where(safe, denom, 1.0))[:, None] * (same - p_raw[:, None]) * w
+    m = coeff + coeff.T
+    grad = (1.0 / sigma) * (m @ h_batch - m.sum(axis=1)[:, None] * h_batch)
+    return loss, grad
+
+
+def train_per_array_oracle(proper, config, epochs):
+    """The minibatch loop of ``train`` with one Adam update per parameter
+    array and the oracle loss, without validation; returns the parameters
+    after each epoch."""
+    model = build_model(config, proper.dim, proper.num_classes)
+    rng = make_rng(config.seed, SHUFFLE_STREAM)
+    params = model.parameters()
+    state = AdamState.for_parameters(params, learning_rate=config.learning_rate)
+    per_epoch = []
+    for _ in range(epochs):
+        order = rng.permutation(len(proper))
+        for start in range(0, len(proper), config.batch_size):
+            idx = order[start : start + config.batch_size]
+            if config.head == DWAC and idx.size < 2:
+                continue
+            h, cache = forward(model, proper.x[idx], mode="train", rng=rng)
+            if config.head == DWAC:
+                _, d_h = dwac_batch_loss_oracle(h, proper.y[idx], proper.num_classes,
+                                                config.sigma)
+            else:
+                _, d_h = softmax_batch_loss(h, proper.y[idx])
+            params, state = adam_step(params, backward(model, cache, d_h), state)
+            model.set_parameters(params)
+        per_epoch.append([p.copy() for p in params])
+    return per_epoch
+
+
 def agreement_oracle(
     weights: np.ndarray, labels: np.ndarray, num_classes: int, k_list,
 ) -> list[tuple[int, float]]:
@@ -154,9 +208,13 @@ def quick_train(head: str, n: int = 400, c: int = 3, d: int = 6, sep: float = 8.
     return train(proper, calib, config), proper, calib, test
 
 
+WHERE = "__where__"  # the row-dict key of "path: row N", N the row's line in the file
+
+
 def read_rows_oracle(path: str, schema) -> tuple[list[dict[str, str]], bool]:
-    """A headered CSV as one dict of stripped cells per row; the same checks
-    and messages as ``read_csv_rows``."""
+    """A headered CSV as one dict of stripped cells per row, plus where the
+    row came from under ``WHERE``; the same checks and messages as
+    ``read_csv_rows``."""
     with open(path, "r", encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
         try:
@@ -174,38 +232,42 @@ def read_rows_oracle(path: str, schema) -> tuple[list[dict[str, str]], bool]:
             raise ValueError(f"{path}: schema columns missing from file: {sorted(missing)}")
         has_labels = schema.label_column in header
         rows = []
-        for line_no, record in enumerate(reader, start=2):
+        line_no = reader.line_num + 1
+        for record in reader:
+            start, line_no = line_no, reader.line_num + 1
             if not record:
                 continue
             if len(record) != len(header):
                 raise ValueError(
-                    f"{path}: row {line_no} has {len(record)} cells, header has {len(header)}"
+                    f"{path}: row {start} has {len(record)} cells, header has {len(header)}"
                 )
-            rows.append({name: cell.strip() for name, cell in zip(header, record)})
+            row = {name: cell.strip() for name, cell in zip(header, record)}
+            row[WHERE] = f"{path}: row {start}"
+            rows.append(row)
     return rows, has_labels
 
 
-def _parse_continuous_oracle(rows, name, path):
+def _parse_continuous_oracle(rows, name):
     values = np.empty(len(rows))
     for i, row in enumerate(rows):
         cell = row[name]
         if cell == "":
-            raise ValueError(f"{path}: row {i + 2}, column {name!r}: missing continuous value")
+            raise ValueError(f"{row[WHERE]}, column {name!r}: missing continuous value")
         try:
             values[i] = float(cell)
         except ValueError:
             raise ValueError(
-                f"{path}: row {i + 2}, column {name!r}: cannot parse {cell!r} as a number"
+                f"{row[WHERE]}, column {name!r}: cannot parse {cell!r} as a number"
             ) from None
     return values
 
 
-def fit_stats_oracle(rows, schema, path: str = "<rows>") -> FeatureStats:
+def fit_stats_oracle(rows, schema) -> FeatureStats:
     """Moments and sorted vocabularies fitted on row dicts, one cell at a time."""
     means, stds, vocabs = {}, {}, {}
     for col in schema.feature_columns:
         if col.role == ROLE_CONTINUOUS:
-            values = _parse_continuous_oracle(rows, col.name, path)
+            values = _parse_continuous_oracle(rows, col.name)
             means[col.name] = float(np.mean(values)) if len(values) else 0.0
             std = float(np.std(values)) if len(values) else 1.0
             stds[col.name] = std if std > 0.0 else 1.0
@@ -214,15 +276,14 @@ def fit_stats_oracle(rows, schema, path: str = "<rows>") -> FeatureStats:
     return FeatureStats(means=means, stds=stds, vocabs=vocabs)
 
 
-def encode_rows_oracle(rows, schema, stats, has_labels: bool = True,
-                       path: str = "<rows>") -> Dataset:
+def encode_rows_oracle(rows, schema, stats, has_labels: bool = True) -> Dataset:
     """Row dicts encoded one cell at a time into a block per column, the
     blocks stacked side by side."""
     names, blocks = [], []
     n = len(rows)
     for col in schema.feature_columns:
         if col.role == ROLE_CONTINUOUS:
-            values = _parse_continuous_oracle(rows, col.name, path)
+            values = _parse_continuous_oracle(rows, col.name)
             blocks.append(((values - stats.means[col.name]) / stats.stds[col.name])[:, None])
             names.append(col.name)
         else:
@@ -242,9 +303,7 @@ def encode_rows_oracle(rows, schema, stats, has_labels: bool = True,
         for i, row in enumerate(rows):
             cell = row[schema.label_column]
             if cell not in label_index:
-                raise ValueError(
-                    f"{path}: row {i + 2}: label {cell!r} not in schema label_values"
-                )
+                raise ValueError(f"{row[WHERE]}: label {cell!r} not in schema label_values")
             y[i] = label_index[cell]
     return Dataset(x=np.hstack(blocks), y=y, num_classes=schema.num_classes,
                    feature_names=tuple(names), stats=stats)

@@ -47,7 +47,7 @@ from dwac_kit import (
 from dwac_kit.cli import main as cli_main
 from dwac_kit.conformal import NEG_PROB, NEG_WEIGHT_SUM
 from dwac_kit.data import standardize_splits
-from dwac_kit.evaluate import ood_holdout_class_multi
+from dwac_kit.evaluate import ood_holdout_class_multi, trial_splits
 from dwac_kit.heads import EmbeddedTrainingSet
 from dwac_kit.linalg import shuffle_split
 from dwac_kit.network import DWAC, SOFTMAX
@@ -376,9 +376,9 @@ def test_criterion_07_ood_direction():
         blobs = _distant_blobs(2500, seed)
         dwac_cfg = TrainConfig(head=DWAC, seed=seed, max_epochs=60, patience=10)
         soft_cfg = TrainConfig(head=SOFTMAX, seed=seed, max_epochs=60, patience=10)
-        dwac_rep = ood_holdout_class_multi(blobs, 3, dwac_cfg,
-                                           [NEG_PROB, NEG_WEIGHT_SUM])
-        soft_rep = ood_holdout_class_multi(blobs, 3, soft_cfg, [NEG_PROB])
+        splits = trial_splits(blobs, seed, (0.6, 0.2, 0.2), held_class=3)
+        dwac_rep = ood_holdout_class_multi(splits, dwac_cfg, [NEG_PROB, NEG_WEIGHT_SUM])
+        soft_rep = ood_holdout_class_multi(splits, soft_cfg, [NEG_PROB])
         ws = dwac_rep[NEG_WEIGHT_SUM].out_mean
         np_same = dwac_rep[NEG_PROB].out_mean
         np_soft = soft_rep[NEG_PROB].out_mean

@@ -517,6 +517,45 @@ def test_csv_rows_are_read_once_and_encoded_once_per_trial(tmp_path, monkeypatch
     assert reads == [150] and encoded == [150]
 
 
+def test_ood_holdout_splits_and_encodes_once_for_both_heads(tmp_path, monkeypatch):
+    data, schema = _write_csv_data(tmp_path)
+    encoded = []
+    _count_calls(monkeypatch, "encode_rows", encoded)
+    assert run(["ood", "--data", data, "--schema", schema, "--held-class", "2",
+                "--head", "both", "--out", str(tmp_path / "ood"), *FAST]) == 0
+    # proper, calibration, test and held-out rows, once each
+    assert len(encoded) == 4 and sum(encoded) == 150
+
+
+def test_cell_errors_name_the_file_and_its_line_through_the_split(tmp_path, capsys):
+    data, schema = _write_csv_data(tmp_path)
+    with open(data) as f:
+        lines = f.read().splitlines()
+    lines[31] = "oops,red,a"  # file line 32
+    lines.insert(10, "")  # a blank line: the bad cell is now on line 33
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    for argv in (["train"], ["ood", "--held-class", "2"]):
+        capsys.readouterr()
+        assert run([*argv, "--data", str(bad), "--schema", schema,
+                    "--out", str(tmp_path / "x"), *FAST]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {bad}: row 33, column 'size': cannot parse 'oops' as a number"]
+
+
+def test_a_test_split_too_small_to_score_is_logged(tmp_path, caplog):
+    with caplog.at_level("INFO", logger="dwac_kit"):
+        assert run(["train", "--data", "blobs:n=5,c=2,d=2,sep=3",
+                    "--out", str(tmp_path / "tiny"), *FAST]) == 0
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert warnings == ["trial 0: the test split has 1 rows, fewer than the 2 classes; "
+                        "its accuracy and calibration error say little"]
+    caplog.clear()
+    with caplog.at_level("INFO", logger="dwac_kit"):
+        assert run(["train", "--data", BLOBS, "--out", str(tmp_path / "big"), *FAST]) == 0
+    assert not [r for r in caplog.records if r.levelname == "WARNING"]
+
+
 def test_ood_holdout_on_csv(tmp_path):
     data, schema = _write_csv_data(tmp_path)
     out = tmp_path / "ood"

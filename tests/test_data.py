@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -141,8 +142,9 @@ def test_csv_structure_errors(tmp_path):
 
 def test_cell_errors_name_row_and_column(tmp_path):
     bad_number = "species,size,color,notes\ncat,1,red,a\ndog,tall,blue,b\n"
-    with pytest.raises(ValueError, match=r"row 3.*'size'.*'tall'"):
-        load_csv(write_csv(tmp_path, bad_number), SCHEMA)
+    path = write_csv(tmp_path, bad_number)
+    with pytest.raises(ValueError, match=rf"^{re.escape(path)}: row 3.*'size'.*'tall'"):
+        load_csv(path, SCHEMA)
     missing = "species,size,color,notes\ncat,,red,a\n"
     with pytest.raises(ValueError, match=r"row 2.*'size'.*missing"):
         load_csv(write_csv(tmp_path, missing), SCHEMA)
@@ -153,9 +155,21 @@ def test_cell_errors_name_row_and_column(tmp_path):
 
 def test_blank_lines_and_padding_are_tolerated(tmp_path):
     text = "species, size ,color,notes\ncat , 0 , red ,a\n\ndog,2, blue ,b\n"
-    ds = load_csv(write_csv(tmp_path, text), SCHEMA)
+    path = write_csv(tmp_path, text)
+    ds = load_csv(path, SCHEMA)
     assert len(ds) == 2
     assert np.array_equal(ds.y, np.array([0, 1]))
+    table, _ = read_csv_rows(path, SCHEMA)
+    assert table.path == path and table.lines == [2, 4]  # the blank line 3 holds no row
+
+
+def test_rows_are_numbered_by_the_line_they_start_on(tmp_path):
+    # a quoted cell spans lines 2-3, so the bad number is on line 5
+    text = 'species,size,color,notes\ncat,1,red,"two\nlines"\n\ndog,oops,red,b\n'
+    path = write_csv(tmp_path, text)
+    assert read_csv_rows(path, SCHEMA)[0].lines == [2, 5]
+    with pytest.raises(ValueError, match=rf"^{re.escape(path)}: row 5, column 'size'"):
+        load_csv(path, SCHEMA)
 
 
 def test_fit_stats_constant_column_keeps_unit_std(tmp_path):

@@ -188,7 +188,8 @@ def holdout_reports():
     # keeps its kernel mass unremarkable.
     blobs = make_blobs(480, 4, 4, 8.0, make_rng(11, 3))
     config = TrainConfig(head="dwac", seed=11, max_epochs=40, batch_size=64)
-    return ood_holdout_class_multi(blobs, 3, config, [NEG_PROB, NEG_WEIGHT_SUM])
+    splits = trial_splits(blobs, 11, (0.6, 0.2, 0.2), held_class=3)
+    return ood_holdout_class_multi(splits, config, [NEG_PROB, NEG_WEIGHT_SUM])
 
 
 def test_holdout_reports_shape(holdout_reports):
@@ -216,19 +217,21 @@ def test_holdout_weight_sums_flag_the_held_class(holdout_reports):
 def test_holdout_single_measure_matches_multi(holdout_reports):
     blobs = make_blobs(480, 4, 4, 8.0, make_rng(11, 3))
     config = TrainConfig(head="dwac", seed=11, max_epochs=40, batch_size=64)
-    single = ood_holdout_class_multi(blobs, 3, config, [NEG_WEIGHT_SUM])[NEG_WEIGHT_SUM]
+    splits = trial_splits(blobs, 11, (0.6, 0.2, 0.2), held_class=3)
+    single = ood_holdout_class_multi(splits, config, [NEG_WEIGHT_SUM])[NEG_WEIGHT_SUM]
     assert np.array_equal(single.out_of_domain,
                           holdout_reports[NEG_WEIGHT_SUM].out_of_domain)
 
 
 def test_holdout_validation():
     two = make_blobs(40, 2, 2, 6.0, make_rng(0, 3))
+    with pytest.raises(ValueError, match=">= 3 classes"):
+        trial_splits(two, 0, (0.6, 0.2, 0.2), held_class=0)
+    three = make_blobs(60, 3, 2, 6.0, make_rng(0, 3))
     config = TrainConfig(head="dwac", seed=0, max_epochs=2)
     with pytest.raises(ValueError):
-        ood_holdout_class_multi(two, 0, config, [NEG_PROB])[NEG_PROB]
-    three = make_blobs(60, 3, 2, 6.0, make_rng(0, 3))
-    with pytest.raises(ValueError):
-        ood_holdout_class_multi(three, 0, config, [])
+        ood_holdout_class_multi(trial_splits(three, 0, (0.6, 0.2, 0.2), held_class=0),
+                                config, [])
 
 
 # ---------------------------------------------------------------------------

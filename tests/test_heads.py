@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import tracemalloc
 
@@ -18,7 +20,12 @@ from dwac_kit.heads import (
     softmax_predict,
 )
 from dwac_kit.linalg import make_rng
-from helpers import class_weight_sums_oracle, dwac_predict_oracle, loo_loss_oracle
+from helpers import (
+    class_weight_sums_oracle,
+    dwac_batch_loss_oracle,
+    dwac_predict_oracle,
+    loo_loss_oracle,
+)
 
 
 def random_train(seed, t=25, d=4, c=3):
@@ -244,3 +251,89 @@ def test_embedded_training_set_validation():
         EmbeddedTrainingSet(h=np.zeros((3, 2)), labels=np.array([0, 1]), num_classes=2)
     with pytest.raises(ValueError):
         EmbeddedTrainingSet(h=np.zeros((2, 2)), labels=np.array([0, 3]), num_classes=2)
+
+
+# ---------------------------------------------------------------------------
+# the leave-one-out loss against its first, plainest numpy form
+# ---------------------------------------------------------------------------
+
+SUBNORMAL_MASS = 1e-280  # below this a row's g / kernel mass can overflow
+
+
+@st.composite
+def loss_batches(draw):
+    """(h, labels, num_classes, sigma): from tight to spread-out batches, where
+    rows run out of kernel mass (zero-mass rows) or of same-class mass
+    (floor-clamped rows)."""
+    b = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 4))
+    c = draw(st.integers(1, 4))
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([0.05, 0.5, 1.0, 3.0, 6.0, 12.0, 40.0]))
+    h = rng.standard_normal((b, d)) * scale
+    labels = rng.integers(0, c, size=b)
+    if draw(st.booleans()):
+        labels[:] = labels[0]  # a single-class batch
+    return h, labels, c, draw(st.sampled_from([0.5, 0.1, 2.0]))
+
+
+def _zero_mass_batch():
+    return np.array([[0.0, 0.0], [100.0, 0.0], [0.0, 100.0]]), np.array([0, 1, 0]), 2, 0.5
+
+
+def _floor_clamped_batch():
+    # rows 0-3 have their classmates 8 away and another class 0.1 away, so
+    # 0 < p < 1e-12; rows 4 and 5 are a pair of classmates, p ~ 1
+    h = np.array([[0.0], [0.1], [8.0], [8.1], [20.0], [20.3]])
+    return h, np.array([0, 1, 0, 1, 0, 0]), 2, 0.5
+
+
+@given(batch=loss_batches())
+@example(batch=(np.array([[0.0, 1.0], [0.5, 0.0]]), np.array([0, 1]), 2, 0.5))  # b = 2
+@example(batch=(make_rng(3).standard_normal((9, 3)), np.zeros(9, dtype=np.int64), 1, 0.5))
+@example(batch=_zero_mass_batch())
+@example(batch=_floor_clamped_batch())
+@settings(max_examples=300, deadline=None)
+def test_dwac_batch_loss_is_bit_identical_to_the_oracle(batch):
+    h, labels, c, sigma = batch
+    w = kernel_weights(h, h, sigma)
+    np.fill_diagonal(w, 0.0)
+    mass = w.sum(axis=1)
+    assume(not np.any((mass > 0.0) & (mass < SUBNORMAL_MASS)))
+    expected_loss, expected_grad = dwac_batch_loss_oracle(h, labels, c, sigma)
+    loss, grad = dwac_batch_loss(h, labels, c, sigma)
+    assert loss == expected_loss
+    assert np.array_equal(grad, expected_grad, equal_nan=True)
+
+
+def test_oracle_examples_cover_zero_mass_and_floor_clamped_rows():
+    h, y, c, sigma = _zero_mass_batch()
+    w = kernel_weights(h, h, sigma)
+    np.fill_diagonal(w, 0.0)
+    assert np.all(w.sum(axis=1) == 0.0)
+    h, y, c, sigma = _floor_clamped_batch()
+    loss, _ = dwac_batch_loss(h, y, c, sigma)
+    assert loss == pytest.approx(-4.0 * np.log(1e-12) / 6.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("sq_distance", [710.0, 720.0, 730.0, 745.0])
+def test_subnormal_kernel_mass_keeps_the_gradient_finite(sq_distance):
+    # exp(-d^2) is subnormal here: g / mass overflowed, and inf * 0 gave NaN
+    loss, grad = dwac_batch_loss(np.array([[0.0], [np.sqrt(sq_distance)]]),
+                                 np.array([0, 0]), 1)
+    assert loss == 0.0
+    assert np.array_equal(grad, np.zeros((2, 1)))
+
+
+def test_subnormal_kernel_mass_gradient_matches_the_closed_form():
+    # Row 0 has subnormal weights exp(-720) (same class) and exp(-725), so
+    # p0 = 1 / (1 + e^-5); rows 1 and 2 sit on the floor and add no gradient.
+    # With x = d02^2 - d01^2, dL/dh_k = -(1 - p0) / 3 * dx/dh_k.
+    r1, r2 = np.sqrt(720.0), np.sqrt(725.0)
+    h = np.array([[0.0], [r1], [r2]])
+    loss, grad = dwac_batch_loss(h, np.array([0, 0, 1]), 2)
+    q = 1.0 / (1.0 + np.exp(5.0))
+    expected = -q / 3.0 * np.array([[2.0 * (r1 - r2)], [-2.0 * r1], [2.0 * r2]])
+    assert np.all(np.isfinite(grad)) and np.all(grad != 0.0)
+    assert np.allclose(grad, expected, rtol=1e-6, atol=0.0)
+    assert loss == pytest.approx((np.log1p(np.exp(-5.0)) - 2.0 * np.log(1e-12)) / 3.0)

@@ -5,15 +5,16 @@ import pytest
 
 import dwac_kit.trainer as trainer_mod
 from dwac_kit import Dataset, TrainConfig, make_blobs, make_rng
+from dwac_kit.data import standardize_splits
 from dwac_kit.evaluate import accuracy
-from dwac_kit.network import DWAC, SOFTMAX
+from dwac_kit.network import DWAC, SOFTMAX, adam_step
 from dwac_kit.trainer import (
     build_model,
     embed_training_set,
     predict,
     train,
 )
-from helpers import quick_split, quick_train
+from helpers import quick_split, quick_train, train_per_array_oracle
 
 
 def test_build_model_widths():
@@ -133,3 +134,26 @@ def test_result_keeps_the_best_epochs_calibration_predictions(head):
         assert np.array_equal(result.embedded.h, fresh_ref.h)
         assert np.array_equal(kept.weight_sums, fresh.weight_sums)
     assert result.best_calib_accuracy == accuracy(kept, calib.y)
+
+
+@pytest.mark.parametrize("head", [DWAC, SOFTMAX])
+def test_flat_adam_matches_the_per_array_loop_bit_for_bit(head, monkeypatch):
+    blobs = make_blobs(300, 3, 5, 6.0, make_rng(2, 3))
+    proper, calib, _ = standardize_splits(*quick_split(blobs, (0.6, 0.2, 0.2), 2))
+    calls = []
+
+    def counted(params, grads, state):
+        calls.append(len(params))
+        return adam_step(params, grads, state)
+
+    monkeypatch.setattr(trainer_mod, "adam_step", counted)
+    config = TrainConfig(head=head, seed=3, max_epochs=3, patience=3, batch_size=32,
+                         dropout_prob=0.3)
+    # no calibration rows: nothing to validate on, so the last epoch is kept
+    result = train(proper, calib.subset(np.arange(0)), config)
+    assert result.best_epoch == 3
+    # 180 proper rows: five full batches of 32 and one of 20, per epoch
+    assert calls == [1] * (3 * 6)
+    for got, expected in zip(result.model.parameters(),
+                             train_per_array_oracle(proper, config, 3)[-1]):
+        assert np.array_equal(got, expected)
