@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import logging
+import math
 import os
 import sys
 import types
@@ -118,6 +119,9 @@ class RunConfig:
             value = getattr(self, f.name)
             if not _conforms(value, _FIELD_TYPES[f.name]):
                 raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
+        for name in ("sigma", "learning_rate", "dropout"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if any(not 0.0 <= e <= 1.0 for e in self.epsilons):
@@ -371,6 +375,20 @@ def _write_csv(path: str, comment: str, header: list[str], rows: list[list]) -> 
     atomic_write_text(path, buf.getvalue())
 
 
+def _write_json(path: str, prov: str, key: str, records: list | dict) -> None:
+    """Write ``{key: records, "provenance": prov}`` with sorted keys and one
+    record (list item or dict entry) per line, each through the C encoder,
+    which serves only compact output."""
+    encode = json.JSONEncoder(sort_keys=True).encode
+    if isinstance(records, dict):
+        lines = [f"{encode(k)}: {encode(v)}" for k, v in sorted(records.items())]
+        body = "{\n" + ",\n".join(lines) + "\n}"
+    else:
+        body = "[\n" + ",\n".join(map(encode, records)) + "\n]"
+    parts = sorted([(key, body), ("provenance", prov)])
+    atomic_write_text(path, "{" + ",\n".join(f"{encode(k)}: {v}" for k, v in parts) + "}\n")
+
+
 def _require_out(cfg: RunConfig) -> str:
     if not cfg.out:
         raise ValueError("--out directory is required")
@@ -426,6 +444,12 @@ def cmd_train(cfg: RunConfig) -> int:
             preds = predict(result.model, test.x, train=result.embedded, sigma=cfg.sigma)
             acc = accuracy(preds, test.y)
             mae = calibration_mae(preds.probs, test.y).mae
+            underflowed = (_degenerate(preds), _degenerate(result.calib_predictions))
+            if any(underflowed):
+                log.warning("head=%s trial=%d: at sigma=%r the kernel mass underflowed to zero "
+                            "for %d of %d test and %d of %d calibration rows, scored as "
+                            "uniform", head, trial, cfg.sigma, underflowed[0], len(test),
+                            underflowed[1], len(calib_set))
             accs[head].append(acc)
             maes[head].append(mae)
             log.info(
@@ -478,19 +502,12 @@ def cmd_predict(cfg: RunConfig) -> int:
     ds = _Source(cfg.data, cfg).for_artifact(artifact)
     preds = predict(artifact.model, ds.x, train=artifact.embedded, sigma=artifact.sigma)
     label_names = artifact.schema.label_values if artifact.schema else None
-    records = []
-    for i in range(len(preds)):
-        record = {
-            "index": i,
-            "predicted": int(preds.predicted[i]),
-            "probs": [float(p) for p in preds.probs[i]],
-        }
-        if label_names:
-            record["label"] = label_names[preds.predicted[i]]
-        records.append(record)
-    doc = {"provenance": json.loads(cfg.provenance()), "predictions": records}
-    atomic_write_text(os.path.join(out, "predictions.json"),
-                      json.dumps(doc, indent=1, sort_keys=True))
+    records = [{"index": i, "predicted": k, "probs": p}
+               for i, (k, p) in enumerate(zip(preds.predicted.tolist(), preds.probs.tolist()))]
+    if label_names:
+        for record in records:
+            record["label"] = label_names[record["predicted"]]
+    _write_json(os.path.join(out, "predictions.json"), cfg.provenance(), "predictions", records)
     log.info("wrote %d predictions (%d degenerate)", len(records), _degenerate(preds))
     return 0
 
@@ -507,12 +524,8 @@ def cmd_explain(cfg: RunConfig) -> int:
         ds.x, artifact.model, artifact.embedded, k=cfg.k, k_list=cfg.k_list,
         sigma=artifact.sigma,
     )
-    doc = {
-        "provenance": json.loads(cfg.provenance()),
-        "explanations": [e.to_json_dict() for e in explanations],
-    }
-    atomic_write_text(os.path.join(out, "explanations.json"),
-                      json.dumps(doc, indent=1, sort_keys=True))
+    _write_json(os.path.join(out, "explanations.json"), cfg.provenance(), "explanations",
+                [e.to_json_dict() for e in explanations])
     _write_csv(
         os.path.join(out, "agreement.csv"),
         cfg.provenance(),
@@ -626,9 +639,7 @@ def cmd_ood(cfg: RunConfig) -> int:
             "out_of_domain_n": int(report.out_of_domain.size),
         }
         log.info("%s: in mean %.3f out mean %.3f", name, report.in_mean, report.out_mean)
-    doc = {"provenance": json.loads(prov), "combinations": summary}
-    atomic_write_text(os.path.join(out, "ood_summary.json"),
-                      json.dumps(doc, indent=1, sort_keys=True))
+    _write_json(os.path.join(out, "ood_summary.json"), prov, "combinations", summary)
     return 0
 
 
@@ -714,8 +725,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         cfg = build_config(args)
-        return args.func(cfg)
-    except (ValueError, OSError, RuntimeError) as e:
+        # Values too large to compute with (in a CSV, an artifact or a setting)
+        # end the run with one error line, not a numpy warning beside NaN outputs.
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(cfg)
+    except (ValueError, OSError, RuntimeError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

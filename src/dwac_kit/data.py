@@ -10,15 +10,18 @@ silent imputation would corrupt reproductions. A file is read once into a
 columnar table; stats are fitted on, and rows encoded from, any subset of
 its rows by index, so splitting copies no cells.
 
-Model artifacts are single JSON documents (format ``dwac-kit/1``) whose
-numeric arrays are serialized as decimal strings that round-trip float64
-exactly, so save/load reproduces predictions bit for bit.
+Model artifacts are single JSON documents (format ``dwac-kit/2``) that hold
+each float array as its shape plus the base64 of its little-endian float64
+bytes, which is exact, so save/load reproduces predictions bit for bit.
 """
 
 from __future__ import annotations
 
+import base64
+import binascii
 import csv
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -31,7 +34,7 @@ from .heads import EmbeddedTrainingSet
 from .linalg import as_matrix
 from .network import DWAC, EmbeddingModel, MlpSpec
 
-FORMAT_VERSION = "dwac-kit/1"
+FORMAT_VERSION = "dwac-kit/2"
 
 ROLE_LABEL = "label"
 ROLE_CONTINUOUS = "continuous"
@@ -466,22 +469,28 @@ class ModelArtifact:
             raise ValueError("dwac artifacts must carry the embedded training set")
 
 
-def _encode_vector(v: np.ndarray) -> list[str]:
-    return [repr(float(x)) for x in v]
+def _encode_array(a: np.ndarray) -> dict:
+    a = np.ascontiguousarray(a, dtype="<f8")
+    return {"shape": list(a.shape), "f8": base64.b64encode(a.data).decode("ascii")}
 
 
-def _encode_matrix(m: np.ndarray) -> list[list[str]]:
-    return [_encode_vector(row) for row in m]
-
-
-def _decode_vector(v: list[str]) -> np.ndarray:
-    return np.array([float(x) for x in v], dtype=np.float64)
-
-
-def _decode_matrix(m: list[list[str]]) -> np.ndarray:
-    if not m:
-        return np.zeros((0, 0))
-    return np.array([[float(x) for x in row] for row in m], dtype=np.float64)
+def _decode_array(obj: dict, ndim: int, what: str) -> np.ndarray:
+    """Inverse of :func:`_encode_array`: a writable native float64 copy,
+    checked for rank, size and finiteness before it is trusted."""
+    shape = obj["shape"]
+    if not (isinstance(shape, list) and len(shape) == ndim
+            and all(type(n) is int and n >= 0 for n in shape)):
+        raise ValueError(f"{what}: shape must be {ndim} non-negative ints, got {shape!r}")
+    try:
+        raw = base64.b64decode(obj["f8"], validate=True)
+    except binascii.Error as e:
+        raise ValueError(f"{what}: bad base64 ({e})") from None
+    if len(raw) != 8 * math.prod(shape):
+        raise ValueError(f"{what}: {len(raw)} bytes for shape {shape}")
+    a = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what}: non-finite values")
+    return a
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -511,23 +520,23 @@ def save_model(artifact: ModelArtifact, path: str) -> None:
         "head": model.head,
         "sigma": artifact.sigma,
         "num_classes": artifact.num_classes,
-        "weights": [_encode_matrix(w) for w in model.weights],
-        "biases": [_encode_vector(b) for b in model.biases],
+        "weights": [_encode_array(w) for w in model.weights],
+        "biases": [_encode_array(b) for b in model.biases],
         "schema": artifact.schema.to_json_dict() if artifact.schema else None,
         "stats": _encode_stats(artifact.stats) if artifact.stats else None,
         "embedded": None,
         "calibrations": {
-            measure: _encode_vector(scores)
-            for measure, scores in sorted(artifact.calibrations.items())
+            measure: _encode_array(scores) for measure, scores in artifact.calibrations.items()
         },
     }
     if artifact.embedded is not None:
         doc["embedded"] = {
-            "h": _encode_matrix(artifact.embedded.h),
-            "labels": [int(v) for v in artifact.embedded.labels],
+            "h": _encode_array(artifact.embedded.h),
+            "labels": artifact.embedded.labels.tolist(),
             "num_classes": artifact.embedded.num_classes,
         }
-    atomic_write_text(path, json.dumps(doc, sort_keys=True, indent=1))
+    # no indent: CPython's C encoder serves only compact output
+    atomic_write_text(path, json.dumps(doc, sort_keys=True))
 
 
 def _encode_stats(stats: FeatureStats) -> dict:
@@ -538,17 +547,35 @@ def _encode_stats(stats: FeatureStats) -> dict:
     }
 
 
-def _decode_stats(obj: dict) -> FeatureStats:
-    return FeatureStats(
+def _decode_stats(obj: dict, schema: Schema | None) -> FeatureStats:
+    """Inverse of :func:`_encode_stats`, checked as far as encoding relies on
+    it: a finite mean and a positive finite std per continuous column, string
+    vocabularies, and, with a schema, exactly its feature columns."""
+    stats = FeatureStats(
         means={k: float(v) for k, v in obj["means"].items()},
         stds={k: float(v) for k, v in obj["stds"].items()},
         vocabs={k: tuple(v) for k, v in obj["vocabs"].items()},
     )
+    if stats.means.keys() != stats.stds.keys() or not all(
+        math.isfinite(stats.means[k]) and math.isfinite(s) and s > 0.0
+        for k, s in stats.stds.items()
+    ):
+        raise ValueError("stats need a finite mean and a positive finite std per column")
+    if not all(isinstance(v, str) for vocab in stats.vocabs.values() for v in vocab):
+        raise ValueError("stats vocabularies must hold strings")
+    if schema is not None and (
+        set(stats.means) != {c.name for c in schema.feature_columns if c.role == ROLE_CONTINUOUS}
+        or set(stats.vocabs) != {c.name for c in schema.feature_columns
+                                 if c.role == ROLE_CATEGORICAL}
+    ):
+        raise ValueError("stats do not cover the schema's feature columns")
+    return stats
 
 
 def load_model(path: str) -> ModelArtifact:
     """Load an artifact saved by :func:`save_model`; rejects wrong versions,
-    truncated files, and dwac artifacts missing their embedded training set."""
+    truncated files, malformed arrays, and dwac artifacts missing their
+    embedded training set, with a ValueError that names ``path``."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
@@ -567,28 +594,42 @@ def load_model(path: str) -> ModelArtifact:
         )
         model = EmbeddingModel(
             spec=spec,
-            weights=[_decode_matrix(w) for w in doc["weights"]],
-            biases=[_decode_vector(b) for b in doc["biases"]],
+            weights=[_decode_array(w, 2, f"weights[{i}]") for i, w in enumerate(doc["weights"])],
+            biases=[_decode_array(b, 1, f"biases[{i}]") for i, b in enumerate(doc["biases"])],
             head=doc["head"],
         )
         embedded = None
         if doc["embedded"] is not None:
+            h = _decode_array(doc["embedded"]["h"], 2, "embedded.h")
+            if h.shape[1] != spec.output_dim:
+                raise ValueError(f"embedded.h has {h.shape[1]} columns, "
+                                 f"layer_sizes[-1] is {spec.output_dim}")
+            labels = doc["embedded"]["labels"]
+            if not (isinstance(labels, list) and set(map(type, labels)) <= {int}):
+                raise ValueError("embedded.labels must be a list of ints")
             embedded = EmbeddedTrainingSet(
-                h=_decode_matrix(doc["embedded"]["h"]),
-                labels=np.array(doc["embedded"]["labels"], dtype=np.int64),
+                h=h,
+                labels=np.array(labels, dtype=np.int64),
                 num_classes=int(doc["embedded"]["num_classes"]),
             )
+        schema = Schema.from_json_dict(doc["schema"]) if doc["schema"] else None
+        sigma = float(doc["sigma"])
+        if not (math.isfinite(sigma) and sigma > 0.0):
+            raise ValueError(f"sigma must be finite and > 0, got {sigma}")
         return ModelArtifact(
             model=model,
-            sigma=float(doc["sigma"]),
+            sigma=sigma,
             num_classes=int(doc["num_classes"]),
-            schema=Schema.from_json_dict(doc["schema"]) if doc["schema"] else None,
-            stats=_decode_stats(doc["stats"]) if doc["stats"] else None,
+            schema=schema,
+            stats=_decode_stats(doc["stats"], schema) if doc["stats"] else None,
             embedded=embedded,
             calibrations={
-                measure: _decode_vector(scores)
+                measure: _decode_array(scores, 1, f"calibrations.{measure}")
                 for measure, scores in doc["calibrations"].items()
             },
         )
-    except (KeyError, TypeError) as e:
-        raise ValueError(f"{path}: incomplete model file (missing {e})") from None
+    except (KeyError, TypeError, AttributeError) as e:
+        raise ValueError(f"{path}: incomplete or malformed model file "
+                         f"({type(e).__name__}: {e})") from None
+    except (ValueError, OverflowError) as e:
+        raise ValueError(f"{path}: {e}") from None

@@ -43,15 +43,19 @@ def query_factor(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def reference_factor(b: np.ndarray) -> np.ndarray:
+def reference_factor(b: np.ndarray, sq_norms: np.ndarray | None = None) -> np.ndarray:
     """``[-2b | 1 | ||b||^2]``: ``query_factor(a) @ reference_factor(b).T``
     is ``||a||^2 + ||b||^2 - 2 a.b`` for every row pair, in one GEMM whose
-    (d + 2)-column factors are small next to the q x t product."""
+    (d + 2)-column factors are small next to the q x t product. ``sq_norms``,
+    when given, are the row norms already computed (``query_factor(b)[:, d]``)."""
     d = b.shape[1]
     out = np.empty((b.shape[0], d + 2))
     np.multiply(b, -2.0, out=out[:, :d])
     out[:, d] = 1.0
-    np.einsum("ij,ij->i", b, b, out=out[:, d + 1])
+    if sq_norms is None:
+        np.einsum("ij,ij->i", b, b, out=out[:, d + 1])
+    else:
+        out[:, d + 1] = sq_norms
     return out
 
 
@@ -70,7 +74,9 @@ def pairwise_sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"column mismatch: a has {a2.shape[1]} columns, b has {b2.shape[1]}"
         )
-    out = query_factor(a2) @ reference_factor(b2).T
+    left = query_factor(a2)
+    right = reference_factor(a2, left[:, -2]) if same_object else reference_factor(b2)
+    out = left @ right.T
     # Cancellation can leave tiny negatives and downstream exp(-d^2) needs
     # d^2 >= 0.
     np.maximum(out, 0.0, out=out)

@@ -10,6 +10,7 @@ best epoch's parameters are restored.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,6 +63,9 @@ class TrainConfig:
             raise ValueError("dwac needs batch_size >= 2 for leave-one-out loss")
         if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
             raise ValueError("batch_size, max_epochs, and patience must be positive")
+        for name in ("sigma", "learning_rate", "dropout_prob"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.sigma <= 0.0 or self.learning_rate <= 0.0:
             raise ValueError("sigma and learning_rate must be > 0")
 

@@ -9,8 +9,13 @@ import pytest
 
 from dataclasses import replace
 
-from dwac_kit import heads, load_model, save_model
-from dwac_kit.cli import FOREIGN_KEYS, SCORING_KEYS, build_config, main, make_parser
+from dwac_kit import heads, load_model, make_blobs, make_rng, predict, save_model
+from dwac_kit.cli import (
+    BLOBS_STREAM, FOREIGN_KEYS, SCORING_KEYS, build_config, main, make_parser,
+)
+from dwac_kit.data import standardize
+from dwac_kit.evaluate import ood_cross_dataset
+from dwac_kit.explain import explain_with_agreement
 
 BLOBS = "blobs:n=200,c=3,d=3,sep=8,seed=0"
 FAST = ["--max-epochs", "30", "--batch-size", "64"]
@@ -91,6 +96,41 @@ def test_train_requires_data_and_out(tmp_path, capsys):
         capsys.readouterr()
         assert run(["train", "--data", BLOBS, "--out", str(tmp_path / "x"), flag, "0"]) == 2
         assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("command", ["train", "ood"])
+def test_non_finite_settings_are_rejected_by_name(tmp_path, capsys, command):
+    # NaN and inf pass a "<= 0" test; they must fail before any training
+    argv = [command, "--data", BLOBS, "--out", str(tmp_path / "x"), *FAST]
+    if command == "ood":
+        argv += ["--held-class", "2"]
+    cfg = tmp_path / "cfg.json"
+    for key in ("sigma", "learning_rate", "dropout"):
+        for value in ("nan", "inf", "-inf"):
+            cfg.write_text(json.dumps({key: float(value)}))  # NaN, Infinity, -Infinity
+            for extra in ([f"--{key.replace('_', '-')}={value}"], ["--config", str(cfg)]):
+                capsys.readouterr()
+                assert run(argv + extra) == 2
+                lines = capsys.readouterr().err.splitlines()
+                assert lines == [f"error: {key} must be finite, got {float(value)!r}"], lines
+    assert not (tmp_path / "x").exists()
+
+
+def test_degenerate_kernel_mass_in_training_is_logged(tmp_path, caplog):
+    # at sigma 1e-300 every kernel weight underflows: dwac scores everything
+    # as uniform, which one WARNING per dwac head and trial says
+    argv = ["train", "--data", "blobs:n=160,c=4,d=4,sep=8,seed=0", "--sigma", "1e-300",
+            "--trials", "2", "--max-epochs", "2", "--batch-size", "32"]
+    with caplog.at_level("INFO", logger="dwac_kit"):
+        assert run(argv + ["--out", str(tmp_path / "a")]) == 0
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert warnings == [
+        f"head=dwac trial={t}: at sigma=1e-300 the kernel mass underflowed to zero for "
+        "32 of 32 test and 32 of 32 calibration rows, scored as uniform" for t in (0, 1)]
+    # the warning goes to the log only: the outputs match a rerun's byte for byte
+    assert run(argv + ["--out", str(tmp_path / "b")]) == 0
+    for path in (tmp_path / "a").iterdir():
+        assert path.read_bytes() == (tmp_path / "b" / path.name).read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +398,81 @@ def test_degenerate_rows_are_logged(trained_dir, tmp_path, caplog):
                     "--measure", "neg_prob", "--out", str(tmp_path / "c")]) == 0
     assert "wrote 200 predictions (200 degenerate)" in caplog.text
     assert "degenerate=200" in caplog.text
+
+
+def _records(path, key):
+    """The records of a JSON output, checked to sit one per line between the
+    opening line and the closing provenance line."""
+    lines = path.read_text().splitlines()
+    dict_of_records = lines[0] == f'{{"{key}": {{'
+    assert dict_of_records or lines[0] == f'{{"{key}": ['
+    assert lines[-2] == ("}," if dict_of_records else "],")
+    assert lines[-1].startswith('"provenance": {') and lines[-1].endswith("}}")
+    body = [line.removesuffix(",") for line in lines[1:-2]]
+    if dict_of_records:
+        return dict(next(iter(json.loads("{" + line + "}").items())) for line in body)
+    return [json.loads(line) for line in body]
+
+
+def test_json_outputs_hold_one_record_per_line(trained_dir, tmp_path):
+    # each file loads as the document the indented writer used to build
+    model = str(trained_dir / "model_dwac_trial0.json")
+    artifact = load_model(model)
+    foreign_spec = "blobs:n=30,c=3,d=3,sep=8,seed=9"
+    blobs = [standardize(make_blobs(n, 3, 3, 8.0, make_rng(seed, BLOBS_STREAM)), artifact.stats)
+             for n, seed in ((200, 0), (30, 9))]
+    preds = predict(artifact.model, blobs[0].x, train=artifact.embedded, sigma=artifact.sigma)
+    explanations, _ = explain_with_agreement(blobs[0].x, artifact.model, artifact.embedded,
+                                             k=10, k_list=(1, 5, 10, 100), sigma=artifact.sigma)
+    expected = {
+        "predictions.json": {
+            "provenance": {"command": "predict", "data": BLOBS, "seed": 0},
+            "predictions": [{"index": i, "predicted": int(preds.predicted[i]),
+                             "probs": [float(p) for p in preds.probs[i]]}
+                            for i in range(len(preds))]},
+        "explanations.json": {
+            "provenance": {"command": "explain", "data": BLOBS, "seed": 0, "k": 10,
+                           "k_list": [1, 5, 10, 100]},
+            "explanations": [e.to_json_dict() for e in explanations]},
+        "ood_summary.json": {
+            "provenance": {"command": "ood", "data": BLOBS, "foreign": foreign_spec,
+                           "measure": "both", "seed": 0},
+            "combinations": {}},
+    }
+    for measure in ("neg_prob", "neg_weight_sum"):
+        report = ood_cross_dataset(artifact.model, artifact.embedded,
+                                   artifact.calibrations[measure], measure, *blobs,
+                                   sigma=artifact.sigma)
+        expected["ood_summary.json"]["combinations"][f"dwac/{measure}"] = {
+            "in_domain_mean": report.in_mean, "out_of_domain_mean": report.out_mean,
+            "in_domain_n": int(report.in_domain.size),
+            "out_of_domain_n": int(report.out_of_domain.size)}
+    scoring = ["--data", BLOBS, "--model", model, "--out", str(tmp_path)]
+    assert run(["predict", *scoring]) == 0
+    assert run(["explain", *scoring]) == 0
+    assert run(["ood", "--foreign", foreign_spec, *scoring]) == 0
+    for name, doc in expected.items():
+        path = tmp_path / name
+        assert json.loads(path.read_text()) == doc
+        key = next(k for k in doc if k != "provenance")
+        assert _records(path, key) == doc[key]
+
+
+def test_values_too_large_to_compute_with_are_one_error_line(trained_dir, tmp_path, capsys):
+    # finite parameters and embeddings whose products overflow: numpy would
+    # warn and write NaN probabilities; the CLI stops with one error line
+    artifact = load_model(str(trained_dir / "model_dwac_trial0.json"))
+    artifact.model.weights[-1] *= 1e200
+    artifact.model.biases[-1] *= 1e200
+    huge = replace(artifact.embedded, h=artifact.embedded.h * 1e200)
+    model = tmp_path / "huge.json"
+    save_model(replace(artifact, embedded=huge), str(model))
+    capsys.readouterr()
+    assert run(["predict", "--data", BLOBS, "--model", str(model),
+                "--out", str(tmp_path / "p")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: overflow encountered in "), lines
+    assert not (tmp_path / "p" / "predictions.json").exists()
 
 
 def test_ood_needs_a_protocol(tmp_path):
