@@ -122,6 +122,8 @@ class RunConfig:
         for name in ("sigma", "learning_rate", "dropout"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if not all(map(math.isfinite, self.fractions)):
+            raise ValueError(f"fractions must be finite, got {list(self.fractions)!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if any(not 0.0 <= e <= 1.0 for e in self.epsilons):

@@ -598,8 +598,21 @@ def load_model(path: str) -> ModelArtifact:
             biases=[_decode_array(b, 1, f"biases[{i}]") for i, b in enumerate(doc["biases"])],
             head=doc["head"],
         )
+        num_classes = int(doc["num_classes"])
+        schema = Schema.from_json_dict(doc["schema"]) if doc["schema"] else None
+        # Each kernel block holds rows x num_classes sums: bound the count by
+        # what training can have given before anything is sized by it.
+        if model.head != DWAC and num_classes != spec.output_dim:
+            raise ValueError(f"num_classes is {num_classes}, softmax outputs {spec.output_dim}")
+        if schema is not None and num_classes != schema.num_classes:
+            raise ValueError(f"num_classes is {num_classes}, schema labels {schema.num_classes}")
+        if schema is None and num_classes > spec.input_dim + 1:
+            raise ValueError(f"num_classes is {num_classes}, over layer_sizes[0] + 1 = "
+                             f"{spec.input_dim + 1}, the most blobs of that width hold")
         embedded = None
         if doc["embedded"] is not None:
+            if doc["embedded"]["num_classes"] != num_classes:
+                raise ValueError(f"embedded.num_classes is not num_classes ({num_classes})")
             h = _decode_array(doc["embedded"]["h"], 2, "embedded.h")
             if h.shape[1] != spec.output_dim:
                 raise ValueError(f"embedded.h has {h.shape[1]} columns, "
@@ -610,16 +623,15 @@ def load_model(path: str) -> ModelArtifact:
             embedded = EmbeddedTrainingSet(
                 h=h,
                 labels=np.array(labels, dtype=np.int64),
-                num_classes=int(doc["embedded"]["num_classes"]),
+                num_classes=num_classes,
             )
-        schema = Schema.from_json_dict(doc["schema"]) if doc["schema"] else None
         sigma = float(doc["sigma"])
         if not (math.isfinite(sigma) and sigma > 0.0):
             raise ValueError(f"sigma must be finite and > 0, got {sigma}")
         return ModelArtifact(
             model=model,
             sigma=sigma,
-            num_classes=int(doc["num_classes"]),
+            num_classes=num_classes,
             schema=schema,
             stats=_decode_stats(doc["stats"], schema) if doc["stats"] else None,
             embedded=embedded,

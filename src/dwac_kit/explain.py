@@ -205,16 +205,17 @@ def explain_with_agreement(
         raise ValueError("agreement of an empty test set is undefined")
     short = sorted({kk for kk in k_list if kk < t})
     depth = t if k is None else max([k, *short])
-    hits = dict.fromkeys(short, 0)
-    explanations = []
-    for rows, w, sums in kernel_blocks(h, train, sigma):
+    explanations: list[Explanation] = [None] * n
+    agree = np.zeros((len(short), n), dtype=bool)
+
+    def visit(rows: slice, w: np.ndarray, sums: np.ndarray) -> None:
         top = [_top_positions(row, train.order, depth) for row in w]
-        explanations.extend(
+        explanations[rows] = [
             _explain_row(w[i], sums[i], top[i][:k], train, rows.start + i)
             for i in range(w.shape[0])
-        )
+        ]
         if not short:
-            continue
+            return
         ranked = np.stack([p[: short[-1]] for p in top])
         top_w = np.take_along_axis(w, ranked, axis=1)
         top_labels = train.labels[train.order[ranked]]
@@ -222,9 +223,12 @@ def explain_with_agreement(
         masses = np.zeros((ranked.shape[0], train.num_classes))
         full_argmax = sums.argmax(axis=1)
         done = 0
-        for kk in short:
+        for j, kk in enumerate(short):
             np.add.at(masses, (block, top_labels[:, done:kk]), top_w[:, done:kk])
             done = kk
-            hits[kk] += int(np.count_nonzero(masses.argmax(axis=1) == full_argmax))
+            agree[j, rows] = masses.argmax(axis=1) == full_argmax
+
+    kernel_blocks(h, train, visit, sigma)
+    hits = dict(zip(short, np.count_nonzero(agree, axis=1).tolist()))
     table = [(kk, hits[kk] / n if kk < t else 1.0) for kk in k_list]
     return explanations, table

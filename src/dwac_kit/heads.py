@@ -16,7 +16,10 @@ each instance's probability is estimated from the *other* batch members
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import contextvars
+import os
+import threading
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +33,10 @@ PROB_FLOOR = 1e-12
 # and a block small enough for a core's L2 cache stays there through the
 # product, clamp, scale, exp and class sums.
 BLOCK_ENTRIES = 1 << 17
+# Fewest blocks a kernel-sum thread runs. On a 2-vCPU VM a helper thread did
+# its first block 1.5-5 ms after the call began, and calls of 15 to 128 blocks
+# made between training steps ran slower on two threads than on one.
+RUN_BLOCKS = 64
 
 
 @dataclass(frozen=True)
@@ -123,18 +130,27 @@ def row_blocks(q: int, t: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
+def usable_cpus() -> int:
+    """CPUs in this process's affinity mask; 1 where the OS cannot say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
 def kernel_blocks(
-    h_query: np.ndarray, train: EmbeddedTrainingSet, sigma: float = DEFAULT_SIGMA
-) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
-    """Kernel weights of the queries against the training set, one query-row
-    block at a time: yields ``(rows, w, sums)`` for each block of
-    ``row_blocks``.
+    h_query: np.ndarray, train: EmbeddedTrainingSet, visit: Callable | None,
+    sigma: float = DEFAULT_SIGMA,
+) -> np.ndarray:
+    """The q x c class weight sums of the queries against the training set,
+    one query-row block at a time; ``visit(rows, w, sums)``, if given, sees
+    each block of ``row_blocks`` and may write only to those rows.
 
     ``w[i, j]`` is the weight of query ``rows.start + i`` on training row
-    ``train.order[j]`` (columns are in class-sorted order), and ``sums[i, k]``
-    the total weight of class k. ``w`` lives in one buffer that every block
-    reuses: it is valid until the next block is requested. The arithmetic is
-    that of ``kernel_weights``, and no result depends on the block size.
+    ``train.order[j]`` (columns in class-sorted order), valid during the call.
+    The arithmetic is that of ``kernel_weights``. No result depends on the
+    block size, so none on the thread count: each usable CPU, up to one per
+    ``RUN_BLOCKS`` blocks, runs one contiguous run of blocks in its own
+    buffer, helpers in a copy of the caller's context (and so its
+    ``np.errstate``). The first exception of any thread is raised once all
+    have ended.
     """
     if sigma <= 0.0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
@@ -153,21 +169,46 @@ def kernel_blocks(
     right = np.zeros((d + 2, -(-t // 8) * 8))
     right[:, :t] = reference_factor(train.sorted_h).T
     blocks = row_blocks(q, t)
-    buf = np.empty((max(2, *(b.stop - b.start for b in blocks)), right.shape[1]))
+    runs = max(1, min(usable_cpus(), len(blocks) // RUN_BLOCKS))
+    cuts = [len(blocks) * i // runs for i in range(runs + 1)]
+    height = max(2, *(b.stop - b.start for b in blocks))
     scale = -1.0 / (2.0 * sigma)  # not folded into a factor: that moves the rounding
     bounds = train.bounds
-    for rows in blocks:
-        n = rows.stop - rows.start
-        m = max(n, 2)
-        np.matmul(left[rows.start : rows.start + m], right, out=buf[:m])
-        w = buf[:n, :t]
-        np.maximum(w, 0.0, out=w)
-        w *= scale
-        np.exp(w, out=w)
-        sums = np.empty((n, train.num_classes))
-        for k in range(train.num_classes):
-            np.add.reduce(w[:, bounds[k] : bounds[k + 1]], axis=1, out=sums[:, k])
-        yield rows, w, sums
+    out = np.empty((q, train.num_classes))
+    errors: list[BaseException] = []
+
+    def run(part: list[slice], buf: np.ndarray) -> None:
+        try:
+            for rows in part:
+                n = rows.stop - rows.start
+                m = max(n, 2)
+                np.matmul(left[rows.start : rows.start + m], right, out=buf[:m])
+                w = buf[:n, :t]
+                np.maximum(w, 0.0, out=w)
+                w *= scale
+                np.exp(w, out=w)
+                sums = out[rows]
+                for k in range(train.num_classes):
+                    np.add.reduce(w[:, bounds[k] : bounds[k + 1]], axis=1, out=sums[:, k])
+                if visit is not None:
+                    visit(rows, w, sums)
+        except BaseException as e:
+            errors.append(e)
+
+    # one allocation: buffers freed one by one went back to the OS (glibc) and
+    # were faulted in again on every call
+    bufs = np.empty((runs, height, right.shape[1]))
+    work = [(blocks[i:j], buf) for i, j, buf in zip(cuts, cuts[1:], bufs)]
+    helpers = [threading.Thread(target=contextvars.copy_context().run, args=(run, *job))
+               for job in work[1:]]
+    for th in helpers:
+        th.start()
+    run(*work[0])
+    for th in helpers:
+        th.join()
+    if errors:
+        raise errors[0]
+    return out
 
 
 def dwac_predict(
@@ -178,9 +219,9 @@ def dwac_predict(
     """Predict by kernel-weighted averaging over the embedded training set.
 
     The per-class weight sums come from ``kernel_blocks``, so at most one
-    block of the q x t kernel is held in memory.
+    block of the q x t kernel per thread is held in memory.
     """
-    sums = np.concatenate([s for _, _, s in kernel_blocks(h_query, train, sigma)])
+    sums = kernel_blocks(h_query, train, None, sigma)
     total = sums.sum(axis=1)
     degenerate = total == 0.0
     safe_total = np.where(degenerate, 1.0, total)

@@ -97,8 +97,8 @@ def shuffle_split(
     fractions = list(fractions)
     if not fractions:
         raise ValueError("fractions must be nonempty")
-    if any(f <= 0.0 for f in fractions):
-        raise ValueError("every fraction must be > 0")
+    if not all(f > 0.0 for f in fractions):  # so NaN fails too
+        raise ValueError(f"fractions must each be > 0, got {fractions}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError(f"fractions must sum to 1, got {sum(fractions)}")
     if n < len(fractions):

@@ -17,11 +17,35 @@ import math
 import numpy as np
 
 from dwac_kit import Dataset, FeatureStats, TrainConfig, make_blobs, make_rng, shuffle_split, train
+from dwac_kit import heads
 from dwac_kit.data import ROLE_CONTINUOUS, ROLE_LABEL, standardize_splits
 from dwac_kit.evaluate import SPLIT_STREAM
 from dwac_kit.heads import kernel_weights, softmax_batch_loss
 from dwac_kit.network import DWAC, AdamState, adam_step, backward, forward
 from dwac_kit.trainer import SHUFFLE_STREAM, build_model
+
+# CPU counts the kernel engine is run at in the thread-count tests: serial,
+# the two cores of a small host, an uneven split and more runs than cores.
+CPU_COUNTS = (1, 2, 3, 7)
+
+
+def use_cpus(monkeypatch, n: int) -> None:
+    """Make the kernel engine see ``n`` usable CPUs and give a thread as few as
+    one block, so it runs ``n`` runs of blocks (fewer when there are fewer
+    blocks)."""
+    monkeypatch.setattr(heads, "usable_cpus", lambda: n)
+    monkeypatch.setattr(heads, "RUN_BLOCKS", 1)
+
+
+def kernel_matrix(h_query, train, sigma: float = 0.5) -> np.ndarray:
+    """The whole q x t class-sorted kernel, gathered from ``kernel_blocks``."""
+    out = np.full((len(h_query), len(train)), np.nan)
+
+    def keep(rows, w, sums):
+        out[rows] = w
+
+    heads.kernel_blocks(h_query, train, keep, sigma)
+    return out
 
 
 def pairwise_sq_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:

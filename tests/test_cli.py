@@ -16,6 +16,7 @@ from dwac_kit.cli import (
 from dwac_kit.data import standardize
 from dwac_kit.evaluate import ood_cross_dataset
 from dwac_kit.explain import explain_with_agreement
+from helpers import CPU_COUNTS, use_cpus
 
 BLOBS = "blobs:n=200,c=3,d=3,sep=8,seed=0"
 FAST = ["--max-epochs", "30", "--batch-size", "64"]
@@ -28,6 +29,7 @@ def run(argv):
 def assert_one_error_line(capsys):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    return lines[0]
 
 
 def read_table(path):
@@ -113,6 +115,23 @@ def test_non_finite_settings_are_rejected_by_name(tmp_path, capsys, command):
                 assert run(argv + extra) == 2
                 lines = capsys.readouterr().err.splitlines()
                 assert lines == [f"error: {key} must be finite, got {float(value)!r}"], lines
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "ood"])
+def test_non_finite_fractions_are_rejected_by_name(tmp_path, capsys, command):
+    argv = [command, "--data", BLOBS, "--out", str(tmp_path / "x"), *FAST]
+    if command == "ood":
+        argv += ["--held-class", "2"]
+    cfg = tmp_path / "cfg.json"
+    for value in ("nan", "inf", "-inf"):
+        for fractions in ([value, "0.5", "0.5"], ["0.5", "0.5", value]):
+            cfg.write_text(json.dumps({"fractions": [float(f) for f in fractions]}))
+            for extra in (["--fractions=" + ",".join(fractions)], ["--config", str(cfg)]):
+                capsys.readouterr()
+                assert run(argv + extra) == 2
+                line = assert_one_error_line(capsys)
+                assert line.startswith("error: fractions must be finite"), line
     assert not (tmp_path / "x").exists()
 
 
@@ -365,15 +384,19 @@ def test_ood_foreign_refuses_training_settings(trained_dir, tmp_path, capsys):
 
 
 def test_explain_runs_the_kernel_once_per_query_block(trained_dir, tmp_path, monkeypatch):
-    # 200 queries against 120 reference rows, 16 rows per block
+    # 200 queries against 120 reference rows, 16 rows per block, two threads
     monkeypatch.setattr(heads, "BLOCK_ENTRIES", 120 * 16)
+    use_cpus(monkeypatch, 2)
     calls, blocks = [], []
 
-    def counted(h_query, train, sigma):
+    def counted(h_query, train, visit, sigma):
         calls.append(len(h_query))
-        for block in heads.kernel_blocks(h_query, train, sigma):
-            blocks.append(block[0])
-            yield block
+
+        def seen(rows, w, sums):
+            blocks.append(rows)
+            visit(rows, w, sums)
+
+        heads.kernel_blocks(h_query, train, seen, sigma)
 
     # the package exports a function named explain, which hides the module
     monkeypatch.setattr(importlib.import_module("dwac_kit.explain"), "kernel_blocks", counted)
@@ -382,7 +405,26 @@ def test_explain_runs_the_kernel_once_per_query_block(trained_dir, tmp_path, mon
     assert run(["explain", "--data", BLOBS, "--model", str(model),
                 "--out", str(tmp_path / "e")]) == 0
     assert calls == [200]
+    # threads visit their runs of blocks side by side, so in no fixed order
+    blocks.sort(key=lambda rows: rows.start)
     assert blocks == heads.row_blocks(200, 120) and len(blocks) == 13
+
+
+def test_scoring_outputs_do_not_depend_on_the_thread_count(trained_dir, tmp_path, monkeypatch):
+    # 16-row blocks: 13 blocks for the 200 queries against 120 reference rows
+    monkeypatch.setattr(heads, "BLOCK_ENTRIES", 120 * 16)
+    model = str(trained_dir / "model_dwac_trial0.json")
+    outputs = []
+    for n in CPU_COUNTS:
+        use_cpus(monkeypatch, n)
+        out = tmp_path / f"cpus{n}"
+        for command in ("predict", "conformal", "explain"):
+            assert run([command, "--data", BLOBS, "--model", model,
+                        "--out", str(out / command)]) == 0
+        outputs.append({str(p.relative_to(out)): p.read_bytes()
+                        for p in sorted(out.rglob("*")) if p.is_file()})
+    assert len(outputs[0]) == 7  # predictions, 2 x 2 conformal grids, explanations, agreement
+    assert all(other == outputs[0] for other in outputs[1:])
 
 
 def test_degenerate_rows_are_logged(trained_dir, tmp_path, caplog):
@@ -523,6 +565,38 @@ def test_schema_without_columns_is_an_error(tmp_path, capsys):
     assert run(["train", "--data", str(data), "--schema", str(schema),
                 "--out", str(tmp_path / "x")]) == 2
     assert_one_error_line(capsys)
+
+
+SCHEMA_2 = {"columns": [{"name": "y", "role": "label"}, {"name": "a", "role": "continuous"}],
+            "label_values": ["p", "q"]}
+
+
+@pytest.mark.parametrize("head, edit, message", [
+    # the blobs model has 3 inputs, 3 classes and a 2-wide embedding
+    ("dwac", {"embedded.num_classes": 10_000_000_000_000}, "embedded.num_classes is not"),
+    ("dwac", {"num_classes": 10_000_000_000_000, "embedded.num_classes": 10_000_000_000_000},
+     "over layer_sizes[0] + 1 = 4"),
+    ("dwac", {"schema": SCHEMA_2}, "schema labels 2"),
+    ("softmax", {"num_classes": 2}, "softmax outputs 3"),
+])
+def test_artifact_class_counts_are_checked_before_use(trained_dir, tmp_path, capsys,
+                                                      head, edit, message):
+    # a class count no training run could give would size every kernel
+    # block's class sums, and a large one ended in a MemoryError traceback
+    doc = json.loads((trained_dir / f"model_{head}_trial0.json").read_text())
+    for key, value in edit.items():
+        *parents, leaf = key.split(".")
+        target = doc
+        for parent in parents:
+            target = target[parent]
+        target[leaf] = value
+    model = tmp_path / "edited.json"
+    model.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["predict", "--data", BLOBS, "--model", str(model),
+                "--out", str(tmp_path / "p")]) == 2
+    line = assert_one_error_line(capsys)
+    assert str(model) in line and message in line, line
 
 
 def test_model_file_that_is_not_an_object(tmp_path, capsys):

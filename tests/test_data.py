@@ -308,12 +308,14 @@ def test_artifact_round_trip_is_bit_identical(tmp_path, dwac_run):
 
 
 def test_artifact_preserves_schema(tmp_path, softmax_run):
+    # the schema's label values must match the model's three classes
     result, proper, *_ = softmax_run
+    schema = Schema(columns=SCHEMA.columns, label_values=("cat", "dog", "eel"))
     artifact = ModelArtifact(model=result.model, sigma=0.5,
-                             num_classes=proper.num_classes, schema=SCHEMA)
+                             num_classes=proper.num_classes, schema=schema)
     path = tmp_path / "m.json"
     save_model(artifact, str(path))
-    assert load_model(str(path)).schema == SCHEMA
+    assert load_model(str(path)).schema == schema
 
 
 def test_artifact_rejects_wrong_version(tmp_path, dwac_run):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from dwac_kit.heads import EmbeddedTrainingSet, kernel_weights
 from dwac_kit.linalg import make_rng
 from dwac_kit.network import DWAC, SOFTMAX, EmbeddingModel, MlpSpec
 from dwac_kit.trainer import predict
-from helpers import agreement_oracle
+from helpers import CPU_COUNTS, agreement_oracle, kernel_matrix, use_cpus
 
 
 def identity_model(d: int) -> EmbeddingModel:
@@ -237,11 +239,38 @@ def test_explanations_and_agreement_do_not_depend_on_the_block_size(monkeypatch)
     assert all(run == runs[0] for run in runs[1:])
     # entries are each row's heaviest weights by weight, then training index
     weights = np.empty((60, t))
-    for rows, w, _ in heads.kernel_blocks(x, train):
-        weights[rows][:, train.order] = w
+    weights[:, train.order] = kernel_matrix(x, train)
     assert np.allclose(weights, kernel_weights(x, h), rtol=1e-12, atol=0.0)
     for i, (doc, _) in enumerate(runs[0][0]):
         ranked = sorted(range(t), key=lambda j: (-weights[i, j], j))[:25]
         assert [e["index"] for e in doc["entries"]] == ranked
         assert [e["weight"] for e in doc["entries"]] == list(weights[i, ranked])
     assert runs[0][1] == agreement_oracle(weights, train.labels, c, (1, 4, 30, 200, t))
+
+
+def test_explanations_and_agreement_do_not_depend_on_the_thread_count(monkeypatch):
+    # tied grid weights as above; 7-row blocks give 9 blocks for 60 queries, and
+    # k_list holds k values at and beyond t
+    rng = make_rng(29)
+    t, c = 1_001, 3
+    h = 0.37 * rng.integers(-3, 4, size=(t, 2))
+    train = EmbeddedTrainingSet(h=h, labels=rng.integers(0, c, size=t), num_classes=c)
+    x = 0.37 * rng.integers(-4, 5, size=(60, 2))
+    monkeypatch.setattr(heads, "BLOCK_ENTRIES", 7 * t)
+    runs = []
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # threads interleave inside visit, where they share lists
+    try:
+        for n in CPU_COUNTS:
+            use_cpus(monkeypatch, n)
+            for k in (None, 3):
+                explanations, table = explain_with_agreement(
+                    x, identity_model(2), train, k=k, k_list=(1, 4, 30, t, t + 5))
+                runs.append((k, table, [(e.to_json_dict(), e.total_weight,
+                                         e.cumulative_weight.tolist()) for e in explanations]))
+    finally:
+        sys.setswitchinterval(switch)
+    assert [e["query_id"] for e, _, _ in runs[0][2]] == list(range(60))
+    assert len(runs[0][2][0][0]["entries"]) == t
+    for i, run in enumerate(runs[2:]):
+        assert run == runs[i % 2]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import threading
 import tracemalloc
 
 from dwac_kit import heads
@@ -21,10 +22,13 @@ from dwac_kit.heads import (
 )
 from dwac_kit.linalg import make_rng
 from helpers import (
+    CPU_COUNTS,
     class_weight_sums_oracle,
     dwac_batch_loss_oracle,
     dwac_predict_oracle,
+    kernel_matrix,
     loo_loss_oracle,
+    use_cpus,
 )
 
 
@@ -122,7 +126,7 @@ def test_kernel_blocks_ignore_the_block_size_at_any_reference_size(monkeypatch):
     runs = []
     for rows in (1, 3, 13, 104, 300):
         monkeypatch.setattr(heads, "BLOCK_ENTRIES", rows * 2_003)
-        runs.append(np.vstack([w.copy() for _, w, _ in kernel_blocks(q, train)]))
+        runs.append(kernel_matrix(q, train))
     for other in runs[1:]:
         assert np.array_equal(other, runs[0])
 
@@ -133,12 +137,15 @@ def test_engine_entries_equal_kernel_weights(sigma):
     train = random_train(17, t=3_000, d=3, c=3)
     q = make_rng(18).standard_normal((100, 3))
     one_shot = kernel_weights(q, train.h, sigma)[:, train.order]
-    covered = 0
-    for rows, w, sums in kernel_blocks(q, train, sigma):
+    covered = []
+
+    def check(rows, w, sums):
         assert np.array_equal(w, one_shot[rows])
         assert sums.shape == (rows.stop - rows.start, 3)
-        covered += w.shape[0]
-    assert covered == 100
+        covered.append(w.shape[0])
+
+    kernel_blocks(q, train, check, sigma)
+    assert sum(covered) == 100
 
 
 def test_single_row_blocks_above_the_block_size():
@@ -153,6 +160,105 @@ def test_single_row_blocks_above_the_block_size():
     one_shot = kernel_weights(q, train.h) @ np.eye(train.num_classes)[train.labels]
     assert np.allclose(preds.weight_sums, one_shot, rtol=1e-12, atol=0.0)
     assert np.array_equal(preds.predicted, one_shot.argmax(axis=1))
+
+
+def test_results_do_not_depend_on_the_thread_count(monkeypatch):
+    # 13-row blocks: 24 blocks for 300 queries, cut into 1, 2, 3 and 7 runs of
+    # unequal length. t is a multiple of 8, so the one-shot kernel below meets
+    # no partial tile of columns and matches the engine bit for bit.
+    train = random_train(21, t=2_000, d=3, c=3)
+    q = make_rng(22).standard_normal((300, 3))
+    monkeypatch.setattr(heads, "BLOCK_ENTRIES", 13 * 2_000)
+    one_shot = kernel_weights(q, train.h)[:, train.order]
+    runs = []
+    for n in CPU_COUNTS:
+        use_cpus(monkeypatch, n)
+        threads = set()
+        kernel_blocks(q, train, lambda rows, w, sums: threads.add(threading.current_thread()))
+        assert len(threads) == n
+        assert np.array_equal(kernel_matrix(q, train), one_shot)
+        runs.append(dwac_predict(q, train))
+    for other in runs[1:]:
+        assert np.array_equal(other.weight_sums, runs[0].weight_sums)
+        assert np.array_equal(other.probs, runs[0].probs)
+
+
+def test_never_more_threads_than_blocks(monkeypatch):
+    train = random_train(23, t=50, d=2, c=2)
+    use_cpus(monkeypatch, 7)
+    for q in (0, 1, 5):
+        threads, blocks = set(), []
+
+        def visit(rows, w, sums):
+            threads.add(threading.current_thread())
+            blocks.append(rows)
+
+        kernel_blocks(np.zeros((q, 2)), train, visit)
+        assert threads == {threading.current_thread()} and blocks == row_blocks(q, 50)
+    assert dwac_predict(np.zeros((0, 2)), train).weight_sums.shape == (0, 2)
+
+
+def test_a_thread_runs_at_least_run_blocks(monkeypatch):
+    # the default threshold: a helper thread only for RUN_BLOCKS blocks or more
+    train = random_train(28, t=100, d=2, c=2)
+    monkeypatch.setattr(heads, "BLOCK_ENTRIES", 100)
+    monkeypatch.setattr(heads, "usable_cpus", lambda: 3)
+    runs = heads.RUN_BLOCKS
+    for q, expected in ((2 * runs - 1, 1), (2 * runs, 2), (5 * runs, 3)):
+        threads = set()
+
+        def visit(rows, w, sums):
+            threads.add(threading.current_thread())
+
+        kernel_blocks(np.zeros((q, 2)), train, visit)
+        assert len(threads) == expected
+
+
+def test_an_error_in_a_helper_thread_is_raised_in_the_caller(monkeypatch):
+    train = random_train(24, t=100, d=2, c=2)
+    q = make_rng(25).standard_normal((60, 2))
+    monkeypatch.setattr(heads, "BLOCK_ENTRIES", 5 * 100)
+    use_cpus(monkeypatch, 3)
+    baseline = threading.active_count()
+    caller = threading.get_ident()
+
+    def visit(rows, w, sums):
+        if threading.get_ident() != caller and rows.start >= 40:
+            raise KeyError(rows.start)
+
+    with pytest.raises(KeyError, match="40"):
+        kernel_blocks(q, train, visit)
+    assert threading.active_count() == baseline
+
+    def fail_in_caller(rows, w, sums):
+        if threading.get_ident() == caller:
+            raise ZeroDivisionError
+
+    with pytest.raises(ZeroDivisionError):
+        kernel_blocks(q, train, fail_in_caller)
+    assert threading.active_count() == baseline
+
+
+def test_every_thread_keeps_the_callers_errstate(monkeypatch):
+    train = random_train(26, t=100, d=2, c=2)
+    q = make_rng(27).standard_normal((60, 2))
+    monkeypatch.setattr(heads, "BLOCK_ENTRIES", 5 * 100)
+    use_cpus(monkeypatch, 3)
+    seen = {}
+
+    def visit(rows, w, sums):
+        seen[threading.current_thread()] = np.geterr()
+
+    for state in ({"over": "raise", "invalid": "raise", "divide": "raise", "under": "ignore"},
+                  {"over": "ignore", "invalid": "warn", "divide": "call", "under": "print"}):
+        seen.clear()
+        with np.errstate(**state):
+            expected = np.geterr()
+            kernel_blocks(q, train, visit)
+        assert len(seen) == 3 and all(s == expected for s in seen.values())
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            kernel_blocks(q, train, lambda rows, w, sums: np.float64(1e300) * 1e300)
 
 
 def test_dwac_predict_memory_is_one_block():

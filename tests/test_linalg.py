@@ -115,6 +115,11 @@ def test_shuffle_split_rejects_bad_fractions():
         shuffle_split(10, (), rng)
     with pytest.raises(ValueError):
         shuffle_split(2, (0.5, 0.3, 0.2), rng)
+    # NaN passes both "f <= 0" and "abs(sum - 1) > tol"; inf fails the sum
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        for fractions in ((bad, 0.5, 0.5), (0.5, 0.5, bad)):
+            with pytest.raises(ValueError, match="fractions"):
+                shuffle_split(10, fractions, rng)
 
 
 def test_shuffle_split_deterministic():
