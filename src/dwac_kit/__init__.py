@@ -28,7 +28,6 @@ from .data import (
     FeatureStats,
     ModelArtifact,
     Schema,
-    load_csv,
     load_model,
     make_blobs,
     save_model,
@@ -41,13 +40,7 @@ from .evaluate import (
     ood_cross_dataset,
     ood_holdout_class_multi,
 )
-from .explain import (
-    Explanation,
-    agreement_at_k,
-    explain,
-    explain_many,
-    explain_with_agreement,
-)
+from .explain import Explanation, agreement_at_k, explain_many, explain_with_agreement
 from .heads import (
     DEFAULT_SIGMA,
     EmbeddedTrainingSet,
@@ -70,7 +63,7 @@ from .network import (
     forward,
     init_model,
 )
-from .trainer import TrainConfig, TrainResult, embed_training_set, predict, train
+from .trainer import TrainConfig, TrainResult, embed_training_set, predict, train, train_many
 
 __version__ = "0.1.0"
 
@@ -110,13 +103,11 @@ __all__ = [
     "dwac_batch_loss",
     "dwac_predict",
     "embed_training_set",
-    "explain",
     "explain_many",
     "explain_with_agreement",
     "forward",
     "init_model",
     "kernel_weights",
-    "load_csv",
     "load_model",
     "make_blobs",
     "make_rng",
@@ -131,4 +122,5 @@ __all__ = [
     "softmax_batch_loss",
     "softmax_predict",
     "train",
+    "train_many",
 ]

@@ -61,7 +61,7 @@ from .explain import explain_with_agreement
 from .heads import Predictions
 from .linalg import make_rng
 from .network import DWAC, SOFTMAX
-from .trainer import TrainConfig, predict, train
+from .trainer import TrainConfig, predict, train_many
 
 log = logging.getLogger("dwac_kit")
 
@@ -441,8 +441,9 @@ def cmd_train(cfg: RunConfig) -> int:
             log.warning("trial %d: the test split has %d rows, fewer than the %d classes; "
                         "its accuracy and calibration error say little",
                         trial, len(test), proper.num_classes)
-        for head in heads:
-            result = train(proper, calib_set, _train_config(cfg, head, seed))
+        results = train_many([(proper, calib_set, _train_config(cfg, head, seed))
+                              for head in heads])
+        for head, result in zip(heads, results):
             preds = predict(result.model, test.x, train=result.embedded, sigma=cfg.sigma)
             acc = accuracy(preds, test.y)
             mae = calibration_mae(preds.probs, test.y).mae
@@ -593,11 +594,11 @@ def cmd_ood(cfg: RunConfig) -> int:
             raise ValueError(f"{cfg.data}: hold-out ood needs labels")
         # one split and encoding, shared by every head
         splits = trial_splits(raw, cfg.seed, cfg.fractions, held_class=cfg.held_class)
-        for head in _heads(cfg):
-            measures = _measures_for(head, cfg.measure)
-            per_measure = ood_holdout_class_multi(
-                splits, _train_config(cfg, head, cfg.seed), measures
-            )
+        measures = {head: _measures_for(head, cfg.measure) for head in _heads(cfg)}
+        results = train_many([(*splits[:2], _train_config(cfg, head, cfg.seed))
+                              for head in measures])
+        for (head, head_measures), result in zip(measures.items(), results):
+            per_measure = ood_holdout_class_multi(splits, result, head_measures, cfg.sigma)
             for measure, report in per_measure.items():
                 reports[f"{head}/{measure}"] = report
     elif cfg.foreign is not None:

@@ -357,18 +357,6 @@ def encode_rows(
     )
 
 
-def load_csv(path: str, schema: Schema, stats: FeatureStats | None = None) -> Dataset:
-    """Load and encode a CSV; fits stats on the file itself when none given.
-
-    Pass the stats of the training dataset when loading calibration, test,
-    or prediction data so normalization comes from the training split only.
-    """
-    table, has_labels = read_csv_rows(path, schema)
-    if stats is None:
-        stats = fit_stats(table, schema)
-    return encode_rows(table, schema, stats, has_labels=has_labels)
-
-
 def standardize(dataset: Dataset, stats: FeatureStats | None = None) -> Dataset:
     """Z-score every feature column; fits moments on ``dataset`` when no
     stats are given. Used for synthetic data, whose raw features bypass the

@@ -20,7 +20,7 @@ from .data import CsvData, Dataset, encode_rows, fit_stats, label_codes, standar
 from .heads import DEFAULT_SIGMA, EmbeddedTrainingSet, Predictions
 from .linalg import make_rng, shuffle_split
 from .network import DWAC, EmbeddingModel
-from .trainer import TrainConfig, predict, train
+from .trainer import TrainResult, predict
 
 SPLIT_STREAM = 2
 HIST_BINS = 20
@@ -50,10 +50,6 @@ class CalibrationBin:
 class CalibrationMae:
     bins: list[CalibrationBin]
     mae: float
-
-    @property
-    def bin_count(self) -> int:
-        return len(self.bins)
 
 
 def calibration_mae(probs: np.ndarray, labels: np.ndarray, per_bin: int = 100) -> CalibrationMae:
@@ -228,24 +224,23 @@ def trial_splits(
 
 def ood_holdout_class_multi(
     splits: tuple[Dataset, Dataset, Dataset, Dataset],
-    config: TrainConfig,
+    result: TrainResult,
     measures: list[str],
+    sigma: float = DEFAULT_SIGMA,
 ) -> dict[str, OodReport]:
-    """Hold-out protocol scored under several measures with one training run.
+    """Hold-out protocol scored under several measures.
 
     ``splits`` are the proper, calibration, test and held-out sets that
     :func:`trial_splits` makes with ``held_class``, so every head of a study
-    can share one split. The model is trained and conformally calibrated,
-    and credibility is scored for the in-domain test split and every
-    held-out instance.
+    can share one split, and ``result`` is a model trained on the first two.
+    It is conformally calibrated, and credibility is scored for the
+    in-domain test split and every held-out instance.
     """
     if not measures:
         raise ValueError("need at least one nonconformity measure")
-    proper, calib, test, held = splits
-
-    result = train(proper, calib, config)
-    in_preds = predict(result.model, test.x, train=result.embedded, sigma=config.sigma)
-    out_preds = predict(result.model, held.x, train=result.embedded, sigma=config.sigma)
+    _, calib, test, held = splits
+    in_preds = predict(result.model, test.x, train=result.embedded, sigma=sigma)
+    out_preds = predict(result.model, held.x, train=result.embedded, sigma=sigma)
 
     reports = {}
     for measure in measures:

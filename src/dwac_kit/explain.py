@@ -11,7 +11,7 @@ what justifies showing users only a short prefix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,13 +46,6 @@ class Explanation:
     cumulative_weight: np.ndarray
     decisive_prefix: int
     total_weight: float
-
-    def class_weights(self, num_classes: int) -> np.ndarray:
-        """Per-class weight mass reconstructed from the entries."""
-        masses = np.zeros(num_classes)
-        for e in self.entries:
-            masses[e.label] += e.weight
-        return masses
 
     def to_json_dict(self) -> dict:
         return {
@@ -122,28 +115,6 @@ def _explain_row(
         decisive_prefix=_decisive_prefix(entry_labels, entry_weights, total, train.num_classes),
         total_weight=total,
     )
-
-
-def explain(
-    x: np.ndarray,
-    model: EmbeddingModel,
-    train: EmbeddedTrainingSet,
-    k: int | None = None,
-    sigma: float = DEFAULT_SIGMA,
-    query_id: int = 0,
-) -> Explanation:
-    """Explain a single prediction; ``x`` is one encoded feature row.
-
-    ``k`` truncates the ranked list to the k heaviest neighbors (None
-    keeps all of them); the decisive prefix still accounts for the exact
-    truncated mass.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
-    if x.shape[0] != 1:
-        raise ValueError("explain takes one instance; use explain_many for batches")
-    return replace(explain_many(x, model, train, k=k, sigma=sigma)[0], query_id=query_id)
 
 
 def explain_many(

@@ -5,16 +5,21 @@ parameter init, a second drives epoch shuffling and dropout masks, so
 rerunning a config reproduces the parameter trajectory bitwise.
 Validation runs after every epoch; when calibration
 accuracy fails to improve for ``patience`` epochs the loop stops and the
-best epoch's parameters are restored.
+best epoch's parameters are restored. ``train_many`` trains independent
+models side by side, in forked processes on the other usable CPUs.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import heads
 from .data import Dataset
 from .heads import (
     DEFAULT_SIGMA,
@@ -230,3 +235,68 @@ def train(proper: Dataset, calibration: Dataset, config: TrainConfig) -> TrainRe
         best_calib_accuracy=float(best_acc) if validate else float("nan"),
         stopped_early=stopped_early,
     )
+
+
+def train_many(jobs: list[tuple[Dataset, Dataset, TrainConfig]]) -> list[TrainResult]:
+    """``[train(*job) for job in jobs]``, trained side by side.
+
+    The caller trains the last job. Up to one child per other usable CPU,
+    forked so it inherits the data, trains a contiguous run of the rest and
+    pipes back only its pickled results, so none depends on the process
+    count. The first failed job's exception is raised, and no child outlives
+    the call. One job, one CPU or no ``os.fork`` is a serial loop.
+    """
+    runs = max(0, min(heads.usable_cpus(), len(jobs)) - 1) if hasattr(os, "fork") else 0
+    cuts = [(len(jobs) - 1) * i // max(runs, 1) for i in range(runs + 1)]
+    children: dict[int, int] = {}  # pid -> read end of its pipe, until reaped
+    try:
+        for a, b in zip(cuts, cuts[1:]):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _child(jobs[a:b], write)
+            os.close(write)
+            children[pid] = read
+        outcomes = [_outcome(jobs[cuts[-1]:])]
+        for pid, read in list(children.items()):
+            with open(read, "rb", closefd=False) as f:
+                payload = f.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            os.close(children.pop(pid))
+            outcomes.insert(-1, pickle.loads(payload) if payload else RuntimeError(
+                f"a training process ended without a result (exit code {code})"))
+        for outcome in outcomes:
+            if isinstance(outcome, Exception):
+                raise outcome
+        return [result for outcome in outcomes for result in outcome]
+    finally:
+        for pid, read in children.items():  # left only by an error: end them
+            os.close(read)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _outcome(jobs: list[tuple]) -> list[TrainResult] | Exception:
+    """The results of ``jobs`` trained in order, or the exception that ended it."""
+    try:
+        return [train(*job) for job in jobs]
+    except Exception as e:
+        return e
+
+
+def _child(jobs: list[tuple], write: int) -> None:
+    """Train ``jobs`` in a forked child and pipe back the pickled outcome.
+    The process ends here on every path, so it never runs the caller's code."""
+    try:
+        with open(write, "wb") as f:
+            try:
+                f.write(pickle.dumps(_outcome(jobs)))
+            except Exception as e:  # an outcome that does not pickle
+                f.write(pickle.dumps(RuntimeError(f"cannot send a training result: {e}")))
+    finally:
+        os._exit(0)

@@ -12,13 +12,23 @@ must match bit for bit.
 from __future__ import annotations
 
 import csv
+import json
 import math
 
 import numpy as np
 
 from dwac_kit import Dataset, FeatureStats, TrainConfig, make_blobs, make_rng, shuffle_split, train
 from dwac_kit import heads
-from dwac_kit.data import ROLE_CONTINUOUS, ROLE_LABEL, standardize_splits
+from dwac_kit.data import (
+    ROLE_CONTINUOUS,
+    ROLE_LABEL,
+    Schema,
+    encode_rows,
+    fit_stats,
+    read_csv_rows,
+    standardize_splits,
+)
+from dwac_kit.explain import Explanation, explain_many
 from dwac_kit.evaluate import SPLIT_STREAM
 from dwac_kit.heads import kernel_weights, softmax_batch_loss
 from dwac_kit.network import DWAC, AdamState, adam_step, backward, forward
@@ -35,6 +45,57 @@ def use_cpus(monkeypatch, n: int) -> None:
     blocks)."""
     monkeypatch.setattr(heads, "usable_cpus", lambda: n)
     monkeypatch.setattr(heads, "RUN_BLOCKS", 1)
+
+
+def assert_one_error_line(capsys):
+    """stderr holds exactly one line, an ``error:`` line; returns it."""
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    return lines[0]
+
+
+def write_csv_data(tmp_path):
+    """A 150-row, three-class CSV (one continuous and one categorical
+    feature) and its schema, written under ``tmp_path``."""
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps({
+        "columns": [{"name": "size", "role": "continuous"},
+                    {"name": "color", "role": "categorical"},
+                    {"name": "species", "role": "label"}],
+        "label_values": ["a", "b", "c"],
+    }))
+    rng = np.random.default_rng(0)
+    lines = ["size,color,species"]
+    for i in range(150):
+        label = "abc"[i % 3]
+        color = "purple" if label == "c" else ["red", "blue"][int(rng.integers(2))]
+        lines.append(f"{4 * (i % 3) + rng.normal():.4f},{color},{label}")
+    data = tmp_path / "data.csv"
+    data.write_text("\n".join(lines) + "\n")
+    return str(data), str(schema)
+
+
+def load_csv(path: str, schema: Schema, stats: FeatureStats | None = None) -> Dataset:
+    """Read and encode a whole CSV, with stats fitted on the file itself when
+    none are given."""
+    table, has_labels = read_csv_rows(path, schema)
+    if stats is None:
+        stats = fit_stats(table, schema)
+    return encode_rows(table, schema, stats, has_labels=has_labels)
+
+
+def explain(x, model, train, k=None, sigma: float = 0.5) -> Explanation:
+    """The explanation of one encoded feature row, through ``explain_many``."""
+    return explain_many(np.asarray(x, dtype=np.float64)[None, :], model, train, k=k,
+                        sigma=sigma)[0]
+
+
+def class_weights(explanation: Explanation, num_classes: int) -> np.ndarray:
+    """Per-class weight mass rebuilt from an explanation's entries."""
+    masses = np.zeros(num_classes)
+    for e in explanation.entries:
+        masses[e.label] += e.weight
+    return masses
 
 
 def kernel_matrix(h_query, train, sigma: float = 0.5) -> np.ndarray:

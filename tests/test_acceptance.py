@@ -33,7 +33,6 @@ from dwac_kit import (
     forward,
     backward,
     init_model,
-    load_csv,
     load_model,
     make_blobs,
     make_rng,
@@ -53,7 +52,9 @@ from dwac_kit.linalg import shuffle_split
 from dwac_kit.network import DWAC, SOFTMAX
 from helpers import (
     calibrate_oracle,
+    class_weights,
     dwac_predict_oracle,
+    load_csv,
     loo_loss_oracle,
     p_value_oracle,
     pairwise_sq_oracle,
@@ -333,7 +334,7 @@ def test_criterion_06_explanation_fidelity(separated):
     # full (untruncated) explanation and compare against the predictor
     sample = run.test.x[:100]
     preds = predict(run.result.model, sample, train=run.result.embedded, sigma=0.5)
-    rebuilt = [int(np.argmax(e.class_weights(run.proper.num_classes)))
+    rebuilt = [int(np.argmax(class_weights(e, run.proper.num_classes)))
                for e in explain_many(sample, run.result.model, run.result.embedded,
                                      k=None, sigma=0.5)]
     exact_at_t = exact_at_t and np.array_equal(rebuilt, preds.predicted)
@@ -377,8 +378,9 @@ def test_criterion_07_ood_direction():
         dwac_cfg = TrainConfig(head=DWAC, seed=seed, max_epochs=60, patience=10)
         soft_cfg = TrainConfig(head=SOFTMAX, seed=seed, max_epochs=60, patience=10)
         splits = trial_splits(blobs, seed, (0.6, 0.2, 0.2), held_class=3)
-        dwac_rep = ood_holdout_class_multi(splits, dwac_cfg, [NEG_PROB, NEG_WEIGHT_SUM])
-        soft_rep = ood_holdout_class_multi(splits, soft_cfg, [NEG_PROB])
+        dwac_rep = ood_holdout_class_multi(splits, train(*splits[:2], dwac_cfg),
+                                           [NEG_PROB, NEG_WEIGHT_SUM], dwac_cfg.sigma)
+        soft_rep = ood_holdout_class_multi(splits, train(*splits[:2], soft_cfg), [NEG_PROB])
         ws = dwac_rep[NEG_WEIGHT_SUM].out_mean
         np_same = dwac_rep[NEG_PROB].out_mean
         np_soft = soft_rep[NEG_PROB].out_mean

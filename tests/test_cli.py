@@ -16,7 +16,7 @@ from dwac_kit.cli import (
 from dwac_kit.data import standardize
 from dwac_kit.evaluate import ood_cross_dataset
 from dwac_kit.explain import explain_with_agreement
-from helpers import CPU_COUNTS, use_cpus
+from helpers import CPU_COUNTS, assert_one_error_line, use_cpus, write_csv_data
 
 BLOBS = "blobs:n=200,c=3,d=3,sep=8,seed=0"
 FAST = ["--max-epochs", "30", "--batch-size", "64"]
@@ -24,12 +24,6 @@ FAST = ["--max-epochs", "30", "--batch-size", "64"]
 
 def run(argv):
     return main(argv)
-
-
-def assert_one_error_line(capsys):
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: "), lines
-    return lines[0]
 
 
 def read_table(path):
@@ -631,7 +625,7 @@ def test_empty_data_names_its_file(tmp_path, capsys):
 
 
 def test_test_data_must_match_the_kind_of_data(tmp_path, capsys):
-    data, schema = _write_csv_data(tmp_path)
+    data, schema = write_csv_data(tmp_path)
     for train_data, test_data in ((BLOBS, data), (data, BLOBS)):
         capsys.readouterr()
         assert run(["train", "--data", train_data, "--test-data", test_data,
@@ -649,25 +643,6 @@ def test_bad_blob_specs(tmp_path):
 # ---------------------------------------------------------------------------
 # CSV data: split, then encode each row once
 # ---------------------------------------------------------------------------
-
-def _write_csv_data(tmp_path):
-    schema = tmp_path / "schema.json"
-    schema.write_text(json.dumps({
-        "columns": [{"name": "size", "role": "continuous"},
-                    {"name": "color", "role": "categorical"},
-                    {"name": "species", "role": "label"}],
-        "label_values": ["a", "b", "c"],
-    }))
-    rng = np.random.default_rng(0)
-    lines = ["size,color,species"]
-    for i in range(150):
-        label = "abc"[i % 3]
-        color = "purple" if label == "c" else ["red", "blue"][int(rng.integers(2))]
-        lines.append(f"{4 * (i % 3) + rng.normal():.4f},{color},{label}")
-    data = tmp_path / "data.csv"
-    data.write_text("\n".join(lines) + "\n")
-    return str(data), str(schema)
-
 
 def _count_calls(monkeypatch, name, sizes):
     """Record len() of every result of ``dwac_kit.data.<name>`` in ``sizes``,
@@ -687,7 +662,7 @@ def _count_calls(monkeypatch, name, sizes):
 
 
 def test_csv_rows_are_read_once_and_encoded_once_per_trial(tmp_path, monkeypatch):
-    data, schema = _write_csv_data(tmp_path)
+    data, schema = write_csv_data(tmp_path)
     reads, encoded = [], []
     _count_calls(monkeypatch, "read_csv_rows", reads)
     _count_calls(monkeypatch, "encode_rows", encoded)
@@ -707,7 +682,7 @@ def test_csv_rows_are_read_once_and_encoded_once_per_trial(tmp_path, monkeypatch
 
 
 def test_ood_holdout_splits_and_encodes_once_for_both_heads(tmp_path, monkeypatch):
-    data, schema = _write_csv_data(tmp_path)
+    data, schema = write_csv_data(tmp_path)
     encoded = []
     _count_calls(monkeypatch, "encode_rows", encoded)
     assert run(["ood", "--data", data, "--schema", schema, "--held-class", "2",
@@ -717,7 +692,7 @@ def test_ood_holdout_splits_and_encodes_once_for_both_heads(tmp_path, monkeypatc
 
 
 def test_cell_errors_name_the_file_and_its_line_through_the_split(tmp_path, capsys):
-    data, schema = _write_csv_data(tmp_path)
+    data, schema = write_csv_data(tmp_path)
     with open(data) as f:
         lines = f.read().splitlines()
     lines[31] = "oops,red,a"  # file line 32
@@ -746,7 +721,7 @@ def test_a_test_split_too_small_to_score_is_logged(tmp_path, caplog):
 
 
 def test_ood_holdout_on_csv(tmp_path):
-    data, schema = _write_csv_data(tmp_path)
+    data, schema = write_csv_data(tmp_path)
     out = tmp_path / "ood"
     assert run(["ood", "--data", data, "--schema", schema, "--held-class", "2",
                 "--head", "dwac", "--out", str(out), *FAST]) == 0

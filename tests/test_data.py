@@ -13,7 +13,6 @@ from dwac_kit import (
     FeatureStats,
     ModelArtifact,
     Schema,
-    load_csv,
     load_model,
     make_blobs,
     make_rng,
@@ -28,7 +27,7 @@ from dwac_kit.data import (
     standardize,
     standardize_splits,
 )
-from helpers import quick_split
+from helpers import load_csv, quick_split
 
 SCHEMA = Schema(
     columns=(

@@ -16,6 +16,7 @@ from dwac_kit import (
     ood_cross_dataset,
     ood_holdout_class_multi,
     predict,
+    train,
 )
 from dwac_kit.conformal import NEG_PROB, NEG_WEIGHT_SUM
 from dwac_kit.data import CsvData, Schema, read_csv_rows
@@ -55,7 +56,7 @@ def test_calibration_mae_zero_for_hard_correct_predictions():
     probs = np.eye(2)[labels]
     result = calibration_mae(probs, labels, per_bin=100)
     assert result.mae == 0.0
-    assert result.bin_count == 2
+    assert len(result.bins) == 2
     assert [b.count for b in result.bins] == [100, 100]
 
 
@@ -65,7 +66,7 @@ def test_calibration_mae_hand_case():
     probs = np.tile(np.array([[0.3, 0.7]]), (10, 1))
     labels = np.array([0] * 5 + [1] * 5)
     result = calibration_mae(probs, labels, per_bin=10)
-    assert result.bin_count == 2
+    assert len(result.bins) == 2
     assert result.mae == pytest.approx(0.2, abs=1e-12)
     assert result.bins[0].mean_predicted == pytest.approx(0.3)
     assert result.bins[1].frequency == pytest.approx(0.5)
@@ -78,7 +79,7 @@ def test_calibration_bins_partition_all_pairs():
     labels = rng.integers(0, 3, size=83)
     result = calibration_mae(probs, labels, per_bin=100)
     # 249 pairs -> 2 bins, last absorbs the remainder
-    assert result.bin_count == 2
+    assert len(result.bins) == 2
     assert [b.count for b in result.bins] == [100, 149]
     assert sum(b.count for b in result.bins) == 249
 
@@ -88,7 +89,7 @@ def test_calibration_single_bin_fallback():
     probs = rng.random((4, 2))
     labels = rng.integers(0, 2, size=4)
     result = calibration_mae(probs, labels, per_bin=100)
-    assert result.bin_count == 1
+    assert len(result.bins) == 1
     assert result.bins[0].count == 8
     assert np.isnan(result.mae)  # one bin always scores 0, which says nothing
 
@@ -189,7 +190,8 @@ def holdout_reports():
     blobs = make_blobs(480, 4, 4, 8.0, make_rng(11, 3))
     config = TrainConfig(head="dwac", seed=11, max_epochs=40, batch_size=64)
     splits = trial_splits(blobs, 11, (0.6, 0.2, 0.2), held_class=3)
-    return ood_holdout_class_multi(splits, config, [NEG_PROB, NEG_WEIGHT_SUM])
+    result = train(*splits[:2], config)
+    return ood_holdout_class_multi(splits, result, [NEG_PROB, NEG_WEIGHT_SUM], config.sigma)
 
 
 def test_holdout_reports_shape(holdout_reports):
@@ -218,7 +220,9 @@ def test_holdout_single_measure_matches_multi(holdout_reports):
     blobs = make_blobs(480, 4, 4, 8.0, make_rng(11, 3))
     config = TrainConfig(head="dwac", seed=11, max_epochs=40, batch_size=64)
     splits = trial_splits(blobs, 11, (0.6, 0.2, 0.2), held_class=3)
-    single = ood_holdout_class_multi(splits, config, [NEG_WEIGHT_SUM])[NEG_WEIGHT_SUM]
+    result = train(*splits[:2], config)
+    single = ood_holdout_class_multi(splits, result, [NEG_WEIGHT_SUM],
+                                     config.sigma)[NEG_WEIGHT_SUM]
     assert np.array_equal(single.out_of_domain,
                           holdout_reports[NEG_WEIGHT_SUM].out_of_domain)
 
@@ -229,9 +233,10 @@ def test_holdout_validation():
         trial_splits(two, 0, (0.6, 0.2, 0.2), held_class=0)
     three = make_blobs(60, 3, 2, 6.0, make_rng(0, 3))
     config = TrainConfig(head="dwac", seed=0, max_epochs=2)
+    splits = trial_splits(three, 0, (0.6, 0.2, 0.2), held_class=0)
+    result = train(*splits[:2], config)
     with pytest.raises(ValueError):
-        ood_holdout_class_multi(trial_splits(three, 0, (0.6, 0.2, 0.2), held_class=0),
-                                config, [])
+        ood_holdout_class_multi(splits, result, [], config.sigma)
 
 
 # ---------------------------------------------------------------------------

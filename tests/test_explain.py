@@ -6,18 +6,20 @@ import numpy as np
 import pytest
 
 from dwac_kit import heads
-from dwac_kit.explain import (
-    agreement_at_k,
-    explain,
-    explain_many,
-    explain_with_agreement,
-)
+from dwac_kit.explain import agreement_at_k, explain_many, explain_with_agreement
 from dwac_kit.data import Dataset
 from dwac_kit.heads import EmbeddedTrainingSet, kernel_weights
 from dwac_kit.linalg import make_rng
 from dwac_kit.network import DWAC, SOFTMAX, EmbeddingModel, MlpSpec
 from dwac_kit.trainer import predict
-from helpers import CPU_COUNTS, agreement_oracle, kernel_matrix, use_cpus
+from helpers import (
+    CPU_COUNTS,
+    agreement_oracle,
+    class_weights,
+    explain,
+    kernel_matrix,
+    use_cpus,
+)
 
 
 def identity_model(d: int) -> EmbeddingModel:
@@ -118,7 +120,7 @@ def test_complete_explanation_reconstructs_probabilities(dwac_run):
     train = result.embedded
     preds = predict(result.model, test.x[:20], train=train)
     for i, exp in enumerate(explain_many(test.x[:20], result.model, train)):
-        masses = exp.class_weights(train.num_classes)
+        masses = class_weights(exp, train.num_classes)
         assert abs(masses.sum() - exp.total_weight) < 1e-9
         if exp.total_weight > 0:
             assert np.max(np.abs(masses / masses.sum() - preds.probs[i])) < 1e-12

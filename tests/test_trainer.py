@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import os
+import time
+
 import numpy as np
 import pytest
 
 import dwac_kit.trainer as trainer_mod
 from dwac_kit import Dataset, TrainConfig, make_blobs, make_rng
+from dwac_kit.cli import main
 from dwac_kit.data import standardize_splits
 from dwac_kit.evaluate import accuracy
 from dwac_kit.network import DWAC, SOFTMAX, adam_step
@@ -13,8 +17,16 @@ from dwac_kit.trainer import (
     embed_training_set,
     predict,
     train,
+    train_many,
 )
-from helpers import quick_split, quick_train, train_per_array_oracle
+from helpers import (
+    assert_one_error_line,
+    quick_split,
+    quick_train,
+    train_per_array_oracle,
+    use_cpus,
+    write_csv_data,
+)
 
 
 def test_build_model_widths():
@@ -157,3 +169,167 @@ def test_flat_adam_matches_the_per_array_loop_bit_for_bit(head, monkeypatch):
     for got, expected in zip(result.model.parameters(),
                              train_per_array_oracle(proper, config, 3)[-1]):
         assert np.array_equal(got, expected)
+
+
+# ---------------------------------------------------------------------------
+# train_many: jobs side by side, one forked child per other usable CPU
+# ---------------------------------------------------------------------------
+
+FAST = ["--max-epochs", "30", "--batch-size", "64"]
+
+
+@pytest.fixture
+def no_child_left():
+    """Fails the test if any child process of this one is left, running or
+    unreaped, once it ends."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The number of os.fork calls made in this process."""
+    calls = []
+    fork = os.fork
+
+    def counted():
+        calls.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+def _assert_same_result(a, b) -> None:
+    for pa, pb in zip(a.model.parameters(), b.model.parameters(), strict=True):
+        assert np.array_equal(pa, pb)
+    # NaN calibration accuracies (no calibration rows) compare equal here
+    assert np.array_equal([(e.epoch, e.mean_loss, e.calib_accuracy) for e in a.history],
+                          [(e.epoch, e.mean_loss, e.calib_accuracy) for e in b.history],
+                          equal_nan=True)
+    assert np.array_equal(a.best_calib_accuracy, b.best_calib_accuracy, equal_nan=True)
+    assert (a.best_epoch, a.stopped_early) == (b.best_epoch, b.stopped_early)
+    assert np.array_equal(a.calib_predictions.probs, b.calib_predictions.probs)
+    assert (a.embedded is None) == (b.embedded is None)
+    if a.embedded is not None:
+        assert np.array_equal(a.embedded.h, b.embedded.h)
+        assert np.array_equal(a.embedded.labels, b.embedded.labels)
+
+
+def test_train_many_equals_serial_training_bit_for_bit(monkeypatch, forks, no_child_left):
+    blobs = make_blobs(300, 3, 5, 6.0, make_rng(4, 3))
+    proper, calib, _ = standardize_splits(*quick_split(blobs, (0.6, 0.2, 0.2), 4))
+    jobs = [(proper, calib, TrainConfig(head=head, seed=seed, max_epochs=6, batch_size=32))
+            for seed in (1, 2) for head in (SOFTMAX, DWAC)]
+    jobs.append((proper, calib.subset(np.arange(0)), TrainConfig(max_epochs=3)))
+    serial = [train(*job) for job in jobs]
+    # three CPUs, five jobs: two children train two jobs each, the caller the last
+    use_cpus(monkeypatch, 3)
+    side_by_side = train_many(jobs)
+    assert len(forks) == 2
+    assert len(side_by_side) == len(serial)
+    for a, b in zip(side_by_side, serial):
+        _assert_same_result(a, b)
+
+
+@pytest.mark.parametrize("kind", ["blobs", "csv"])
+def test_cli_outputs_do_not_depend_on_the_cpu_count(kind, tmp_path, monkeypatch, forks,
+                                                    no_child_left):
+    if kind == "blobs":
+        data = ["--data", "blobs:n=300,c=3,d=3,sep=8,seed=2"]
+    else:
+        path, schema = write_csv_data(tmp_path)
+        data = ["--data", path, "--schema", schema]
+    outputs = []
+    for n in (1, 2, 3):
+        use_cpus(monkeypatch, n)
+        forks.clear()
+        out = tmp_path / f"cpus{n}"
+        assert main(["train", *data, "--head", "both", "--trials", "2",
+                     "--out", str(out / "train"), *FAST]) == 0
+        assert main(["ood", *data, "--held-class", "2", "--head", "both",
+                     "--out", str(out / "ood"), *FAST]) == 0
+        # one child per trial and one for the study: the softmax heads
+        assert len(forks) == (0 if n == 1 else 3)
+        outputs.append({str(p.relative_to(out)): p.read_bytes()
+                        for p in sorted(out.rglob("*")) if p.is_file()})
+    # 2 x 2 models and histories and a summary; 3 histograms and a summary
+    assert len(outputs[0]) == 9 + 4
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+def test_a_failure_in_a_forked_job_is_one_error_line(tmp_path, monkeypatch, capsys,
+                                                     no_child_left):
+    use_cpus(monkeypatch, 2)
+    caller = os.getpid()
+
+    def fails_in_the_child(*job):
+        if os.getpid() != caller:
+            raise ValueError("raised in the child")
+        return train(*job)
+
+    monkeypatch.setattr(trainer_mod, "train", fails_in_the_child)
+    capsys.readouterr()
+    assert main(["train", "--data", "blobs:n=200,c=3,d=3,sep=8", "--head", "both",
+                 "--out", str(tmp_path / "t"), *FAST]) == 2
+    assert assert_one_error_line(capsys) == "error: raised in the child"
+
+
+def test_a_child_that_ends_without_a_result_is_one_error_line(tmp_path, monkeypatch, capsys,
+                                                              no_child_left):
+    use_cpus(monkeypatch, 2)
+    caller = os.getpid()
+
+    def exits_in_the_child(*job):
+        if os.getpid() != caller:
+            os._exit(3)
+        return train(*job)
+
+    monkeypatch.setattr(trainer_mod, "train", exits_in_the_child)
+    capsys.readouterr()
+    assert main(["ood", "--data", "blobs:n=200,c=3,d=3,sep=8", "--held-class", "0",
+                 "--head", "both", "--out", str(tmp_path / "o"), *FAST]) == 2
+    assert assert_one_error_line(capsys) == (
+        "error: a training process ended without a result (exit code 3)")
+
+
+def test_the_first_failed_job_is_the_error_raised(monkeypatch, no_child_left):
+    use_cpus(monkeypatch, 2)
+
+    def fails(tag, *rest):
+        raise ValueError(tag)
+
+    monkeypatch.setattr(trainer_mod, "train", fails)
+    # the child's job comes first, whichever process fails first
+    with pytest.raises(ValueError, match="^first$"):
+        train_many([("first", None, None), ("second", None, None)])
+
+
+def test_children_are_ended_when_the_caller_is_interrupted(monkeypatch, no_child_left):
+    use_cpus(monkeypatch, 2)
+    caller = os.getpid()
+
+    class Interrupt(BaseException):
+        pass
+
+    def slow_child_then_interrupt(*job):
+        if os.getpid() != caller:
+            time.sleep(60)
+        raise Interrupt
+
+    monkeypatch.setattr(trainer_mod, "train", slow_child_then_interrupt)
+    start = time.monotonic()
+    with pytest.raises(Interrupt):
+        train_many([(None, None, None)] * 2)
+    assert time.monotonic() - start < 30  # the sleeping child was killed, not awaited
+
+
+def test_forked_jobs_run_under_the_callers_errstate(monkeypatch, no_child_left):
+    use_cpus(monkeypatch, 2)
+    monkeypatch.setattr(trainer_mod, "train", lambda *job: (os.getpid(), np.geterr()))
+    with np.errstate(over="raise", invalid="warn", divide="ignore", under="print"):
+        expected = np.geterr()
+        (child, in_child), (caller, in_caller) = train_many([(None, None, None)] * 2)
+    assert child != caller == os.getpid()
+    assert in_child == in_caller == expected
