@@ -28,6 +28,7 @@ from .data import (
     FeatureStats,
     ModelArtifact,
     Schema,
+    blob_data,
     load_model,
     make_blobs,
     save_model,
@@ -39,6 +40,7 @@ from .evaluate import (
     calibration_mae,
     ood_cross_dataset,
     ood_holdout_class_multi,
+    trial_splits,
 )
 from .explain import Explanation, agreement_at_k, explain_many, explain_with_agreement
 from .heads import (
@@ -96,6 +98,7 @@ __all__ = [
     "adam_step",
     "agreement_at_k",
     "backward",
+    "blob_data",
     "calibrate",
     "calibration_mae",
     "conformal_predict",
@@ -123,4 +126,5 @@ __all__ = [
     "softmax_predict",
     "train",
     "train_many",
+    "trial_splits",
 ]

@@ -7,7 +7,9 @@ field, so a rerun with the same config produces byte-identical files.
 
 Datasets are either CSV files paired with a JSON schema, or synthetic
 blob specs written inline as ``blobs:n=4000,c=4,d=8,sep=10`` (optional
-``seed=``; defaults to the run seed). Blob data needs no schema.
+``seed=``; defaults to the run seed). Blob data needs no schema file: it
+becomes a table with a generated one, and from there both kinds take the
+same path (split, stats fitted on the proper rows, encoding).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import os
 import sys
 import types
 import typing
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -41,13 +43,12 @@ from .data import (
     ModelArtifact,
     Schema,
     atomic_write_text,
+    blob_data,
     encode_rows,
-    fit_stats,
     load_model,
     make_blobs,
     read_csv_rows,
     save_model,
-    standardize,
 )
 from .evaluate import (
     HIST_BINS,
@@ -71,15 +72,16 @@ BOTH = "both"
 HEAD_CHOICES = (SOFTMAX, DWAC, BOTH)
 MEASURE_CHOICES = MEASURES + (BOTH,)
 # Settings that only training reads; runs that train nothing refuse them.
-TRAINING_KEYS = frozenset({
-    "head", "sigma", "h_dim", "hidden", "dropout", "learning_rate", "batch_size",
-    "max_epochs", "patience", "fractions", "trials",
-})
+TRAINING_KEYS = ("head", "sigma", "h_dim", "hidden", "dropout", "learning_rate",
+                 "batch_size", "max_epochs", "patience", "fractions")
 # Locations, not meaning: every command takes them and no provenance holds them.
 PATH_KEYS = frozenset({"schema", "model", "out"})
-# All that ood --foreign reads besides paths, and so all its provenance holds.
+# All that each kind of run reads besides paths, and so all its provenance
+# holds: train, ood --held-class, ood --foreign, and the commands that score
+# with a saved artifact.
+TRAIN_KEYS = ("command", "data", "test_data", "seed", "trials", *TRAINING_KEYS)
+HOLDOUT_KEYS = ("command", "data", "held_class", "measure", "seed", *TRAINING_KEYS)
 FOREIGN_KEYS = ("command", "data", "foreign", "measure", "seed")
-# The same for the commands that score with a saved artifact.
 SCORING_KEYS = {
     "predict": ("command", "data", "seed"),
     "explain": ("command", "data", "seed", "k", "k_list"),
@@ -134,27 +136,20 @@ class RunConfig:
             raise ValueError(f"measure must be one of {MEASURE_CHOICES}")
 
     @property
-    def trains(self) -> bool:
-        """Whether the run trains a model and so takes sigma: ``train`` and
-        hold-out ``ood``. The others score with the artifact's sigma."""
-        return self.command == "train" or (
-            self.command == "ood" and self.held_class is not None
-        )
-
-    @property
-    def reads(self) -> tuple[str, ...] | None:
-        """The keys a run that trains nothing reads besides paths; None for
-        runs that train, which read them all."""
-        if self.trains:
-            return None
-        return FOREIGN_KEYS if self.command == "ood" else SCORING_KEYS[self.command]
+    def reads(self) -> tuple[str, ...]:
+        """The keys this run reads besides paths. Only ``train`` and hold-out
+        ``ood`` train, and so take sigma; the others score with the
+        artifact's."""
+        if self.command == "train":
+            return TRAIN_KEYS
+        if self.command == "ood":
+            return FOREIGN_KEYS if self.held_class is None else HOLDOUT_KEYS
+        return SCORING_KEYS[self.command]
 
     @property
     def refused(self) -> frozenset[str]:
-        """Keys this run may not be given: whatever a run that trains nothing
-        does not read, since it would shape nothing."""
-        if self.reads is None:
-            return frozenset()
+        """Keys this run may not be given: whatever it does not read, since
+        it would shape nothing."""
         return frozenset(f.name for f in fields(self)) - PATH_KEYS - set(self.reads)
 
     def provenance(self) -> str:
@@ -162,13 +157,11 @@ class RunConfig:
         numbers, none of the filesystem paths."""
         sources = ("data", "test_data", "foreign")
         doc = {}
-        for f in fields(self):
-            if f.name in PATH_KEYS or f.name in self.refused:
-                continue
-            value = getattr(self, f.name)
-            if f.name in sources and value is not None and not value.startswith("blobs:"):
+        for name in self.reads:
+            value = getattr(self, name)
+            if name in sources and value is not None and not value.startswith("blobs:"):
                 continue  # CSV paths are location, not meaning; blob specs stay
-            doc[f.name] = list(value) if isinstance(value, tuple) else value
+            doc[name] = list(value) if isinstance(value, tuple) else value
         return json.dumps(doc, sort_keys=True)
 
 
@@ -277,11 +270,19 @@ def _parse_blob_spec(spec: str, default_seed: int) -> Dataset:
     )
 
 
-def _load_raw(source: str, cfg: RunConfig, schema: Schema | None = None) -> Dataset | CsvData:
-    """Generated blobs, or a CSV read but not encoded: its stats come from
-    each trial's proper split."""
+def _load_raw(source: str, cfg: RunConfig, schema: Schema | None = None) -> CsvData:
+    """A CSV, or generated blobs, as a table not yet encoded: its stats come
+    from each trial's proper split, or from the artifact that scores it.
+    With ``schema`` (the training data's, or the artifact's), the table must
+    have its columns, and its labels are read against its label values."""
     if source.startswith("blobs:"):
-        return _parse_blob_spec(source, cfg.seed)
+        data = blob_data(_parse_blob_spec(source, cfg.seed), source)
+        if schema is None:
+            return data
+        if schema.columns != data.schema.columns:
+            raise ValueError(f"{source}: blob columns {[c.name for c in data.schema.columns]} "
+                             f"are not the schema's {[c.name for c in schema.columns]}")
+        return replace(data, schema=schema)
     if schema is None:
         if cfg.schema is None:
             raise ValueError(f"{source}: CSV data needs --schema")
@@ -291,51 +292,39 @@ def _load_raw(source: str, cfg: RunConfig, schema: Schema | None = None) -> Data
 
 
 class _Source:
-    """A --data or --foreign input scored against saved artifacts. A CSV is
-    read once per schema, and the input is encoded once per distinct schema
-    and stats, so the artifacts of one training run share one encoding."""
+    """A --data or --foreign input scored against the run's artifacts, each
+    of which asks for it once. It is read once per schema, and encoded once
+    per distinct schema and stats, so the artifacts of one training run
+    share one encoding. The table read is let go once the last artifact has
+    its encoding, so it does not sit beside that artifact's kernel sums. Its
+    labels are encoded only for a command that reads them."""
 
-    def __init__(self, source: str, cfg: RunConfig):
+    def __init__(self, source: str, cfg: RunConfig, labels: bool = False):
         self.source = source
         self.cfg = cfg
+        self.labels = labels
         self._read: dict[Schema, CsvData] = {}
         self._encoded: list[tuple[tuple, Dataset]] = []
+        self._artifacts_left = len(cfg.model)
 
     def for_artifact(self, artifact: ModelArtifact) -> Dataset:
         """The input encoded the way ``artifact``'s training data was."""
         key = (artifact.schema, artifact.stats)
         ds = next((ds for k, ds in self._encoded if k == key), None)
         if ds is None:
-            ds = self._encode(artifact)
+            if artifact.schema not in self._read:
+                self._read[artifact.schema] = _load_raw(self.source, self.cfg, artifact.schema)
+            data = self._read[artifact.schema]
+            ds = encode_rows(data.table, data.schema, artifact.stats,
+                             has_labels=self.labels and data.has_labels)
             self._encoded.append((key, ds))
+        self._artifacts_left -= 1
+        if self._artifacts_left <= 0:
+            self._read.clear()
         expected = artifact.model.spec.input_dim
         if ds.dim != expected:
             raise ValueError(f"{self.source}: feature width {ds.dim}, model expects {expected}")
         return ds
-
-    def _csv(self, schema: Schema) -> CsvData:
-        if schema not in self._read:
-            self._read[schema] = _load_raw(self.source, self.cfg, schema)
-        return self._read[schema]
-
-    def _encode(self, artifact: ModelArtifact) -> Dataset:
-        if self.source.startswith("blobs:"):
-            ds = _parse_blob_spec(self.source, self.cfg.seed)
-            if artifact.stats is not None and not artifact.stats.vocabs:
-                ds = standardize(ds, artifact.stats)
-            return ds
-        if artifact.schema is not None and artifact.stats is not None:
-            data = self._csv(artifact.schema)
-            stats = artifact.stats
-        else:
-            if self.cfg.schema is None:
-                raise ValueError(
-                    f"{self.source}: artifact carries no schema; pass --schema (stats will be "
-                    "fitted on this file, which is only sound for training-like data)"
-                )
-            data = self._csv(Schema.from_file(self.cfg.schema))
-            stats = fit_stats(data.table, data.schema)
-        return encode_rows(data.table, data.schema, stats, has_labels=data.has_labels)
 
 
 def _heads(cfg: RunConfig) -> list[str]:
@@ -418,9 +407,8 @@ def cmd_train(cfg: RunConfig) -> int:
     out = _require_out(cfg)
     prov = cfg.provenance()
     raw = _load_raw(cfg.data, cfg)
-    schema = raw.schema if isinstance(raw, CsvData) else None
-    fixed_test = _load_raw(cfg.test_data, cfg, schema=schema) if cfg.test_data else None
-    if isinstance(raw, CsvData) and not raw.has_labels:
+    fixed_test = _load_raw(cfg.test_data, cfg, schema=raw.schema) if cfg.test_data else None
+    if not raw.has_labels:
         raise ValueError(f"{cfg.data}: training data must include the label column")
     parts = len(cfg.fractions) - (fixed_test is not None)
     if len(raw) < parts:
@@ -468,7 +456,7 @@ def cmd_train(cfg: RunConfig) -> int:
                 model=result.model,
                 sigma=cfg.sigma,
                 num_classes=proper.num_classes,
-                schema=schema,
+                schema=raw.schema,
                 stats=proper.stats,
                 embedded=result.embedded,
                 calibrations=calibrations,
@@ -504,12 +492,9 @@ def cmd_predict(cfg: RunConfig) -> int:
     artifact = _single_model(cfg)
     ds = _Source(cfg.data, cfg).for_artifact(artifact)
     preds = predict(artifact.model, ds.x, train=artifact.embedded, sigma=artifact.sigma)
-    label_names = artifact.schema.label_values if artifact.schema else None
-    records = [{"index": i, "predicted": k, "probs": p}
+    label_names = artifact.schema.label_values
+    records = [{"index": i, "label": label_names[k], "predicted": k, "probs": p}
                for i, (k, p) in enumerate(zip(preds.predicted.tolist(), preds.probs.tolist()))]
-    if label_names:
-        for record in records:
-            record["label"] = label_names[record["predicted"]]
     _write_json(os.path.join(out, "predictions.json"), cfg.provenance(), "predictions", records)
     log.info("wrote %d predictions (%d degenerate)", len(records), _degenerate(preds))
     return 0
@@ -547,7 +532,7 @@ def cmd_conformal(cfg: RunConfig) -> int:
         raise ValueError("conformal needs at least one --model")
     out = _require_out(cfg)
     prov = cfg.provenance()
-    data = _Source(cfg.data, cfg)
+    data = _Source(cfg.data, cfg, labels=True)
     for path in cfg.model:
         artifact = load_model(path)
         head = artifact.model.head
@@ -589,11 +574,9 @@ def cmd_ood(cfg: RunConfig) -> int:
     if cfg.held_class is not None:
         if cfg.data is None:
             raise ValueError("hold-out ood needs --data")
-        raw = _load_raw(cfg.data, cfg)
-        if isinstance(raw, CsvData) and not raw.has_labels:
-            raise ValueError(f"{cfg.data}: hold-out ood needs labels")
         # one split and encoding, shared by every head
-        splits = trial_splits(raw, cfg.seed, cfg.fractions, held_class=cfg.held_class)
+        splits = trial_splits(_load_raw(cfg.data, cfg), cfg.seed, cfg.fractions,
+                              held_class=cfg.held_class)
         measures = {head: _measures_for(head, cfg.measure) for head in _heads(cfg)}
         results = train_many([(*splits[:2], _train_config(cfg, head, cfg.seed))
                               for head in measures])

@@ -1,14 +1,16 @@
 """Dataset ingestion, preprocessing, synthetic blobs, and model artifacts.
 
-CSV files must carry a header row; a JSON schema assigns each column a
-role (label | continuous | categorical | drop) and fixes the label
-vocabulary. Continuous columns are z-scored with statistics fitted on
-training data only; categorical columns become indicator blocks with a
-trailing unknown-category slot so unseen values at prediction time encode
-instead of crashing. Missing continuous values are rejected outright;
-silent imputation would corrupt reproductions. A file is read once into a
-columnar table; stats are fitted on, and rows encoded from, any subset of
-its rows by index, so splitting copies no cells.
+All data is a table with a schema. CSV files must carry a header row; a
+JSON schema assigns each column a role (label | continuous | categorical |
+drop) and fixes the label vocabulary. Synthetic blobs become a table with a
+generated schema (:func:`blob_data`), so both go through one pipeline.
+Continuous columns are z-scored with statistics fitted on training data
+only; categorical columns become indicator blocks with a trailing
+unknown-category slot so unseen values at prediction time encode instead of
+crashing. Missing continuous values are rejected outright; silent
+imputation would corrupt reproductions. A file is read once into a columnar
+table, its continuous cells parsed then; stats are fitted on, and rows
+encoded from, any subset of its rows by index, so splitting copies no cells.
 
 Model artifacts are single JSON documents (format ``dwac-kit/2``) that hold
 each float array as its shape plus the base64 of its little-endian float64
@@ -24,6 +26,7 @@ import json
 import math
 import os
 import tempfile
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
@@ -158,15 +161,6 @@ class Dataset:
     def dim(self) -> int:
         return self.x.shape[1]
 
-    def subset(self, indices: np.ndarray) -> "Dataset":
-        return Dataset(
-            x=self.x[indices],
-            y=None if self.y is None else self.y[indices],
-            num_classes=self.num_classes,
-            feature_names=self.feature_names,
-            stats=self.stats,
-        )
-
 
 # ---------------------------------------------------------------------------
 # CSV ingestion
@@ -174,13 +168,14 @@ class Dataset:
 
 @dataclass(frozen=True)
 class CsvTable:
-    """A CSV body held column by column: ``columns[name][i]`` is the stripped
-    cell of data row i, blank lines not counted, and ``lines[i]`` is the line
-    of ``path`` that row i came from, so errors can name it."""
+    """A table held column by column. A continuous column is a float64 array
+    with one value per data row; any other column is a list of stripped
+    cells. ``lines[i]`` is the line of ``path`` that row i came from (blank
+    lines hold no row), so errors can name it."""
 
     path: str
-    columns: dict[str, list[str]]
-    lines: list[int]
+    columns: dict[str, np.ndarray | list[str]]
+    lines: Sequence[int]
 
     def __len__(self) -> int:
         return len(self.lines)
@@ -188,8 +183,8 @@ class CsvTable:
 
 @dataclass(frozen=True)
 class CsvData:
-    """A CSV file read but not yet encoded; encoding waits for stats fitted
-    on a proper training split."""
+    """A table read but not yet encoded; encoding waits for stats fitted on
+    a proper training split, or for those of the artifact that scores it."""
 
     table: CsvTable
     schema: Schema
@@ -204,12 +199,13 @@ class CsvData:
 
 
 def read_csv_rows(path: str, schema: Schema) -> tuple[CsvTable, bool]:
-    """Parse a headered CSV into a table of stripped cells, one list per
-    header column.
+    """Parse a headered CSV into a table with one column per header column.
 
     Returns (table, has_labels). The file must contain every schema column
     except that the label column may be absent (unlabeled data); columns
-    not named in the schema are rejected.
+    not named in the schema are rejected. Continuous cells are parsed here,
+    once; the first one in file order that is empty or no number is the
+    error, named by its line and column.
     """
     with open(path, "r", encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
@@ -241,19 +237,43 @@ def read_csv_rows(path: str, schema: Schema) -> tuple[CsvTable, bool]:
             line_no = reader.line_num + 1
     cells = zip(*records) if records else ((),) * len(header)
     columns = {name: list(map(str.strip, column)) for name, column in zip(header, cells)}
+    roles = {c.name: c.role for c in schema.columns}
+    continuous = [name for name in header if roles[name] == ROLE_CONTINUOUS]
+    try:
+        for name in continuous:
+            columns[name] = np.fromiter(map(float, columns[name]), dtype=np.float64,
+                                        count=len(lines))
+    except ValueError:
+        for i, line in enumerate(lines):
+            for name in continuous:
+                cell = columns[name][i]
+                if cell == "":
+                    raise ValueError(f"{path}: row {line}, column {name!r}: "
+                                     "missing continuous value") from None
+                try:
+                    float(cell)
+                except ValueError:
+                    raise ValueError(f"{path}: row {line}, column {name!r}: "
+                                     f"cannot parse {cell!r} as a number") from None
+        raise
     return CsvTable(path=path, columns=columns, lines=lines), has_labels
 
 
-def _positions(index) -> list[int] | None:
-    return None if index is None else np.asarray(index, dtype=np.intp).tolist()
+def _positions(index) -> np.ndarray | None:
+    return None if index is None else np.asarray(index, dtype=np.intp)
 
 
-def _cells(table: CsvTable, name: str, positions: list[int] | None) -> list[str]:
+def _cells(table: CsvTable, name: str, positions: np.ndarray | None) -> np.ndarray | list[str]:
+    """Column ``name`` at the rows ``positions`` (all rows when None)."""
     column = table.columns[name]
-    return column if positions is None else [column[i] for i in positions]
+    if positions is None:
+        return column
+    if isinstance(column, np.ndarray):
+        return column[positions]
+    return [column[i] for i in positions.tolist()]
 
 
-def _where(table: CsvTable, positions: list[int] | None, i: int) -> str:
+def _where(table: CsvTable, positions: np.ndarray | None, i: int) -> str:
     """``path: row N`` for the i-th selected row, N its line in the file."""
     return f"{table.path}: row {table.lines[i if positions is None else positions[i]]}"
 
@@ -267,7 +287,7 @@ def fit_stats(table: CsvTable, schema: Schema, index=None) -> FeatureStats:
     vocabs: dict[str, tuple[str, ...]] = {}
     for col in schema.feature_columns:
         if col.role == ROLE_CONTINUOUS:
-            values = _parse_continuous(table, col.name, positions)
+            values = _cells(table, col.name, positions)
             mean = float(np.mean(values)) if len(values) else 0.0
             std = float(np.std(values)) if len(values) else 1.0
             means[col.name] = mean
@@ -275,25 +295,6 @@ def fit_stats(table: CsvTable, schema: Schema, index=None) -> FeatureStats:
         else:
             vocabs[col.name] = tuple(sorted(set(_cells(table, col.name, positions))))
     return FeatureStats(means=means, stds=stds, vocabs=vocabs)
-
-
-def _parse_continuous(table: CsvTable, name: str, positions: list[int] | None) -> np.ndarray:
-    """One float() per cell; on a bad cell, a row scan names the first one."""
-    cells = _cells(table, name, positions)
-    try:
-        return np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
-    except ValueError:
-        for i, cell in enumerate(cells):
-            if cell == "":
-                raise ValueError(
-                    f"{_where(table, positions, i)}, column {name!r}: missing continuous value"
-                ) from None
-            try:
-                float(cell)
-            except ValueError:
-                raise ValueError(f"{_where(table, positions, i)}, column {name!r}: "
-                                 f"cannot parse {cell!r} as a number") from None
-        raise
 
 
 def label_codes(table: CsvTable, schema: Schema, index=None) -> np.ndarray:
@@ -334,7 +335,7 @@ def encode_rows(
     offset = 0
     for col, width in zip(schema.feature_columns, widths):
         if col.role == ROLE_CONTINUOUS:
-            values = _parse_continuous(table, col.name, positions)
+            values = _cells(table, col.name, positions)
             x[:, offset] = (values - stats.means[col.name]) / stats.stds[col.name]
             names.append(col.name)
         else:
@@ -355,41 +356,6 @@ def encode_rows(
         feature_names=tuple(names),
         stats=stats,
     )
-
-
-def standardize(dataset: Dataset, stats: FeatureStats | None = None) -> Dataset:
-    """Z-score every feature column; fits moments on ``dataset`` when no
-    stats are given. Used for synthetic data, whose raw features bypass the
-    schema pipeline; constant columns keep std 1 so they map to zero."""
-    if stats is None:
-        mean = dataset.x.mean(axis=0)
-        std = dataset.x.std(axis=0)
-        std = np.where(std > 0.0, std, 1.0)
-        stats = FeatureStats(
-            means={name: float(m) for name, m in zip(dataset.feature_names, mean)},
-            stds={name: float(s) for name, s in zip(dataset.feature_names, std)},
-            vocabs={},
-        )
-    else:
-        missing = [n for n in dataset.feature_names if n not in stats.means]
-        if missing:
-            raise ValueError(f"stats lack moments for columns {missing}")
-        mean = np.array([stats.means[n] for n in dataset.feature_names])
-        std = np.array([stats.stds[n] for n in dataset.feature_names])
-    return Dataset(
-        x=(dataset.x - mean) / std,
-        y=dataset.y,
-        num_classes=dataset.num_classes,
-        feature_names=dataset.feature_names,
-        stats=stats,
-    )
-
-
-def standardize_splits(proper: Dataset, *others: Dataset) -> tuple[Dataset, ...]:
-    """Z-score a family of splits with moments fitted on the proper training
-    split only, mirroring the CSV pipeline's train-only stats rule."""
-    proper = standardize(proper)
-    return (proper, *(standardize(ds, proper.stats) for ds in others))
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +401,23 @@ def make_blobs(
     )
 
 
+def blob_data(ds: Dataset, source: str = "blobs") -> CsvData:
+    """Generated blobs as a table, to be split, fitted and encoded as a CSV
+    is: continuous features ``x0``..``x{d-1}`` and the label ``y``, whose
+    values are ``"0"``..``"{c-1}"``. Errors name ``source`` and number the
+    rows from 1."""
+    label_values = tuple(map(str, range(ds.num_classes)))
+    schema = Schema(
+        columns=(*(ColumnSpec(name, ROLE_CONTINUOUS) for name in ds.feature_names),
+                 ColumnSpec("y", ROLE_LABEL)),
+        label_values=label_values,
+    )
+    columns = dict(zip(ds.feature_names, ds.x.T.copy()))
+    columns["y"] = [label_values[k] for k in ds.y.tolist()]
+    table = CsvTable(path=source, columns=columns, lines=range(1, len(ds) + 1))
+    return CsvData(table=table, schema=schema, has_labels=True)
+
+
 # ---------------------------------------------------------------------------
 # model artifacts
 # ---------------------------------------------------------------------------
@@ -447,8 +430,8 @@ class ModelArtifact:
     model: EmbeddingModel
     sigma: float
     num_classes: int
-    schema: Schema | None = None
-    stats: FeatureStats | None = None
+    schema: Schema
+    stats: FeatureStats
     embedded: EmbeddedTrainingSet | None = None
     calibrations: dict[str, np.ndarray] = field(default_factory=dict)
 
@@ -510,8 +493,8 @@ def save_model(artifact: ModelArtifact, path: str) -> None:
         "num_classes": artifact.num_classes,
         "weights": [_encode_array(w) for w in model.weights],
         "biases": [_encode_array(b) for b in model.biases],
-        "schema": artifact.schema.to_json_dict() if artifact.schema else None,
-        "stats": _encode_stats(artifact.stats) if artifact.stats else None,
+        "schema": artifact.schema.to_json_dict(),
+        "stats": _encode_stats(artifact.stats),
         "embedded": None,
         "calibrations": {
             measure: _encode_array(scores) for measure, scores in artifact.calibrations.items()
@@ -535,10 +518,10 @@ def _encode_stats(stats: FeatureStats) -> dict:
     }
 
 
-def _decode_stats(obj: dict, schema: Schema | None) -> FeatureStats:
+def _decode_stats(obj: dict, schema: Schema) -> FeatureStats:
     """Inverse of :func:`_encode_stats`, checked as far as encoding relies on
     it: a finite mean and a positive finite std per continuous column, string
-    vocabularies, and, with a schema, exactly its feature columns."""
+    vocabularies, and exactly the schema's feature columns."""
     stats = FeatureStats(
         means={k: float(v) for k, v in obj["means"].items()},
         stds={k: float(v) for k, v in obj["stds"].items()},
@@ -551,19 +534,18 @@ def _decode_stats(obj: dict, schema: Schema | None) -> FeatureStats:
         raise ValueError("stats need a finite mean and a positive finite std per column")
     if not all(isinstance(v, str) for vocab in stats.vocabs.values() for v in vocab):
         raise ValueError("stats vocabularies must hold strings")
-    if schema is not None and (
-        set(stats.means) != {c.name for c in schema.feature_columns if c.role == ROLE_CONTINUOUS}
-        or set(stats.vocabs) != {c.name for c in schema.feature_columns
-                                 if c.role == ROLE_CATEGORICAL}
-    ):
+    if (set(stats.means) != {c.name for c in schema.feature_columns if c.role == ROLE_CONTINUOUS}
+            or set(stats.vocabs) != {c.name for c in schema.feature_columns
+                                     if c.role == ROLE_CATEGORICAL}):
         raise ValueError("stats do not cover the schema's feature columns")
     return stats
 
 
 def load_model(path: str) -> ModelArtifact:
     """Load an artifact saved by :func:`save_model`; rejects wrong versions,
-    truncated files, malformed arrays, and dwac artifacts missing their
-    embedded training set, with a ValueError that names ``path``."""
+    truncated files, malformed arrays, artifacts without a schema or stats,
+    and dwac artifacts missing their embedded training set, with a
+    ValueError that names ``path``."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.load(f)
@@ -575,6 +557,9 @@ def load_model(path: str) -> ModelArtifact:
         raise ValueError(
             f"{path}: unsupported format {doc.get('format')!r}, expected {FORMAT_VERSION!r}"
         )
+    for key in ("schema", "stats"):
+        if doc.get(key) is None:
+            raise ValueError(f"{path}: model file has no {key!r}; re-train it")
     try:
         spec = MlpSpec(
             layer_sizes=tuple(doc["spec"]["layer_sizes"]),
@@ -587,16 +572,13 @@ def load_model(path: str) -> ModelArtifact:
             head=doc["head"],
         )
         num_classes = int(doc["num_classes"])
-        schema = Schema.from_json_dict(doc["schema"]) if doc["schema"] else None
+        schema = Schema.from_json_dict(doc["schema"])
         # Each kernel block holds rows x num_classes sums: bound the count by
         # what training can have given before anything is sized by it.
         if model.head != DWAC and num_classes != spec.output_dim:
             raise ValueError(f"num_classes is {num_classes}, softmax outputs {spec.output_dim}")
-        if schema is not None and num_classes != schema.num_classes:
+        if num_classes != schema.num_classes:
             raise ValueError(f"num_classes is {num_classes}, schema labels {schema.num_classes}")
-        if schema is None and num_classes > spec.input_dim + 1:
-            raise ValueError(f"num_classes is {num_classes}, over layer_sizes[0] + 1 = "
-                             f"{spec.input_dim + 1}, the most blobs of that width hold")
         embedded = None
         if doc["embedded"] is not None:
             if doc["embedded"]["num_classes"] != num_classes:
@@ -621,7 +603,7 @@ def load_model(path: str) -> ModelArtifact:
             sigma=sigma,
             num_classes=num_classes,
             schema=schema,
-            stats=_decode_stats(doc["stats"], schema) if doc["stats"] else None,
+            stats=_decode_stats(doc["stats"], schema),
             embedded=embedded,
             calibrations={
                 measure: _decode_array(scores, 1, f"calibrations.{measure}")

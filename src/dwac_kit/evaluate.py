@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .conformal import calibrate, conformal_predict
-from .data import CsvData, Dataset, encode_rows, fit_stats, label_codes, standardize_splits
+from .data import CsvData, Dataset, encode_rows, fit_stats, label_codes
 from .heads import DEFAULT_SIGMA, EmbeddedTrainingSet, Predictions
 from .linalg import make_rng, shuffle_split
 from .network import DWAC, EmbeddingModel
@@ -135,77 +135,39 @@ def _holdout_remap(labels: np.ndarray, num_classes: int, held_class: int) -> np.
     return remap
 
 
-def drop_class(dataset: Dataset, held_class: int) -> tuple[Dataset, Dataset]:
-    """Split a dataset into (remaining with dense relabeling, held-out rows).
-
-    Remaining labels are compacted to 0..c-2 in ascending original order so
-    the trained head stays minimal.
-    """
-    if dataset.y is None:
-        raise ValueError("hold-out protocol needs labels")
-    remap = _holdout_remap(dataset.y, dataset.num_classes, held_class)
-    held_mask = dataset.y == held_class
-    remaining = Dataset(
-        x=dataset.x[~held_mask],
-        y=remap[dataset.y[~held_mask]],
-        num_classes=dataset.num_classes - 1,
-        feature_names=dataset.feature_names,
-        stats=dataset.stats,
-    )
-    held = Dataset(
-        x=dataset.x[held_mask],
-        y=None,
-        num_classes=dataset.num_classes - 1,
-        feature_names=dataset.feature_names,
-        stats=dataset.stats,
-    )
-    return remaining, held
-
-
 def trial_splits(
-    data: Dataset | CsvData,
+    data: CsvData,
     seed: int,
     fractions: tuple[float, ...],
-    fixed_test: Dataset | CsvData | None = None,
+    fixed_test: CsvData | None = None,
     held_class: int | None = None,
 ) -> tuple[Dataset, ...]:
-    """Proper, calibration and test sets of one trial, normalized with stats
-    fitted on the proper set only.
+    """The sets of one trial, one per fraction (proper, calibration and
+    test), encoded with stats fitted on the proper set only.
 
     The rows are split with the ``SPLIT_STREAM`` generator of ``seed``. With
     ``fixed_test``, ``data`` is split proper/calibration only (the first two
     fractions, renormalized) and ``fixed_test`` is the test set. With
     ``held_class``, that class's rows are dropped before the split, the rest
-    are relabeled as by :func:`drop_class`, and the held rows follow as a
-    fourth, unlabeled set; a hold-out study takes no fixed test set. Blob
-    data is z-scored column by column; CSV rows are encoded once each, with
-    moments and vocabularies from the proper rows.
+    are relabeled densely (0..c-2 in ascending original order, so the
+    trained head stays minimal), and the held rows follow as a last,
+    unlabeled set; a hold-out study takes no fixed test set. Each row is
+    encoded once, with moments and vocabularies from the proper rows.
     """
     if held_class is not None and data.num_classes < 3:
         raise ValueError("hold-out protocol needs >= 3 classes so training stays multiclass")
     if fixed_test is not None:
         if held_class is not None:
             raise ValueError("a hold-out study takes no fixed test set")
-        if isinstance(fixed_test, Dataset) != isinstance(data, Dataset):
-            raise ValueError("test data must be blobs when the training data is, "
-                             "and CSV when it is CSV")
         a, b = fractions[0], fractions[1]
         fractions = (a / (a + b), b / (a + b))
     rng = make_rng(seed, SPLIT_STREAM)
-    if isinstance(data, Dataset):
-        extra = [] if fixed_test is None else [fixed_test]
-        if held_class is not None:
-            data, held = drop_class(data, held_class)
-            extra.append(held)
-        parts = shuffle_split(len(data), fractions, rng)
-        return standardize_splits(*(data.subset(p) for p in parts), *extra)
-
     table, schema = data.table, data.schema
     if held_class is None:
         parts = shuffle_split(len(data), fractions, rng)
     else:
         if not data.has_labels:
-            raise ValueError("hold-out protocol needs labels")
+            raise ValueError(f"{table.path}: hold-out protocol needs labels")
         labels = label_codes(table, schema)
         remap = _holdout_remap(labels, schema.num_classes, held_class)
         kept = np.flatnonzero(labels != held_class)

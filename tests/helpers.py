@@ -17,7 +17,17 @@ import math
 
 import numpy as np
 
-from dwac_kit import Dataset, FeatureStats, TrainConfig, make_blobs, make_rng, shuffle_split, train
+from dwac_kit import (
+    Dataset,
+    FeatureStats,
+    TrainConfig,
+    blob_data,
+    make_blobs,
+    make_rng,
+    shuffle_split,
+    train,
+    trial_splits,
+)
 from dwac_kit import heads
 from dwac_kit.data import (
     ROLE_CONTINUOUS,
@@ -26,7 +36,6 @@ from dwac_kit.data import (
     encode_rows,
     fit_stats,
     read_csv_rows,
-    standardize_splits,
 )
 from dwac_kit.explain import Explanation, explain_many
 from dwac_kit.evaluate import SPLIT_STREAM
@@ -277,17 +286,24 @@ def calibrate_oracle(score_rows: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return np.array(sorted(out))
 
 
+def subset(dataset: Dataset, indices) -> Dataset:
+    """The rows ``indices`` of an encoded dataset."""
+    return Dataset(x=dataset.x[indices], y=None if dataset.y is None else dataset.y[indices],
+                   num_classes=dataset.num_classes, feature_names=dataset.feature_names,
+                   stats=dataset.stats)
+
+
 def quick_split(dataset, fractions, seed):
+    """Raw (unencoded) splits of a dataset, by the rows ``trial_splits`` picks."""
     parts = shuffle_split(len(dataset), fractions, make_rng(seed, SPLIT_STREAM))
-    return tuple(dataset.subset(p) for p in parts)
+    return tuple(subset(dataset, p) for p in parts)
 
 
 def quick_train(head: str, n: int = 400, c: int = 3, d: int = 6, sep: float = 8.0,
                 seed: int = 0, max_epochs: int = 40, **overrides):
     """Train a small model on blobs; returns (result, proper, calib, test)."""
     blobs = make_blobs(n, c, d, sep, make_rng(seed, 3))
-    splits = quick_split(blobs, (0.6, 0.2, 0.2), seed)
-    proper, calib, test = standardize_splits(*splits)
+    proper, calib, test = trial_splits(blob_data(blobs), seed, (0.6, 0.2, 0.2))
     config = TrainConfig(head=head, seed=seed, max_epochs=max_epochs,
                          batch_size=64, **overrides)
     return train(proper, calib, config), proper, calib, test
@@ -299,7 +315,8 @@ WHERE = "__where__"  # the row-dict key of "path: row N", N the row's line in th
 def read_rows_oracle(path: str, schema) -> tuple[list[dict[str, str]], bool]:
     """A headered CSV as one dict of stripped cells per row, plus where the
     row came from under ``WHERE``; the same checks and messages as
-    ``read_csv_rows``."""
+    ``read_csv_rows``: the file's shape first, then every continuous cell,
+    row by row and left to right."""
     with open(path, "r", encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
         try:
@@ -329,22 +346,28 @@ def read_rows_oracle(path: str, schema) -> tuple[list[dict[str, str]], bool]:
             row = {name: cell.strip() for name, cell in zip(header, record)}
             row[WHERE] = f"{path}: row {start}"
             rows.append(row)
+    continuous = {c.name for c in schema.columns if c.role == ROLE_CONTINUOUS}
+    for row in rows:
+        for name in header:
+            if name in continuous:
+                _parse_cell_oracle(row, name)
     return rows, has_labels
 
 
+def _parse_cell_oracle(row, name) -> float:
+    cell = row[name]
+    if cell == "":
+        raise ValueError(f"{row[WHERE]}, column {name!r}: missing continuous value")
+    try:
+        return float(cell)
+    except ValueError:
+        raise ValueError(
+            f"{row[WHERE]}, column {name!r}: cannot parse {cell!r} as a number"
+        ) from None
+
+
 def _parse_continuous_oracle(rows, name):
-    values = np.empty(len(rows))
-    for i, row in enumerate(rows):
-        cell = row[name]
-        if cell == "":
-            raise ValueError(f"{row[WHERE]}, column {name!r}: missing continuous value")
-        try:
-            values[i] = float(cell)
-        except ValueError:
-            raise ValueError(
-                f"{row[WHERE]}, column {name!r}: cannot parse {cell!r} as a number"
-            ) from None
-    return values
+    return np.array([_parse_cell_oracle(row, name) for row in rows], dtype=np.float64)
 
 
 def fit_stats_oracle(rows, schema) -> FeatureStats:

@@ -45,7 +45,7 @@ from dwac_kit import (
 )
 from dwac_kit.cli import main as cli_main
 from dwac_kit.conformal import NEG_PROB, NEG_WEIGHT_SUM
-from dwac_kit.data import standardize_splits
+from dwac_kit.data import blob_data
 from dwac_kit.evaluate import ood_holdout_class_multi, trial_splits
 from dwac_kit.heads import EmbeddedTrainingSet
 from dwac_kit.linalg import shuffle_split
@@ -58,6 +58,7 @@ from helpers import (
     loo_loss_oracle,
     p_value_oracle,
     pairwise_sq_oracle,
+    subset,
 )
 
 SEEDS = (0, 1, 2, 3, 4)
@@ -79,8 +80,7 @@ def protocol_run(head: str, seed: int, separation: float) -> ProtocolRun:
     """The shared blob protocol: 4 classes in 8 dims, 2000/500/2000 split,
     feature moments from the proper split, generous training budget."""
     blobs = make_blobs(4500, 4, 8, separation, make_rng(seed, 3))
-    parts = shuffle_split(len(blobs), (4 / 9, 1 / 9, 4 / 9), make_rng(seed, 2))
-    proper, calib, test = standardize_splits(*(blobs.subset(p) for p in parts))
+    proper, calib, test = trial_splits(blob_data(blobs), seed, (4 / 9, 1 / 9, 4 / 9))
     config = TrainConfig(head=head, seed=seed, max_epochs=300, patience=50)
     result = train(proper, calib, config)
     cp = predict(result.model, calib.x, train=result.embedded, sigma=config.sigma)
@@ -291,11 +291,11 @@ def adult_runs():
         for seed in SEEDS:
             if fixed_test is not None:
                 parts = shuffle_split(len(train_ds), (0.75, 0.25), make_rng(seed, 2))
-                proper, calib = (train_ds.subset(p) for p in parts)
+                proper, calib = (subset(train_ds, p) for p in parts)
                 test = fixed_test
             else:
                 parts = shuffle_split(len(train_ds), (0.6, 0.2, 0.2), make_rng(seed, 2))
-                proper, calib, test = (train_ds.subset(p) for p in parts)
+                proper, calib, test = (subset(train_ds, p) for p in parts)
             config = TrainConfig(head=head, seed=seed, max_epochs=50, patience=10)
             result = train(proper, calib, config)
             tp = predict(result.model, test.x, train=result.embedded, sigma=config.sigma)
@@ -377,7 +377,7 @@ def test_criterion_07_ood_direction():
         blobs = _distant_blobs(2500, seed)
         dwac_cfg = TrainConfig(head=DWAC, seed=seed, max_epochs=60, patience=10)
         soft_cfg = TrainConfig(head=SOFTMAX, seed=seed, max_epochs=60, patience=10)
-        splits = trial_splits(blobs, seed, (0.6, 0.2, 0.2), held_class=3)
+        splits = trial_splits(blob_data(blobs), seed, (0.6, 0.2, 0.2), held_class=3)
         dwac_rep = ood_holdout_class_multi(splits, train(*splits[:2], dwac_cfg),
                                            [NEG_PROB, NEG_WEIGHT_SUM], dwac_cfg.sigma)
         soft_rep = ood_holdout_class_multi(splits, train(*splits[:2], soft_cfg), [NEG_PROB])
@@ -403,8 +403,7 @@ def test_criterion_08_credibility_uniformity():
     # protocol carves a separate development split for the trainer.
     blobs = make_blobs(5500, 4, 8, 5.0, make_rng(0, 3))
     fractions = (2000 / 5500, 500 / 5500, 1000 / 5500, 2000 / 5500)
-    parts = shuffle_split(len(blobs), fractions, make_rng(0, 2))
-    proper, dev, calib, test = standardize_splits(*(blobs.subset(p) for p in parts))
+    proper, dev, calib, test = trial_splits(blob_data(blobs), 0, fractions)
     assert (len(proper), len(dev), len(calib), len(test)) == (2000, 500, 1000, 2000)
 
     deciles = np.arange(0.1, 1.0, 0.1)

@@ -3,17 +3,20 @@ from __future__ import annotations
 import csv
 import importlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dataclasses import replace
 
-from dwac_kit import heads, load_model, make_blobs, make_rng, predict, save_model
+from dwac_kit import blob_data, heads, load_model, make_blobs, make_rng, predict, save_model
+from dwac_kit import cli
 from dwac_kit.cli import (
-    BLOBS_STREAM, FOREIGN_KEYS, SCORING_KEYS, build_config, main, make_parser,
+    BLOBS_STREAM, FOREIGN_KEYS, HOLDOUT_KEYS, SCORING_KEYS, TRAIN_KEYS, build_config, main,
+    make_parser,
 )
-from dwac_kit.data import standardize
+from dwac_kit.data import encode_rows, label_codes
 from dwac_kit.evaluate import ood_cross_dataset
 from dwac_kit.explain import explain_with_agreement
 from helpers import CPU_COUNTS, assert_one_error_line, use_cpus, write_csv_data
@@ -65,6 +68,7 @@ def test_train_summary_layout(trained_dir):
         assert float(r[2]) == 0.0  # single trial -> zero std
     assert prov["data"] == BLOBS
     assert prov["seed"] == 0
+    assert set(prov) == set(TRAIN_KEYS)
 
 
 def test_train_reruns_are_byte_identical(trained_dir, tmp_path):
@@ -158,7 +162,8 @@ def test_predict_round_trip_is_byte_identical(trained_dir, tmp_path):
     doc = json.loads((out_a / "predictions.json").read_text())
     assert len(doc["predictions"]) == 200
     first = doc["predictions"][0]
-    assert set(first) == {"index", "predicted", "probs"}  # no schema -> no label names
+    assert set(first) == {"index", "label", "predicted", "probs"}
+    assert first["label"] == str(first["predicted"])  # blob label values are "0".."c-1"
     assert np.isclose(sum(first["probs"]), 1.0)
     assert doc["provenance"]["data"] == BLOBS
 
@@ -246,6 +251,100 @@ def test_scoring_commands_read_only_their_keys(trained_dir, tmp_path, capsys):
     assert run(["predict", "--data", BLOBS, "--model", model, "--config", str(cfg),
                 "--out", str(tmp_path / "x")]) == 2
     assert_one_error_line(capsys)
+
+
+def test_training_runs_read_only_their_keys(tmp_path, capsys):
+    # train and ood --held-class refuse, from a flag or a config file, every
+    # key they do not read; their provenance holds exactly what they read
+    # (pinned by the train and hold-out tests above)
+    out = tmp_path / "x"
+    unread = {
+        "train": ({"k": 99}, {"epsilons": [0.3]}, {"k_list": [1]}, {"measure": "neg_prob"},
+                  {"held_class": 1}, {"foreign": "blobs:n=9"}),
+        "ood": ({"trials": 2}, {"k": 99}, {"k_list": [1]}, {"epsilons": [0.3]},
+                {"test_data": "blobs:n=9"}, {"foreign": "blobs:n=9"}),
+    }
+    for command, key_values in unread.items():
+        argv = [command, "--data", BLOBS, "--out", str(out), *FAST]
+        if command == "ood":
+            argv += ["--held-class", "2"]
+        for key_value in key_values:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(key_value))
+            capsys.readouterr()
+            assert run(argv + ["--config", str(cfg)]) == 2
+            line = assert_one_error_line(capsys)
+            assert f"{command} does not read {next(iter(key_value))}" in line, line
+    capsys.readouterr()
+    assert run(["ood", "--data", BLOBS, "--held-class", "2", "--foreign", BLOBS,
+                "--out", str(out)]) == 2
+    assert_one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_scoring_reads_labels_only_where_it_uses_them(tmp_path, capsys):
+    # predict and explain encode features only, so labels outside the
+    # artifact's label values (or a blob spec with more classes than it) do
+    # not stop them; conformal scores labels and refuses them with one line
+    data, schema = write_csv_data(tmp_path)
+    trained = tmp_path / "csv"
+    assert run(["train", "--data", data, "--schema", schema, "--head", "dwac",
+                "--out", str(trained), *FAST]) == 0
+    unknown = tmp_path / "unknown.csv"
+    lines = Path(data).read_text().splitlines()
+    unknown.write_text("\n".join([lines[0], *(line.rsplit(",", 1)[0] + ",unknown"
+                                              for line in lines[1:]), ""]))
+    blob_model = tmp_path / "blobs"
+    assert run(["train", "--data", BLOBS, "--head", "dwac", "--out", str(blob_model),
+                *FAST]) == 0
+    more_classes = "blobs:n=40,c=4,d=3,sep=8,seed=1"
+    for model, source, bad_label in (
+        (trained, [str(unknown), "--schema", schema],
+         f"{unknown}: row 2: label 'unknown' not in schema label_values"),
+        (blob_model, [more_classes],
+         f"{more_classes}: row 31: label '3' not in schema label_values"),
+    ):
+        scoring = ["--data", *source, "--model", str(model / "model_dwac_trial0.json")]
+        for command in ("predict", "explain"):
+            assert run([command, *scoring, "--out", str(tmp_path / command)]) == 0
+        capsys.readouterr()
+        assert run(["conformal", *scoring, "--out", str(tmp_path / "conf")]) == 2
+        assert assert_one_error_line(capsys) == f"error: {bad_label}"
+    doc = json.loads((tmp_path / "predict" / "predictions.json").read_text())
+    assert len(doc["predictions"]) == 40
+
+
+def test_conformal_with_more_blob_classes_than_the_model_is_one_error_line(tmp_path, capsys):
+    # scoring 4-class blobs against a 3-class artifact once indexed past its
+    # class sums and ended in an IndexError traceback
+    model = tmp_path / "m"
+    assert run(["train", "--data", "blobs:n=300,c=3,d=3,sep=8", "--head", "dwac",
+                "--out", str(model), *FAST]) == 0
+    capsys.readouterr()
+    assert run(["conformal", "--data", "blobs:n=300,c=4,d=3,sep=8",
+                "--model", str(model / "model_dwac_trial0.json"),
+                "--out", str(tmp_path / "c")]) == 2
+    line = assert_one_error_line(capsys)
+    assert line == ("error: blobs:n=300,c=4,d=3,sep=8: row 226: label '3' not in schema "
+                    "label_values"), line
+
+
+def test_blob_spec_labels_are_those_of_the_rows_predict_scores(trained_dir, tmp_path,
+                                                               monkeypatch):
+    # a benchmark builds reference labels from _parse_blob_spec(spec, 0).y, so
+    # that generated dataset must stay what the table predict encodes is built from
+    spec = "blobs:n=120,c=3,d=3,sep=8,seed=4"
+    encoded = []
+
+    def recording(table, schema, *args, **kwargs):
+        encoded.append(label_codes(table, schema))
+        return encode_rows(table, schema, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "encode_rows", recording)
+    assert run(["predict", "--data", spec, "--model", str(trained_dir / "model_dwac_trial0.json"),
+                "--out", str(tmp_path / "p")]) == 0
+    assert len(encoded) == 1
+    assert np.array_equal(encoded[0], cli._parse_blob_spec(spec, 0).y)
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +440,7 @@ def test_ood_holdout_summary(tmp_path):
         assert 0.0 <= stats["out_of_domain_mean"] <= 1.0
     assert (out / "ood_hist_dwac_neg_weight_sum.csv").exists()
     assert doc["provenance"]["held_class"] == 3
+    assert set(doc["provenance"]) == set(HOLDOUT_KEYS)
 
 
 def test_ood_cross_dataset(trained_dir, tmp_path):
@@ -455,15 +555,17 @@ def test_json_outputs_hold_one_record_per_line(trained_dir, tmp_path):
     model = str(trained_dir / "model_dwac_trial0.json")
     artifact = load_model(model)
     foreign_spec = "blobs:n=30,c=3,d=3,sep=8,seed=9"
-    blobs = [standardize(make_blobs(n, 3, 3, 8.0, make_rng(seed, BLOBS_STREAM)), artifact.stats)
-             for n, seed in ((200, 0), (30, 9))]
+    tables = [blob_data(make_blobs(n, 3, 3, 8.0, make_rng(seed, BLOBS_STREAM)))
+              for n, seed in ((200, 0), (30, 9))]
+    blobs = [encode_rows(t.table, t.schema, artifact.stats, has_labels=False) for t in tables]
     preds = predict(artifact.model, blobs[0].x, train=artifact.embedded, sigma=artifact.sigma)
     explanations, _ = explain_with_agreement(blobs[0].x, artifact.model, artifact.embedded,
                                              k=10, k_list=(1, 5, 10, 100), sigma=artifact.sigma)
     expected = {
         "predictions.json": {
             "provenance": {"command": "predict", "data": BLOBS, "seed": 0},
-            "predictions": [{"index": i, "predicted": int(preds.predicted[i]),
+            "predictions": [{"index": i, "label": str(preds.predicted[i]),
+                             "predicted": int(preds.predicted[i]),
                              "probs": [float(p) for p in preds.probs[i]]}
                             for i in range(len(preds))]},
         "explanations.json": {
@@ -569,7 +671,7 @@ SCHEMA_2 = {"columns": [{"name": "y", "role": "label"}, {"name": "a", "role": "c
     # the blobs model has 3 inputs, 3 classes and a 2-wide embedding
     ("dwac", {"embedded.num_classes": 10_000_000_000_000}, "embedded.num_classes is not"),
     ("dwac", {"num_classes": 10_000_000_000_000, "embedded.num_classes": 10_000_000_000_000},
-     "over layer_sizes[0] + 1 = 4"),
+     "schema labels 3"),
     ("dwac", {"schema": SCHEMA_2}, "schema labels 2"),
     ("softmax", {"num_classes": 2}, "softmax outputs 3"),
 ])
@@ -679,6 +781,13 @@ def test_csv_rows_are_read_once_and_encoded_once_per_trial(tmp_path, monkeypatch
                 "--model", str(out / "model_softmax_trial0.json"),
                 "--out", str(tmp_path / "conf")]) == 0
     assert reads == [150] and encoded == [150]
+    # two trials' models: their stats differ, the file does not
+    reads.clear(), encoded.clear()
+    assert run(["conformal", "--data", data,
+                "--model", str(out / "model_dwac_trial0.json"),
+                "--model", str(out / "model_dwac_trial1.json"),
+                "--out", str(tmp_path / "conf2")]) == 0
+    assert reads == [150] and encoded == [150, 150]
 
 
 def test_ood_holdout_splits_and_encodes_once_for_both_heads(tmp_path, monkeypatch):

@@ -1,7 +1,8 @@
-"""The columnar CSV encoder against the row-by-row oracle in ``helpers``,
-over generated CSV bodies: blank lines, padded cells, quoted cells over two
-lines, empty and unparseable numbers, unknown categories and labels, short
-rows, and random row subsets for fitting and for encoding."""
+"""The columnar CSV reader and encoder against the row-by-row oracle in
+``helpers``, over generated CSV bodies: blank lines, padded cells, quoted
+cells over two lines, empty and unparseable numbers (an error of the read,
+naming the first in file order), unknown categories and labels, short rows,
+and random row subsets for fitting and for encoding."""
 
 from __future__ import annotations
 
@@ -90,8 +91,14 @@ def test_columnar_encoder_matches_the_row_oracle(tmp_path, body, data):
     rows, has_labels = expected
     table, got_labels = got
     assert got_labels == has_labels and len(table) == len(rows)
+    continuous = {c.name for c in SCHEMA.columns if c.role == "continuous"}
     for name, column in table.columns.items():
-        assert column == [row[name] for row in rows]
+        cells = [row[name] for row in rows]
+        if name in continuous:
+            assert column.dtype == np.float64
+            assert column.tobytes() == np.array([float(c) for c in cells]).tobytes()
+        else:
+            assert column == cells
 
     subset = st.none() | st.permutations(range(len(rows))).flatmap(
         lambda perm: st.integers(0, len(perm)).map(lambda k: perm[:k]))

@@ -3,16 +3,17 @@ from __future__ import annotations
 import json
 import os
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dwac_kit import (
     ColumnSpec,
-    Dataset,
     FeatureStats,
     ModelArtifact,
     Schema,
+    blob_data,
     load_model,
     make_blobs,
     make_rng,
@@ -20,13 +21,7 @@ from dwac_kit import (
     predict,
     save_model,
 )
-from dwac_kit.data import (
-    atomic_write_text,
-    fit_stats,
-    read_csv_rows,
-    standardize,
-    standardize_splits,
-)
+from dwac_kit.data import atomic_write_text, encode_rows, fit_stats, label_codes, read_csv_rows
 from helpers import load_csv, quick_split
 
 SCHEMA = Schema(
@@ -166,9 +161,11 @@ def test_rows_are_numbered_by_the_line_they_start_on(tmp_path):
     # a quoted cell spans lines 2-3, so the bad number is on line 5
     text = 'species,size,color,notes\ncat,1,red,"two\nlines"\n\ndog,oops,red,b\n'
     path = write_csv(tmp_path, text)
-    assert read_csv_rows(path, SCHEMA)[0].lines == [2, 5]
+    good = write_csv(tmp_path, text.replace("oops", "2"), "good.csv")
+    assert read_csv_rows(good, SCHEMA)[0].lines == [2, 5]
+    # continuous cells are parsed as the file is read
     with pytest.raises(ValueError, match=rf"^{re.escape(path)}: row 5, column 'size'"):
-        load_csv(path, SCHEMA)
+        read_csv_rows(path, SCHEMA)
 
 
 def test_fit_stats_constant_column_keeps_unit_std(tmp_path):
@@ -177,39 +174,6 @@ def test_fit_stats_constant_column_keeps_unit_std(tmp_path):
     stats = fit_stats(rows, SCHEMA)
     assert stats.stds["size"] == 1.0
     assert stats.vocabs["color"] == ("red",)
-
-
-# ---------------------------------------------------------------------------
-# standardize (synthetic path)
-# ---------------------------------------------------------------------------
-
-def test_standardize_fits_and_applies():
-    ds = Dataset(x=np.array([[0.0, 7.0], [2.0, 7.0]]), y=np.array([0, 1]),
-                 num_classes=2, feature_names=("a", "b"))
-    out = standardize(ds)
-    assert np.array_equal(out.x[:, 0], np.array([-1.0, 1.0]))
-    # constant column keeps std 1 so it maps to zero, not NaN
-    assert np.array_equal(out.x[:, 1], np.array([0.0, 0.0]))
-    assert out.stats.means["a"] == 1.0
-
-
-def test_standardize_splits_use_proper_moments_only():
-    blobs = make_blobs(300, 3, 4, 6.0, make_rng(5, 3))
-    raw_proper, raw_calib, raw_test = quick_split(blobs, (0.6, 0.2, 0.2), 5)
-    proper, calib, test = standardize_splits(raw_proper, raw_calib, raw_test)
-    mean = raw_proper.x.mean(axis=0)
-    std = raw_proper.x.std(axis=0)
-    assert np.allclose(calib.x, (raw_calib.x - mean) / std)
-    assert np.allclose(test.x, (raw_test.x - mean) / std)
-    # applying the proper stats is not the same as refitting on calib
-    assert not np.allclose(calib.x.mean(axis=0), 0.0, atol=1e-3)
-
-
-def test_standardize_rejects_missing_stats_columns():
-    ds = Dataset(x=np.ones((2, 1)), y=None, num_classes=2, feature_names=("zz",))
-    stats = FeatureStats(means={"a": 0.0}, stds={"a": 1.0}, vocabs={})
-    with pytest.raises(ValueError, match="zz"):
-        standardize(ds, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +186,27 @@ def test_blobs_balanced_labels():
     assert counts.tolist() == [4, 3, 3]
     assert ds.num_classes == 3 and ds.dim == 3
     assert ds.feature_names == ("x0", "x1", "x2")
+
+
+def test_blob_data_is_an_all_continuous_table():
+    ds = make_blobs(10, 3, 2, 5.0, make_rng(0, 3))
+    data = blob_data(ds, "blobs:n=10")
+    assert [(c.name, c.role) for c in data.schema.columns] == [
+        ("x0", "continuous"), ("x1", "continuous"), ("y", "label")]
+    assert data.schema.label_values == ("0", "1", "2") and data.has_labels
+    for i in range(2):
+        column = data.table.columns[f"x{i}"]
+        assert column.dtype == np.float64 and column.flags.c_contiguous
+        assert np.array_equal(column, ds.x[:, i])
+    assert np.array_equal(label_codes(data.table, data.schema), ds.y)
+    # encoded with stats fitted on all of it: each column z-scored on its own
+    encoded = encode_rows(data.table, data.schema, fit_stats(data.table, data.schema))
+    assert encoded.feature_names == ("x0", "x1")
+    assert np.allclose(encoded.x, (ds.x - ds.x.mean(axis=0)) / ds.x.std(axis=0))
+    # errors name the source and number the rows from 1
+    two = replace(data.schema, label_values=("0", "1"))
+    with pytest.raises(ValueError, match=r"^blobs:n=10: row 8: label '2' not in"):
+        label_codes(data.table, two)
 
 
 def test_blobs_centers_are_equidistant():
@@ -274,11 +259,14 @@ def test_blobs_nearest_neighbor_separability():
 
 def make_artifact(run):
     result, proper, calib, test = run
+    schema = Schema(columns=(*(ColumnSpec(name, "continuous") for name in proper.feature_names),
+                             ColumnSpec("y", "label")),
+                    label_values=("0", "1", "2"))
     return ModelArtifact(
         model=result.model,
         sigma=0.5,
         num_classes=proper.num_classes,
-        schema=None,
+        schema=schema,
         stats=proper.stats,
         embedded=result.embedded,
         calibrations={"neg_prob": np.sort(make_rng(4).random(20))},
@@ -310,11 +298,13 @@ def test_artifact_preserves_schema(tmp_path, softmax_run):
     # the schema's label values must match the model's three classes
     result, proper, *_ = softmax_run
     schema = Schema(columns=SCHEMA.columns, label_values=("cat", "dog", "eel"))
+    stats = FeatureStats(means={"size": 1.5}, stds={"size": 2.0}, vocabs={"color": ("red",)})
     artifact = ModelArtifact(model=result.model, sigma=0.5,
-                             num_classes=proper.num_classes, schema=schema)
+                             num_classes=proper.num_classes, schema=schema, stats=stats)
     path = tmp_path / "m.json"
     save_model(artifact, str(path))
-    assert load_model(str(path)).schema == schema
+    loaded = load_model(str(path))
+    assert loaded.schema == schema and loaded.stats == stats
 
 
 def test_artifact_rejects_wrong_version(tmp_path, dwac_run):
@@ -349,10 +339,28 @@ def test_artifact_rejects_missing_fields(tmp_path, dwac_run):
         load_model(str(path))
 
 
+@pytest.mark.parametrize("key", ["schema", "stats"])
+@pytest.mark.parametrize("edit", ["null", "absent"])
+def test_artifact_without_schema_or_stats_is_refused_by_name(tmp_path, dwac_run, key, edit):
+    # artifacts saved without them (blob models before every input was a
+    # table) cannot encode their input, and must be re-trained
+    artifact, _ = make_artifact(dwac_run)
+    path = tmp_path / "m.json"
+    save_model(artifact, str(path))
+    doc = json.loads(path.read_text())
+    if edit == "null":
+        doc[key] = None
+    else:
+        del doc[key]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: model file has no '{key}'"):
+        load_model(str(path))
+
+
 def test_dwac_artifact_requires_embedded(dwac_run):
-    result, proper, *_ = dwac_run
+    artifact, _ = make_artifact(dwac_run)
     with pytest.raises(ValueError, match="embedded"):
-        ModelArtifact(model=result.model, sigma=0.5, num_classes=proper.num_classes)
+        replace(artifact, embedded=None)
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from dwac_kit import (
     Dataset,
     Predictions,
+    Schema,
     TrainConfig,
     accuracy,
+    blob_data,
     calibrate,
     calibration_mae,
     conformal_predict,
@@ -19,9 +23,10 @@ from dwac_kit import (
     train,
 )
 from dwac_kit.conformal import NEG_PROB, NEG_WEIGHT_SUM
-from dwac_kit.data import CsvData, Schema, read_csv_rows
-from dwac_kit.evaluate import SPLIT_STREAM, drop_class, trial_splits
+from dwac_kit.data import CsvData, read_csv_rows
+from dwac_kit.evaluate import SPLIT_STREAM, trial_splits
 from dwac_kit.linalg import shuffle_split
+from helpers import quick_split
 
 
 # ---------------------------------------------------------------------------
@@ -115,31 +120,42 @@ def test_calibration_mae_validation():
 
 
 # ---------------------------------------------------------------------------
-# class hold-out plumbing
+# trial splits and class hold-out plumbing
 # ---------------------------------------------------------------------------
 
-def test_drop_class_relabels_densely():
-    x = np.arange(12, dtype=np.float64).reshape(6, 2)
-    y = np.array([0, 1, 2, 3, 2, 1])
-    ds = Dataset(x=x, y=y, num_classes=4, feature_names=("a", "b"))
-    remaining, held = drop_class(ds, 2)
-    assert len(held) == 2 and held.y is None
-    assert np.array_equal(held.x, x[[2, 4]])
-    # classes 0,1,3 compact to 0,1,2
-    assert np.array_equal(remaining.y, np.array([0, 1, 2, 1]))
-    assert remaining.num_classes == 3 and held.num_classes == 3
+def test_blob_splits_fit_moments_on_proper_rows_only():
+    blobs = make_blobs(300, 3, 4, 6.0, make_rng(5, 3))
+    raw_proper, raw_calib, raw_test = quick_split(blobs, (0.6, 0.2, 0.2), 5)
+    proper, calib, test = trial_splits(blob_data(blobs), 5, (0.6, 0.2, 0.2))
+    for raw, ds in ((raw_proper, proper), (raw_calib, calib), (raw_test, test)):
+        assert np.array_equal(ds.y, raw.y)
+    # the moments of each column alone, over the proper rows
+    assert proper.stats.means == {f"x{i}": float(np.mean(raw_proper.x[:, i].copy()))
+                                  for i in range(4)}
+    mean = raw_proper.x.mean(axis=0)
+    std = raw_proper.x.std(axis=0)
+    assert np.allclose(calib.x, (raw_calib.x - mean) / std)
+    assert np.allclose(test.x, (raw_test.x - mean) / std)
+    # applying the proper stats is not the same as refitting on calib
+    assert not np.allclose(calib.x.mean(axis=0), 0.0, atol=1e-3)
 
 
-def test_drop_class_validation():
-    ds = Dataset(x=np.ones((4, 1)), y=np.array([0, 0, 1, 1]), num_classes=3,
-                 feature_names=("a",))
-    with pytest.raises(ValueError):
-        drop_class(ds, 5)
-    with pytest.raises(ValueError):
-        drop_class(ds, 2)  # class exists in the schema but has no rows
-    unlabeled = Dataset(x=np.ones((4, 1)), y=None, num_classes=3, feature_names=("a",))
-    with pytest.raises(ValueError):
-        drop_class(unlabeled, 0)
+def test_holdout_splits_relabel_the_remaining_classes_densely():
+    blobs = make_blobs(80, 4, 3, 8.0, make_rng(0, 3))
+    proper, calib, test, held = trial_splits(blob_data(blobs), 0, (0.6, 0.2, 0.2),
+                                             held_class=2)
+    # the held rows, in order, encoded with the proper rows' moments
+    assert len(held) == 20 and held.y is None
+    means = np.array([proper.stats.means[f"x{i}"] for i in range(3)])
+    stds = np.array([proper.stats.stds[f"x{i}"] for i in range(3)])
+    assert np.allclose(held.x, (blobs.x[blobs.y == 2] - means) / stds)
+    # classes 0, 1 and 3 compact to 0, 1 and 2, in the rows of the split
+    kept = np.flatnonzero(blobs.y != 2)
+    parts = shuffle_split(kept.size, (0.6, 0.2, 0.2), make_rng(0, SPLIT_STREAM))
+    for ds, part in zip((proper, calib, test), parts):
+        assert np.array_equal(ds.y, np.array([0, 1, -1, 2])[blobs.y[kept[part]]])
+    for ds in (proper, calib, test, held):
+        assert ds.num_classes == 3
 
 
 def test_csv_holdout_splits_fit_stats_on_proper_rows_only(tmp_path):
@@ -187,7 +203,7 @@ def holdout_reports():
     # only two remaining classes the held-out simplex vertex projects onto
     # the inter-class axis and embeds near the decision boundary, which
     # keeps its kernel mass unremarkable.
-    blobs = make_blobs(480, 4, 4, 8.0, make_rng(11, 3))
+    blobs = blob_data(make_blobs(480, 4, 4, 8.0, make_rng(11, 3)))
     config = TrainConfig(head="dwac", seed=11, max_epochs=40, batch_size=64)
     splits = trial_splits(blobs, 11, (0.6, 0.2, 0.2), held_class=3)
     result = train(*splits[:2], config)
@@ -217,7 +233,7 @@ def test_holdout_weight_sums_flag_the_held_class(holdout_reports):
 
 
 def test_holdout_single_measure_matches_multi(holdout_reports):
-    blobs = make_blobs(480, 4, 4, 8.0, make_rng(11, 3))
+    blobs = blob_data(make_blobs(480, 4, 4, 8.0, make_rng(11, 3)))
     config = TrainConfig(head="dwac", seed=11, max_epochs=40, batch_size=64)
     splits = trial_splits(blobs, 11, (0.6, 0.2, 0.2), held_class=3)
     result = train(*splits[:2], config)
@@ -228,12 +244,21 @@ def test_holdout_single_measure_matches_multi(holdout_reports):
 
 
 def test_holdout_validation():
-    two = make_blobs(40, 2, 2, 6.0, make_rng(0, 3))
+    fractions = (0.6, 0.2, 0.2)
+    two = blob_data(make_blobs(40, 2, 2, 6.0, make_rng(0, 3)))
     with pytest.raises(ValueError, match=">= 3 classes"):
-        trial_splits(two, 0, (0.6, 0.2, 0.2), held_class=0)
-    three = make_blobs(60, 3, 2, 6.0, make_rng(0, 3))
+        trial_splits(two, 0, fractions, held_class=0)
+    three = blob_data(make_blobs(60, 3, 2, 6.0, make_rng(0, 3)), "blobs:n=60")
+    with pytest.raises(ValueError, match="out of range"):
+        trial_splits(three, 0, fractions, held_class=5)
+    # a class the schema names but no row has
+    four = replace(three, schema=replace(three.schema, label_values=("0", "1", "2", "3")))
+    with pytest.raises(ValueError, match="class 3 has no instances"):
+        trial_splits(four, 0, fractions, held_class=3)
+    with pytest.raises(ValueError, match="^blobs:n=60: hold-out protocol needs labels"):
+        trial_splits(replace(three, has_labels=False), 0, fractions, held_class=0)
     config = TrainConfig(head="dwac", seed=0, max_epochs=2)
-    splits = trial_splits(three, 0, (0.6, 0.2, 0.2), held_class=0)
+    splits = trial_splits(three, 0, fractions, held_class=0)
     result = train(*splits[:2], config)
     with pytest.raises(ValueError):
         ood_holdout_class_multi(splits, result, [], config.sigma)

@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 import dwac_kit.trainer as trainer_mod
-from dwac_kit import Dataset, TrainConfig, make_blobs, make_rng
+from dwac_kit import Dataset, TrainConfig, blob_data, make_blobs, make_rng
 from dwac_kit.cli import main
-from dwac_kit.data import standardize_splits
-from dwac_kit.evaluate import accuracy
+from dwac_kit.evaluate import accuracy, trial_splits
 from dwac_kit.network import DWAC, SOFTMAX, adam_step
 from dwac_kit.trainer import (
     build_model,
@@ -23,6 +22,7 @@ from helpers import (
     assert_one_error_line,
     quick_split,
     quick_train,
+    subset,
     train_per_array_oracle,
     use_cpus,
     write_csv_data,
@@ -86,7 +86,7 @@ def test_single_instance_trailing_batch_is_dropped():
     # 129 proper instances with batch 128 leaves a trailing batch of one,
     # which the leave-one-out loss cannot score
     blobs = make_blobs(215, 3, 4, 8.0, make_rng(0, 3))
-    proper, calib = (blobs.subset(np.arange(129)), blobs.subset(np.arange(129, 215)))
+    proper, calib = subset(blobs, np.arange(129)), subset(blobs, np.arange(129, 215))
     result = train(proper, calib, TrainConfig(head=DWAC, max_epochs=3, batch_size=128))
     assert all(np.isfinite(e.mean_loss) for e in result.history)
     softmax_result = train(proper, calib, TrainConfig(head=SOFTMAX, max_epochs=3,
@@ -96,7 +96,7 @@ def test_single_instance_trailing_batch_is_dropped():
 
 def test_nonfinite_loss_aborts(monkeypatch):
     blobs = make_blobs(60, 3, 4, 8.0, make_rng(1, 3))
-    proper, calib = blobs.subset(np.arange(40)), blobs.subset(np.arange(40, 60))
+    proper, calib = subset(blobs, np.arange(40)), subset(blobs, np.arange(40, 60))
 
     def bad_loss(h, y, c, sigma=0.5):
         return float("nan"), np.zeros_like(h)
@@ -151,7 +151,7 @@ def test_result_keeps_the_best_epochs_calibration_predictions(head):
 @pytest.mark.parametrize("head", [DWAC, SOFTMAX])
 def test_flat_adam_matches_the_per_array_loop_bit_for_bit(head, monkeypatch):
     blobs = make_blobs(300, 3, 5, 6.0, make_rng(2, 3))
-    proper, calib, _ = standardize_splits(*quick_split(blobs, (0.6, 0.2, 0.2), 2))
+    proper, calib, _ = trial_splits(blob_data(blobs), 2, (0.6, 0.2, 0.2))
     calls = []
 
     def counted(params, grads, state):
@@ -162,7 +162,7 @@ def test_flat_adam_matches_the_per_array_loop_bit_for_bit(head, monkeypatch):
     config = TrainConfig(head=head, seed=3, max_epochs=3, patience=3, batch_size=32,
                          dropout_prob=0.3)
     # no calibration rows: nothing to validate on, so the last epoch is kept
-    result = train(proper, calib.subset(np.arange(0)), config)
+    result = train(proper, subset(calib, np.arange(0)), config)
     assert result.best_epoch == 3
     # 180 proper rows: five full batches of 32 and one of 20, per epoch
     assert calls == [1] * (3 * 6)
@@ -219,10 +219,10 @@ def _assert_same_result(a, b) -> None:
 
 def test_train_many_equals_serial_training_bit_for_bit(monkeypatch, forks, no_child_left):
     blobs = make_blobs(300, 3, 5, 6.0, make_rng(4, 3))
-    proper, calib, _ = standardize_splits(*quick_split(blobs, (0.6, 0.2, 0.2), 4))
+    proper, calib, _ = trial_splits(blob_data(blobs), 4, (0.6, 0.2, 0.2))
     jobs = [(proper, calib, TrainConfig(head=head, seed=seed, max_epochs=6, batch_size=32))
             for seed in (1, 2) for head in (SOFTMAX, DWAC)]
-    jobs.append((proper, calib.subset(np.arange(0)), TrainConfig(max_epochs=3)))
+    jobs.append((proper, subset(calib, np.arange(0)), TrainConfig(max_epochs=3)))
     serial = [train(*job) for job in jobs]
     # three CPUs, five jobs: two children train two jobs each, the caller the last
     use_cpus(monkeypatch, 3)
