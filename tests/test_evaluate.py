@@ -243,11 +243,9 @@ def test_holdout_single_measure_matches_multi(holdout_reports):
                           holdout_reports[NEG_WEIGHT_SUM].out_of_domain)
 
 
-def test_holdout_validation():
+def test_drop_class_validation():
+    # the class held out must be in range, have rows, and the data labels
     fractions = (0.6, 0.2, 0.2)
-    two = blob_data(make_blobs(40, 2, 2, 6.0, make_rng(0, 3)))
-    with pytest.raises(ValueError, match=">= 3 classes"):
-        trial_splits(two, 0, fractions, held_class=0)
     three = blob_data(make_blobs(60, 3, 2, 6.0, make_rng(0, 3)), "blobs:n=60")
     with pytest.raises(ValueError, match="out of range"):
         trial_splits(three, 0, fractions, held_class=5)
@@ -257,6 +255,14 @@ def test_holdout_validation():
         trial_splits(four, 0, fractions, held_class=3)
     with pytest.raises(ValueError, match="^blobs:n=60: hold-out protocol needs labels"):
         trial_splits(replace(three, has_labels=False), 0, fractions, held_class=0)
+
+
+def test_holdout_validation():
+    fractions = (0.6, 0.2, 0.2)
+    two = blob_data(make_blobs(40, 2, 2, 6.0, make_rng(0, 3)))
+    with pytest.raises(ValueError, match=">= 3 classes"):
+        trial_splits(two, 0, fractions, held_class=0)
+    three = blob_data(make_blobs(60, 3, 2, 6.0, make_rng(0, 3)))
     config = TrainConfig(head="dwac", seed=0, max_epochs=2)
     splits = trial_splits(three, 0, fractions, held_class=0)
     result = train(*splits[:2], config)
