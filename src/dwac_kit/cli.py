@@ -410,6 +410,9 @@ def cmd_train(cfg: RunConfig) -> int:
     fixed_test = _load_raw(cfg.test_data, cfg, schema=raw.schema) if cfg.test_data else None
     if not raw.has_labels:
         raise ValueError(f"{cfg.data}: training data must include the label column")
+    if fixed_test is not None and not fixed_test.has_labels:
+        raise ValueError(f"{cfg.test_data}: test data must include the label column "
+                         f"{raw.schema.label_column!r}")
     parts = len(cfg.fractions) - (fixed_test is not None)
     if len(raw) < parts:
         raise ValueError(

@@ -8,9 +8,11 @@ Continuous columns are z-scored with statistics fitted on training data
 only; categorical columns become indicator blocks with a trailing
 unknown-category slot so unseen values at prediction time encode instead of
 crashing. Missing continuous values are rejected outright; silent
-imputation would corrupt reproductions. A file is read once into a columnar
-table, its continuous cells parsed then; stats are fitted on, and rows
-encoded from, any subset of its rows by index, so splitting copies no cells.
+imputation would corrupt reproductions. A file is read once, a chunk of
+rows at a time, into a columnar table: continuous cells are parsed then,
+categorical and label cells become integer codes into their distinct values,
+and ``drop`` cells are not kept. Stats are fitted on, and rows encoded from,
+any subset of its rows by index, so splitting copies no cells.
 
 Model artifacts are single JSON documents (format ``dwac-kit/2``) that hold
 each float array as its shape plus the base64 of its little-endian float64
@@ -26,10 +28,10 @@ import json
 import math
 import os
 import tempfile
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
+from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -166,16 +168,27 @@ class Dataset:
 # CSV ingestion
 # ---------------------------------------------------------------------------
 
+CHUNK_ROWS = 1024  # rows parsed per step of a CSV read; one chunk's cells are alive at a time
+
+
+class Coded(NamedTuple):
+    """A categorical or label column: its distinct stripped values, and a code per row."""
+
+    values: tuple[str, ...]
+    codes: np.ndarray
+
+
 @dataclass(frozen=True)
 class CsvTable:
     """A table held column by column. A continuous column is a float64 array
-    with one value per data row; any other column is a list of stripped
-    cells. ``lines[i]`` is the line of ``path`` that row i came from (blank
-    lines hold no row), so errors can name it."""
+    with one value per data row; a categorical or label column is
+    :class:`Coded`; ``drop`` columns are not held. ``lines[i]`` is the line
+    of ``path`` that row i came from (blank lines hold no row), so errors
+    can name it."""
 
     path: str
-    columns: dict[str, np.ndarray | list[str]]
-    lines: Sequence[int]
+    columns: dict[str, np.ndarray | Coded]
+    lines: np.ndarray | range
 
     def __len__(self) -> int:
         return len(self.lines)
@@ -198,14 +211,41 @@ class CsvData:
         return self.schema.num_classes
 
 
+def _records(reader, path: str, width: int):
+    """(line, record) for each nonblank record, line the one it starts on
+    (quoted cells span lines); a record of the wrong width is the error."""
+    line_no = reader.line_num + 1
+    for record in reader:
+        if record:
+            if len(record) != width:
+                raise ValueError(f"{path}: row {line_no} has {len(record)} cells, "
+                                 f"header has {width}")
+            yield line_no, record
+        line_no = reader.line_num + 1
+
+
+def _bad_number(path: str, lines, cells: dict[str, list[str]], names: list[str]) -> str | None:
+    """The error of the first empty or unparseable cell of the columns
+    ``names`` of ``cells``, row by row and left to right."""
+    for i, line in enumerate(lines):
+        for name in names:
+            try:
+                float(cells[name][i])
+            except ValueError:
+                what = (f"cannot parse {cells[name][i]!r} as a number" if cells[name][i]
+                        else "missing continuous value")
+                return f"{path}: row {line}, column {name!r}: {what}"
+
+
 def read_csv_rows(path: str, schema: Schema) -> tuple[CsvTable, bool]:
-    """Parse a headered CSV into a table with one column per header column.
+    """Parse a headered CSV into a table, ``CHUNK_ROWS`` rows at a time.
 
     Returns (table, has_labels). The file must contain every schema column
     except that the label column may be absent (unlabeled data); columns
     not named in the schema are rejected. Continuous cells are parsed here,
-    once; the first one in file order that is empty or no number is the
-    error, named by its line and column.
+    once. A row of the wrong width is the error when it is read; otherwise
+    the first empty or unparseable continuous cell in file order is, named
+    by its line and column.
     """
     with open(path, "r", encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
@@ -214,8 +254,8 @@ def read_csv_rows(path: str, schema: Schema) -> tuple[CsvTable, bool]:
         except StopIteration:
             raise ValueError(f"{path}: empty file, expected a header row") from None
         header = [h.strip() for h in header]
-        known = {c.name for c in schema.columns}
-        extra = [h for h in header if h not in known]
+        roles = {c.name: c.role for c in schema.columns}
+        extra = [h for h in header if h not in roles]
         if extra:
             raise ValueError(f"{path}: columns not in schema: {extra}")
         required = {c.name for c in schema.columns if c.role != ROLE_LABEL}
@@ -224,89 +264,78 @@ def read_csv_rows(path: str, schema: Schema) -> tuple[CsvTable, bool]:
             raise ValueError(f"{path}: schema columns missing from file: {sorted(missing)}")
         has_labels = schema.label_column in header
 
-        records = []
-        lines = []
-        line_no = reader.line_num + 1  # where the next record starts; quoted cells span lines
-        for record in reader:
-            if record:
-                if len(record) != len(header):
-                    raise ValueError(f"{path}: row {line_no} has {len(record)} cells, "
-                                     f"header has {len(header)}")
-                records.append(record)
-                lines.append(line_no)
-            line_no = reader.line_num + 1
-    cells = zip(*records) if records else ((),) * len(header)
-    columns = {name: list(map(str.strip, column)) for name, column in zip(header, cells)}
-    roles = {c.name: c.role for c in schema.columns}
-    continuous = [name for name in header if roles[name] == ROLE_CONTINUOUS]
-    try:
-        for name in continuous:
-            columns[name] = np.fromiter(map(float, columns[name]), dtype=np.float64,
-                                        count=len(lines))
-    except ValueError:
-        for i, line in enumerate(lines):
-            for name in continuous:
-                cell = columns[name][i]
-                if cell == "":
-                    raise ValueError(f"{path}: row {line}, column {name!r}: "
-                                     "missing continuous value") from None
-                try:
-                    float(cell)
-                except ValueError:
-                    raise ValueError(f"{path}: row {line}, column {name!r}: "
-                                     f"cannot parse {cell!r} as a number") from None
-        raise
-    return CsvTable(path=path, columns=columns, lines=lines), has_labels
+        # a repeated column keeps its first place and its last cells
+        continuous = list(dict.fromkeys(h for h in header if roles[h] == ROLE_CONTINUOUS))
+        coded = {h: {} for h in header if roles[h] in (ROLE_CATEGORICAL, ROLE_LABEL)}
+        # each column's chunks, after an empty one that gives an empty file its dtype
+        parts = {**{name: [np.empty(0)] for name in continuous},
+                 **{name: [np.empty(0, dtype=np.int32)] for name in coded}}
+        line_parts = [np.empty(0, dtype=np.int64)]
+        error = None
+        rows = _records(reader, path, len(header))
+        while chunk := list(islice(rows, CHUNK_ROWS)):
+            lines, records = zip(*chunk)
+            line_parts.append(np.array(lines, dtype=np.int64))
+            cells = {name: list(map(str.strip, column))
+                     for name, column in zip(header, zip(*records)) if name in parts}
+            for name, index in coded.items():
+                for value in dict.fromkeys(cells[name]):
+                    index.setdefault(value, len(index))
+                parts[name].append(np.fromiter(map(index.__getitem__, cells[name]),
+                                               dtype=np.int32, count=len(lines)))
+            try:
+                for name in continuous:
+                    parts[name].append(np.fromiter(map(float, cells[name]), dtype=np.float64,
+                                                   count=len(lines)))
+            except ValueError as e:
+                error = error or _bad_number(path, lines, cells, continuous) or str(e)
+    if error is not None:
+        raise ValueError(error)
+    columns = {name: np.concatenate(parts[name]) for name in continuous}
+    columns.update((name, Coded(tuple(index), np.concatenate(parts[name])))
+                   for name, index in coded.items())
+    return CsvTable(path=path, columns=columns, lines=np.concatenate(line_parts)), has_labels
 
 
-def _positions(index) -> np.ndarray | None:
-    return None if index is None else np.asarray(index, dtype=np.intp)
-
-
-def _cells(table: CsvTable, name: str, positions: np.ndarray | None) -> np.ndarray | list[str]:
-    """Column ``name`` at the rows ``positions`` (all rows when None)."""
+def _column(table: CsvTable, name: str, index) -> np.ndarray | Coded:
+    """Column ``name`` at the rows ``index`` (all rows when None)."""
     column = table.columns[name]
-    if positions is None:
+    if index is None:
         return column
-    if isinstance(column, np.ndarray):
-        return column[positions]
-    return [column[i] for i in positions.tolist()]
-
-
-def _where(table: CsvTable, positions: np.ndarray | None, i: int) -> str:
-    """``path: row N`` for the i-th selected row, N its line in the file."""
-    return f"{table.path}: row {table.lines[i if positions is None else positions[i]]}"
+    positions = np.asarray(index, dtype=np.intp)
+    if isinstance(column, Coded):
+        return Coded(column.values, column.codes[positions])
+    return column[positions]
 
 
 def fit_stats(table: CsvTable, schema: Schema, index=None) -> FeatureStats:
     """Fit z-score moments and sorted category vocabularies on the training
     rows ``index`` of ``table`` (all rows when None), in that order."""
-    positions = _positions(index)
     means: dict[str, float] = {}
     stds: dict[str, float] = {}
     vocabs: dict[str, tuple[str, ...]] = {}
     for col in schema.feature_columns:
         if col.role == ROLE_CONTINUOUS:
-            values = _cells(table, col.name, positions)
-            mean = float(np.mean(values)) if len(values) else 0.0
+            values = _column(table, col.name, index)
+            means[col.name] = float(np.mean(values)) if len(values) else 0.0
             std = float(np.std(values)) if len(values) else 1.0
-            means[col.name] = mean
             stds[col.name] = std if std > 0.0 else 1.0
         else:
-            vocabs[col.name] = tuple(sorted(set(_cells(table, col.name, positions))))
+            values, codes = _column(table, col.name, index)
+            vocabs[col.name] = tuple(sorted(values[k] for k in np.unique(codes).tolist()))
     return FeatureStats(means=means, stds=stds, vocabs=vocabs)
 
 
 def label_codes(table: CsvTable, schema: Schema, index=None) -> np.ndarray:
     """Class indices of the rows ``index`` of ``table`` (all rows when None)."""
-    positions = _positions(index)
-    cells = _cells(table, schema.label_column, positions)
+    values, codes = _column(table, schema.label_column, index)
     lookup = {v: i for i, v in enumerate(schema.label_values)}
-    y = np.fromiter(map(lookup.get, cells, repeat(-1)), dtype=np.int64, count=len(cells))
+    y = np.array([lookup.get(v, -1) for v in values], dtype=np.int64)[codes]
     bad = np.flatnonzero(y < 0)
     if bad.size:
         i = int(bad[0])
-        raise ValueError(f"{_where(table, positions, i)}: label {cells[i]!r} "
+        line = table.lines[i if index is None else index[i]]
+        raise ValueError(f"{table.path}: row {line}: label {values[codes[i]]!r} "
                          "not in schema label_values")
     return y
 
@@ -326,8 +355,7 @@ def encode_rows(
     unseen values fall into at prediction time. Error messages name the file
     and the line a bad row came from.
     """
-    positions = _positions(index)
-    n = len(table) if positions is None else len(positions)
+    n = len(table) if index is None else len(index)
     widths = [len(stats.vocabs[c.name]) + 1 if c.role == ROLE_CATEGORICAL else 1
               for c in schema.feature_columns]
     x = np.zeros((n, sum(widths)))
@@ -335,16 +363,15 @@ def encode_rows(
     offset = 0
     for col, width in zip(schema.feature_columns, widths):
         if col.role == ROLE_CONTINUOUS:
-            values = _cells(table, col.name, positions)
+            values = _column(table, col.name, index)
             x[:, offset] = (values - stats.means[col.name]) / stats.stds[col.name]
             names.append(col.name)
         else:
             vocab = stats.vocabs[col.name]
             slot = {v: offset + i for i, v in enumerate(vocab)}
-            unknown = offset + width - 1
-            cells = _cells(table, col.name, positions)
-            x[np.arange(n), np.fromiter(map(slot.get, cells, repeat(unknown)),
-                                        dtype=np.intp, count=n)] = 1.0
+            values, codes = _column(table, col.name, index)
+            slots = np.array([slot.get(v, offset + width - 1) for v in values], dtype=np.intp)
+            x[np.arange(n), slots[codes]] = 1.0
             names.extend(f"{col.name}={v}" for v in vocab)
             names.append(f"{col.name}=<unknown>")
         offset += width
@@ -412,8 +439,8 @@ def blob_data(ds: Dataset, source: str = "blobs") -> CsvData:
                  ColumnSpec("y", ROLE_LABEL)),
         label_values=label_values,
     )
-    columns = dict(zip(ds.feature_names, ds.x.T.copy()))
-    columns["y"] = [label_values[k] for k in ds.y.tolist()]
+    columns: dict[str, np.ndarray | Coded] = dict(zip(ds.feature_names, ds.x.T.copy()))
+    columns["y"] = Coded(label_values, ds.y)
     table = CsvTable(path=source, columns=columns, lines=range(1, len(ds) + 1))
     return CsvData(table=table, schema=schema, has_labels=True)
 

@@ -735,6 +735,19 @@ def test_test_data_must_match_the_kind_of_data(tmp_path, capsys):
         assert_one_error_line(capsys)
 
 
+def test_test_data_without_labels_is_refused_before_training(tmp_path, capsys, monkeypatch):
+    data, schema = write_csv_data(tmp_path)
+    unlabeled = tmp_path / "nolabel.csv"
+    unlabeled.write_text("".join(line.rsplit(",", 1)[0] + "\n"
+                                 for line in Path(data).read_text().splitlines()))
+    monkeypatch.setattr(cli, "train_many", lambda jobs: pytest.fail("trained"))
+    capsys.readouterr()
+    assert run(["train", "--data", data, "--test-data", str(unlabeled), "--schema", schema,
+                "--out", str(tmp_path / "x"), *FAST]) == 2
+    assert assert_one_error_line(capsys) == (
+        f"error: {unlabeled}: test data must include the label column 'species'")
+
+
 def test_bad_blob_specs(tmp_path):
     out = str(tmp_path / "x")
     assert run(["train", "--data", "blobs:q=3", "--out", out]) == 2

@@ -91,14 +91,18 @@ def test_columnar_encoder_matches_the_row_oracle(tmp_path, body, data):
     rows, has_labels = expected
     table, got_labels = got
     assert got_labels == has_labels and len(table) == len(rows)
-    continuous = {c.name for c in SCHEMA.columns if c.role == "continuous"}
+    roles = {c.name: c.role for c in SCHEMA.columns}
+    header = [h.strip() for h in body.split("\n", 1)[0].split(",")]
+    assert set(table.columns) == {h for h in header if roles[h] != "drop"}
     for name, column in table.columns.items():
         cells = [row[name] for row in rows]
-        if name in continuous:
+        if roles[name] == "continuous":
             assert column.dtype == np.float64
             assert column.tobytes() == np.array([float(c) for c in cells]).tobytes()
         else:
-            assert column == cells
+            assert len(set(column.values)) == len(column.values)
+            assert column.codes.dtype.kind == "i" and len(column.codes) == len(cells)
+            assert [column.values[k] for k in column.codes.tolist()] == cells
 
     subset = st.none() | st.permutations(range(len(rows))).flatmap(
         lambda perm: st.integers(0, len(perm)).map(lambda k: perm[:k]))

@@ -21,6 +21,7 @@ from dwac_kit import (
     predict,
     save_model,
 )
+from dwac_kit import data as data_module
 from dwac_kit.data import atomic_write_text, encode_rows, fit_stats, label_codes, read_csv_rows
 from helpers import load_csv, quick_split
 
@@ -154,7 +155,7 @@ def test_blank_lines_and_padding_are_tolerated(tmp_path):
     assert len(ds) == 2
     assert np.array_equal(ds.y, np.array([0, 1]))
     table, _ = read_csv_rows(path, SCHEMA)
-    assert table.path == path and table.lines == [2, 4]  # the blank line 3 holds no row
+    assert table.path == path and table.lines.tolist() == [2, 4]  # the blank line 3 holds no row
 
 
 def test_rows_are_numbered_by_the_line_they_start_on(tmp_path):
@@ -162,10 +163,78 @@ def test_rows_are_numbered_by_the_line_they_start_on(tmp_path):
     text = 'species,size,color,notes\ncat,1,red,"two\nlines"\n\ndog,oops,red,b\n'
     path = write_csv(tmp_path, text)
     good = write_csv(tmp_path, text.replace("oops", "2"), "good.csv")
-    assert read_csv_rows(good, SCHEMA)[0].lines == [2, 5]
+    assert read_csv_rows(good, SCHEMA)[0].lines.tolist() == [2, 5]
     # continuous cells are parsed as the file is read
     with pytest.raises(ValueError, match=rf"^{re.escape(path)}: row 5, column 'size'"):
         read_csv_rows(path, SCHEMA)
+
+
+def _decoded(table):
+    """Each held column as plain values: floats, or the strings codes stand for."""
+    return {name: column.tolist() if isinstance(column, np.ndarray)
+            else [column.values[k] for k in column.codes.tolist()]
+            for name, column in table.columns.items()}
+
+
+@pytest.mark.parametrize("chunk", [1, 2])
+def test_a_short_row_in_a_later_chunk_wins_over_a_bad_number(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(data_module, "CHUNK_ROWS", chunk)
+    text = "species,size,color,notes\ncat,oops,red,a\ndog,2,red,b\ncat,3,red,c\ndog,4\n"
+    with pytest.raises(ValueError, match=r": row 5 has 2 cells, header has 4$"):
+        read_csv_rows(write_csv(tmp_path, text), SCHEMA)
+
+
+@pytest.mark.parametrize("chunk", [1, 2])
+def test_the_earlier_of_two_bad_numbers_in_different_chunks_is_named(tmp_path, monkeypatch,
+                                                                     chunk):
+    monkeypatch.setattr(data_module, "CHUNK_ROWS", chunk)
+    text = "species,size,color,notes\ncat,1,red,a\ndog,tall,red,b\ncat,3,red,c\ndog,,red,d\n"
+    path = write_csv(tmp_path, text)
+    with pytest.raises(ValueError) as e:
+        read_csv_rows(path, SCHEMA)
+    assert str(e.value) == f"{path}: row 3, column 'size': cannot parse 'tall' as a number"
+
+
+@pytest.mark.parametrize("chunk", [1, 2])
+def test_quoted_cells_across_chunks_keep_their_line_numbers(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(data_module, "CHUNK_ROWS", chunk)
+    text = ('species,size,color,notes\ncat,1,red,"two\nlines"\n\ndog,2,red,b\n'
+            'cat,3,blue,"x\ny"\ndog,oops,red,c\n')
+    good = write_csv(tmp_path, text.replace("oops", "4"), "good.csv")
+    assert read_csv_rows(good, SCHEMA)[0].lines.tolist() == [2, 5, 6, 8]
+    path = write_csv(tmp_path, text)
+    with pytest.raises(ValueError, match=rf"^{re.escape(path)}: row 8, column 'size'"):
+        read_csv_rows(path, SCHEMA)
+
+
+def test_the_table_does_not_depend_on_the_chunk_size(tmp_path, monkeypatch):
+    rng = np.random.default_rng(0)
+    lines = ["species,size,color,notes"]
+    for i in range(9):
+        lines.append(f"{'cat' if i % 3 else 'dog'},{rng.normal()!r},"
+                     f"{['red', ' blue', 'green '][int(rng.integers(3))]},n{i}")
+        if i % 4 == 0:
+            lines.append("")
+    path = write_csv(tmp_path, "\n".join(lines) + "\n")
+    default = read_csv_rows(path, SCHEMA)[0]
+    for chunk in (1, 2):
+        monkeypatch.setattr(data_module, "CHUNK_ROWS", chunk)
+        table = read_csv_rows(path, SCHEMA)[0]
+        assert table.lines.tolist() == default.lines.tolist()
+        assert _decoded(table) == _decoded(default)
+
+
+def test_categorical_columns_are_held_as_codes_and_drop_columns_not_at_all(tmp_path):
+    colors = ["red", "blue", "green"]
+    text = "species,size,color,notes\n" + "".join(
+        f"{'cat' if i % 2 else 'dog'},{i},{colors[i % 3]},note {i}\n" for i in range(5000))
+    table, _ = read_csv_rows(write_csv(tmp_path, text), SCHEMA)
+    assert set(table.columns) == {"species", "size", "color"}  # "notes" is a drop column
+    color = table.columns["color"]
+    assert sorted(color.values) == sorted(colors)
+    assert color.codes.dtype.kind == "i" and color.codes.shape == (5000,)
+    assert [color.values[k] for k in color.codes[:4].tolist()] == ["red", "blue", "green", "red"]
+    assert table.columns["size"].dtype == np.float64 and len(table.columns["size"]) == 5000
 
 
 def test_fit_stats_constant_column_keeps_unit_std(tmp_path):
