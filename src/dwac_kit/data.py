@@ -242,10 +242,10 @@ def read_csv_rows(path: str, schema: Schema) -> tuple[CsvTable, bool]:
 
     Returns (table, has_labels). The file must contain every schema column
     except that the label column may be absent (unlabeled data); columns
-    not named in the schema are rejected. Continuous cells are parsed here,
-    once. A row of the wrong width is the error when it is read; otherwise
-    the first empty or unparseable continuous cell in file order is, named
-    by its line and column.
+    not named in the schema, or named twice, are rejected. Continuous cells
+    are parsed here, once. A row of the wrong width is the error when it is
+    read; otherwise the first empty or unparseable continuous cell in file
+    order is, named by its line and column.
     """
     with open(path, "r", encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
@@ -258,14 +258,16 @@ def read_csv_rows(path: str, schema: Schema) -> tuple[CsvTable, bool]:
         extra = [h for h in header if h not in roles]
         if extra:
             raise ValueError(f"{path}: columns not in schema: {extra}")
+        repeated = [h for h in roles if header.count(h) > 1]
+        if repeated:
+            raise ValueError(f"{path}: columns repeated in header: {repeated}")
         required = {c.name for c in schema.columns if c.role != ROLE_LABEL}
         missing = required - set(header)
         if missing:
             raise ValueError(f"{path}: schema columns missing from file: {sorted(missing)}")
         has_labels = schema.label_column in header
 
-        # a repeated column keeps its first place and its last cells
-        continuous = list(dict.fromkeys(h for h in header if roles[h] == ROLE_CONTINUOUS))
+        continuous = [h for h in header if roles[h] == ROLE_CONTINUOUS]
         coded = {h: {} for h in header if roles[h] in (ROLE_CATEGORICAL, ROLE_LABEL)}
         # each column's chunks, after an empty one that gives an empty file its dtype
         parts = {**{name: [np.empty(0)] for name in continuous},

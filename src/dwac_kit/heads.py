@@ -145,7 +145,9 @@ def kernel_blocks(
 
     ``w[i, j]`` is the weight of query ``rows.start + i`` on training row
     ``train.order[j]`` (columns in class-sorted order), valid during the call.
-    The arithmetic is that of ``kernel_weights``. No result depends on the
+    The weights are those of ``kernel_weights`` bit for bit, with the sign of
+    -d^2 / (2 sigma) folded into the reference factor, which is exact, and
+    no scale pass where 1/(2 sigma) is exactly 1. No result depends on the
     block size, so none on the thread count: each usable CPU, up to one per
     ``RUN_BLOCKS`` blocks, runs one contiguous run of blocks in its own
     buffer, helpers in a copy of the caller's context (and so its
@@ -163,16 +165,20 @@ def kernel_blocks(
     # BLAS rounds a one-row product (numpy hands it to GEMV) and a trailing
     # partial tile of columns (t mod 8 with OpenBLAS) otherwise than the rest.
     # Zero rows and columns pad the factors so every product avoids both, and
-    # no result depends on the block size.
+    # no result depends on the block size. The reference factor is negated
+    # once, so the product is -d^2 bit for bit: negation is exact and BLAS
+    # rounds symmetrically.
     t = len(train)
     left = np.concatenate([query_factor(h_query), np.zeros((2, d + 2))])
     right = np.zeros((d + 2, -(-t // 8) * 8))
-    right[:, :t] = reference_factor(train.sorted_h).T
+    np.negative(reference_factor(train.sorted_h).T, out=right[:, :t])
     blocks = row_blocks(q, t)
     runs = max(1, min(usable_cpus(), len(blocks) // RUN_BLOCKS))
     cuts = [len(blocks) * i // runs for i in range(runs + 1)]
     height = max(2, *(b.stop - b.start for b in blocks))
-    scale = -1.0 / (2.0 * sigma)  # not folded into a factor: that moves the rounding
+    # 1/(2 sigma) is not folded into a factor, which would move the rounding;
+    # only the sign is. At the default sigma it is 1.0 and its pass is skipped.
+    scale = 1.0 / (2.0 * sigma)
     bounds = train.bounds
     out = np.empty((q, train.num_classes))
     errors: list[BaseException] = []
@@ -184,8 +190,9 @@ def kernel_blocks(
                 m = max(n, 2)
                 np.matmul(left[rows.start : rows.start + m], right, out=buf[:m])
                 w = buf[:n, :t]
-                np.maximum(w, 0.0, out=w)
-                w *= scale
+                np.minimum(w, 0.0, out=w)
+                if scale != 1.0:
+                    w *= scale
                 np.exp(w, out=w)
                 sums = out[rows]
                 for k in range(train.num_classes):

@@ -4,9 +4,10 @@ Most of these are written as plain Python loops over scalars, on purpose:
 they are the oracles the vectorized kernels are checked against, so they
 must not share any code or vectorization tricks with the implementations
 under test. The exceptions are the training-step oracles
-(``dwac_batch_loss_oracle``, ``train_per_array_oracle``): they keep the
-first, plainest numpy form of the minibatch step, which the leaner one
-must match bit for bit.
+(``dwac_batch_loss_oracle``, ``train_per_array_oracle``), which keep the
+first, plainest numpy form of the minibatch step, and the explanation
+oracle (``explain_rows_oracle``), which ranks one row at a time as the
+library once did. The block-wide forms must match them bit for bit.
 """
 
 from __future__ import annotations
@@ -273,6 +274,72 @@ def agreement_oracle(
     return [(k, 1.0 if k >= t else agree[k] / n) for k in k_list]
 
 
+def _top_positions_oracle(w: np.ndarray, index: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the k largest weights in ``w``, by descending weight and
+    then ascending ``index``: a partial selection, then a scan of the ties at
+    the pivot."""
+    if k >= w.size:
+        return np.lexsort((index, -w))
+    cand = np.argpartition(-w, k - 1)[:k]
+    pivot = w[cand].min()
+    above = np.flatnonzero(w > pivot)
+    ties = np.flatnonzero(w == pivot)
+    ties = ties[np.argsort(index[ties])][: k - above.size]
+    chosen = np.concatenate([above, ties])
+    return chosen[np.lexsort((index[chosen], -w[chosen]))]
+
+
+def _decisive_prefix_oracle(labels, weights, total: float, num_classes: int) -> int:
+    masses = np.zeros(num_classes)
+    cum = 0.0
+    for j in range(weights.size):
+        masses[labels[j]] += weights[j]
+        cum += weights[j]
+        if num_classes < 2:
+            lead, runner = masses[0], 0.0
+        else:
+            top2 = np.partition(masses, -2)[-2:]
+            runner, lead = float(top2[0]), float(top2[1])
+        if lead - runner > total - cum:
+            return j + 1
+    return 0
+
+
+def explain_rows_oracle(weights, sums, train, k, k_list):
+    """What ``explain_with_agreement`` returns, from the class-sorted kernel
+    ``weights`` and class sums ``sums`` of the queries, one row at a time:
+    (per query, its ``to_json_dict()``, total weight and cumulative weights;
+    the agreement table)."""
+    n, t = weights.shape
+    short = sorted({kk for kk in k_list if kk < t})
+    depth = t if k is None else max([k, *short])
+    docs = []
+    agree = {kk: 0 for kk in short}
+    for i, (w, row_sums) in enumerate(zip(weights, sums)):
+        top = _top_positions_oracle(w, train.order, depth)
+        index = train.order[top[:k]]
+        labels = train.labels[index]
+        total = float(row_sums.sum())
+        predicted = int(np.argmax(row_sums))
+        doc = {
+            "query_id": i,
+            "predicted_label": predicted,
+            "entries": [{"index": int(j), "weight": float(wt), "label": int(lb)}
+                        for j, wt, lb in zip(index, w[top[:k]], labels)],
+            "decisive_prefix": _decisive_prefix_oracle(labels, w[top[:k]], total,
+                                                       train.num_classes),
+        }
+        docs.append((doc, total, np.cumsum(w[top[:k]]).tolist()))
+        masses = np.zeros(train.num_classes)
+        done = 0
+        for kk in short:
+            for p in top[done:kk]:
+                masses[train.labels[train.order[p]]] += w[p]
+            done = kk
+            agree[kk] += int(masses.argmax() == predicted)
+    return docs, [(kk, agree[kk] / n if kk < t else 1.0) for kk in k_list]
+
+
 def p_value_oracle(calibration: np.ndarray, score: float) -> float:
     count = 0
     for v in calibration:
@@ -328,6 +395,9 @@ def read_rows_oracle(path: str, schema) -> tuple[list[dict[str, str]], bool]:
         extra = [h for h in header if h not in known]
         if extra:
             raise ValueError(f"{path}: columns not in schema: {extra}")
+        repeated = [c.name for c in schema.columns if header.count(c.name) > 1]
+        if repeated:
+            raise ValueError(f"{path}: columns repeated in header: {repeated}")
         required = {c.name for c in schema.columns if c.role != ROLE_LABEL}
         missing = required - set(header)
         if missing:

@@ -726,6 +726,26 @@ def test_empty_data_names_its_file(tmp_path, capsys):
     assert err.count("error:") == 1 and str(data) in err and "0 data rows" in err
 
 
+def test_a_repeated_csv_column_is_one_error_line_naming_it(tmp_path, capsys):
+    data, schema = write_csv_data(tmp_path)
+    lines = Path(data).read_text().splitlines()
+    repeated = tmp_path / "repeated.csv"
+    repeated.write_text("\n".join([lines[0] + ",size",
+                                   *(f"{line},{i}" for i, line in enumerate(lines[1:])), ""]))
+    expected = f"error: {repeated}: columns repeated in header: ['size']"
+    capsys.readouterr()
+    assert run(["train", "--data", str(repeated), "--schema", schema,
+                "--out", str(tmp_path / "t"), *FAST]) == 2
+    assert assert_one_error_line(capsys) == expected
+    assert run(["train", "--data", data, "--schema", schema, "--head", "dwac",
+                "--out", str(tmp_path / "m"), *FAST]) == 0
+    capsys.readouterr()
+    assert run(["predict", "--data", str(repeated), "--model",
+                str(tmp_path / "m" / "model_dwac_trial0.json"),
+                "--out", str(tmp_path / "p")]) == 2
+    assert assert_one_error_line(capsys) == expected
+
+
 def test_test_data_must_match_the_kind_of_data(tmp_path, capsys):
     data, schema = write_csv_data(tmp_path)
     for train_data, test_data in ((BLOBS, data), (data, BLOBS)):

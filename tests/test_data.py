@@ -23,7 +23,7 @@ from dwac_kit import (
 )
 from dwac_kit import data as data_module
 from dwac_kit.data import atomic_write_text, encode_rows, fit_stats, label_codes, read_csv_rows
-from helpers import load_csv, quick_split
+from helpers import load_csv, quick_split, read_rows_oracle
 
 SCHEMA = Schema(
     columns=(
@@ -133,6 +133,25 @@ def test_csv_structure_errors(tmp_path):
         read_csv_rows(
             write_csv(tmp_path, "species,size,color,notes\ncat,1,red,a\ncat,1\n"),
             SCHEMA)
+
+
+@pytest.mark.parametrize("header", [
+    "species,size,size,color,notes",  # the last size column once replaced the first
+    "species,size,color,notes,color",
+    "species,species,size,color,notes",
+    "notes,species,size,color,notes",
+])
+def test_a_repeated_column_is_refused_by_name(tmp_path, header):
+    name = next(h for h in header.split(",") if header.split(",").count(h) > 1)
+    cells = {"species": "cat", "size": "1", "color": "red", "notes": "x"}
+    path = write_csv(tmp_path, header + "\n" + ",".join(cells[h] for h in header.split(","))
+                     + "\n")
+    with pytest.raises(ValueError) as err:
+        read_csv_rows(path, SCHEMA)
+    assert str(err.value) == f"{path}: columns repeated in header: [{name!r}]"
+    with pytest.raises(ValueError) as oracle_err:
+        read_rows_oracle(path, SCHEMA)
+    assert str(oracle_err.value) == str(err.value)
 
 
 def test_cell_errors_name_row_and_column(tmp_path):

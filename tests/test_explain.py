@@ -17,6 +17,7 @@ from helpers import (
     agreement_oracle,
     class_weights,
     explain,
+    explain_rows_oracle,
     kernel_matrix,
     use_cpus,
 )
@@ -276,3 +277,72 @@ def test_explanations_and_agreement_do_not_depend_on_the_thread_count(monkeypatc
     assert len(runs[0][2][0][0]["entries"]) == t
     for i, run in enumerate(runs[2:]):
         assert run == runs[i % 2]
+
+
+def _grid_ties():
+    # 49 distinct grid points, each held about 60 times under mixed labels: the
+    # pivots of k = 25 and of the agreement depth 200 fall inside runs of ties
+    rng = make_rng(31)
+    h = 0.37 * rng.integers(-3, 4, size=(3_003, 2))
+    train = EmbeddedTrainingSet(h=h, labels=rng.integers(0, 3, size=3_003), num_classes=3)
+    return train, 0.37 * rng.integers(-4, 5, size=(40, 2)), 25, (1, 4, 30, 200)
+
+
+def _mostly_zero():
+    # points along [0, 60]; queries 24.5 to 27.2 beyond either end keep fewer
+    # than 100 weights above the underflow to 0.0, so the depth-100 pivot is
+    # 0.0 and nearly every weight ties there; the last two queries have no
+    # kernel mass at all
+    rng = make_rng(32)
+    h = np.column_stack([np.linspace(0.0, 60.0, 2_000), 0.1 * rng.standard_normal(2_000)])
+    train = EmbeddedTrainingSet(h=h, labels=rng.integers(0, 3, size=2_000), num_classes=3)
+    side = rng.uniform(24.5, 27.2, size=38)
+    x = np.column_stack([np.where(np.arange(38) % 2, -side, 60.0 + side), np.zeros(38)])
+    return train, np.vstack([x, [[1e3, 0.0], [-1e3, 0.0]]]), 10, (1, 5, 100)
+
+
+def _random_train(seed, t, c):
+    rng = make_rng(seed)
+    h = 0.5 * rng.integers(-4, 5, size=(t, 2)) + 0.01 * rng.standard_normal((t, 2))
+    train = EmbeddedTrainingSet(h=h, labels=rng.integers(0, c, size=t), num_classes=c)
+    return train, rng.standard_normal((40, 2))
+
+
+RANKING_CASES = {
+    "ties at the pivot": _grid_ties,
+    "weights mostly 0.0": _mostly_zero,
+    "k None": lambda: (*_random_train(33, 300, 3), None, (1, 5, 299, 300, 301)),
+    "k at or above t": lambda: (*_random_train(34, 200, 3), 250, (1, 3)),
+    "k_list at or above t": lambda: (*_random_train(35, 500, 4), 5, (1, 10, 499, 500, 600)),
+    "one class": lambda: (*_random_train(36, 400, 1), 10, (1, 5)),
+}
+
+
+@pytest.mark.parametrize("cpus", (1, 2, 3))
+@pytest.mark.parametrize("case", RANKING_CASES)
+def test_block_ranking_equals_the_per_row_oracle(monkeypatch, case, cpus):
+    # 4-row blocks: ten blocks for 40 queries, so every thread ranks several
+    train, x, k, k_list = RANKING_CASES[case]()
+    monkeypatch.setattr(heads, "BLOCK_ENTRIES", 4 * len(train))
+    use_cpus(monkeypatch, cpus)
+    explanations, table = explain_with_agreement(x, identity_model(2), train, k=k,
+                                                 k_list=k_list)
+    docs, expected = explain_rows_oracle(kernel_matrix(x, train),
+                                         heads.kernel_blocks(x, train, None), train, k, k_list)
+    assert [(e.to_json_dict(), e.total_weight, e.cumulative_weight.tolist())
+            for e in explanations] == docs
+    assert table == expected
+    # each entry as an Entry, in the order of the JSON columns
+    assert [[(e.index, e.weight, e.label) for e in ex.entries] for ex in explanations] == [
+        [(e["index"], e["weight"], e["label"]) for e in doc["entries"]] for doc, _, _ in docs]
+
+
+def test_ranking_cases_reach_what_they_name():
+    train, x, k, _ = _grid_ties()
+    w = np.sort(kernel_matrix(x, train), axis=1)[:, ::-1]
+    assert np.all(w[:, k - 1] == w[:, k]) and np.count_nonzero(w[:, 199] == w[:, 200]) > 30
+    train, x, _, _ = _mostly_zero()
+    w = kernel_matrix(x, train)
+    nonzero = np.count_nonzero(w, axis=1)
+    assert nonzero[-2:].tolist() == [0, 0] and 0 < nonzero[:-2].min()
+    assert nonzero.max() < 100

@@ -20,7 +20,7 @@ from dwac_kit.heads import (
     softmax_batch_loss,
     softmax_predict,
 )
-from dwac_kit.linalg import make_rng
+from dwac_kit.linalg import make_rng, query_factor, reference_factor
 from helpers import (
     CPU_COUNTS,
     class_weight_sums_oracle,
@@ -146,6 +146,23 @@ def test_engine_entries_equal_kernel_weights(sigma):
 
     kernel_blocks(q, train, check, sigma)
     assert sum(covered) == 100
+
+
+@pytest.mark.parametrize("sigma", [0.5, 0.7, 1.3])
+def test_query_rows_equal_to_reference_rows_weigh_exactly_one(sigma):
+    # ||a||^2 + ||a||^2 - 2 a.a rounds below zero for some rows; the engine's
+    # product is its negation, which the clamp takes to 0 and exp to 1.0
+    train = random_train(23, t=2_000, d=5, c=3)
+    q = train.h[::10] * 3.0 + 0.1
+    train = EmbeddedTrainingSet(h=np.vstack([train.h, q]), labels=np.arange(2_200) % 3,
+                                num_classes=3)
+    d2 = query_factor(q) @ reference_factor(train.h).T
+    same = (np.arange(200), 2_000 + np.arange(200))
+    assert np.count_nonzero(d2[same] < 0.0) > 10
+    weights = np.empty((200, 2_200))
+    weights[:, train.order] = kernel_matrix(q, train, sigma)
+    assert np.all(weights[same][d2[same] <= 0.0] == 1.0)
+    assert np.array_equal(weights, kernel_weights(q, train.h, sigma))
 
 
 def test_single_row_blocks_above_the_block_size():
