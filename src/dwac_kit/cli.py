@@ -381,9 +381,16 @@ def _write_json(path: str, prov: str, key: str, records: list | dict) -> None:
 
 
 def _require_out(cfg: RunConfig) -> str:
+    """The --out directory, refused up front if a file holds its place or
+    that of a directory above it. The first output written makes it, so a
+    refused run leaves none behind."""
     if not cfg.out:
         raise ValueError("--out directory is required")
-    os.makedirs(cfg.out, exist_ok=True)
+    path = os.path.abspath(cfg.out)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ValueError(f"--out {cfg.out}: {path} is not a directory")
     return cfg.out
 
 
@@ -424,10 +431,13 @@ def cmd_train(cfg: RunConfig) -> int:
     heads = _heads(cfg)
     accs = {head: [] for head in heads}
     maes = {head: [] for head in heads}
+    schema = raw.schema
     for trial in range(cfg.trials):
         seed = cfg.seed + trial
         # one encoding per trial, shared by every head
         proper, calib_set, test = trial_splits(raw, seed, cfg.fractions, fixed_test)
+        if trial == cfg.trials - 1:  # the encoded splits are all the rest of the run reads
+            raw = fixed_test = None
         if len(test) < proper.num_classes:
             log.warning("trial %d: the test split has %d rows, fewer than the %d classes; "
                         "its accuracy and calibration error say little",
@@ -459,7 +469,7 @@ def cmd_train(cfg: RunConfig) -> int:
                 model=result.model,
                 sigma=cfg.sigma,
                 num_classes=proper.num_classes,
-                schema=raw.schema,
+                schema=schema,
                 stats=proper.stats,
                 embedded=result.embedded,
                 calibrations=calibrations,

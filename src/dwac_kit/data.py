@@ -495,8 +495,10 @@ def _decode_array(obj: dict, ndim: int, what: str) -> np.ndarray:
 
 def atomic_write_text(path: str, text: str) -> None:
     """Write via a temp file in the same directory plus rename, so a crash
-    never leaves a partial file at the target path."""
+    never leaves a partial file at the target path. The directory is made
+    if it does not exist yet."""
     directory = os.path.dirname(os.path.abspath(path))
+    os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as f:

@@ -109,12 +109,22 @@ def forward(
     x: np.ndarray,
     mode: str = "eval",
     rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, dict]:
+) -> tuple[np.ndarray, dict | None]:
     """Embed a batch of rows; returns (embeddings, cache for backward).
 
-    In eval mode dropout is the identity. In train mode each hidden unit
-    is zeroed independently with probability ``dropout_prob`` and the
-    survivors are scaled by 1/(1-p), so eval needs no rescaling.
+    In train mode each hidden unit is zeroed independently with
+    probability ``dropout_prob`` and the survivors are scaled by 1/(1-p),
+    so eval needs no rescaling. The cache keeps every layer's input,
+    pre-activation and mask for ``backward``.
+
+    In eval mode dropout is the identity and the cache is None: nothing
+    backpropagates through an eval pass, so each layer's fresh product is
+    rectified in place and let go once the next layer has used it, and the
+    pass never holds more than one layer's input and its product. It is
+    not split into blocks of rows, which would bound memory further,
+    because OpenBLAS rounds a row block's GEMM differently from the whole
+    one for some shapes (a 9,000 x 36 by 36 x 4 product differs at every
+    block size tried), and embeddings must not depend on a block size.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -123,8 +133,18 @@ def forward(
         raise ValueError(
             f"input has {x.shape[1]} columns, model expects {model.spec.input_dim}"
         )
+    if mode == "eval":
+        a = x
+        for w, b in zip(model.weights[:-1], model.biases[:-1]):
+            a = a @ w
+            a += b
+            np.maximum(a, 0.0, out=a)
+        h = a @ model.weights[-1]
+        h += model.biases[-1]
+        return h, None
+
     p = model.spec.dropout_prob
-    use_dropout = mode == "train" and p > 0.0
+    use_dropout = p > 0.0
     if use_dropout and rng is None:
         raise ValueError("train-mode forward with dropout needs an rng")
 
@@ -160,14 +180,17 @@ def forward(
 
 
 def backward(
-    model: EmbeddingModel, cache: dict, d_h: np.ndarray
+    model: EmbeddingModel, cache: dict | None, d_h: np.ndarray
 ) -> list[np.ndarray]:
     """Gradients of a scalar loss w.r.t. every parameter, given dLoss/dH.
 
     The cache must come from a forward pass against the model's current
     parameter arrays; a stale cache (parameters replaced since) is
-    rejected.
+    rejected, and so is None, which an eval-mode forward returns.
     """
+    if cache is None:
+        raise ValueError("backward needs the cache of a train-mode forward; "
+                         "an eval-mode forward keeps none")
     if cache.get("param_ids") != tuple(id(p) for p in model.parameters()):
         raise ValueError("stale cache: model parameters changed since forward")
     d_h = np.asarray(d_h, dtype=np.float64)

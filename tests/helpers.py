@@ -5,7 +5,8 @@ they are the oracles the vectorized kernels are checked against, so they
 must not share any code or vectorization tricks with the implementations
 under test. The exceptions are the training-step oracles
 (``dwac_batch_loss_oracle``, ``train_per_array_oracle``), which keep the
-first, plainest numpy form of the minibatch step, and the explanation
+first, plainest numpy form of the minibatch step, the layer-by-layer
+embedding (``eval_forward_oracle``), and the explanation
 oracle (``explain_rows_oracle``), which ranks one row at a time as the
 library once did. The block-wide forms must match them bit for bit.
 """
@@ -217,6 +218,17 @@ def dwac_batch_loss_oracle(h_batch, labels, num_classes, sigma=0.5, prob_floor=1
     m = coeff + coeff.T
     grad = (1.0 / sigma) * (m @ h_batch - m.sum(axis=1)[:, None] * h_batch)
     return loss, grad
+
+
+def eval_forward_oracle(model, x) -> np.ndarray:
+    """Eval-mode embedding one layer at a time, each step a fresh array:
+    product plus bias, then the rectifier on every layer but the last."""
+    a = np.asarray(x, dtype=np.float64)
+    last = len(model.weights) - 1
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = a @ w + b
+        a = z if i == last else np.maximum(z, 0.0)
+    return a
 
 
 def train_per_array_oracle(proper, config, epochs):

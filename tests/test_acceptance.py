@@ -115,7 +115,7 @@ def _conditioned_tiny_model(head, sizes, batch, seed):
         for b in model.biases:
             b += 0.05 * rng.standard_normal(b.shape)
         x = rng.standard_normal((batch, sizes[0]))
-        _, cache = forward(model, x)
+        _, cache = forward(model, x, mode="train")
         if all(np.min(np.abs(p)) > 1e-3 for p in cache["pre"]):
             return model, x, rng
     raise AssertionError("could not condition a kink-free tiny model")
@@ -155,12 +155,12 @@ def test_criterion_01_gradient_correctness():
             if head == DWAC:
                 def loss_of_h(h):
                     return dwac_batch_loss(h, labels, c)[0]
-                h, cache = forward(model, x)
+                h, cache = forward(model, x, mode="train")
                 _, d_h = dwac_batch_loss(h, labels, c)
             else:
                 def loss_of_h(h):
                     return softmax_batch_loss(h, labels)[0]
-                h, cache = forward(model, x)
+                h, cache = forward(model, x, mode="train")
                 _, d_h = softmax_batch_loss(h, labels)
 
             analytic = backward(model, cache, d_h)

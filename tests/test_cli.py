@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import importlib
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -737,6 +738,7 @@ def test_a_repeated_csv_column_is_one_error_line_naming_it(tmp_path, capsys):
     assert run(["train", "--data", str(repeated), "--schema", schema,
                 "--out", str(tmp_path / "t"), *FAST]) == 2
     assert assert_one_error_line(capsys) == expected
+    assert not (tmp_path / "t").exists()  # the first output written makes it
     assert run(["train", "--data", data, "--schema", schema, "--head", "dwac",
                 "--out", str(tmp_path / "m"), *FAST]) == 0
     capsys.readouterr()
@@ -744,6 +746,36 @@ def test_a_repeated_csv_column_is_one_error_line_naming_it(tmp_path, capsys):
                 str(tmp_path / "m" / "model_dwac_trial0.json"),
                 "--out", str(tmp_path / "p")]) == 2
     assert assert_one_error_line(capsys) == expected
+    assert not (tmp_path / "p").exists()
+
+
+def test_a_refused_run_leaves_no_out_directory(tmp_path, capsys, monkeypatch):
+    # the directory is made by the first output written, so a run refused
+    # on its data leaves nothing behind
+    data, schema = write_csv_data(tmp_path)
+    lines = Path(data).read_text().splitlines()
+    renamed = tmp_path / "renamed.csv"
+    renamed.write_text("\n".join(["length,color,species", *lines[1:], ""]))
+    model = tmp_path / "m" / "model_dwac_trial0.json"
+    assert run(["train", "--data", data, "--schema", schema, "--head", "dwac",
+                "--out", str(model.parent), *FAST]) == 0
+    predict = ["predict", "--data", str(renamed), "--model", str(model)]
+    capsys.readouterr()
+    assert run(predict + ["--out", str(tmp_path / "p")]) == 2
+    assert_one_error_line(capsys)
+    assert not (tmp_path / "p").exists()
+    # an --out that names a file, or a path through one, is refused before
+    # any data is read
+    train = ["train", "--data", data, "--schema", schema, *FAST]
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    monkeypatch.setattr(cli, "read_csv_rows", lambda *a, **k: pytest.fail("read data"))
+    for argv in (train, predict):
+        for out in (blocker, blocker / "sub" / "dir"):
+            capsys.readouterr()
+            assert run(argv + ["--out", str(out)]) == 2
+            assert assert_one_error_line(capsys) == (
+                f"error: --out {out}: {blocker} is not a directory")
 
 
 def test_test_data_must_match_the_kind_of_data(tmp_path, capsys):
@@ -821,6 +853,35 @@ def test_csv_rows_are_read_once_and_encoded_once_per_trial(tmp_path, monkeypatch
                 "--model", str(out / "model_dwac_trial1.json"),
                 "--out", str(tmp_path / "conf2")]) == 0
     assert reads == [150] and encoded == [150, 150]
+
+
+@pytest.mark.parametrize("fixed_test", [False, True])
+def test_train_lets_its_tables_go_before_the_last_trial_trains(tmp_path, monkeypatch,
+                                                                fixed_test):
+    # earlier trials split the tables again; the last one's encoded splits
+    # are all that training and scoring read, so no table sits beside them
+    data, schema = write_csv_data(tmp_path)
+    tables, alive = [], []
+    read, train_many = cli.read_csv_rows, cli.train_many
+
+    def recorded_read(*args, **kwargs):
+        table, has_labels = read(*args, **kwargs)
+        tables.append(weakref.ref(table))
+        return table, has_labels
+
+    def recorded_train_many(jobs):
+        alive.append([ref() is not None for ref in tables])
+        return train_many(jobs)
+
+    monkeypatch.setattr(cli, "read_csv_rows", recorded_read)
+    monkeypatch.setattr(cli, "train_many", recorded_train_many)
+    argv = ["train", "--data", data, "--schema", schema, "--trials", "2",
+            "--out", str(tmp_path / "out"), *FAST]
+    if fixed_test:
+        argv += ["--test-data", data]
+    assert run(argv) == 0
+    tables_read = 2 if fixed_test else 1
+    assert alive == [[True] * tables_read, [False] * tables_read]
 
 
 def test_ood_holdout_splits_and_encodes_once_for_both_heads(tmp_path, monkeypatch):

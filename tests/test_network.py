@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from dwac_kit.network import (
     forward,
     init_model,
 )
+from helpers import eval_forward_oracle
 
 
 def small_model(sizes=(4, 6, 3), dropout=0.0, seed=0, head=DWAC):
@@ -56,6 +59,42 @@ def test_forward_eval_deterministic():
     assert h1.shape == (5, 3)
 
 
+@pytest.mark.parametrize("sizes", [(4, 3), (4, 6, 3), (5, 7, 6, 3)])
+@pytest.mark.parametrize("rows", [1, 2, 4097])
+def test_eval_forward_keeps_no_cache_and_equals_the_layer_oracle(sizes, rows):
+    # dropout > 0 models: eval must still be the identity on the hidden units
+    for dropout in (0.2, 0.5):
+        model = small_model(sizes=sizes, dropout=dropout, seed=rows)
+        for b in model.biases:
+            b += make_rng(rows).standard_normal(b.shape)
+        x = make_rng(rows, 1).standard_normal((rows, sizes[0]))
+        before = x.copy()
+        h, cache = forward(model, x, mode="eval")
+        assert cache is None
+        assert h.dtype == np.float64 and h.shape == (rows, sizes[-1])
+        assert h.tobytes() == eval_forward_oracle(model, x).tobytes()
+        assert np.array_equal(x, before)  # rectified in place, but never the input
+
+
+def test_eval_forward_holds_one_product_per_layer():
+    # an eval pass may hold each layer's product once plus the output, not a
+    # rectified copy beside every pre-activation and a cache of them all
+    sizes = (20, 64, 32, 4)
+    model = small_model(sizes=sizes, dropout=0.2)
+    x = make_rng(3).standard_normal((2000, sizes[0]))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        h, _ = forward(model, x, mode="eval")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert h.shape == (2000, 4)
+    products = 8 * x.shape[0] * sum(sizes[1:])
+    assert peak <= products + 64 * 1024, (peak, products)
+
+
 def test_forward_input_checks():
     model = small_model()
     with pytest.raises(ValueError):
@@ -94,7 +133,7 @@ def test_backward_matches_finite_differences():
         h, _ = forward(model, x, mode="eval")
         return float(np.sum(h * g))
 
-    h, cache = forward(model, x, mode="eval")
+    h, cache = forward(model, x, mode="train")  # dropout 0: the eval computation
     grads = backward(model, cache, g)
     assert all(np.min(np.abs(p)) > 1e-3 for p in cache["pre"])  # clear of the kink
 
@@ -118,10 +157,17 @@ def test_backward_matches_finite_differences():
 def test_backward_rejects_stale_cache():
     model = small_model()
     x = make_rng(0).standard_normal((4, 4))
-    _, cache = forward(model, x, mode="eval")
+    _, cache = forward(model, x, mode="train")
     model.set_parameters(model.copy_parameters())  # fresh arrays, same values
     with pytest.raises(ValueError):
         backward(model, cache, np.zeros((4, 3)))
+
+
+def test_backward_refuses_an_eval_pass():
+    model = small_model()
+    h, cache = forward(model, make_rng(0).standard_normal((4, 4)), mode="eval")
+    with pytest.raises(ValueError, match="train-mode forward"):
+        backward(model, cache, np.zeros_like(h))
 
 
 def test_adam_single_step_hand_computed():
