@@ -42,7 +42,7 @@ from .evaluate import (
     ood_holdout_class_multi,
     trial_splits,
 )
-from .explain import Explanation, agreement_at_k, explain_many, explain_with_agreement
+from .explain import Explanation, explain_with_agreement
 from .heads import (
     DEFAULT_SIGMA,
     EmbeddedTrainingSet,
@@ -96,7 +96,6 @@ __all__ = [
     "TrainResult",
     "accuracy",
     "adam_step",
-    "agreement_at_k",
     "backward",
     "blob_data",
     "calibrate",
@@ -106,7 +105,6 @@ __all__ = [
     "dwac_batch_loss",
     "dwac_predict",
     "embed_training_set",
-    "explain_many",
     "explain_with_agreement",
     "forward",
     "init_model",

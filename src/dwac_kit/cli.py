@@ -67,6 +67,7 @@ from .trainer import TrainConfig, predict, train_many
 log = logging.getLogger("dwac_kit")
 
 BLOBS_STREAM = 3
+BLOB_KEYS = {"n": int, "c": int, "d": int, "sep": float, "seed": int}
 
 BOTH = "both"
 HEAD_CHOICES = (SOFTMAX, DWAC, BOTH)
@@ -74,18 +75,19 @@ MEASURE_CHOICES = MEASURES + (BOTH,)
 # Settings that only training reads; runs that train nothing refuse them.
 TRAINING_KEYS = ("head", "sigma", "h_dim", "hidden", "dropout", "learning_rate",
                  "batch_size", "max_epochs", "patience", "fractions")
-# Locations, not meaning: every command takes them and no provenance holds them.
+# Locations, not meaning: every run accepts them and no provenance holds them.
 PATH_KEYS = frozenset({"schema", "model", "out"})
-# All that each kind of run reads besides paths, and so all its provenance
-# holds: train, ood --held-class, ood --foreign, and the commands that score
-# with a saved artifact.
-TRAIN_KEYS = ("command", "data", "test_data", "seed", "trials", *TRAINING_KEYS)
-HOLDOUT_KEYS = ("command", "data", "held_class", "measure", "seed", *TRAINING_KEYS)
-FOREIGN_KEYS = ("command", "data", "foreign", "measure", "seed")
-SCORING_KEYS = {
-    "predict": ("command", "data", "seed"),
-    "explain": ("command", "data", "seed", "k", "k_list"),
-    "conformal": ("command", "data", "seed", "measure", "epsilons"),
+# All that each kind of run reads: train, ood --held-class, ood --foreign,
+# and the commands that score with a saved artifact. Its provenance holds
+# the command and these keys but the paths; it refuses every other key but
+# a path, and its subcommand takes a flag for each key (see FLAGS).
+READS = {
+    "train": ("data", "test_data", "seed", "trials", *TRAINING_KEYS),
+    "holdout": ("data", "held_class", "measure", "seed", *TRAINING_KEYS),
+    "foreign": ("data", "foreign", "measure", "seed", "model"),
+    "predict": ("data", "seed", "model"),
+    "explain": ("data", "seed", "k", "k_list", "model"),
+    "conformal": ("data", "seed", "measure", "epsilons", "model"),
 }
 
 
@@ -136,30 +138,23 @@ class RunConfig:
             raise ValueError(f"measure must be one of {MEASURE_CHOICES}")
 
     @property
-    def reads(self) -> tuple[str, ...]:
-        """The keys this run reads besides paths. Only ``train`` and hold-out
-        ``ood`` train, and so take sigma; the others score with the
-        artifact's."""
-        if self.command == "train":
-            return TRAIN_KEYS
-        if self.command == "ood":
-            return FOREIGN_KEYS if self.held_class is None else HOLDOUT_KEYS
-        return SCORING_KEYS[self.command]
-
-    @property
-    def refused(self) -> frozenset[str]:
-        """Keys this run may not be given: whatever it does not read, since
-        it would shape nothing."""
-        return frozenset(f.name for f in fields(self)) - PATH_KEYS - set(self.reads)
+    def run(self) -> str:
+        """The kind of run, a key of READS: the command, or for ood its
+        protocol. Only ``train`` and hold-out ``ood`` train, and so take
+        sigma; the others score with the artifact's."""
+        if self.command != "ood":
+            return self.command
+        return "foreign" if self.held_class is None else "holdout"
 
     def provenance(self) -> str:
         """Canonical JSON of the semantic config: everything that shapes the
         numbers, none of the filesystem paths."""
         sources = ("data", "test_data", "foreign")
         doc = {}
-        for name in self.reads:
+        for name in ("command", *READS[self.run]):
             value = getattr(self, name)
-            if name in sources and value is not None and not value.startswith("blobs:"):
+            if name in PATH_KEYS or (name in sources and value is not None
+                                     and not value.startswith("blobs:")):
                 continue  # CSV paths are location, not meaning; blob specs stay
             doc[name] = list(value) if isinstance(value, tuple) else value
         return json.dumps(doc, sort_keys=True)
@@ -228,18 +223,18 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if "model" in merged and isinstance(merged["model"], (list, tuple)):
         merged["model"] = tuple(merged["model"])
     cfg = RunConfig(**merged)
-    refused = sorted(cfg.refused & merged.keys())
+    reads = READS[cfg.run]
+    refused = sorted(merged.keys() - {"command"} - PATH_KEYS - set(reads))
     if refused:
         key = refused[0]
-        flag = "--" + key.replace("_", "-")
-        source = flag if getattr(args, key, None) is not None else args.config
+        source = _flag(key) if getattr(args, key, None) is not None else args.config
         if key in TRAINING_KEYS:
             raise ValueError(
                 f"{source}: {key} is a training key; {cfg.command} scores with the model "
                 "artifact and trains nothing (ood trains only with --held-class)"
             )
         raise ValueError(f"{source}: {cfg.command} does not read {key}; it reads only "
-                         f"{', '.join(k for k in cfg.reads if k != 'command')} besides paths")
+                         f"{', '.join(k for k in reads if k not in PATH_KEYS)} besides paths")
     return cfg
 
 
@@ -257,17 +252,21 @@ def _parse_blob_spec(spec: str, default_seed: int) -> Dataset:
             raise ValueError(f"bad blob spec {spec!r}: expected key=value, got {part!r}")
         key, value = part.split("=", 1)
         kv[key.strip()] = value.strip()
-    allowed = {"n", "c", "d", "sep", "seed"}
-    unknown = set(kv) - allowed
+    unknown = set(kv) - set(BLOB_KEYS)
     if unknown:
         raise ValueError(f"bad blob spec {spec!r}: unknown keys {sorted(unknown)}")
-    return make_blobs(
-        n=int(kv.get("n", 4000)),
-        c=int(kv.get("c", 4)),
-        d=int(kv.get("d", 8)),
-        separation=float(kv.get("sep", 10.0)),
-        rng=make_rng(int(kv.get("seed", default_seed)), BLOBS_STREAM),
-    )
+    values = {"n": 4000, "c": 4, "d": 8, "sep": 10.0, "seed": default_seed}
+    for key, text in kv.items():
+        try:
+            values[key] = BLOB_KEYS[key](text)
+        except ValueError:
+            raise ValueError(f"bad blob spec {spec!r}: cannot parse {key}={text!r} "
+                             f"as {BLOB_KEYS[key].__name__}") from None
+    try:
+        return make_blobs(values["n"], values["c"], values["d"], values["sep"],
+                          make_rng(values["seed"], BLOBS_STREAM))
+    except ValueError as e:
+        raise ValueError(f"bad blob spec {spec!r}: {e}") from None
 
 
 def _load_raw(source: str, cfg: RunConfig, schema: Schema | None = None) -> CsvData:
@@ -340,6 +339,18 @@ def _measures_for(head: str, requested: str) -> list[str]:
             f"measure {requested!r} is incompatible with head {head!r}; valid: {valid}"
         )
     return [requested]
+
+
+def _calibrations(artifact: ModelArtifact, path: str, requested: str) -> dict[str, np.ndarray]:
+    """The artifact's calibration scores of each measure ``requested`` of its
+    head, refused if the head has no such measure or the artifact no such
+    scores. Commands call it before they score or write anything."""
+    calibrations = {}
+    for measure in _measures_for(artifact.model.head, requested):
+        if measure not in artifact.calibrations:
+            raise ValueError(f"{path}: artifact has no calibration scores for {measure!r}")
+        calibrations[measure] = artifact.calibrations[measure]
+    return calibrations
 
 
 def _train_config(cfg: RunConfig, head: str, seed: int) -> TrainConfig:
@@ -546,17 +557,16 @@ def cmd_conformal(cfg: RunConfig) -> int:
     out = _require_out(cfg)
     prov = cfg.provenance()
     data = _Source(cfg.data, cfg, labels=True)
-    for path in cfg.model:
-        artifact = load_model(path)
+    artifacts = [load_model(path) for path in cfg.model]
+    resolved = [_calibrations(a, path, cfg.measure) for a, path in zip(artifacts, cfg.model)]
+    for artifact, calibrations in zip(artifacts, resolved):
         head = artifact.model.head
         ds = data.for_artifact(artifact)
         if ds.y is None:
             raise ValueError(f"{cfg.data}: coverage evaluation needs labels")
         preds = predict(artifact.model, ds.x, train=artifact.embedded, sigma=artifact.sigma)
-        for measure in _measures_for(head, cfg.measure):
-            if measure not in artifact.calibrations:
-                raise ValueError(f"{path}: artifact has no calibration scores for {measure!r}")
-            scores = conformal_predict(preds, artifact.calibrations[measure], measure)
+        for measure, calibration in calibrations.items():
+            scores = conformal_predict(preds, calibration, measure)
             rows = coverage_report(scores, ds.y, cfg.epsilons)
             _write_csv(
                 os.path.join(out, f"coverage_{head}_{measure}.csv"),
@@ -583,7 +593,7 @@ def cmd_conformal(cfg: RunConfig) -> int:
 def cmd_ood(cfg: RunConfig) -> int:
     out = _require_out(cfg)
     prov = cfg.provenance()
-    reports = {}
+    reports = {}  # head -> measure -> report
     if cfg.held_class is not None:
         if cfg.data is None:
             raise ValueError("hold-out ood needs --data")
@@ -594,9 +604,7 @@ def cmd_ood(cfg: RunConfig) -> int:
         results = train_many([(*splits[:2], _train_config(cfg, head, cfg.seed))
                               for head in measures])
         for (head, head_measures), result in zip(measures.items(), results):
-            per_measure = ood_holdout_class_multi(splits, result, head_measures, cfg.sigma)
-            for measure, report in per_measure.items():
-                reports[f"{head}/{measure}"] = report
+            reports[head] = ood_holdout_class_multi(splits, result, head_measures, cfg.sigma)
     elif cfg.foreign is not None:
         if cfg.data is None:
             raise ValueError("cross-dataset ood needs --data as the in-domain reference")
@@ -605,39 +613,32 @@ def cmd_ood(cfg: RunConfig) -> int:
         in_data, foreign_data = _Source(cfg.data, cfg), _Source(cfg.foreign, cfg)
         for path in cfg.model:
             artifact = load_model(path)
-            head = artifact.model.head
-            in_ds = in_data.for_artifact(artifact)
-            foreign_ds = foreign_data.for_artifact(artifact)
-            for measure in _measures_for(head, cfg.measure):
-                if measure not in artifact.calibrations:
-                    raise ValueError(
-                        f"{path}: artifact has no calibration scores for {measure!r}"
-                    )
-                reports[f"{head}/{measure}"] = ood_cross_dataset(
-                    artifact.model, artifact.embedded, artifact.calibrations[measure],
-                    measure, in_ds, foreign_ds, sigma=artifact.sigma,
-                )
+            reports[artifact.model.head] = ood_cross_dataset(
+                artifact.model, artifact.embedded, _calibrations(artifact, path, cfg.measure),
+                in_data.for_artifact(artifact), foreign_data.for_artifact(artifact),
+                sigma=artifact.sigma)
     else:
         raise ValueError("ood needs either --held-class or --foreign")
 
     summary = {}
-    for name, report in sorted(reports.items()):
-        head, measure = name.split("/")
-        _write_csv(
-            os.path.join(out, f"ood_hist_{head}_{measure}.csv"),
-            prov,
-            ["bin_low", "bin_high", "in_domain_count", "out_of_domain_count"],
-            [[_fmt(report.hist_edges[i]), _fmt(report.hist_edges[i + 1]),
-              int(report.in_counts[i]), int(report.out_counts[i])]
-             for i in range(report.in_counts.size)],
-        )
-        summary[name] = {
-            "in_domain_mean": report.in_mean,
-            "out_of_domain_mean": report.out_mean,
-            "in_domain_n": int(report.in_domain.size),
-            "out_of_domain_n": int(report.out_of_domain.size),
-        }
-        log.info("%s: in mean %.3f out mean %.3f", name, report.in_mean, report.out_mean)
+    for head, per_measure in sorted(reports.items()):
+        for measure, report in per_measure.items():
+            name = f"{head}/{measure}"
+            _write_csv(
+                os.path.join(out, f"ood_hist_{head}_{measure}.csv"),
+                prov,
+                ["bin_low", "bin_high", "in_domain_count", "out_of_domain_count"],
+                [[_fmt(report.hist_edges[i]), _fmt(report.hist_edges[i + 1]),
+                  int(report.in_counts[i]), int(report.out_counts[i])]
+                 for i in range(report.in_counts.size)],
+            )
+            summary[name] = {
+                "in_domain_mean": report.in_mean,
+                "out_of_domain_mean": report.out_mean,
+                "in_domain_n": int(report.in_domain.size),
+                "out_of_domain_n": int(report.out_of_domain.size),
+            }
+            log.info("%s: in mean %.3f out mean %.3f", name, report.in_mean, report.out_mean)
     _write_json(os.path.join(out, "ood_summary.json"), prov, "combinations", summary)
     return 0
 
@@ -646,26 +647,43 @@ def cmd_ood(cfg: RunConfig) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--data", help="CSV path or blobs:n=..,c=..,d=..,sep=..")
-    p.add_argument("--schema", help="JSON schema for CSV data")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--seed", type=int, help="base seed (default 0)")
-    p.add_argument("-v", "--verbose", action="store_true", default=None)
+# The flag of each key: its argparse options, and its name where that is not
+# the key's with dashes. Every subcommand takes --config, -v, --schema, --out
+# and the flag of every key that its kinds of run (COMMANDS) read.
+FLAGS = {
+    "data": {"help": "CSV path or blobs:n=..,c=..,d=..,sep=.."},
+    "test_data": {"help": "fixed test CSV; --data is then split proper/calibration only"},
+    "schema": {"help": "JSON schema for CSV data"},
+    "model": {"action": "append", "help": "model artifact path"},
+    "foreign": {"help": "foreign dataset (CSV or blobs spec)"},
+    "held_class": {"type": int, "help": "class index to hold out of training"},
+    "out": {"help": "output directory"},
+    "head": {"choices": HEAD_CHOICES}, "measure": {"choices": MEASURE_CHOICES},
+    "h_dim": {"type": int, "help": "embedding width (default: #classes)"},
+    "hidden": {"help": "hidden layer sizes, e.g. 32,8"},
+    "sigma": {"type": float, "help": "kernel width (default 0.5)"},
+    "dropout": {"type": float}, "learning_rate": {"type": float},
+    "batch_size": {"type": int}, "max_epochs": {"type": int}, "patience": {"type": int},
+    "trials": {"type": int},
+    "seed": {"type": int, "help": "base seed (default 0)"},
+    "fractions": {"help": "proper,calibration,test fractions"},
+    "epsilons": {"flag": "--epsilon-grid", "help": "comma-separated error rates"},
+    "k": {"type": int, "help": "entries per explanation (default 10)"},
+    "k_list": {"help": "agreement table k values, e.g. 1,5,10,100"},
+}
+# Each subcommand: its function, the kinds of run it makes, and its help.
+COMMANDS = {
+    "train": (cmd_train, ("train",), "train one or both heads over several trials"),
+    "predict": (cmd_predict, ("predict",), "predict with a saved model"),
+    "explain": (cmd_explain, ("explain",), "per-query neighbor explanations + agreement table"),
+    "conformal": (cmd_conformal, ("conformal",),
+                  "coverage and credibility over an epsilon grid"),
+    "ood": (cmd_ood, ("holdout", "foreign"), "out-of-domain credibility protocols"),
+}
 
 
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--head", choices=HEAD_CHOICES)
-    p.add_argument("--sigma", type=float, help="kernel width (default 0.5)")
-    p.add_argument("--h-dim", dest="h_dim", type=int, help="embedding width (default: #classes)")
-    p.add_argument("--hidden", help="hidden layer sizes, e.g. 32,8")
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--max-epochs", dest="max_epochs", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--fractions", help="proper,calibration,test fractions")
+def _flag(key: str) -> str:
+    return FLAGS[key].get("flag", "--" + key.replace("_", "-"))
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -675,43 +693,14 @@ def make_parser() -> argparse.ArgumentParser:
                     "instance explanations, and OOD credibility.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("train", help="train one or both heads over several trials")
-    _add_common(p)
-    _add_train_flags(p)
-    p.add_argument("--test-data", dest="test_data",
-                   help="fixed test CSV; --data is then split proper/calibration only")
-    p.add_argument("--trials", type=int)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("predict", help="predict with a saved model")
-    _add_common(p)
-    p.add_argument("--model", action="append", help="model artifact path")
-    p.set_defaults(func=cmd_predict)
-
-    p = sub.add_parser("explain", help="per-query neighbor explanations + agreement table")
-    _add_common(p)
-    p.add_argument("--model", action="append")
-    p.add_argument("--k", type=int, help="entries per explanation (default 10)")
-    p.add_argument("--k-list", dest="k_list", help="agreement table k values, e.g. 1,5,10,100")
-    p.set_defaults(func=cmd_explain)
-
-    p = sub.add_parser("conformal", help="coverage and credibility over an epsilon grid")
-    _add_common(p)
-    p.add_argument("--model", action="append")
-    p.add_argument("--measure", choices=MEASURE_CHOICES)
-    p.add_argument("--epsilon-grid", dest="epsilons", help="comma-separated error rates")
-    p.set_defaults(func=cmd_conformal)
-
-    p = sub.add_parser("ood", help="out-of-domain credibility protocols")
-    _add_common(p)
-    _add_train_flags(p)
-    p.add_argument("--model", action="append")
-    p.add_argument("--measure", choices=MEASURE_CHOICES)
-    p.add_argument("--held-class", dest="held_class", type=int,
-                   help="class index to hold out of training")
-    p.add_argument("--foreign", help="foreign dataset (CSV or blobs spec)")
-    p.set_defaults(func=cmd_ood)
+    for command, (func, runs, text) in COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        p.add_argument("--config", help="JSON config file; flags override its values")
+        p.add_argument("-v", "--verbose", action="store_true", default=None)
+        for key in dict.fromkeys(("schema", "out", *(k for run in runs for k in READS[run]))):
+            options = {k: v for k, v in FLAGS[key].items() if k != "flag"}
+            p.add_argument(_flag(key), dest=key, **options)
+        p.set_defaults(func=func)
     return parser
 
 

@@ -404,8 +404,8 @@ def make_blobs(
         raise ValueError(f"need at least one point per class: n={n}, c={c}")
     if c < 1:
         raise ValueError("c must be >= 1")
-    if separation <= 0.0:
-        raise ValueError(f"separation must be > 0, got {separation}")
+    if not 0.0 < separation < np.inf:  # so NaN fails too
+        raise ValueError(f"separation must be finite and > 0, got {separation}")
     if d < max(1, c - 1):
         raise ValueError(f"equidistant centers for {c} classes need d >= {c - 1}")
 

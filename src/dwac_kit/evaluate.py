@@ -198,33 +198,26 @@ def ood_holdout_class_multi(
     It is conformally calibrated, and credibility is scored for the
     in-domain test split and every held-out instance.
     """
-    if not measures:
-        raise ValueError("need at least one nonconformity measure")
     _, calib, test, held = splits
-    in_preds = predict(result.model, test.x, train=result.embedded, sigma=sigma)
-    out_preds = predict(result.model, held.x, train=result.embedded, sigma=sigma)
-
-    reports = {}
-    for measure in measures:
-        calib_scores = calibrate(result.calib_predictions, calib.y, measure)
-        in_cred = conformal_predict(in_preds, calib_scores, measure).credibility()
-        out_cred = conformal_predict(out_preds, calib_scores, measure).credibility()
-        reports[measure] = _ood_report(measure, in_cred, out_cred)
-    return reports
+    calibrations = {m: calibrate(result.calib_predictions, calib.y, m) for m in measures}
+    return ood_cross_dataset(result.model, result.embedded, calibrations, test, held, sigma)
 
 
 def ood_cross_dataset(
     model: EmbeddingModel,
     train_set: EmbeddedTrainingSet | None,
-    calibration_scores: np.ndarray,
-    measure: str,
+    calibrations: dict[str, np.ndarray],
     in_domain: Dataset,
     foreign: Dataset,
     sigma: float = DEFAULT_SIGMA,
-) -> OodReport:
+) -> dict[str, OodReport]:
     """Credibility of a foreign dataset against an already-trained model,
-    with an in-domain dataset as the reference distribution. The foreign
-    data only has to match the encoded feature width."""
+    with an in-domain dataset as the reference distribution, under each
+    measure of ``calibrations`` (measure -> sorted calibration scores). Each
+    dataset is predicted once for all measures. The foreign data only has to
+    match the encoded feature width."""
+    if not calibrations:
+        raise ValueError("need at least one nonconformity measure")
     if len(foreign) == 0:
         raise ValueError("foreign dataset is empty")
     if foreign.dim != in_domain.dim:
@@ -235,6 +228,9 @@ def ood_cross_dataset(
         raise ValueError("dwac model needs its embedded training set")
     in_preds = predict(model, in_domain.x, train=train_set, sigma=sigma)
     out_preds = predict(model, foreign.x, train=train_set, sigma=sigma)
-    in_cred = conformal_predict(in_preds, calibration_scores, measure).credibility()
-    out_cred = conformal_predict(out_preds, calibration_scores, measure).credibility()
-    return _ood_report(measure, in_cred, out_cred)
+    reports = {}
+    for measure, scores in calibrations.items():
+        in_cred = conformal_predict(in_preds, scores, measure).credibility()
+        out_cred = conformal_predict(out_preds, scores, measure).credibility()
+        reports[measure] = _ood_report(measure, in_cred, out_cred)
+    return reports

@@ -4,9 +4,9 @@ Every prediction is a weighted vote over training instances, so the
 explanation is literal: the training instances ranked by kernel weight.
 The decisive prefix marks how deep into that ranking you must read before
 the tail mathematically cannot overturn the predicted label, no matter
-what the tail labels are. agreement_at_k measures how often a prediction
-restricted to the k nearest instances matches the full model, which is
-what justifies showing users only a short prefix.
+what the tail labels are. The agreement table measures how often a
+prediction restricted to the k nearest instances matches the full model,
+which is what justifies showing users only a short prefix.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
 from .heads import DEFAULT_SIGMA, EmbeddedTrainingSet, kernel_blocks
 from .network import DWAC, EmbeddingModel, forward
 
@@ -84,34 +83,6 @@ def _ranked(w: np.ndarray, order: np.ndarray, depth: int) -> np.ndarray:
     return cols[(np.cumsum(counts) - counts)[:, None] + np.arange(depth)]
 
 
-def explain_many(
-    x: np.ndarray,
-    model: EmbeddingModel,
-    train: EmbeddedTrainingSet,
-    k: int | None = None,
-    sigma: float = DEFAULT_SIGMA,
-) -> list[Explanation]:
-    """Explain each row of ``x``; query_id is the row position."""
-    return explain_with_agreement(x, model, train, k=k, k_list=(), sigma=sigma)[0]
-
-
-def agreement_at_k(
-    model: EmbeddingModel,
-    train: EmbeddedTrainingSet,
-    test: Dataset,
-    k_list: tuple[int, ...],
-    sigma: float = DEFAULT_SIGMA,
-) -> list[tuple[int, float]]:
-    """Fraction of test instances where the argmax over only the k nearest
-    training instances matches the full-model argmax, per k.
-
-    k values at or above the training set size agree exactly by
-    construction (the restriction keeps everything). The pass also builds
-    one-entry explanations, which are dropped.
-    """
-    return explain_with_agreement(test.x, model, train, k=1, k_list=k_list, sigma=sigma)[1]
-
-
 def explain_with_agreement(
     x: np.ndarray,
     model: EmbeddingModel,
@@ -120,13 +91,17 @@ def explain_with_agreement(
     k_list: tuple[int, ...],
     sigma: float = DEFAULT_SIGMA,
 ) -> tuple[list[Explanation], list[tuple[int, float]]]:
-    """``explain_many`` and ``agreement_at_k`` of the same queries from one
-    embedding and one pass of ``kernel_blocks``.
+    """The explanation of each row of ``x`` (query_id is the row position),
+    and the agreement table of the same queries: for each k in ``k_list``,
+    the fraction of rows whose argmax over only the k nearest training
+    instances matches the full-model argmax. Both come from one embedding and
+    one pass of ``kernel_blocks``.
 
     ``k`` truncates each ranked list to the k heaviest neighbors (None keeps
     all of them); the decisive prefix still accounts for the exact truncated
     mass. For agreement, each row ranks only its top kmax weights, kmax being
-    the largest k in ``k_list`` below the training set size.
+    the largest k in ``k_list`` below the training set size; k values at or
+    above that size agree exactly by construction.
 
     Each kernel block is ranked as a whole (``_ranked``), with no loop over
     its rows. The class masses of every prefix are cumulative sums along the

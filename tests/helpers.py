@@ -39,7 +39,7 @@ from dwac_kit.data import (
     fit_stats,
     read_csv_rows,
 )
-from dwac_kit.explain import Explanation, explain_many
+from dwac_kit.explain import Explanation, explain_with_agreement
 from dwac_kit.evaluate import SPLIT_STREAM
 from dwac_kit.heads import kernel_weights, softmax_batch_loss
 from dwac_kit.network import DWAC, AdamState, adam_step, backward, forward
@@ -96,9 +96,9 @@ def load_csv(path: str, schema: Schema, stats: FeatureStats | None = None) -> Da
 
 
 def explain(x, model, train, k=None, sigma: float = 0.5) -> Explanation:
-    """The explanation of one encoded feature row, through ``explain_many``."""
-    return explain_many(np.asarray(x, dtype=np.float64)[None, :], model, train, k=k,
-                        sigma=sigma)[0]
+    """The explanation of one encoded feature row, through ``explain_with_agreement``."""
+    return explain_with_agreement(np.asarray(x, dtype=np.float64)[None, :], model, train, k=k,
+                                  k_list=(), sigma=sigma)[0][0]
 
 
 def class_weights(explanation: Explanation, num_classes: int) -> np.ndarray:

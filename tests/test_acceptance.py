@@ -21,7 +21,6 @@ from dwac_kit import (
     MlpSpec,
     Schema,
     TrainConfig,
-    agreement_at_k,
     calibrate,
     calibration_mae,
     conformal_predict,
@@ -29,7 +28,7 @@ from dwac_kit import (
     accuracy,
     dwac_batch_loss,
     dwac_predict,
-    explain_many,
+    explain_with_agreement,
     forward,
     backward,
     init_model,
@@ -326,8 +325,8 @@ def test_criterion_05_adult_income_reproduction(adult_runs):
 def test_criterion_06_explanation_fidelity(separated):
     run = separated[DWAC, 0]
     t = len(run.proper)
-    table = dict(agreement_at_k(run.result.model, run.result.embedded, run.test,
-                                [1, t], sigma=0.5))
+    table = dict(explain_with_agreement(run.test.x, run.result.model, run.result.embedded,
+                                        k=1, k_list=(1, t), sigma=0.5)[1])
     exact_at_t = table[t] == 1.0
 
     # independent check of the k=t identity: rebuild the class masses from a
@@ -335,15 +334,15 @@ def test_criterion_06_explanation_fidelity(separated):
     sample = run.test.x[:100]
     preds = predict(run.result.model, sample, train=run.result.embedded, sigma=0.5)
     rebuilt = [int(np.argmax(class_weights(e, run.proper.num_classes)))
-               for e in explain_many(sample, run.result.model, run.result.embedded,
-                                     k=None, sigma=0.5)]
+               for e in explain_with_agreement(sample, run.result.model, run.result.embedded,
+                                               k=None, k_list=(), sigma=0.5)[0]]
     exact_at_t = exact_at_t and np.array_equal(rebuilt, preds.predicted)
 
     at_one = []
     for seed in SEEDS:
         r = separated[DWAC, seed]
-        at_one.append(dict(agreement_at_k(r.result.model, r.result.embedded,
-                                          r.test, [1], sigma=0.5))[1])
+        at_one.append(dict(explain_with_agreement(r.test.x, r.result.model, r.result.embedded,
+                                                  k=1, k_list=(1,), sigma=0.5)[1])[1])
     ok = exact_at_t and min(at_one) >= 0.95
     report(6, "explanation agreement: exact at k=t, >= 0.95 at k=1", ok,
            f"k=t {table[t]!r} (rebuilt argmax matches), k=1 min {min(at_one):.4f}")
@@ -352,8 +351,8 @@ def test_criterion_06_explanation_fidelity(separated):
 @pytest.mark.skipif(_adult_missing, reason=f"set {ADULT_ENV} to run the Adult check")
 def test_criterion_06b_adult_agreement(adult_runs):
     run = adult_runs[DWAC, 0]
-    frac = dict(agreement_at_k(run.result.model, run.result.embedded,
-                               run.test, [10], sigma=0.5))[10]
+    frac = dict(explain_with_agreement(run.test.x, run.result.model, run.result.embedded,
+                                       k=1, k_list=(10,), sigma=0.5)[1])[10]
     report(6, "Adult agreement at k=10 >= 0.90", frac >= 0.90, f"k=10 {frac:.4f}")
 
 
@@ -434,8 +433,9 @@ def test_criterion_09_decisive_prefix_soundness(separated):
     queries = flips = decisive = 0
     for seed in SEEDS:
         run = separated[DWAC, seed]
-        explanations = explain_many(run.test.x[:40], run.result.model,
-                                    run.result.embedded, k=None, sigma=0.5)
+        explanations, _ = explain_with_agreement(run.test.x[:40], run.result.model,
+                                                 run.result.embedded, k=None, k_list=(),
+                                                 sigma=0.5)
         for e in explanations:
             queries += 1
             if e.decisive_prefix == 0:

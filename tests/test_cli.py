@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import argparse
 import csv
 import importlib
 import json
 import weakref
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,11 +14,11 @@ import pytest
 from dataclasses import replace
 
 from dwac_kit import blob_data, heads, load_model, make_blobs, make_rng, predict, save_model
-from dwac_kit import cli
+from dwac_kit import cli, evaluate
 from dwac_kit.cli import (
-    BLOBS_STREAM, FOREIGN_KEYS, HOLDOUT_KEYS, SCORING_KEYS, TRAIN_KEYS, build_config, main,
-    make_parser,
+    BLOBS_STREAM, PATH_KEYS, READS, TRAINING_KEYS, RunConfig, build_config, main, make_parser,
 )
+from dwac_kit.conformal import NEG_PROB
 from dwac_kit.data import encode_rows, label_codes
 from dwac_kit.evaluate import ood_cross_dataset
 from dwac_kit.explain import explain_with_agreement
@@ -36,6 +38,43 @@ def read_table(path):
         rows = list(csv.reader(f))
     assert comment.startswith("# ")
     return json.loads(comment[2:]), rows
+
+
+def provenance_keys(run_kind):
+    """What the provenance of a kind of run holds: the command and what it
+    reads, but the paths."""
+    return {"command", *READS[run_kind]} - PATH_KEYS
+
+
+# every key a config file may name, at its default value
+DEFAULTS = {f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+            for f in fields(RunConfig) if f.name != "command"}
+
+
+def assert_reads_only_its_keys(run_kind, argv, out, tmp_path, capsys):
+    """``argv``, a run of ``run_kind`` writing to ``out``, accepts from a
+    config file each key the run reads and each path, and refuses every other
+    key with one error line and no ``out``; returns a config file holding all
+    that it accepts."""
+    cfg = tmp_path / "cfg.json"
+    accepted = set(READS[run_kind]) | PATH_KEYS
+    for key, value in DEFAULTS.items():
+        cfg.write_text(json.dumps({key: value}))
+        if key in accepted:
+            build_config(make_parser().parse_args(argv + ["--config", str(cfg)]))
+            continue
+        capsys.readouterr()
+        assert run(argv + ["--config", str(cfg)]) == 2
+        line = assert_one_error_line(capsys)
+        command = argv[0]
+        assert (f"{key} is a training key; {command} scores with the model artifact"
+                if key in TRAINING_KEYS else f"{command} does not read {key}") in line, line
+        assert not out.exists()
+    cfg.write_text(json.dumps({key: DEFAULTS[key] for key in accepted}))
+    resolved = build_config(make_parser().parse_args(argv + ["--config", str(cfg)]))
+    assert resolved.run == run_kind
+    assert set(json.loads(resolved.provenance())) == provenance_keys(run_kind)
+    return cfg
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +108,7 @@ def test_train_summary_layout(trained_dir):
         assert float(r[2]) == 0.0  # single trial -> zero std
     assert prov["data"] == BLOBS
     assert prov["seed"] == 0
-    assert set(prov) == set(TRAIN_KEYS)
+    assert set(prov) == provenance_keys("train")
 
 
 def test_train_reruns_are_byte_identical(trained_dir, tmp_path):
@@ -220,31 +259,26 @@ def test_sigma_is_only_a_training_flag(trained_dir, tmp_path, capsys):
 
 
 def test_scoring_commands_read_only_their_keys(trained_dir, tmp_path, capsys):
-    # predict, explain and conformal refuse every setting they do not read,
-    # from a flag or a config file, and their provenance holds only those
+    # predict, explain, conformal and ood --foreign refuse, from a config
+    # file, every key they do not read but the paths, and accept all the rest
+    # at once; their provenance holds exactly what they read
     model = str(trained_dir / "model_dwac_trial0.json")
-    outputs = {"predict": "predictions.json", "explain": "explanations.json",
-               "conformal": "coverage_dwac_neg_prob.csv"}
-    unread = {"predict": {"k": 3}, "explain": {"measure": "neg_prob"},
-              "conformal": {"k_list": [1]}}
-    for command, output in outputs.items():
-        out = tmp_path / command
-        for key_value in ({"hidden": [99]}, {"trials": 2}, {"held_class": 1},
-                          {"test_data": "blobs:n=9"}, unread[command]):
-            cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps(key_value))
-            capsys.readouterr()
-            assert run([command, "--data", BLOBS, "--model", model, "--config", str(cfg),
-                        "--out", str(out)]) == 2
-            assert_one_error_line(capsys)
-            assert not out.exists()
-        assert run([command, "--data", BLOBS, "--model", model, "--out", str(out)]) == 0
+    runs = {"predict": (["predict"], "predictions.json"),
+            "explain": (["explain"], "explanations.json"),
+            "conformal": (["conformal"], "coverage_dwac_neg_prob.csv"),
+            "foreign": (["ood", "--foreign", "blobs:n=30,c=3,d=3,sep=8,seed=9"],
+                        "ood_summary.json")}
+    for run_kind, (command, output) in runs.items():
+        out = tmp_path / run_kind
+        argv = [*command, "--data", BLOBS, "--model", model, "--out", str(out)]
+        cfg = assert_reads_only_its_keys(run_kind, argv, out, tmp_path, capsys)
+        assert run(argv + ["--config", str(cfg)]) == 0
         path = out / output
         if output.endswith(".json"):
             prov = json.loads(path.read_text())["provenance"]
         else:
             prov, _ = read_table(path)
-        assert set(prov) == set(SCORING_KEYS[command])
+        assert set(prov) == provenance_keys(run_kind)
     # the subcommand, not a config file, names the command
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"command": "train"}))
@@ -255,32 +289,32 @@ def test_scoring_commands_read_only_their_keys(trained_dir, tmp_path, capsys):
 
 
 def test_training_runs_read_only_their_keys(tmp_path, capsys):
-    # train and ood --held-class refuse, from a flag or a config file, every
-    # key they do not read; their provenance holds exactly what they read
-    # (pinned by the train and hold-out tests above)
+    # train and ood --held-class refuse, from a config file, every key they
+    # do not read but the paths; their provenance holds exactly what they read
     out = tmp_path / "x"
-    unread = {
-        "train": ({"k": 99}, {"epsilons": [0.3]}, {"k_list": [1]}, {"measure": "neg_prob"},
-                  {"held_class": 1}, {"foreign": "blobs:n=9"}),
-        "ood": ({"trials": 2}, {"k": 99}, {"k_list": [1]}, {"epsilons": [0.3]},
-                {"test_data": "blobs:n=9"}, {"foreign": "blobs:n=9"}),
-    }
-    for command, key_values in unread.items():
-        argv = [command, "--data", BLOBS, "--out", str(out), *FAST]
-        if command == "ood":
-            argv += ["--held-class", "2"]
-        for key_value in key_values:
-            cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps(key_value))
-            capsys.readouterr()
-            assert run(argv + ["--config", str(cfg)]) == 2
-            line = assert_one_error_line(capsys)
-            assert f"{command} does not read {next(iter(key_value))}" in line, line
+    for run_kind, command in (("train", ["train"]), ("holdout", ["ood", "--held-class", "2"])):
+        argv = [*command, "--data", BLOBS, "--out", str(out), *FAST]
+        assert_reads_only_its_keys(run_kind, argv, out, tmp_path, capsys)
     capsys.readouterr()
     assert run(["ood", "--data", BLOBS, "--held-class", "2", "--foreign", BLOBS,
                 "--out", str(out)]) == 2
     assert_one_error_line(capsys)
     assert not out.exists()
+    # each subcommand takes the flags of what its kinds of run read
+    common = {"-h", "--help", "--config", "-v", "--verbose", "--data", "--schema", "--out",
+              "--seed"}
+    training = {"--head", "--sigma", "--h-dim", "--hidden", "--dropout", "--learning-rate",
+                "--batch-size", "--max-epochs", "--patience", "--fractions"}
+    subparsers = next(a for a in make_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    assert {name: {flag for a in p._actions for flag in a.option_strings}
+            for name, p in subparsers.items()} == {
+        "train": common | training | {"--test-data", "--trials"},
+        "predict": common | {"--model"},
+        "explain": common | {"--model", "--k", "--k-list"},
+        "conformal": common | {"--model", "--measure", "--epsilon-grid"},
+        "ood": common | training | {"--model", "--measure", "--held-class", "--foreign"},
+    }
 
 
 def test_scoring_reads_labels_only_where_it_uses_them(tmp_path, capsys):
@@ -441,7 +475,7 @@ def test_ood_holdout_summary(tmp_path):
         assert 0.0 <= stats["out_of_domain_mean"] <= 1.0
     assert (out / "ood_hist_dwac_neg_weight_sum.csv").exists()
     assert doc["provenance"]["held_class"] == 3
-    assert set(doc["provenance"]) == set(HOLDOUT_KEYS)
+    assert set(doc["provenance"]) == provenance_keys("holdout")
 
 
 def test_ood_cross_dataset(trained_dir, tmp_path):
@@ -474,8 +508,41 @@ def test_ood_foreign_refuses_training_settings(trained_dir, tmp_path, capsys):
         assert not (tmp_path / "ood").exists()
     assert run(foreign + ["--measure", "neg_prob"]) == 0
     doc = json.loads((tmp_path / "ood" / "ood_summary.json").read_text())
-    assert set(doc["provenance"]) == set(FOREIGN_KEYS)
+    assert set(doc["provenance"]) == provenance_keys("foreign")
     assert doc["provenance"]["measure"] == "neg_prob"
+
+
+def test_a_missing_calibration_is_refused_before_any_output(trained_dir, tmp_path, capsys):
+    # an artifact without the scores of a measure asked for is refused before
+    # anything is written, also after a --model that has all of its scores
+    artifact = load_model(str(trained_dir / "model_dwac_trial0.json"))
+    model = tmp_path / "no_weight_sum.json"
+    save_model(replace(artifact, calibrations={NEG_PROB: artifact.calibrations[NEG_PROB]}),
+               str(model))
+    out = tmp_path / "out"
+    softmax = ["--model", str(trained_dir / "model_softmax_trial0.json")]
+    for command in (["conformal"], ["conformal", *softmax],
+                    ["ood", "--foreign", "blobs:n=30,c=3,d=3,sep=8,seed=9"]):
+        capsys.readouterr()
+        assert run([*command, "--data", BLOBS, "--model", str(model), "--out", str(out)]) == 2
+        assert assert_one_error_line(capsys) == (
+            f"error: {model}: artifact has no calibration scores for 'neg_weight_sum'")
+        assert not out.exists()
+
+
+def test_ood_foreign_predicts_each_dataset_once(trained_dir, tmp_path, monkeypatch):
+    # both measures score the same two predictions
+    rows = []
+
+    def counted(model, x, *args, **kwargs):
+        rows.append(len(x))
+        return predict(model, x, *args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "predict", counted)
+    assert run(["ood", "--data", BLOBS, "--foreign", "blobs:n=30,c=3,d=3,sep=8,seed=9",
+                "--model", str(trained_dir / "model_dwac_trial0.json"), "--measure", "both",
+                "--out", str(tmp_path / "ood")]) == 0
+    assert rows == [200, 30]
 
 
 def test_explain_runs_the_kernel_once_per_query_block(trained_dir, tmp_path, monkeypatch):
@@ -578,10 +645,10 @@ def test_json_outputs_hold_one_record_per_line(trained_dir, tmp_path):
                            "measure": "both", "seed": 0},
             "combinations": {}},
     }
-    for measure in ("neg_prob", "neg_weight_sum"):
-        report = ood_cross_dataset(artifact.model, artifact.embedded,
-                                   artifact.calibrations[measure], measure, *blobs,
-                                   sigma=artifact.sigma)
+    reports = ood_cross_dataset(artifact.model, artifact.embedded, artifact.calibrations,
+                                *blobs, sigma=artifact.sigma)
+    assert set(reports) == {"neg_prob", "neg_weight_sum"}
+    for measure, report in reports.items():
         expected["ood_summary.json"]["combinations"][f"dwac/{measure}"] = {
             "in_domain_mean": report.in_mean, "out_of_domain_mean": report.out_mean,
             "in_domain_n": int(report.in_domain.size),
@@ -800,11 +867,18 @@ def test_test_data_without_labels_is_refused_before_training(tmp_path, capsys, m
         f"error: {unlabeled}: test data must include the label column 'species'")
 
 
-def test_bad_blob_specs(tmp_path):
-    out = str(tmp_path / "x")
-    assert run(["train", "--data", "blobs:q=3", "--out", out]) == 2
-    assert run(["train", "--data", "blobs:nope", "--out", out]) == 2
-    assert run(["train", "--data", "blobs:n=2,c=3", "--out", out]) == 2
+def test_bad_blob_specs(tmp_path, capsys):
+    # one error line names the spec, and the key whose value it cannot use
+    out = tmp_path / "x"
+    for spec, named in (("blobs:q=3", "unknown keys ['q']"), ("blobs:nope", "'nope'"),
+                        ("blobs:n=2,c=3", "n=2, c=3"), ("blobs:n=abc", "n='abc'"),
+                        ("blobs:n=1e3", "n='1e3'"), ("blobs:n=20,c=2,d=1,seed=x", "seed='x'"),
+                        ("blobs:sep=nan", "separation"), ("blobs:sep=inf", "separation")):
+        capsys.readouterr()
+        assert run(["train", "--data", spec, "--out", str(out)]) == 2
+        line = assert_one_error_line(capsys)
+        assert line.startswith(f"error: bad blob spec {spec!r}: ") and named in line, line
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

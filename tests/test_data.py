@@ -327,6 +327,9 @@ def test_blobs_validation():
         make_blobs(10, 4, 2, 5.0, rng)  # 4 equidistant centers need d >= 3
     with pytest.raises(ValueError):
         make_blobs(10, 2, 2, 0.0, rng)
+    for separation in (float("nan"), float("inf")):  # NaN passes a "<= 0" test
+        with pytest.raises(ValueError, match="separation must be finite"):
+            make_blobs(10, 2, 2, separation, rng)
     with pytest.raises(ValueError):
         make_blobs(10, 0, 2, 5.0, rng)
 

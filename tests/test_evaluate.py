@@ -278,8 +278,8 @@ def test_cross_dataset_identical_foreign_scores_identically(dwac_run):
     result, proper, calib, test = dwac_run
     calib_preds = predict(result.model, calib.x, train=result.embedded, sigma=0.5)
     scores = calibrate(calib_preds, calib.y, NEG_WEIGHT_SUM)
-    report = ood_cross_dataset(result.model, result.embedded, scores,
-                               NEG_WEIGHT_SUM, in_domain=test, foreign=test)
+    report = ood_cross_dataset(result.model, result.embedded, {NEG_WEIGHT_SUM: scores},
+                               in_domain=test, foreign=test)[NEG_WEIGHT_SUM]
     assert np.array_equal(report.in_domain, report.out_of_domain)
     assert report.in_mean == report.out_mean
 
@@ -290,8 +290,8 @@ def test_cross_dataset_shifted_foreign_loses_credibility(dwac_run):
     scores = calibrate(calib_preds, calib.y, NEG_WEIGHT_SUM)
     foreign = Dataset(x=test.x + 40.0, y=None, num_classes=test.num_classes,
                       feature_names=test.feature_names)
-    report = ood_cross_dataset(result.model, result.embedded, scores,
-                               NEG_WEIGHT_SUM, in_domain=test, foreign=foreign)
+    report = ood_cross_dataset(result.model, result.embedded, {NEG_WEIGHT_SUM: scores},
+                               in_domain=test, foreign=foreign)[NEG_WEIGHT_SUM]
     assert report.out_mean < 0.05
     assert report.out_mean < report.in_mean
 
@@ -300,8 +300,8 @@ def test_cross_dataset_credibility_matches_conformal(dwac_run):
     result, proper, calib, test = dwac_run
     calib_preds = predict(result.model, calib.x, train=result.embedded, sigma=0.5)
     scores = calibrate(calib_preds, calib.y, NEG_PROB)
-    report = ood_cross_dataset(result.model, result.embedded, scores,
-                               NEG_PROB, in_domain=test, foreign=test)
+    report = ood_cross_dataset(result.model, result.embedded, {NEG_PROB: scores},
+                               in_domain=test, foreign=test)[NEG_PROB]
     test_preds = predict(result.model, test.x, train=result.embedded, sigma=0.5)
     direct = conformal_predict(test_preds, scores, NEG_PROB).credibility()
     assert np.array_equal(report.in_domain, direct)
@@ -314,13 +314,14 @@ def test_cross_dataset_validation(dwac_run):
     empty = Dataset(x=np.zeros((0, test.dim)), y=None, num_classes=test.num_classes,
                     feature_names=test.feature_names)
     with pytest.raises(ValueError):
-        ood_cross_dataset(result.model, result.embedded, scores, NEG_PROB,
+        ood_cross_dataset(result.model, result.embedded, {NEG_PROB: scores},
                           in_domain=test, foreign=empty)
     narrow = Dataset(x=test.x[:, :-1], y=None, num_classes=test.num_classes,
                      feature_names=test.feature_names[:-1])
     with pytest.raises(ValueError):
-        ood_cross_dataset(result.model, result.embedded, scores, NEG_PROB,
+        ood_cross_dataset(result.model, result.embedded, {NEG_PROB: scores},
                           in_domain=test, foreign=narrow)
     with pytest.raises(ValueError):
-        ood_cross_dataset(result.model, None, scores, NEG_PROB,
-                          in_domain=test, foreign=test)
+        ood_cross_dataset(result.model, None, {NEG_PROB: scores}, in_domain=test, foreign=test)
+    with pytest.raises(ValueError, match="at least one nonconformity measure"):
+        ood_cross_dataset(result.model, result.embedded, {}, in_domain=test, foreign=test)

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from dwac_kit import heads
-from dwac_kit.explain import agreement_at_k, explain_many, explain_with_agreement
-from dwac_kit.data import Dataset
+from dwac_kit.explain import explain_with_agreement
 from dwac_kit.heads import EmbeddedTrainingSet, kernel_weights
 from dwac_kit.linalg import make_rng
 from dwac_kit.network import DWAC, SOFTMAX, EmbeddingModel, MlpSpec
@@ -96,7 +95,7 @@ def test_decisive_prefix_zero_when_truncation_hides_too_much():
 def test_adversarial_relabeling_never_flips_certified_predictions(dwac_run):
     result, _, _, test = dwac_run
     train = result.embedded
-    explanations = explain_many(test.x[:50], result.model, train)
+    explanations, _ = explain_with_agreement(test.x[:50], result.model, train, k=None, k_list=())
     certified = 0
     for exp in explanations:
         j = exp.decisive_prefix
@@ -120,7 +119,8 @@ def test_complete_explanation_reconstructs_probabilities(dwac_run):
     result, _, _, test = dwac_run
     train = result.embedded
     preds = predict(result.model, test.x[:20], train=train)
-    for i, exp in enumerate(explain_many(test.x[:20], result.model, train)):
+    explanations, _ = explain_with_agreement(test.x[:20], result.model, train, k=None, k_list=())
+    for i, exp in enumerate(explanations):
         masses = class_weights(exp, train.num_classes)
         assert abs(masses.sum() - exp.total_weight) < 1e-9
         if exp.total_weight > 0:
@@ -144,7 +144,7 @@ def test_explanations_across_row_blocks_keep_global_query_ids():
     train = EmbeddedTrainingSet(h=rng.standard_normal((20_000, 2)),
                                 labels=rng.integers(0, 2, size=20_000), num_classes=2)
     x = rng.standard_normal((250, 2))
-    explanations = explain_many(x, identity_model(2), train, k=3)
+    explanations, _ = explain_with_agreement(x, identity_model(2), train, k=3, k_list=())
     assert [e.query_id for e in explanations] == list(range(250))
     for i in (0, 103, 104, 249):
         # the same query explained alone, in a block of its own
@@ -183,17 +183,19 @@ def test_explain_validation(dwac_run):
 def test_agreement_exact_at_full_size(dwac_run):
     result, _, _, test = dwac_run
     t = len(result.embedded)
-    table = agreement_at_k(result.model, result.embedded, test, (t, t + 50))
+    _, table = explain_with_agreement(test.x, result.model, result.embedded, k=1,
+                                      k_list=(t, t + 50))
     assert table == [(t, 1.0), (t + 50, 1.0)]
 
 
 def test_agreement_values_bounded(dwac_run):
     result, _, _, test = dwac_run
-    table = agreement_at_k(result.model, result.embedded, test, (1, 5, 10))
+    _, table = explain_with_agreement(test.x, result.model, result.embedded, k=1,
+                                      k_list=(1, 5, 10))
     for k, frac in table:
         assert 0.0 <= frac <= 1.0
     with pytest.raises(ValueError):
-        agreement_at_k(result.model, result.embedded, test, (0,))
+        explain_with_agreement(test.x, result.model, result.embedded, k=1, k_list=(0,))
 
 
 def test_agreement_matches_full_ranking_oracle_with_tied_weights():
@@ -204,11 +206,11 @@ def test_agreement_matches_full_ranking_oracle_with_tied_weights():
     h = rng.integers(-2, 3, size=(t, 2)).astype(np.float64)
     train = EmbeddedTrainingSet(h=h, labels=rng.integers(0, c, size=t), num_classes=c)
     queries = rng.integers(-3, 4, size=(40, 2)).astype(np.float64)
-    test = Dataset(x=queries, y=None, num_classes=c, feature_names=("a", "b"))
     weights = kernel_weights(queries, h)
     for k_list in ((1, 4, 7, 12), (1, 20, t - 1, t, t + 50)):
         expected = agreement_oracle(weights, train.labels, c, k_list)
-        assert agreement_at_k(identity_model(2), train, test, k_list) == expected
+        _, table = explain_with_agreement(queries, identity_model(2), train, k=1, k_list=k_list)
+        assert table == expected
     assert 0.0 < dict(expected)[1] < 1.0
 
 
@@ -216,9 +218,8 @@ def test_restricted_argmax_matches_manual_check():
     # hand-checkable: nearest neighbor disagrees with the full vote
     train, query = train_set_with_weights([0.6, 0.55, 0.5], [1, 0, 0], 2)
     model = identity_model(3)
-    ds = Dataset(x=query[None, :], y=None, num_classes=2,
-                 feature_names=("a", "b", "c"))
-    table = dict(agreement_at_k(model, train, ds, (1, 3)))
+    _, table = explain_with_agreement(query[None, :], model, train, k=1, k_list=(1, 3))
+    table = dict(table)
     assert table[1] == 0.0  # top instance says class 1, full vote says 0
     assert table[3] == 1.0
 
