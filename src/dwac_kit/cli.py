@@ -59,7 +59,6 @@ from .evaluate import (
     trial_splits,
 )
 from .explain import explain_with_agreement
-from .heads import Predictions
 from .linalg import make_rng
 from .network import DWAC, SOFTMAX
 from .trainer import TrainConfig, predict, train_many
@@ -235,6 +234,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             )
         raise ValueError(f"{source}: {cfg.command} does not read {key}; it reads only "
                          f"{', '.join(k for k in reads if k not in PATH_KEYS)} besides paths")
+    if cfg.data is None:  # every kind of run reads it
+        raise ValueError(f"{cfg.command} needs --data")
     return cfg
 
 
@@ -353,6 +354,21 @@ def _calibrations(artifact: ModelArtifact, path: str, requested: str) -> dict[st
     return calibrations
 
 
+def _scored_artifacts(cfg: RunConfig) -> list[tuple[ModelArtifact, dict[str, np.ndarray]]]:
+    """Each --model artifact with its ``_calibrations``, refused before
+    anything is scored if there is none or two share a head: outputs are
+    named by head, so the second would overwrite the first."""
+    if not cfg.model:
+        raise ValueError(f"{cfg.command} needs at least one --model")
+    artifacts = [load_model(path) for path in cfg.model]
+    heads = [a.model.head for a in artifacts]
+    for i, head in enumerate(heads):
+        if head in heads[:i]:
+            raise ValueError(f"--model {cfg.model[heads.index(head)]} and --model {cfg.model[i]} "
+                             f"are both {head} artifacts; give one artifact per head")
+    return [(a, _calibrations(a, path, cfg.measure)) for a, path in zip(artifacts, cfg.model)]
+
+
 def _train_config(cfg: RunConfig, head: str, seed: int) -> TrainConfig:
     return TrainConfig(
         head=head,
@@ -409,19 +425,11 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _degenerate(preds: Predictions) -> int:
-    """Rows whose kernel mass underflowed to zero, scored as uniform; softmax
-    predictions have none."""
-    return 0 if preds.degenerate is None else int(np.count_nonzero(preds.degenerate))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 def cmd_train(cfg: RunConfig) -> int:
-    if cfg.data is None:
-        raise ValueError("train needs --data")
     out = _require_out(cfg)
     prov = cfg.provenance()
     raw = _load_raw(cfg.data, cfg)
@@ -459,12 +467,6 @@ def cmd_train(cfg: RunConfig) -> int:
             preds = predict(result.model, test.x, train=result.embedded, sigma=cfg.sigma)
             acc = accuracy(preds, test.y)
             mae = calibration_mae(preds.probs, test.y).mae
-            underflowed = (_degenerate(preds), _degenerate(result.calib_predictions))
-            if any(underflowed):
-                log.warning("head=%s trial=%d: at sigma=%r the kernel mass underflowed to zero "
-                            "for %d of %d test and %d of %d calibration rows, scored as "
-                            "uniform", head, trial, cfg.sigma, underflowed[0], len(test),
-                            underflowed[1], len(calib_set))
             accs[head].append(acc)
             maes[head].append(mae)
             log.info(
@@ -510,8 +512,6 @@ def _single_model(cfg: RunConfig) -> ModelArtifact:
 
 
 def cmd_predict(cfg: RunConfig) -> int:
-    if cfg.data is None:
-        raise ValueError("predict needs --data")
     out = _require_out(cfg)
     artifact = _single_model(cfg)
     ds = _Source(cfg.data, cfg).for_artifact(artifact)
@@ -520,13 +520,11 @@ def cmd_predict(cfg: RunConfig) -> int:
     records = [{"index": i, "label": label_names[k], "predicted": k, "probs": p}
                for i, (k, p) in enumerate(zip(preds.predicted.tolist(), preds.probs.tolist()))]
     _write_json(os.path.join(out, "predictions.json"), cfg.provenance(), "predictions", records)
-    log.info("wrote %d predictions (%d degenerate)", len(records), _degenerate(preds))
+    log.info("wrote %d predictions", len(records))
     return 0
 
 
 def cmd_explain(cfg: RunConfig) -> int:
-    if cfg.data is None:
-        raise ValueError("explain needs --data")
     out = _require_out(cfg)
     artifact = _single_model(cfg)
     if artifact.model.head != DWAC:
@@ -550,16 +548,10 @@ def cmd_explain(cfg: RunConfig) -> int:
 
 
 def cmd_conformal(cfg: RunConfig) -> int:
-    if cfg.data is None:
-        raise ValueError("conformal needs --data")
-    if not cfg.model:
-        raise ValueError("conformal needs at least one --model")
     out = _require_out(cfg)
     prov = cfg.provenance()
     data = _Source(cfg.data, cfg, labels=True)
-    artifacts = [load_model(path) for path in cfg.model]
-    resolved = [_calibrations(a, path, cfg.measure) for a, path in zip(artifacts, cfg.model)]
-    for artifact, calibrations in zip(artifacts, resolved):
+    for artifact, calibrations in _scored_artifacts(cfg):
         head = artifact.model.head
         ds = data.for_artifact(artifact)
         if ds.y is None:
@@ -584,9 +576,8 @@ def cmd_conformal(cfg: RunConfig) -> int:
                 [[_fmt(edges[i]), _fmt(edges[i + 1]), int(counts[i])]
                  for i in range(counts.size)],
             )
-            log.info("head=%s measure=%s coverage@0.05=%s degenerate=%d", head, measure,
-                     next((r.coverage for r in rows if abs(r.epsilon - 0.05) < 1e-9), "n/a"),
-                     _degenerate(preds))
+            log.info("head=%s measure=%s coverage@0.05=%s", head, measure,
+                     next((r.coverage for r in rows if abs(r.epsilon - 0.05) < 1e-9), "n/a"))
     return 0
 
 
@@ -595,8 +586,6 @@ def cmd_ood(cfg: RunConfig) -> int:
     prov = cfg.provenance()
     reports = {}  # head -> measure -> report
     if cfg.held_class is not None:
-        if cfg.data is None:
-            raise ValueError("hold-out ood needs --data")
         # one split and encoding, shared by every head
         splits = trial_splits(_load_raw(cfg.data, cfg), cfg.seed, cfg.fractions,
                               held_class=cfg.held_class)
@@ -606,15 +595,10 @@ def cmd_ood(cfg: RunConfig) -> int:
         for (head, head_measures), result in zip(measures.items(), results):
             reports[head] = ood_holdout_class_multi(splits, result, head_measures, cfg.sigma)
     elif cfg.foreign is not None:
-        if cfg.data is None:
-            raise ValueError("cross-dataset ood needs --data as the in-domain reference")
-        if not cfg.model:
-            raise ValueError("cross-dataset ood needs --model")
         in_data, foreign_data = _Source(cfg.data, cfg), _Source(cfg.foreign, cfg)
-        for path in cfg.model:
-            artifact = load_model(path)
+        for artifact, calibrations in _scored_artifacts(cfg):
             reports[artifact.model.head] = ood_cross_dataset(
-                artifact.model, artifact.embedded, _calibrations(artifact, path, cfg.measure),
+                artifact.model, artifact.embedded, calibrations,
                 in_data.for_artifact(artifact), foreign_data.for_artifact(artifact),
                 sigma=artifact.sigma)
     else:

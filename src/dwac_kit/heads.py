@@ -7,7 +7,9 @@ sum of Gaussian kernel weights over embedded training instances:
 
 with w(h, h_i) = exp(-||h - h_i||^2 / (2 sigma)) and sigma fixed at 1/2
 by default, so the embedding network adapts to the distance scale rather
-than the bandwidth being tuned.
+than the bandwidth being tuned. The engine shifts each query's exponents by
+their largest, which leaves its probabilities as they are: the nearest
+instance weighs 1.0, so no query's kernel mass underflows to zero.
 
 During training the probabilities are approximated within each minibatch:
 each instance's probability is estimated from the *other* batch members
@@ -31,7 +33,7 @@ PROB_FLOOR = 1e-12
 # Kernel entries per query-row block: 2**17 float64 values, 1 MiB. Kernel sums
 # run one block at a time, so their memory is O(block x t) rather than O(q x t),
 # and a block small enough for a core's L2 cache stays there through the
-# product, clamp, scale, exp and class sums.
+# product, row max, shift, exp and class sums.
 BLOCK_ENTRIES = 1 << 17
 # Fewest blocks a kernel-sum thread runs. On a 2-vCPU VM a helper thread did
 # its first block 1.5-5 ms after the call began, and calls of 15 to 128 blocks
@@ -86,15 +88,13 @@ class Predictions:
 
     ``probs`` rows live on the simplex; ``predicted`` is the argmax with
     ties broken toward the lowest class index. The averaging head also
-    carries the unnormalized per-class kernel weight sums and a flag for
-    degenerate rows, where the total kernel mass underflowed to zero and
-    the probabilities fell back to uniform.
+    carries the unnormalized per-class kernel weight sums, which underflow to
+    0.0 far from every training instance, where ``probs`` follow the nearest.
     """
 
     probs: np.ndarray
     predicted: np.ndarray
     weight_sums: np.ndarray | None = None
-    degenerate: np.ndarray | None = None
 
     def __len__(self) -> int:
         return self.probs.shape[0]
@@ -138,21 +138,22 @@ def usable_cpus() -> int:
 def kernel_blocks(
     h_query: np.ndarray, train: EmbeddedTrainingSet, visit: Callable | None,
     sigma: float = DEFAULT_SIGMA,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """The q x c class weight sums of the queries against the training set,
-    one query-row block at a time; ``visit(rows, w, sums)``, if given, sees
-    each block of ``row_blocks`` and may write only to those rows.
+    relative to each query's nearest row, and the q log offsets that make
+    them absolute (``sums * exp(offset)``), one query-row block at a time;
+    ``visit(rows, w, sums)``, if given, sees each block of ``row_blocks`` and
+    may write only to those rows.
 
-    ``w[i, j]`` is the weight of query ``rows.start + i`` on training row
-    ``train.order[j]`` (columns in class-sorted order), valid during the call.
-    The weights are those of ``kernel_weights`` bit for bit, with the sign of
-    -d^2 / (2 sigma) folded into the reference factor, which is exact, and
-    no scale pass where 1/(2 sigma) is exactly 1. No result depends on the
-    block size, so none on the thread count: each usable CPU, up to one per
-    ``RUN_BLOCKS`` blocks, runs one contiguous run of blocks in its own
-    buffer, helpers in a copy of the caller's context (and so its
-    ``np.errstate``). The first exception of any thread is raised once all
-    have ended.
+    ``w[i, j]`` is exp(-d^2 / (2 sigma) - offset), the weight of query
+    ``rows.start + i`` on training row ``train.order[j]`` (columns in
+    class-sorted order), valid during the call; the offset is the row's
+    largest -d^2 / (2 sigma), so its nearest row weighs exactly 1.0. No
+    result depends on the block size, so none on the thread count: each
+    usable CPU, up to one per ``RUN_BLOCKS`` blocks, runs one contiguous run
+    of blocks in its own buffer, helpers in a copy of the caller's context
+    (and so its ``np.errstate``). The first exception of any thread is raised
+    once all have ended.
     """
     if sigma <= 0.0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
@@ -166,21 +167,20 @@ def kernel_blocks(
     # partial tile of columns (t mod 8 with OpenBLAS) otherwise than the rest.
     # Zero rows and columns pad the factors so every product avoids both, and
     # no result depends on the block size. The reference factor is negated
-    # once, so the product is -d^2 bit for bit: negation is exact and BLAS
-    # rounds symmetrically.
+    # and the query factor scaled by 1/(2 sigma), so the product is
+    # -d^2 / (2 sigma).
     t = len(train)
-    left = np.concatenate([query_factor(h_query), np.zeros((2, d + 2))])
+    left = np.zeros((q + 2, d + 2))
+    np.multiply(query_factor(h_query), 1.0 / (2.0 * sigma), out=left[:q])
     right = np.zeros((d + 2, -(-t // 8) * 8))
     np.negative(reference_factor(train.sorted_h).T, out=right[:, :t])
     blocks = row_blocks(q, t)
     runs = max(1, min(usable_cpus(), len(blocks) // RUN_BLOCKS))
     cuts = [len(blocks) * i // runs for i in range(runs + 1)]
     height = max(2, *(b.stop - b.start for b in blocks))
-    # 1/(2 sigma) is not folded into a factor, which would move the rounding;
-    # only the sign is. At the default sigma it is 1.0 and its pass is skipped.
-    scale = 1.0 / (2.0 * sigma)
     bounds = train.bounds
     out = np.empty((q, train.num_classes))
+    offset = np.empty(q)
     errors: list[BaseException] = []
 
     def run(part: list[slice], buf: np.ndarray) -> None:
@@ -190,9 +190,8 @@ def kernel_blocks(
                 m = max(n, 2)
                 np.matmul(left[rows.start : rows.start + m], right, out=buf[:m])
                 w = buf[:n, :t]
-                np.minimum(w, 0.0, out=w)
-                if scale != 1.0:
-                    w *= scale
+                top = np.maximum.reduce(w, axis=1, out=offset[rows])
+                w -= top[:, None]
                 np.exp(w, out=w)
                 sums = out[rows]
                 for k in range(train.num_classes):
@@ -215,7 +214,7 @@ def kernel_blocks(
         th.join()
     if errors:
         raise errors[0]
-    return out
+    return out, offset
 
 
 def dwac_predict(
@@ -226,20 +225,16 @@ def dwac_predict(
     """Predict by kernel-weighted averaging over the embedded training set.
 
     The per-class weight sums come from ``kernel_blocks``, so at most one
-    block of the q x t kernel per thread is held in memory.
+    block of the q x t kernel per thread is held in memory. The probabilities
+    come from the shifted sums, whose total is at least 1.
     """
-    sums = kernel_blocks(h_query, train, None, sigma)
-    total = sums.sum(axis=1)
-    degenerate = total == 0.0
-    safe_total = np.where(degenerate, 1.0, total)
-    probs = sums / safe_total[:, None]
-    if degenerate.any():
-        probs[degenerate] = 1.0 / train.num_classes
+    sums, offset = kernel_blocks(h_query, train, None, sigma)
+    probs = sums / sums.sum(axis=1, keepdims=True)
+    sums *= np.exp(offset, out=offset)[:, None]
     return Predictions(
         probs=probs,
         predicted=np.argmax(probs, axis=1).astype(np.int64),
         weight_sums=sums,
-        degenerate=degenerate,
     )
 
 
@@ -257,15 +252,16 @@ def dwac_batch_loss(
     labels_batch: np.ndarray,
     num_classes: int,
     sigma: float = DEFAULT_SIGMA,
-    prob_floor: float = PROB_FLOOR,
 ) -> tuple[float, np.ndarray]:
     """Leave-one-out batch loss for the averaging head, with gradient.
 
     Each instance's probability of its own label is estimated from the
-    other batch members. Probabilities are clamped to [prob_floor, 1]
-    before the log so a batch with zero same-class kernel mass stays
-    finite; the gradient is zero wherever the clamp is active. Returns the
-    mean negative log probability and dLoss/dH.
+    other batch members, with each row's weights shifted by its nearest
+    other member's (which weighs 1.0), so every row has kernel mass. A row
+    with no same-class mass nearby has its probability clamped to
+    [PROB_FLOOR, 1] before the log, which keeps the loss finite; the gradient
+    is zero wherever the clamp is active. Returns the mean negative log
+    probability and dLoss/dH.
     """
     h_batch = as_matrix(h_batch, "h_batch")
     b = h_batch.shape[0]
@@ -277,8 +273,11 @@ def dwac_batch_loss(
     if labels.min() < 0 or labels.max() >= num_classes:
         raise ValueError("labels out of range 0..num_classes-1")
 
-    w = kernel_weights(h_batch, h_batch, sigma)
-    np.fill_diagonal(w, 0.0)
+    w = pairwise_sq_distances(h_batch, h_batch)
+    w *= -1.0 / (2.0 * sigma)
+    np.fill_diagonal(w, -np.inf)
+    w -= np.maximum.reduce(w, axis=1)[:, None]
+    np.exp(w, out=w)
     # same[i, j] = 1[y_i == y_j]: rows of a c x b class indicator, by label
     indicator = np.zeros((num_classes, b))
     indicator[labels, np.arange(b)] = 1.0
@@ -286,27 +285,15 @@ def dwac_batch_loss(
 
     coeff = np.multiply(w, same)  # reused below for the gradient coefficients
     denom = np.add.reduce(w, axis=1)
-    numer = np.add.reduce(coeff, axis=1)
-    safe = denom > 0.0
-    safe_denom = np.where(safe, denom, 1.0)
-    p_raw = np.where(safe, numer / safe_denom, 0.0)
-    p = np.minimum(np.maximum(p_raw, prob_floor), 1.0)
+    p_raw = np.add.reduce(coeff, axis=1) / denom
+    p = np.minimum(np.maximum(p_raw, PROB_FLOOR), 1.0)
     loss = -float(np.add.reduce(np.log(p))) / b
 
-    # d(loss)/dP is zero wherever the floor clamp is active (or the row had
-    # no kernel mass at all).
-    g = np.where(p_raw > prob_floor, -1.0 / (b * p), 0.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = g / safe_denom
-        np.subtract(same, p_raw[:, None], out=coeff)
-        coeff *= scale[:, None]
-        coeff *= w
-    rows = np.flatnonzero(np.isinf(scale))
-    if rows.size:
-        # A subnormal kernel mass overflows g / denom (and inf * 0 is NaN);
-        # those rows normalize their weights first, which keeps them finite.
-        coeff[rows] = (same[rows] - p_raw[rows, None]) * g[rows, None] * (
-            w[rows] / denom[rows, None])
+    # d(loss)/dP is zero wherever the floor clamp is active
+    g = np.where(p_raw > PROB_FLOOR, -1.0 / (b * p), 0.0)
+    np.subtract(same, p_raw[:, None], out=coeff)
+    coeff *= (g / denom)[:, None]
+    coeff *= w
     m = np.ascontiguousarray(coeff.T)
     m += coeff
     grad = m @ h_batch

@@ -3,10 +3,12 @@
 Most of these are written as plain Python loops over scalars, on purpose:
 they are the oracles the vectorized kernels are checked against, so they
 must not share any code or vectorization tricks with the implementations
-under test. The exceptions are the training-step oracles
-(``dwac_batch_loss_oracle``, ``train_per_array_oracle``), which keep the
-first, plainest numpy form of the minibatch step, the layer-by-layer
-embedding (``eval_forward_oracle``), and the explanation
+under test. The exceptions are the one-shot kernel
+(``shifted_kernel_oracle``), the whole q x t kernel of the engine in one
+product, the training-step oracles (``dwac_batch_loss_oracle``,
+``train_per_array_oracle``), which keep the first, plainest numpy form of
+the minibatch step, the layer-by-layer embedding (``eval_forward_oracle``),
+and the explanation
 oracle (``explain_rows_oracle``), which ranks one row at a time as the
 library once did. The block-wide forms must match them bit for bit.
 """
@@ -41,7 +43,8 @@ from dwac_kit.data import (
 )
 from dwac_kit.explain import Explanation, explain_with_agreement
 from dwac_kit.evaluate import SPLIT_STREAM
-from dwac_kit.heads import kernel_weights, softmax_batch_loss
+from dwac_kit.heads import softmax_batch_loss
+from dwac_kit.linalg import pairwise_sq_distances, query_factor, reference_factor
 from dwac_kit.network import DWAC, AdamState, adam_step, backward, forward
 from dwac_kit.trainer import SHUFFLE_STREAM, build_model
 
@@ -120,6 +123,18 @@ def kernel_matrix(h_query, train, sigma: float = 0.5) -> np.ndarray:
     return out
 
 
+def shifted_kernel_oracle(h_query, train, sigma: float = 0.5) -> np.ndarray:
+    """The class-sorted kernel of ``kernel_blocks`` and its row offsets in
+    one shot: one product of the query factor scaled by 1/(2 sigma) and the
+    negated reference factor, each row shifted by its largest entry, then
+    ``exp``. The engine matches it bit for bit wherever this product takes
+    no one-row (GEMV) path and no partial tile of columns (t a multiple of
+    8)."""
+    z = (query_factor(h_query) * (1.0 / (2.0 * sigma))) @ -reference_factor(train.sorted_h).T
+    offset = z.max(axis=1)
+    return np.exp(z - offset[:, None]), offset
+
+
 def pairwise_sq_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out = np.zeros((a.shape[0], b.shape[0]))
     for i in range(a.shape[0]):
@@ -136,24 +151,25 @@ def dwac_predict_oracle(
     h_query: np.ndarray, h_train: np.ndarray, labels: np.ndarray,
     num_classes: int, sigma: float,
 ) -> np.ndarray:
-    """Per-class probabilities by direct accumulation; degenerate rows
-    (zero total mass) become uniform."""
+    """Per-class probabilities by direct accumulation, each weight taken
+    relative to the nearest training row's, so no row runs out of mass."""
     q = h_query.shape[0]
     probs = np.zeros((q, num_classes))
     for i in range(q):
-        sums = [0.0] * num_classes
+        d2s = []
         for j in range(h_train.shape[0]):
             d2 = 0.0
             for k in range(h_query.shape[1]):
                 diff = h_query[i, k] - h_train[j, k]
                 d2 += diff * diff
-            sums[labels[j]] += math.exp(-d2 / (2.0 * sigma))
+            d2s.append(d2)
+        nearest = min(d2s)
+        sums = [0.0] * num_classes
+        for j, d2 in enumerate(d2s):
+            sums[labels[j]] += math.exp(-(d2 - nearest) / (2.0 * sigma))
         total = sum(sums)
-        if total == 0.0:
-            probs[i, :] = 1.0 / num_classes
-        else:
-            for c in range(num_classes):
-                probs[i, c] = sums[c] / total
+        for c in range(num_classes):
+            probs[i, c] = sums[c] / total
     return probs
 
 
@@ -177,12 +193,12 @@ def loo_loss_oracle(
     h: np.ndarray, y: np.ndarray, sigma: float, floor: float = 1e-12
 ) -> float:
     """Mean negative log of the leave-one-out within-batch probability of
-    each instance's own label, with the same clamping as the implementation."""
+    each instance's own label, the weights taken relative to the nearest
+    other instance's, with the same clamping as the implementation."""
     n = h.shape[0]
     total = 0.0
     for j in range(n):
-        num = 0.0
-        den = 0.0
+        d2s = {}
         for i in range(n):
             if i == j:
                 continue
@@ -190,31 +206,35 @@ def loo_loss_oracle(
             for k in range(h.shape[1]):
                 diff = h[j, k] - h[i, k]
                 d2 += diff * diff
-            w = math.exp(-d2 / (2.0 * sigma))
+            d2s[i] = d2
+        nearest = min(d2s.values())
+        num = 0.0
+        den = 0.0
+        for i, d2 in d2s.items():
+            w = math.exp(-(d2 - nearest) / (2.0 * sigma))
             den += w
             if y[i] == y[j]:
                 num += w
-        p = num / den if den > 0.0 else 0.0
-        total += -math.log(min(max(p, floor), 1.0))
+        total += -math.log(min(max(num / den, floor), 1.0))
     return total / n
 
 
 def dwac_batch_loss_oracle(h_batch, labels, num_classes, sigma=0.5, prob_floor=1e-12):
-    """Leave-one-out loss and gradient, one whole-array expression per step."""
+    """Leave-one-out loss and gradient, one whole-array expression per step;
+    each row's weights are shifted by its nearest other row's."""
     b = h_batch.shape[0]
-    w = kernel_weights(h_batch, h_batch, sigma)
-    np.fill_diagonal(w, 0.0)
+    z = pairwise_sq_distances(h_batch, h_batch) * (-1.0 / (2.0 * sigma))
+    np.fill_diagonal(z, -np.inf)
+    w = np.exp(z - z.max(axis=1, keepdims=True))
     same = (labels[:, None] == labels[None, :]).astype(np.float64)
 
     denom = w.sum(axis=1)
-    numer = (w * same).sum(axis=1)
-    safe = denom > 0.0
-    p_raw = np.where(safe, numer / np.where(safe, denom, 1.0), 0.0)
+    p_raw = (w * same).sum(axis=1) / denom
     p = np.clip(p_raw, prob_floor, 1.0)
     loss = float(np.mean(-np.log(p)))
 
     g = np.where(p_raw > prob_floor, -1.0 / (b * p), 0.0)
-    coeff = (g / np.where(safe, denom, 1.0))[:, None] * (same - p_raw[:, None]) * w
+    coeff = (g / denom)[:, None] * (same - p_raw[:, None]) * w
     m = coeff + coeff.T
     grad = (1.0 / sigma) * (m @ h_batch - m.sum(axis=1)[:, None] * h_batch)
     return loss, grad

@@ -220,7 +220,7 @@ def _fake_predictions(probs):
     from dwac_kit.heads import Predictions
     probs = np.asarray(probs, dtype=np.float64)
     return Predictions(probs=probs, predicted=np.argmax(probs, axis=1).astype(np.int64),
-                       weight_sums=None, degenerate=np.zeros(len(probs), dtype=bool))
+                       weight_sums=None)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from dwac_kit.conformal import NEG_PROB
 from dwac_kit.data import encode_rows, label_codes
 from dwac_kit.evaluate import ood_cross_dataset
 from dwac_kit.explain import explain_with_agreement
+from dwac_kit.network import forward
 from helpers import CPU_COUNTS, assert_one_error_line, use_cpus, write_csv_data
 
 BLOBS = "blobs:n=200,c=3,d=3,sep=8,seed=0"
@@ -129,8 +130,15 @@ def test_train_multi_trial_summary(tmp_path):
     assert (out / "model_dwac_trial1.json").exists()
 
 
-def test_train_requires_data_and_out(tmp_path, capsys):
-    assert run(["train", "--out", str(tmp_path / "x")]) == 2
+def test_train_requires_data_and_out(trained_dir, tmp_path, capsys):
+    # every kind of run reads --data: without it, one error line and no --out
+    model = ["--model", str(trained_dir / "model_dwac_trial0.json")]
+    for argv in (["train"], ["predict", *model], ["explain", *model], ["conformal", *model],
+                 ["ood", "--held-class", "2"], ["ood", "--foreign", BLOBS, *model]):
+        capsys.readouterr()
+        assert run(argv + ["--out", str(tmp_path / "x")]) == 2
+        assert assert_one_error_line(capsys) == f"error: {argv[0]} needs --data"
+        assert not (tmp_path / "x").exists()
     assert run(["train", "--data", BLOBS]) == 2
     for flag in ("--sigma", "--learning-rate"):
         capsys.readouterr()
@@ -173,18 +181,17 @@ def test_non_finite_fractions_are_rejected_by_name(tmp_path, capsys, command):
     assert not (tmp_path / "x").exists()
 
 
-def test_degenerate_kernel_mass_in_training_is_logged(tmp_path, caplog):
-    # at sigma 1e-300 every kernel weight underflows: dwac scores everything
-    # as uniform, which one WARNING per dwac head and trial says
+def test_a_tiny_sigma_scores_by_the_nearest_neighbours(tmp_path, caplog):
+    # at sigma 1e-300 every unshifted kernel weight underflows; shifted, the
+    # head votes by each row's nearest neighbours, far above chance on 4 classes
     argv = ["train", "--data", "blobs:n=160,c=4,d=4,sep=8,seed=0", "--sigma", "1e-300",
-            "--trials", "2", "--max-epochs", "2", "--batch-size", "32"]
+            "--trials", "2", "--max-epochs", "2", "--batch-size", "32", "--head", "dwac"]
     with caplog.at_level("INFO", logger="dwac_kit"):
         assert run(argv + ["--out", str(tmp_path / "a")]) == 0
-    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
-    assert warnings == [
-        f"head=dwac trial={t}: at sigma=1e-300 the kernel mass underflowed to zero for "
-        "32 of 32 test and 32 of 32 calibration rows, scored as uniform" for t in (0, 1)]
-    # the warning goes to the log only: the outputs match a rerun's byte for byte
+    accs = [float(r.getMessage().split(" acc=")[1].split()[0]) for r in caplog.records
+            if r.getMessage().startswith("head=dwac trial=")]
+    assert len(accs) == 2 and min(accs) > 0.5, accs
+    assert not [r for r in caplog.records if r.levelname == "WARNING"]
     assert run(argv + ["--out", str(tmp_path / "b")]) == 0
     for path in (tmp_path / "a").iterdir():
         assert path.read_bytes() == (tmp_path / "b" / path.name).read_bytes()
@@ -589,19 +596,43 @@ def test_scoring_outputs_do_not_depend_on_the_thread_count(trained_dir, tmp_path
     assert all(other == outputs[0] for other in outputs[1:])
 
 
-def test_degenerate_rows_are_logged(trained_dir, tmp_path, caplog):
-    # a reference set moved far from every query: all kernel mass underflows
+def test_a_far_reference_set_predicts_the_nearest_rows_class(trained_dir, tmp_path):
+    # a reference set moved far from every query: all unshifted kernel mass
+    # underflows, and each query still takes its nearest reference row's class
     artifact = load_model(str(trained_dir / "model_dwac_trial0.json"))
     far = replace(artifact.embedded, h=artifact.embedded.h + 1e4)
     model = tmp_path / "far.json"
     save_model(replace(artifact, embedded=far), str(model))
-    with caplog.at_level("INFO", logger="dwac_kit"):
-        assert run(["predict", "--data", BLOBS, "--model", str(model),
-                    "--out", str(tmp_path / "p")]) == 0
-        assert run(["conformal", "--data", BLOBS, "--model", str(model),
-                    "--measure", "neg_prob", "--out", str(tmp_path / "c")]) == 0
-    assert "wrote 200 predictions (200 degenerate)" in caplog.text
-    assert "degenerate=200" in caplog.text
+    assert run(["predict", "--data", BLOBS, "--model", str(model),
+                "--out", str(tmp_path / "p")]) == 0
+    assert run(["conformal", "--data", BLOBS, "--model", str(model),
+                "--measure", "neg_prob", "--out", str(tmp_path / "c")]) == 0
+    table = blob_data(make_blobs(200, 3, 3, 8.0, make_rng(0, BLOBS_STREAM)))
+    x = encode_rows(table.table, table.schema, artifact.stats, has_labels=False).x
+    h, _ = forward(artifact.model, x, mode="eval")
+    nearest = np.argmin(((h[:, None, :] - far.h[None, :, :]) ** 2).sum(axis=2), axis=1)
+    records = _records(tmp_path / "p" / "predictions.json", "predictions")
+    assert [r["predicted"] for r in records] == far.labels[nearest].tolist()
+    assert all(np.all(np.isfinite(r["probs"])) and max(r["probs"]) > min(r["probs"])
+               for r in records)
+
+
+@pytest.mark.parametrize("command", [["conformal"],
+                                     ["ood", "--foreign", "blobs:n=30,c=3,d=3,sep=8,seed=9"]])
+def test_two_models_of_one_head_are_refused(trained_dir, tmp_path, capsys, command):
+    # their outputs are named by head, so the second would overwrite the first
+    model = trained_dir / "model_dwac_trial0.json"
+    copy = tmp_path / "copy.json"
+    copy.write_bytes(model.read_bytes())
+    softmax = trained_dir / "model_softmax_trial0.json"
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([*command, "--data", BLOBS, "--model", str(model), "--model", str(softmax),
+                "--model", str(copy), "--out", str(out)]) == 2
+    assert assert_one_error_line(capsys) == (
+        f"error: --model {model} and --model {copy} are both dwac artifacts; "
+        "give one artifact per head")
+    assert not out.exists()
 
 
 def _records(path, key):
@@ -920,11 +951,12 @@ def test_csv_rows_are_read_once_and_encoded_once_per_trial(tmp_path, monkeypatch
                 "--model", str(out / "model_softmax_trial0.json"),
                 "--out", str(tmp_path / "conf")]) == 0
     assert reads == [150] and encoded == [150]
-    # two trials' models: their stats differ, the file does not
+    # two trials' models (of two heads, as one head's would share output
+    # names): their stats differ, the file does not
     reads.clear(), encoded.clear()
     assert run(["conformal", "--data", data,
                 "--model", str(out / "model_dwac_trial0.json"),
-                "--model", str(out / "model_dwac_trial1.json"),
+                "--model", str(out / "model_softmax_trial1.json"),
                 "--out", str(tmp_path / "conf2")]) == 0
     assert reads == [150] and encoded == [150, 150]
 

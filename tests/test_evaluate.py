@@ -39,7 +39,7 @@ def test_accuracy_from_vector_and_predictions():
     assert accuracy(np.array([0, 1, 0, 0]), labels) == 0.5
     probs = np.eye(3)[[0, 1, 2, 2]]
     preds = Predictions(probs=probs, predicted=np.array([0, 1, 2, 2]),
-                        weight_sums=None, degenerate=np.zeros(4, dtype=bool))
+                        weight_sums=None)
     assert accuracy(preds, labels) == 0.75
 
 

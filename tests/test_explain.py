@@ -48,18 +48,20 @@ def test_entries_sorted_with_weight_values():
     exp = explain(query, identity_model(3), train)
     weights = [e.weight for e in exp.entries]
     assert weights == sorted(weights, reverse=True)
-    assert np.allclose(weights, [0.9, 0.5, 0.1])
+    # relative to the nearest instance's, which weighs exactly 1.0
+    assert weights[0] == 1.0 and np.allclose(weights, [1.0, 0.5 / 0.9, 0.1 / 0.9])
     assert [e.index for e in exp.entries] == [0, 1, 2]
     assert np.allclose(exp.cumulative_weight, np.cumsum(weights))
-    assert abs(exp.total_weight - 1.5) < 1e-12
+    assert abs(exp.total_weight - 1.5 / 0.9) < 1e-12
 
 
 def test_tie_broken_by_ascending_index():
-    # two identical training points: equal weights, index order must win
+    # two identical training points: equal weights, index order must win;
+    # the nearest point, at d^2 = 0.5, weighs 1.0 and the pair exp(-0.5)
     h = np.array([[1.0, 0.0], [0.5, 0.5], [1.0, 0.0]])
     train = EmbeddedTrainingSet(h=h, labels=np.array([0, 1, 0]), num_classes=2)
     exp = explain(np.zeros(2), identity_model(2), train)
-    tied = [e.index for e in exp.entries if abs(e.weight - np.exp(-1.0)) < 1e-12]
+    tied = [e.index for e in exp.entries if abs(e.weight - np.exp(-0.5)) < 1e-12]
     assert tied == [0, 2]
 
 
@@ -162,6 +164,20 @@ def test_query_equal_to_training_point_ranks_first(dwac_run):
     assert abs(exp.entries[0].weight - 1.0) < 1e-12
 
 
+def test_far_query_lists_its_nearest_row_first_with_weight_one():
+    # every unshifted weight of these queries underflows to 0.0
+    rng = make_rng(37)
+    h = rng.standard_normal((300, 3))
+    train = EmbeddedTrainingSet(h=h, labels=rng.integers(0, 3, size=300), num_classes=3)
+    x = rng.standard_normal((8, 3)) * 500.0
+    assert np.all(kernel_weights(x, h) == 0.0)
+    explanations, _ = explain_with_agreement(x, identity_model(3), train, k=5, k_list=())
+    nearest = np.argmin(((x[:, None, :] - h[None, :, :]) ** 2).sum(axis=2), axis=1)
+    for exp, j in zip(explanations, nearest.tolist()):
+        assert (exp.index[0], exp.weights[0]) == (j, 1.0)
+        assert exp.predicted_label == train.labels[j] and exp.decisive_prefix == 1
+
+
 def test_explain_validation(dwac_run):
     result, *_ = dwac_run
     train = result.embedded
@@ -244,7 +260,9 @@ def test_explanations_and_agreement_do_not_depend_on_the_block_size(monkeypatch)
     # entries are each row's heaviest weights by weight, then training index
     weights = np.empty((60, t))
     weights[:, train.order] = kernel_matrix(x, train)
-    assert np.allclose(weights, kernel_weights(x, h), rtol=1e-12, atol=0.0)
+    absolute = kernel_weights(x, h)
+    assert np.allclose(weights, absolute / absolute.max(axis=1, keepdims=True),
+                       rtol=1e-12, atol=0.0)
     for i, (doc, _) in enumerate(runs[0][0]):
         ranked = sorted(range(t), key=lambda j: (-weights[i, j], j))[:25]
         assert [e["index"] for e in doc["entries"]] == ranked
@@ -290,16 +308,16 @@ def _grid_ties():
 
 
 def _mostly_zero():
-    # points along [0, 60]; queries 24.5 to 27.2 beyond either end keep fewer
-    # than 100 weights above the underflow to 0.0, so the depth-100 pivot is
-    # 0.0 and nearly every weight ties there; the last two queries have no
-    # kernel mass at all
+    # points along [0, 60]; queries 140 to 170 beyond either end keep fewer
+    # than 100 weights, relative to their nearest point's, above the
+    # underflow to 0.0, so the depth-100 pivot is 0.0 and nearly every
+    # weight ties there
     rng = make_rng(32)
     h = np.column_stack([np.linspace(0.0, 60.0, 2_000), 0.1 * rng.standard_normal(2_000)])
     train = EmbeddedTrainingSet(h=h, labels=rng.integers(0, 3, size=2_000), num_classes=3)
-    side = rng.uniform(24.5, 27.2, size=38)
-    x = np.column_stack([np.where(np.arange(38) % 2, -side, 60.0 + side), np.zeros(38)])
-    return train, np.vstack([x, [[1e3, 0.0], [-1e3, 0.0]]]), 10, (1, 5, 100)
+    side = rng.uniform(140.0, 170.0, size=40)
+    x = np.column_stack([np.where(np.arange(40) % 2, -side, 60.0 + side), np.zeros(40)])
+    return train, x, 10, (1, 5, 100)
 
 
 def _random_train(seed, t, c):
@@ -329,7 +347,7 @@ def test_block_ranking_equals_the_per_row_oracle(monkeypatch, case, cpus):
     explanations, table = explain_with_agreement(x, identity_model(2), train, k=k,
                                                  k_list=k_list)
     docs, expected = explain_rows_oracle(kernel_matrix(x, train),
-                                         heads.kernel_blocks(x, train, None), train, k, k_list)
+                                         heads.kernel_blocks(x, train, None)[0], train, k, k_list)
     assert [(e.to_json_dict(), e.total_weight, e.cumulative_weight.tolist())
             for e in explanations] == docs
     assert table == expected
@@ -345,5 +363,4 @@ def test_ranking_cases_reach_what_they_name():
     train, x, _, _ = _mostly_zero()
     w = kernel_matrix(x, train)
     nonzero = np.count_nonzero(w, axis=1)
-    assert nonzero[-2:].tolist() == [0, 0] and 0 < nonzero[:-2].min()
-    assert nonzero.max() < 100
+    assert np.all(w.max(axis=1) == 1.0) and 10 < nonzero.min() and nonzero.max() < 100

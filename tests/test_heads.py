@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import threading
@@ -20,7 +20,7 @@ from dwac_kit.heads import (
     softmax_batch_loss,
     softmax_predict,
 )
-from dwac_kit.linalg import make_rng, query_factor, reference_factor
+from dwac_kit.linalg import make_rng
 from helpers import (
     CPU_COUNTS,
     class_weight_sums_oracle,
@@ -28,6 +28,7 @@ from helpers import (
     dwac_predict_oracle,
     kernel_matrix,
     loo_loss_oracle,
+    shifted_kernel_oracle,
     use_cpus,
 )
 
@@ -69,13 +70,22 @@ def test_dwac_predict_weight_sums_consistent():
     assert np.max(np.abs(preds.probs - preds.weight_sums / totals)) < 1e-12
 
 
-def test_dwac_predict_degenerate_far_query():
-    train = random_train(3)
-    q = np.full((1, 4), 1e4)  # kernel mass underflows to exactly zero
+def test_far_queries_take_the_class_of_their_nearest_reference_row():
+    # every unshifted weight underflows to 0.0 here; the shifted ones do not
+    train = random_train(3, t=200)
+    rng = make_rng(4)
+    q = np.vstack([np.full((1, 4), 1e4), rng.standard_normal((30, 4)) * 300.0])
+    assert np.all(kernel_weights(q, train.h) == 0.0)
     preds = dwac_predict(q, train)
-    assert preds.degenerate[0]
-    assert np.allclose(preds.probs[0], 1.0 / train.num_classes)
-    assert np.all(preds.weight_sums[0] == 0.0)
+    assert np.all(np.isfinite(preds.probs))
+    assert np.allclose(preds.probs.sum(axis=1), 1.0)
+    nearest = np.argmin(((q[:, None, :] - train.h[None, :, :]) ** 2).sum(axis=2), axis=1)
+    assert np.array_equal(preds.predicted, train.labels[nearest])
+    assert np.all(preds.probs.max(axis=1) > 0.5)
+    # the absolute weight sums still underflow, which neg_weight_sum reads
+    assert np.all(preds.weight_sums == 0.0)
+    ref = dwac_predict_oracle(q[:5], train.h, train.labels, train.num_classes, 0.5)
+    assert np.max(np.abs(preds.probs[:5] - ref)) < 1e-12
 
 
 def test_dwac_predict_errors():
@@ -133,10 +143,12 @@ def test_kernel_blocks_ignore_the_block_size_at_any_reference_size(monkeypatch):
 
 @pytest.mark.parametrize("sigma", [0.5, 0.7, 1.3])
 def test_engine_entries_equal_kernel_weights(sigma):
-    # bit for bit, which a 1/(2 sigma) folded into the distance factor breaks
+    # bit for bit the one-shot shifted kernel, and kernel_weights to rounding
+    # once the offsets are added back: folding 1/(2 sigma) into the query
+    # factor rounds otherwise than scaling the distances
     train = random_train(17, t=3_000, d=3, c=3)
     q = make_rng(18).standard_normal((100, 3))
-    one_shot = kernel_weights(q, train.h, sigma)[:, train.order]
+    one_shot, one_shot_offset = shifted_kernel_oracle(q, train, sigma)
     covered = []
 
     def check(rows, w, sums):
@@ -144,25 +156,32 @@ def test_engine_entries_equal_kernel_weights(sigma):
         assert sums.shape == (rows.stop - rows.start, 3)
         covered.append(w.shape[0])
 
-    kernel_blocks(q, train, check, sigma)
+    _, offset = kernel_blocks(q, train, check, sigma)
     assert sum(covered) == 100
+    assert np.array_equal(offset, one_shot_offset)
+    absolute = one_shot * np.exp(offset)[:, None]
+    assert np.allclose(absolute, kernel_weights(q, train.h, sigma)[:, train.order],
+                       rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("sigma", [0.5, 0.7, 1.3])
 def test_query_rows_equal_to_reference_rows_weigh_exactly_one(sigma):
-    # ||a||^2 + ||a||^2 - 2 a.a rounds below zero for some rows; the engine's
-    # product is its negation, which the clamp takes to 0 and exp to 1.0
+    # ||a||^2 + ||a||^2 - 2 a.a rounds below zero for some rows, so the
+    # engine's product, its scaled negation, is the row's largest entry and
+    # above zero (the offset); the shift takes it to 0 and exp to 1.0, with
+    # no clamp
     train = random_train(23, t=2_000, d=5, c=3)
     q = train.h[::10] * 3.0 + 0.1
     train = EmbeddedTrainingSet(h=np.vstack([train.h, q]), labels=np.arange(2_200) % 3,
                                 num_classes=3)
-    d2 = query_factor(q) @ reference_factor(train.h).T
     same = (np.arange(200), 2_000 + np.arange(200))
-    assert np.count_nonzero(d2[same] < 0.0) > 10
     weights = np.empty((200, 2_200))
     weights[:, train.order] = kernel_matrix(q, train, sigma)
-    assert np.all(weights[same][d2[same] <= 0.0] == 1.0)
-    assert np.array_equal(weights, kernel_weights(q, train.h, sigma))
+    assert np.all(weights[same] == 1.0) and np.all(np.argmax(weights, axis=1) == same[1])
+    _, offset = kernel_blocks(q, train, None, sigma)
+    assert np.count_nonzero(offset > 0.0) > 10
+    assert np.allclose(weights * np.exp(offset)[:, None], kernel_weights(q, train.h, sigma),
+                       rtol=1e-12, atol=0.0)
 
 
 def test_single_row_blocks_above_the_block_size():
@@ -186,7 +205,7 @@ def test_results_do_not_depend_on_the_thread_count(monkeypatch):
     train = random_train(21, t=2_000, d=3, c=3)
     q = make_rng(22).standard_normal((300, 3))
     monkeypatch.setattr(heads, "BLOCK_ENTRIES", 13 * 2_000)
-    one_shot = kernel_weights(q, train.h)[:, train.order]
+    one_shot = shifted_kernel_oracle(q, train)[0]
     runs = []
     for n in CPU_COUNTS:
         use_cpus(monkeypatch, n)
@@ -380,14 +399,11 @@ def test_embedded_training_set_validation():
 # the leave-one-out loss against its first, plainest numpy form
 # ---------------------------------------------------------------------------
 
-SUBNORMAL_MASS = 1e-280  # below this a row's g / kernel mass can overflow
-
-
 @st.composite
 def loss_batches(draw):
     """(h, labels, num_classes, sigma): from tight to spread-out batches, where
-    rows run out of kernel mass (zero-mass rows) or of same-class mass
-    (floor-clamped rows)."""
+    rows' unshifted kernel mass underflows (zero-mass rows) or same-class mass
+    runs out (floor-clamped rows)."""
     b = draw(st.integers(2, 40))
     d = draw(st.integers(1, 4))
     c = draw(st.integers(1, 4))
@@ -419,10 +435,6 @@ def _floor_clamped_batch():
 @settings(max_examples=300, deadline=None)
 def test_dwac_batch_loss_is_bit_identical_to_the_oracle(batch):
     h, labels, c, sigma = batch
-    w = kernel_weights(h, h, sigma)
-    np.fill_diagonal(w, 0.0)
-    mass = w.sum(axis=1)
-    assume(not np.any((mass > 0.0) & (mass < SUBNORMAL_MASS)))
     expected_loss, expected_grad = dwac_batch_loss_oracle(h, labels, c, sigma)
     loss, grad = dwac_batch_loss(h, labels, c, sigma)
     assert loss == expected_loss
@@ -434,6 +446,11 @@ def test_oracle_examples_cover_zero_mass_and_floor_clamped_rows():
     w = kernel_weights(h, h, sigma)
     np.fill_diagonal(w, 0.0)
     assert np.all(w.sum(axis=1) == 0.0)
+    # shifted, row 0's two neighbours tie, row 1 has no classmate nearby and
+    # row 2's nearest is its classmate
+    loss, grad = dwac_batch_loss(h, y, c, sigma)
+    assert loss == pytest.approx((np.log(2.0) - np.log(1e-12)) / 3.0, rel=1e-12)
+    assert np.all(np.isfinite(grad))
     h, y, c, sigma = _floor_clamped_batch()
     loss, _ = dwac_batch_loss(h, y, c, sigma)
     assert loss == pytest.approx(-4.0 * np.log(1e-12) / 6.0, rel=1e-12)
@@ -441,7 +458,7 @@ def test_oracle_examples_cover_zero_mass_and_floor_clamped_rows():
 
 @pytest.mark.parametrize("sq_distance", [710.0, 720.0, 730.0, 745.0])
 def test_subnormal_kernel_mass_keeps_the_gradient_finite(sq_distance):
-    # exp(-d^2) is subnormal here: g / mass overflowed, and inf * 0 gave NaN
+    # exp(-d^2) is subnormal here, but the shift weighs the one neighbour 1.0
     loss, grad = dwac_batch_loss(np.array([[0.0], [np.sqrt(sq_distance)]]),
                                  np.array([0, 0]), 1)
     assert loss == 0.0
@@ -449,7 +466,7 @@ def test_subnormal_kernel_mass_keeps_the_gradient_finite(sq_distance):
 
 
 def test_subnormal_kernel_mass_gradient_matches_the_closed_form():
-    # Row 0 has subnormal weights exp(-720) (same class) and exp(-725), so
+    # Row 0 has unshifted weights exp(-720) (same class) and exp(-725), so
     # p0 = 1 / (1 + e^-5); rows 1 and 2 sit on the floor and add no gradient.
     # With x = d02^2 - d01^2, dL/dh_k = -(1 - p0) / 3 * dx/dh_k.
     r1, r2 = np.sqrt(720.0), np.sqrt(725.0)
