@@ -19,8 +19,6 @@ from .conformal import (
     calibrate,
     conformal_predict,
     coverage_report,
-    nonconformity,
-    p_values,
 )
 from .data import (
     ColumnSpec,
@@ -34,7 +32,6 @@ from .data import (
     save_model,
 )
 from .evaluate import (
-    CalibrationMae,
     OodReport,
     accuracy,
     calibration_mae,
@@ -49,7 +46,6 @@ from .heads import (
     Predictions,
     dwac_batch_loss,
     dwac_predict,
-    kernel_weights,
     softmax_batch_loss,
     softmax_predict,
 )
@@ -57,72 +53,10 @@ from .linalg import make_rng, pairwise_sq_distances, shuffle_split
 from .network import (
     DWAC,
     SOFTMAX,
-    AdamState,
     EmbeddingModel,
     MlpSpec,
-    adam_step,
-    backward,
     forward,
-    init_model,
 )
 from .trainer import TrainConfig, TrainResult, embed_training_set, predict, train, train_many
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "DEFAULT_SIGMA",
-    "DWAC",
-    "EPSILON_GRID",
-    "MEASURES",
-    "NEG_PROB",
-    "NEG_WEIGHT_SUM",
-    "SOFTMAX",
-    "AdamState",
-    "CalibrationMae",
-    "ColumnSpec",
-    "ConformalScores",
-    "CoverageRow",
-    "Dataset",
-    "EmbeddedTrainingSet",
-    "EmbeddingModel",
-    "Explanation",
-    "FeatureStats",
-    "MlpSpec",
-    "ModelArtifact",
-    "OodReport",
-    "Predictions",
-    "Schema",
-    "TrainConfig",
-    "TrainResult",
-    "accuracy",
-    "adam_step",
-    "backward",
-    "blob_data",
-    "calibrate",
-    "calibration_mae",
-    "conformal_predict",
-    "coverage_report",
-    "dwac_batch_loss",
-    "dwac_predict",
-    "embed_training_set",
-    "explain_with_agreement",
-    "forward",
-    "init_model",
-    "kernel_weights",
-    "load_model",
-    "make_blobs",
-    "make_rng",
-    "nonconformity",
-    "ood_cross_dataset",
-    "ood_holdout_class_multi",
-    "p_values",
-    "pairwise_sq_distances",
-    "predict",
-    "save_model",
-    "shuffle_split",
-    "softmax_batch_loss",
-    "softmax_predict",
-    "train",
-    "train_many",
-    "trial_splits",
-]

@@ -384,31 +384,34 @@ def _train_config(cfg: RunConfig, head: str, seed: int) -> TrainConfig:
     )
 
 
-def _write_csv(path: str, comment: str, header: list[str], rows: list[list]) -> None:
+def _write_csv(cfg: RunConfig, name: str, header: list[str], rows: list[list]) -> None:
+    """Write ``name`` under --out: the provenance as a comment line, then
+    the header and the rows."""
     buf = io.StringIO()
-    buf.write(f"# {comment}\n")
+    buf.write(f"# {cfg.provenance()}\n")
     writer = csv.writer(buf)
     writer.writerow(header)
     writer.writerows(rows)
-    atomic_write_text(path, buf.getvalue())
+    atomic_write_text(os.path.join(cfg.out, name), buf.getvalue())
 
 
-def _write_json(path: str, prov: str, key: str, records: list | dict) -> None:
-    """Write ``{key: records, "provenance": prov}`` with sorted keys and one
-    record (list item or dict entry) per line, each through the C encoder,
-    which serves only compact output."""
+def _write_json(cfg: RunConfig, name: str, key: str, records: list | dict) -> None:
+    """Write ``{key: records, "provenance": ...}`` as ``name`` under --out,
+    with sorted keys and one record (list item or dict entry) per line, each
+    through the C encoder, which serves only compact output."""
     encode = json.JSONEncoder(sort_keys=True).encode
     if isinstance(records, dict):
         lines = [f"{encode(k)}: {encode(v)}" for k, v in sorted(records.items())]
         body = "{\n" + ",\n".join(lines) + "\n}"
     else:
         body = "[\n" + ",\n".join(map(encode, records)) + "\n]"
-    parts = sorted([(key, body), ("provenance", prov)])
-    atomic_write_text(path, "{" + ",\n".join(f"{encode(k)}: {v}" for k, v in parts) + "}\n")
+    parts = sorted([(key, body), ("provenance", cfg.provenance())])
+    atomic_write_text(os.path.join(cfg.out, name),
+                      "{" + ",\n".join(f"{encode(k)}: {v}" for k, v in parts) + "}\n")
 
 
-def _require_out(cfg: RunConfig) -> str:
-    """The --out directory, refused up front if a file holds its place or
+def _require_out(cfg: RunConfig) -> None:
+    """Refuse the --out directory up front if a file holds its place or
     that of a directory above it. The first output written makes it, so a
     refused run leaves none behind."""
     if not cfg.out:
@@ -418,7 +421,6 @@ def _require_out(cfg: RunConfig) -> str:
         path = os.path.dirname(path)
     if not os.path.isdir(path):
         raise ValueError(f"--out {cfg.out}: {path} is not a directory")
-    return cfg.out
 
 
 def _fmt(x: float) -> str:
@@ -430,8 +432,7 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_train(cfg: RunConfig) -> int:
-    out = _require_out(cfg)
-    prov = cfg.provenance()
+    _require_out(cfg)
     raw = _load_raw(cfg.data, cfg)
     fixed_test = _load_raw(cfg.test_data, cfg, schema=raw.schema) if cfg.test_data else None
     if not raw.has_labels:
@@ -466,7 +467,7 @@ def cmd_train(cfg: RunConfig) -> int:
         for head, result in zip(heads, results):
             preds = predict(result.model, test.x, train=result.embedded, sigma=cfg.sigma)
             acc = accuracy(preds, test.y)
-            mae = calibration_mae(preds.probs, test.y).mae
+            mae = calibration_mae(preds.probs, test.y)
             accs[head].append(acc)
             maes[head].append(mae)
             log.info(
@@ -487,16 +488,14 @@ def cmd_train(cfg: RunConfig) -> int:
                 embedded=result.embedded,
                 calibrations=calibrations,
             )
-            save_model(artifact, os.path.join(out, f"model_{head}_trial{trial}.json"))
+            save_model(artifact, os.path.join(cfg.out, f"model_{head}_trial{trial}.json"))
             _write_csv(
-                os.path.join(out, f"history_{head}_trial{trial}.csv"),
-                prov,
+                cfg, f"history_{head}_trial{trial}.csv",
                 ["epoch", "mean_loss", "calib_accuracy"],
                 [[e.epoch, _fmt(e.mean_loss), _fmt(e.calib_accuracy)] for e in result.history],
             )
     _write_csv(
-        os.path.join(out, "summary.csv"),
-        prov,
+        cfg, "summary.csv",
         ["head", "accuracy_mean", "accuracy_std", "calibration_mae_mean",
          "calibration_mae_std"],
         [[head, _fmt(np.mean(accs[head])), _fmt(np.std(accs[head])),
@@ -512,20 +511,20 @@ def _single_model(cfg: RunConfig) -> ModelArtifact:
 
 
 def cmd_predict(cfg: RunConfig) -> int:
-    out = _require_out(cfg)
+    _require_out(cfg)
     artifact = _single_model(cfg)
     ds = _Source(cfg.data, cfg).for_artifact(artifact)
     preds = predict(artifact.model, ds.x, train=artifact.embedded, sigma=artifact.sigma)
     label_names = artifact.schema.label_values
     records = [{"index": i, "label": label_names[k], "predicted": k, "probs": p}
                for i, (k, p) in enumerate(zip(preds.predicted.tolist(), preds.probs.tolist()))]
-    _write_json(os.path.join(out, "predictions.json"), cfg.provenance(), "predictions", records)
+    _write_json(cfg, "predictions.json", "predictions", records)
     log.info("wrote %d predictions", len(records))
     return 0
 
 
 def cmd_explain(cfg: RunConfig) -> int:
-    out = _require_out(cfg)
+    _require_out(cfg)
     artifact = _single_model(cfg)
     if artifact.model.head != DWAC:
         raise ValueError("explanations need a dwac artifact")
@@ -534,22 +533,17 @@ def cmd_explain(cfg: RunConfig) -> int:
         ds.x, artifact.model, artifact.embedded, k=cfg.k, k_list=cfg.k_list,
         sigma=artifact.sigma,
     )
-    _write_json(os.path.join(out, "explanations.json"), cfg.provenance(), "explanations",
+    _write_json(cfg, "explanations.json", "explanations",
                 [e.to_json_dict() for e in explanations])
-    _write_csv(
-        os.path.join(out, "agreement.csv"),
-        cfg.provenance(),
-        [f"k_{k}" for k, _ in table],
-        [[_fmt(frac) for _, frac in table]],
-    )
+    _write_csv(cfg, "agreement.csv", [f"k_{k}" for k, _ in table],
+               [[_fmt(frac) for _, frac in table]])
     log.info("wrote %d explanations and agreement table for k=%s",
              len(explanations), list(cfg.k_list))
     return 0
 
 
 def cmd_conformal(cfg: RunConfig) -> int:
-    out = _require_out(cfg)
-    prov = cfg.provenance()
+    _require_out(cfg)
     data = _Source(cfg.data, cfg, labels=True)
     for artifact, calibrations in _scored_artifacts(cfg):
         head = artifact.model.head
@@ -561,8 +555,7 @@ def cmd_conformal(cfg: RunConfig) -> int:
             scores = conformal_predict(preds, calibration, measure)
             rows = coverage_report(scores, ds.y, cfg.epsilons)
             _write_csv(
-                os.path.join(out, f"coverage_{head}_{measure}.csv"),
-                prov,
+                cfg, f"coverage_{head}_{measure}.csv",
                 ["epsilon", "coverage", "mean_set_size", "empty_rate", "singleton_rate"],
                 [[_fmt(r.epsilon), _fmt(r.coverage), _fmt(r.mean_set_size),
                   _fmt(r.empty_rate), _fmt(r.singleton_rate)] for r in rows],
@@ -570,8 +563,7 @@ def cmd_conformal(cfg: RunConfig) -> int:
             cred = scores.credibility()
             counts, edges = np.histogram(cred, bins=HIST_BINS, range=(0.0, 1.0))
             _write_csv(
-                os.path.join(out, f"credibility_{head}_{measure}.csv"),
-                prov,
+                cfg, f"credibility_{head}_{measure}.csv",
                 ["bin_low", "bin_high", "count"],
                 [[_fmt(edges[i]), _fmt(edges[i + 1]), int(counts[i])]
                  for i in range(counts.size)],
@@ -582,8 +574,7 @@ def cmd_conformal(cfg: RunConfig) -> int:
 
 
 def cmd_ood(cfg: RunConfig) -> int:
-    out = _require_out(cfg)
-    prov = cfg.provenance()
+    _require_out(cfg)
     reports = {}  # head -> measure -> report
     if cfg.held_class is not None:
         # one split and encoding, shared by every head
@@ -609,8 +600,7 @@ def cmd_ood(cfg: RunConfig) -> int:
         for measure, report in per_measure.items():
             name = f"{head}/{measure}"
             _write_csv(
-                os.path.join(out, f"ood_hist_{head}_{measure}.csv"),
-                prov,
+                cfg, f"ood_hist_{head}_{measure}.csv",
                 ["bin_low", "bin_high", "in_domain_count", "out_of_domain_count"],
                 [[_fmt(report.hist_edges[i]), _fmt(report.hist_edges[i + 1]),
                   int(report.in_counts[i]), int(report.out_counts[i])]
@@ -623,7 +613,7 @@ def cmd_ood(cfg: RunConfig) -> int:
                 "out_of_domain_n": int(report.out_of_domain.size),
             }
             log.info("%s: in mean %.3f out mean %.3f", name, report.in_mean, report.out_mean)
-    _write_json(os.path.join(out, "ood_summary.json"), prov, "combinations", summary)
+    _write_json(cfg, "ood_summary.json", "combinations", summary)
     return 0
 
 
@@ -690,19 +680,18 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.DEBUG if getattr(args, "verbose", None) else logging.INFO,
-        format="%(levelname)s %(message)s",
-        stream=sys.stderr,
-    )
+    logging.basicConfig(format="%(levelname)s %(message)s", stream=sys.stderr)
+    # set on every call: basicConfig does nothing once the root logger has a handler
+    log.setLevel(logging.DEBUG if args.verbose else logging.INFO)
     try:
         cfg = build_config(args)
         # Values too large to compute with (in a CSV, an artifact or a setting)
         # end the run with one error line, not a numpy warning beside NaN outputs.
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.func(cfg)
-    except (ValueError, OSError, RuntimeError, FloatingPointError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (ValueError, OSError, RuntimeError, FloatingPointError, MemoryError) as e:
+        # numpy's MemoryError names the shape it could not allocate; a bare one is empty
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

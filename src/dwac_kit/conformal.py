@@ -73,9 +73,7 @@ def p_values(calibration_scores: np.ndarray, scores: np.ndarray) -> np.ndarray:
 class ConformalScores:
     """Per-class p-values for a batch of instances, plus derived readouts."""
 
-    measure: str
     p: np.ndarray  # (n, num_classes)
-    predicted: np.ndarray
 
     def __len__(self) -> int:
         return self.p.shape[0]
@@ -109,12 +107,7 @@ def conformal_predict(
 ) -> ConformalScores:
     """Attach calibrated p-values to a batch of predictions."""
     calib = np.sort(np.asarray(calibration_scores, dtype=np.float64))
-    scores = nonconformity(preds, measure)
-    return ConformalScores(
-        measure=measure,
-        p=p_values(calib, scores),
-        predicted=preds.predicted.copy(),
-    )
+    return ConformalScores(p_values(calib, nonconformity(preds, measure)))
 
 
 @dataclass(frozen=True)

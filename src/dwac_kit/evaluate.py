@@ -39,29 +39,16 @@ def accuracy(predictions, labels: np.ndarray) -> float:
     return float(np.mean(predicted == labels))
 
 
-@dataclass(frozen=True)
-class CalibrationBin:
-    mean_predicted: float
-    frequency: float
-    count: int
-
-
-@dataclass
-class CalibrationMae:
-    bins: list[CalibrationBin]
-    mae: float
-
-
-def calibration_mae(probs: np.ndarray, labels: np.ndarray, per_bin: int = 100) -> CalibrationMae:
+def calibration_mae(probs: np.ndarray, labels: np.ndarray, per_bin: int = 100) -> float:
     """Mean absolute calibration error with equal-count adaptive bins.
 
     All n*c (probability, is-true-class) pairs are pooled and sorted by
     probability; consecutive runs of ``per_bin`` pairs form bins (the last
     bin absorbs the remainder, and fewer than ``2 * per_bin`` pairs total
-    fall back to a single bin). mae averages |mean probability - frequency|
-    over bins. It is NaN when there is a single bin: the pooled rows sum to
-    1, so one bin's mean probability equals its frequency and would always
-    score 0.
+    fall back to a single bin). The error averages |mean probability -
+    frequency| over bins. It is NaN when there is a single bin: the pooled
+    rows sum to 1, so one bin's mean probability equals its frequency and
+    would always score 0.
     """
     if per_bin < 10:
         raise ValueError(f"per_bin must be >= 10, got {per_bin}")
@@ -71,26 +58,21 @@ def calibration_mae(probs: np.ndarray, labels: np.ndarray, per_bin: int = 100) -
         raise ValueError("probs must be (n, c) with aligned labels")
     if probs.size == 0:
         raise ValueError("calibration error of an empty set is undefined")
-    n, c = probs.shape
+    total = probs.size
+    num_bins = total // per_bin
+    if num_bins < 2:
+        return float("nan")
     flat_p = probs.ravel()
-    flat_hit = (labels[:, None] == np.arange(c)).ravel().astype(np.float64)
+    flat_hit = (labels[:, None] == np.arange(probs.shape[1])).ravel().astype(np.float64)
     order = np.argsort(flat_p, kind="stable")
     flat_p = flat_p[order]
     flat_hit = flat_hit[order]
-
-    total = flat_p.size
-    num_bins = max(1, total // per_bin)
-    bins = []
     errors = np.empty(num_bins)
     for b in range(num_bins):
         lo = b * per_bin
         hi = (b + 1) * per_bin if b < num_bins - 1 else total
-        mean_p = float(np.mean(flat_p[lo:hi]))
-        freq = float(np.mean(flat_hit[lo:hi]))
-        bins.append(CalibrationBin(mean_predicted=mean_p, frequency=freq, count=hi - lo))
-        errors[b] = abs(mean_p - freq)
-    mae = float(np.mean(errors)) if num_bins > 1 else float("nan")
-    return CalibrationMae(bins=bins, mae=mae)
+        errors[b] = abs(float(np.mean(flat_p[lo:hi])) - float(np.mean(flat_hit[lo:hi])))
+    return float(np.mean(errors))
 
 
 @dataclass

@@ -113,12 +113,3 @@ def shuffle_split(
         parts.append(perm[start : start + size])
         start += size
     return parts
-
-
-def gaussian_sample(
-    rows: int, cols: int, scale: float, rng: np.random.Generator
-) -> np.ndarray:
-    """I.i.d. zero-mean normal draws with standard deviation ``scale``."""
-    if scale <= 0.0:
-        raise ValueError(f"scale must be > 0, got {scale}")
-    return rng.standard_normal((rows, cols)) * scale

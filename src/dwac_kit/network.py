@@ -8,11 +8,11 @@ to equal the class count, the weighted-averaging head can use any width.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, gaussian_sample
+from .linalg import as_matrix
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,11 @@ class MlpSpec:
 SOFTMAX = "softmax"
 DWAC = "dwac"
 HEADS = (SOFTMAX, DWAC)
+
+# Adam's decay rates and denominator guard
+BETA1 = 0.9
+BETA2 = 0.999
+EPSILON = 1e-8
 
 
 @dataclass
@@ -99,7 +104,7 @@ def init_model(
     biases = []
     for fan_in, fan_out in zip(spec.layer_sizes[:-1], spec.layer_sizes[1:]):
         scale = np.sqrt(2.0 / fan_in)
-        weights.append(gaussian_sample(fan_in, fan_out, scale, rng))
+        weights.append(rng.standard_normal((fan_in, fan_out)) * scale)
         biases.append(np.zeros(fan_out))
     return EmbeddingModel(spec=spec, weights=weights, biases=biases, head=head)
 
@@ -212,63 +217,23 @@ def backward(
     return grads
 
 
-@dataclass
-class AdamState:
-    """Adam accumulators for a flat parameter list."""
-
-    learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    step: int = 0
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
-
-    @classmethod
-    def for_parameters(
-        cls, params: list[np.ndarray], learning_rate: float = 0.001
-    ) -> "AdamState":
-        return cls(
-            learning_rate=learning_rate,
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-        )
-
-
 def adam_step(
-    params: list[np.ndarray], grads: list[np.ndarray], state: AdamState
-) -> tuple[list[np.ndarray], AdamState]:
-    """One bias-corrected Adam update; pure, returns new params and state.
+    p: np.ndarray,
+    g: np.ndarray,
+    m: np.ndarray,
+    v: np.ndarray,
+    step: int,
+    learning_rate: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Adam update number ``step`` (from 1) of parameters ``p`` with gradient
+    ``g`` and moments ``m`` and ``v``; pure, returns new (p, m, v).
 
-    Raises on non-finite gradients instead of silently continuing.
+    Raises on a non-finite gradient instead of silently continuing.
     """
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ValueError("params, grads, and state must have matching lengths")
-    for g in grads:
-        if not np.all(np.isfinite(g)):
-            raise ValueError("non-finite gradient passed to adam_step")
-
-    t = state.step + 1
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
-    new_params = []
-    new_m = []
-    new_v = []
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m_next = state.beta1 * m + (1.0 - state.beta1) * g
-        v_next = state.beta2 * v + (1.0 - state.beta2) * (g * g)
-        m_hat = m_next / bc1
-        v_hat = v_next / bc2
-        new_params.append(p - state.learning_rate * m_hat / (np.sqrt(v_hat) + state.epsilon))
-        new_m.append(m_next)
-        new_v.append(v_next)
-    new_state = AdamState(
-        learning_rate=state.learning_rate,
-        beta1=state.beta1,
-        beta2=state.beta2,
-        epsilon=state.epsilon,
-        step=t,
-        m=new_m,
-        v=new_v,
-    )
-    return new_params, new_state
+    if not np.all(np.isfinite(g)):
+        raise ValueError("non-finite gradient passed to adam_step")
+    m_next = BETA1 * m + (1.0 - BETA1) * g
+    v_next = BETA2 * v + (1.0 - BETA2) * (g * g)
+    m_hat = m_next / (1.0 - BETA1**step)
+    v_hat = v_next / (1.0 - BETA2**step)
+    return p - learning_rate * m_hat / (np.sqrt(v_hat) + EPSILON), m_next, v_next

@@ -11,10 +11,12 @@ models side by side, in forked processes on the other usable CPUs.
 
 from __future__ import annotations
 
+import logging
 import math
 import os
 import pickle
 import signal
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +37,6 @@ from .network import (
     DWAC,
     HEADS,
     SOFTMAX,
-    AdamState,
     EmbeddingModel,
     MlpSpec,
     adam_step,
@@ -46,6 +47,8 @@ from .network import (
 
 INIT_STREAM = 0
 SHUFFLE_STREAM = 1
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -156,7 +159,8 @@ def train(proper: Dataset, calibration: Dataset, config: TrainConfig) -> TrainRe
     shapes = [p.shape for p in params]
     bounds = np.cumsum([0, *(p.size for p in params)])
     flat = np.concatenate(params, axis=None)
-    adam = AdamState.for_parameters([flat], learning_rate=config.learning_rate)
+    m = v = np.zeros_like(flat)
+    step = 0
 
     n = len(proper)
     best_params = model.copy_parameters()
@@ -169,6 +173,7 @@ def train(proper: Dataset, calibration: Dataset, config: TrainConfig) -> TrainRe
     stopped_early = False
 
     for epoch in range(1, config.max_epochs + 1):
+        started = time.perf_counter()
         order = rng.permutation(n)
         loss_sum = 0.0
         used = 0
@@ -190,7 +195,9 @@ def train(proper: Dataset, calibration: Dataset, config: TrainConfig) -> TrainRe
                     f"(batch starting at {start})"
                 )
             grads = backward(model, cache, d_h)
-            (flat,), adam = adam_step([flat], [np.concatenate(grads, axis=None)], adam)
+            step += 1
+            flat, m, v = adam_step(flat, np.concatenate(grads, axis=None), m, v, step,
+                                   config.learning_rate)
             model.set_parameters(
                 [flat[a:b].reshape(s) for a, b, s in zip(bounds, bounds[1:], shapes)]
             )
@@ -205,6 +212,8 @@ def train(proper: Dataset, calibration: Dataset, config: TrainConfig) -> TrainRe
         else:
             acc = float("nan")
         history.append(EpochStats(epoch=epoch, mean_loss=mean_loss, calib_accuracy=acc))
+        log.debug("head=%s epoch=%d mean_loss=%.4f calib_acc=%.4f seconds=%.3f", config.head,
+                  epoch, mean_loss, acc, time.perf_counter() - started)
 
         if validate:
             if acc > best_acc:

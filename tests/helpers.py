@@ -45,7 +45,7 @@ from dwac_kit.explain import Explanation, explain_with_agreement
 from dwac_kit.evaluate import SPLIT_STREAM
 from dwac_kit.heads import softmax_batch_loss
 from dwac_kit.linalg import pairwise_sq_distances, query_factor, reference_factor
-from dwac_kit.network import DWAC, AdamState, adam_step, backward, forward
+from dwac_kit.network import DWAC, adam_step, backward, forward
 from dwac_kit.trainer import SHUFFLE_STREAM, build_model
 
 # CPU counts the kernel engine is run at in the thread-count tests: serial,
@@ -258,7 +258,8 @@ def train_per_array_oracle(proper, config, epochs):
     model = build_model(config, proper.dim, proper.num_classes)
     rng = make_rng(config.seed, SHUFFLE_STREAM)
     params = model.parameters()
-    state = AdamState.for_parameters(params, learning_rate=config.learning_rate)
+    moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
+    step = 0
     per_epoch = []
     for _ in range(epochs):
         order = rng.permutation(len(proper))
@@ -272,7 +273,11 @@ def train_per_array_oracle(proper, config, epochs):
                                                 config.sigma)
             else:
                 _, d_h = softmax_batch_loss(h, proper.y[idx])
-            params, state = adam_step(params, backward(model, cache, d_h), state)
+            step += 1
+            updated = [adam_step(p, g, m, v, step, config.learning_rate)
+                       for p, g, (m, v) in zip(params, backward(model, cache, d_h), moments)]
+            params = [p for p, _, _ in updated]
+            moments = [(m, v) for _, m, v in updated]
             model.set_parameters(params)
         per_epoch.append([p.copy() for p in params])
     return per_epoch

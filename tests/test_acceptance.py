@@ -30,25 +30,22 @@ from dwac_kit import (
     dwac_predict,
     explain_with_agreement,
     forward,
-    backward,
-    init_model,
     load_model,
     make_blobs,
     make_rng,
     pairwise_sq_distances,
-    p_values,
     predict,
     save_model,
     softmax_batch_loss,
     train,
 )
 from dwac_kit.cli import main as cli_main
-from dwac_kit.conformal import NEG_PROB, NEG_WEIGHT_SUM
+from dwac_kit.conformal import NEG_PROB, NEG_WEIGHT_SUM, p_values
 from dwac_kit.data import blob_data
 from dwac_kit.evaluate import ood_holdout_class_multi, trial_splits
 from dwac_kit.heads import EmbeddedTrainingSet
 from dwac_kit.linalg import shuffle_split
-from dwac_kit.network import DWAC, SOFTMAX
+from dwac_kit.network import DWAC, SOFTMAX, backward, init_model
 from helpers import (
     calibrate_oracle,
     class_weights,
@@ -310,7 +307,7 @@ def test_criterion_05_adult_income_reproduction(adult_runs):
         accs = [accuracy(adult_runs[head, s].test_preds, adult_runs[head, s].test.y)
                 for s in SEEDS]
         maes = [calibration_mae(adult_runs[head, s].test_preds.probs,
-                                adult_runs[head, s].test.y).mae for s in SEEDS]
+                                adult_runs[head, s].test.y) for s in SEEDS]
         acc, mae = float(np.mean(accs)), float(np.mean(maes))
         details.append(f"{head}: acc {acc:.4f} mae {mae:.4f}")
         ok = ok and abs(acc - 0.85) <= 0.01 and mae <= 0.03

@@ -1029,6 +1029,43 @@ def test_a_test_split_too_small_to_score_is_logged(tmp_path, caplog):
     assert not [r for r in caplog.records if r.levelname == "WARNING"]
 
 
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 4.29 GiB for an array with shape (24000, 24002) and data type "
+     "float64", "error: Unable to allocate 4.29 GiB for an array with shape (24000, 24002) "
+     "and data type float64"),
+    ("", "error: out of memory"),
+], ids=["numpy", "bare"])
+def test_an_allocation_too_large_for_the_host_is_one_error_line(tmp_path, capsys,
+                                                                monkeypatch, message, line):
+    # numpy's MemoryError names the shape it could not allocate; a bare one is empty
+    def too_large(*args, **kwargs):
+        raise MemoryError(message) if message else MemoryError()
+
+    monkeypatch.setattr(evaluate, "encode_rows", too_large)
+    assert run(["train", "--data", BLOBS, "--out", str(tmp_path / "t"), *FAST]) == 2
+    assert assert_one_error_line(capsys) == line
+    assert not (tmp_path / "t").exists()
+
+
+def test_verbose_logs_one_debug_line_per_epoch(tmp_path, caplog, monkeypatch):
+    use_cpus(monkeypatch, 1)  # both heads train in this process, where caplog sees them
+    argv = ["train", "--data", BLOBS, "--head", "both", "--max-epochs", "2", "--patience", "2"]
+
+    def epoch_lines():
+        return [r.getMessage().split()[:2] for r in caplog.records
+                if r.levelname == "DEBUG" and " epoch=" in r.getMessage()]
+
+    assert run([*argv, "-v", "--out", str(tmp_path / "v")]) == 0
+    assert epoch_lines() == [[f"head={head}", f"epoch={epoch}"]
+                             for head in ("softmax", "dwac") for epoch in (1, 2)]
+    caplog.clear()
+    # a second run in the same process takes its own level, not the first run's
+    assert run([*argv, "--out", str(tmp_path / "q")]) == 0
+    assert epoch_lines() == []
+    for path in (tmp_path / "v").iterdir():  # the outputs do not depend on -v
+        assert path.read_bytes() == (tmp_path / "q" / path.name).read_bytes()
+
+
 def test_ood_holdout_on_csv(tmp_path):
     data, schema = write_csv_data(tmp_path)
     out = tmp_path / "ood"

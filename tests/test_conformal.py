@@ -77,22 +77,14 @@ def test_p_values_reject_empty_calibration():
 
 
 def test_label_set_threshold_is_strict():
-    scores = ConformalScores(
-        measure=NEG_PROB,
-        p=np.array([[0.3, 0.05, 0.051]]),
-        predicted=np.array([0]),
-    )
+    scores = ConformalScores(np.array([[0.3, 0.05, 0.051]]))
     assert scores.label_set(0, 0.05).tolist() == [0, 2]  # p == epsilon excluded
     assert scores.label_set(0, 0.0).tolist() == [0, 1, 2]
     assert scores.label_set(0, 0.5).tolist() == []
 
 
 def test_credibility_and_confidence():
-    scores = ConformalScores(
-        measure=NEG_PROB,
-        p=np.array([[0.7, 0.2, 0.1], [0.5, 0.5, 0.0]]),
-        predicted=np.array([0, 0]),
-    )
+    scores = ConformalScores(np.array([[0.7, 0.2, 0.1], [0.5, 0.5, 0.0]]))
     assert np.allclose(scores.credibility(), [0.7, 0.5])
     # confidence uses the second-largest value of the multiset, so exact
     # ties between the top two leave confidence at 1 - that tied value
@@ -132,11 +124,7 @@ def test_degenerate_far_query_is_maximally_nonconforming(dwac_run):
 
 
 def test_coverage_report_hand_example():
-    scores = ConformalScores(
-        measure=NEG_PROB,
-        p=np.array([[0.9, 0.05], [0.5, 0.3], [0.02, 0.8], [0.04, 0.01]]),
-        predicted=np.array([0, 0, 1, 0]),
-    )
+    scores = ConformalScores(np.array([[0.9, 0.05], [0.5, 0.3], [0.02, 0.8], [0.04, 0.01]]))
     labels = np.array([0, 1, 1, 0])
     rows = coverage_report(scores, labels, epsilons=(0.1,))
     row = rows[0]
@@ -149,7 +137,7 @@ def test_coverage_report_hand_example():
 
 
 def test_coverage_report_grid_size():
-    scores = ConformalScores(NEG_PROB, np.full((5, 2), 0.5), np.zeros(5, dtype=np.int64))
+    scores = ConformalScores(np.full((5, 2), 0.5))
     rows = coverage_report(scores, np.zeros(5, dtype=np.int64))
     assert len(rows) == len(EPSILON_GRID) == 21
 

@@ -56,25 +56,20 @@ def test_accuracy_rejects_misaligned_or_empty():
 
 def test_calibration_mae_zero_for_hard_correct_predictions():
     # 100 instances, 2 classes, probabilities exactly 0/1 and always right:
-    # the all-zero bin has frequency 0 and the all-one bin frequency 1.
+    # 200 pairs make two bins of 100, each of whose mean probability equals
+    # its frequency, so the error is 0 (one bin would make it NaN).
     labels = np.tile(np.array([0, 1]), 50)
     probs = np.eye(2)[labels]
-    result = calibration_mae(probs, labels, per_bin=100)
-    assert result.mae == 0.0
-    assert len(result.bins) == 2
-    assert [b.count for b in result.bins] == [100, 100]
+    assert calibration_mae(probs, labels, per_bin=100) == 0.0
 
 
 def test_calibration_mae_hand_case():
-    # Constant (0.3, 0.7) predictions over a 50/50 label split: both bins
-    # see frequency 0.5, so each contributes |p - 0.5| = 0.2.
+    # Constant (0.3, 0.7) predictions over a 50/50 label split: the ten 0.3
+    # pairs sort into the first bin and the ten 0.7 pairs into the second,
+    # both see frequency 0.5, so each contributes |p - 0.5| = 0.2.
     probs = np.tile(np.array([[0.3, 0.7]]), (10, 1))
     labels = np.array([0] * 5 + [1] * 5)
-    result = calibration_mae(probs, labels, per_bin=10)
-    assert len(result.bins) == 2
-    assert result.mae == pytest.approx(0.2, abs=1e-12)
-    assert result.bins[0].mean_predicted == pytest.approx(0.3)
-    assert result.bins[1].frequency == pytest.approx(0.5)
+    assert calibration_mae(probs, labels, per_bin=10) == pytest.approx(0.2, abs=1e-12)
 
 
 def test_calibration_bins_partition_all_pairs():
@@ -82,21 +77,27 @@ def test_calibration_bins_partition_all_pairs():
     probs = rng.random((83, 3))
     probs /= probs.sum(axis=1, keepdims=True)
     labels = rng.integers(0, 3, size=83)
-    result = calibration_mae(probs, labels, per_bin=100)
-    # 249 pairs -> 2 bins, last absorbs the remainder
-    assert len(result.bins) == 2
-    assert [b.count for b in result.bins] == [100, 149]
-    assert sum(b.count for b in result.bins) == 249
+    # 249 pairs -> 2 bins, the last absorbing the remainder: 100 and 149 pairs
+    pairs = sorted((probs[i, k], float(labels[i] == k)) for i in range(83) for k in range(3))
+
+    def error(part):
+        return abs(sum(p for p, _ in part) / len(part) - sum(h for _, h in part) / len(part))
+
+    expected = (error(pairs[:100]) + error(pairs[100:])) / 2
+    assert calibration_mae(probs, labels, per_bin=100) == pytest.approx(expected, abs=1e-12)
 
 
 def test_calibration_single_bin_fallback():
     rng = make_rng(8)
     probs = rng.random((4, 2))
     labels = rng.integers(0, 2, size=4)
-    result = calibration_mae(probs, labels, per_bin=100)
-    assert len(result.bins) == 1
-    assert result.bins[0].count == 8
-    assert np.isnan(result.mae)  # one bin always scores 0, which says nothing
+    # one bin always scores 0, which says nothing
+    assert np.isnan(calibration_mae(probs, labels, per_bin=100))
+    # 199 pairs are one bin, 200 are two
+    assert np.isnan(calibration_mae(np.ones((199, 1)), np.zeros(199, dtype=np.int64)))
+    # two bins: the 0.2 pairs, all hits, and the 0.8 pairs, all misses
+    two_bins = calibration_mae(np.tile([[0.2, 0.8]], (100, 1)), np.zeros(100, dtype=np.int64))
+    assert two_bins == pytest.approx(0.8, abs=1e-12)
 
 
 def test_calibration_mae_invariant_to_instance_order():
@@ -107,7 +108,7 @@ def test_calibration_mae_invariant_to_instance_order():
     base = calibration_mae(probs, labels, per_bin=20)
     perm = rng.permutation(60)
     shuffled = calibration_mae(probs[perm], labels[perm], per_bin=20)
-    assert shuffled.mae == pytest.approx(base.mae, abs=1e-15)
+    assert shuffled == pytest.approx(base, abs=1e-15)
 
 
 def test_calibration_mae_validation():

@@ -8,7 +8,6 @@ import pytest
 from dwac_kit.heads import kernel_weights
 from dwac_kit.linalg import (
     as_matrix,
-    gaussian_sample,
     make_rng,
     pairwise_sq_distances,
     shuffle_split,
@@ -127,11 +126,3 @@ def test_shuffle_split_deterministic():
     b = shuffle_split(50, (0.7, 0.3), make_rng(9))
     for pa, pb in zip(a, b):
         assert np.array_equal(pa, pb)
-
-
-def test_gaussian_sample_scale():
-    s = gaussian_sample(2000, 3, 0.5, make_rng(21))
-    assert s.shape == (2000, 3)
-    assert abs(s.std() - 0.5) < 0.02
-    with pytest.raises(ValueError):
-        gaussian_sample(2, 2, 0.0, make_rng(0))

@@ -9,7 +9,6 @@ from dwac_kit.linalg import make_rng
 from dwac_kit.network import (
     DWAC,
     SOFTMAX,
-    AdamState,
     EmbeddingModel,
     MlpSpec,
     adam_step,
@@ -171,31 +170,25 @@ def test_backward_refuses_an_eval_pass():
 
 
 def test_adam_single_step_hand_computed():
-    params = [np.array([1.0])]
-    grads = [np.array([0.5])]
-    state = AdamState.for_parameters(params, learning_rate=0.001)
-    new_params, new_state = adam_step(params, grads, state)
+    p, m, v = np.array([1.0]), np.zeros(1), np.zeros(1)
+    new_p, new_m, new_v = adam_step(p, np.array([0.5]), m, v, 1, 0.001)
     # bias correction makes the first update lr * g/|g| up to epsilon
     expected = 1.0 - 0.001 * 0.5 / (0.5 + 1e-8)
-    assert abs(new_params[0][0] - expected) < 1e-15
-    assert new_state.step == 1
-    assert params[0][0] == 1.0  # original untouched
+    assert abs(new_p[0] - expected) < 1e-15
+    assert new_m[0] == pytest.approx(0.1 * 0.5) and new_v[0] == pytest.approx(0.001 * 0.25)
+    assert p[0] == 1.0 and m[0] == 0.0 and v[0] == 0.0  # inputs untouched
 
 
 def test_adam_rejects_nonfinite_gradient():
-    params = [np.array([1.0])]
-    state = AdamState.for_parameters(params)
     with pytest.raises(ValueError):
-        adam_step(params, [np.array([np.nan])], state)
+        adam_step(np.array([1.0]), np.array([np.nan]), np.zeros(1), np.zeros(1), 1, 0.001)
 
 
 def test_adam_descends_quadratic():
-    params = [np.array([3.0])]
-    state = AdamState.for_parameters(params, learning_rate=0.05)
-    for _ in range(500):
-        grads = [2.0 * params[0]]
-        params, state = adam_step(params, grads, state)
-    assert abs(params[0][0]) < 0.01
+    p, m, v = np.array([3.0]), np.zeros(1), np.zeros(1)
+    for step in range(1, 501):
+        p, m, v = adam_step(p, 2.0 * p, m, v, step, 0.05)
+    assert abs(p[0]) < 0.01
 
 
 def test_softmax_head_width_is_free_of_head_logic():

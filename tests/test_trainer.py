@@ -154,9 +154,9 @@ def test_flat_adam_matches_the_per_array_loop_bit_for_bit(head, monkeypatch):
     proper, calib, _ = trial_splits(blob_data(blobs), 2, (0.6, 0.2, 0.2))
     calls = []
 
-    def counted(params, grads, state):
-        calls.append(len(params))
-        return adam_step(params, grads, state)
+    def counted(p, g, m, v, step, learning_rate):
+        calls.append((p.ndim, step))
+        return adam_step(p, g, m, v, step, learning_rate)
 
     monkeypatch.setattr(trainer_mod, "adam_step", counted)
     config = TrainConfig(head=head, seed=3, max_epochs=3, patience=3, batch_size=32,
@@ -165,7 +165,8 @@ def test_flat_adam_matches_the_per_array_loop_bit_for_bit(head, monkeypatch):
     result = train(proper, subset(calib, np.arange(0)), config)
     assert result.best_epoch == 3
     # 180 proper rows: five full batches of 32 and one of 20, per epoch
-    assert calls == [1] * (3 * 6)
+    # one update of the whole flat vector per batch, its steps counted from 1
+    assert calls == [(1, step) for step in range(1, 3 * 6 + 1)]
     for got, expected in zip(result.model.parameters(),
                              train_per_array_oracle(proper, config, 3)[-1]):
         assert np.array_equal(got, expected)
