@@ -32,7 +32,6 @@ from .data import (
     save_model,
 )
 from .evaluate import (
-    OodReport,
     accuracy,
     calibration_mae,
     ood_cross_dataset,

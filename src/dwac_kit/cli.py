@@ -51,7 +51,6 @@ from .data import (
     save_model,
 )
 from .evaluate import (
-    HIST_BINS,
     accuracy,
     calibration_mae,
     ood_cross_dataset,
@@ -66,6 +65,7 @@ from .trainer import TrainConfig, predict, train_many
 log = logging.getLogger("dwac_kit")
 
 BLOBS_STREAM = 3
+HIST_BINS = 20  # equal bins of [0, 1] in every credibility histogram
 BLOB_KEYS = {"n": int, "c": int, "d": int, "sep": float, "seed": int}
 
 BOTH = "both"
@@ -181,20 +181,12 @@ def _conforms(value, hint) -> bool:
     return isinstance(value, hint)
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
+def int_list(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in text.split(",") if p.strip())
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
+def float_list(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in text.split(",") if p.strip())
-
-
-_LIST_PARSERS = {
-    "hidden": _parse_ints,
-    "k_list": _parse_ints,
-    "fractions": _parse_floats,
-    "epsilons": _parse_floats,
-}
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -214,14 +206,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         if key in ("command", "config", "func", "verbose") or value is None:
             continue
         merged[key] = value
-    for key, parser in _LIST_PARSERS.items():
-        if key in merged and isinstance(merged[key], str):
-            merged[key] = parser(merged[key])
-        elif key in merged and isinstance(merged[key], list):
-            merged[key] = tuple(merged[key])
-    if "model" in merged and isinstance(merged["model"], (list, tuple)):
-        merged["model"] = tuple(merged["model"])
-    cfg = RunConfig(**merged)
+    # JSON arrays of the config file, and the --model list, as the tuples RunConfig holds
+    cfg = RunConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in merged.items()})
     reads = READS[cfg.run]
     refused = sorted(merged.keys() - {"command"} - PATH_KEYS - set(reads))
     if refused:
@@ -427,6 +413,16 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _write_histogram(cfg: RunConfig, name: str, samples: dict[str, np.ndarray]) -> None:
+    """Write ``name`` under --out: the HIST_BINS equal bins of [0, 1], with
+    a count column per named sample of credibilities."""
+    hists = [np.histogram(v, bins=HIST_BINS, range=(0.0, 1.0)) for v in samples.values()]
+    edges = hists[0][1]
+    _write_csv(cfg, name, ["bin_low", "bin_high", *samples],
+               [[_fmt(edges[i]), _fmt(edges[i + 1]), *(int(counts[i]) for counts, _ in hists)]
+                for i in range(HIST_BINS)])
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -435,19 +431,6 @@ def cmd_train(cfg: RunConfig) -> int:
     _require_out(cfg)
     raw = _load_raw(cfg.data, cfg)
     fixed_test = _load_raw(cfg.test_data, cfg, schema=raw.schema) if cfg.test_data else None
-    if not raw.has_labels:
-        raise ValueError(f"{cfg.data}: training data must include the label column")
-    if fixed_test is not None and not fixed_test.has_labels:
-        raise ValueError(f"{cfg.test_data}: test data must include the label column "
-                         f"{raw.schema.label_column!r}")
-    parts = len(cfg.fractions) - (fixed_test is not None)
-    if len(raw) < parts:
-        raise ValueError(
-            f"{cfg.data}: {len(raw)} data rows, too few to split into {parts} parts"
-        )
-    if fixed_test is not None and len(fixed_test) == 0:
-        raise ValueError(f"{cfg.test_data}: 0 data rows, nothing to test on")
-
     heads = _heads(cfg)
     accs = {head: [] for head in heads}
     maes = {head: [] for head in heads}
@@ -560,14 +543,8 @@ def cmd_conformal(cfg: RunConfig) -> int:
                 [[_fmt(r.epsilon), _fmt(r.coverage), _fmt(r.mean_set_size),
                   _fmt(r.empty_rate), _fmt(r.singleton_rate)] for r in rows],
             )
-            cred = scores.credibility()
-            counts, edges = np.histogram(cred, bins=HIST_BINS, range=(0.0, 1.0))
-            _write_csv(
-                cfg, f"credibility_{head}_{measure}.csv",
-                ["bin_low", "bin_high", "count"],
-                [[_fmt(edges[i]), _fmt(edges[i + 1]), int(counts[i])]
-                 for i in range(counts.size)],
-            )
+            _write_histogram(cfg, f"credibility_{head}_{measure}.csv",
+                             {"count": scores.credibility()})
             log.info("head=%s measure=%s coverage@0.05=%s", head, measure,
                      next((r.coverage for r in rows if abs(r.epsilon - 0.05) < 1e-9), "n/a"))
     return 0
@@ -575,7 +552,7 @@ def cmd_conformal(cfg: RunConfig) -> int:
 
 def cmd_ood(cfg: RunConfig) -> int:
     _require_out(cfg)
-    reports = {}  # head -> measure -> report
+    credibility = {}  # head -> measure -> (in-domain, out-of-domain)
     if cfg.held_class is not None:
         # one split and encoding, shared by every head
         splits = trial_splits(_load_raw(cfg.data, cfg), cfg.seed, cfg.fractions,
@@ -584,11 +561,11 @@ def cmd_ood(cfg: RunConfig) -> int:
         results = train_many([(*splits[:2], _train_config(cfg, head, cfg.seed))
                               for head in measures])
         for (head, head_measures), result in zip(measures.items(), results):
-            reports[head] = ood_holdout_class_multi(splits, result, head_measures, cfg.sigma)
+            credibility[head] = ood_holdout_class_multi(splits, result, head_measures, cfg.sigma)
     elif cfg.foreign is not None:
         in_data, foreign_data = _Source(cfg.data, cfg), _Source(cfg.foreign, cfg)
         for artifact, calibrations in _scored_artifacts(cfg):
-            reports[artifact.model.head] = ood_cross_dataset(
+            credibility[artifact.model.head] = ood_cross_dataset(
                 artifact.model, artifact.embedded, calibrations,
                 in_data.for_artifact(artifact), foreign_data.for_artifact(artifact),
                 sigma=artifact.sigma)
@@ -596,23 +573,15 @@ def cmd_ood(cfg: RunConfig) -> int:
         raise ValueError("ood needs either --held-class or --foreign")
 
     summary = {}
-    for head, per_measure in sorted(reports.items()):
-        for measure, report in per_measure.items():
+    for head, per_measure in sorted(credibility.items()):
+        for measure, (in_cred, out_cred) in per_measure.items():
             name = f"{head}/{measure}"
-            _write_csv(
-                cfg, f"ood_hist_{head}_{measure}.csv",
-                ["bin_low", "bin_high", "in_domain_count", "out_of_domain_count"],
-                [[_fmt(report.hist_edges[i]), _fmt(report.hist_edges[i + 1]),
-                  int(report.in_counts[i]), int(report.out_counts[i])]
-                 for i in range(report.in_counts.size)],
-            )
-            summary[name] = {
-                "in_domain_mean": report.in_mean,
-                "out_of_domain_mean": report.out_mean,
-                "in_domain_n": int(report.in_domain.size),
-                "out_of_domain_n": int(report.out_of_domain.size),
-            }
-            log.info("%s: in mean %.3f out mean %.3f", name, report.in_mean, report.out_mean)
+            _write_histogram(cfg, f"ood_hist_{head}_{measure}.csv",
+                             {"in_domain_count": in_cred, "out_of_domain_count": out_cred})
+            in_mean, out_mean = float(np.mean(in_cred)), float(np.mean(out_cred))
+            summary[name] = {"in_domain_mean": in_mean, "out_of_domain_mean": out_mean,
+                             "in_domain_n": in_cred.size, "out_of_domain_n": out_cred.size}
+            log.info("%s: in mean %.3f out mean %.3f", name, in_mean, out_mean)
     _write_json(cfg, "ood_summary.json", "combinations", summary)
     return 0
 
@@ -634,16 +603,17 @@ FLAGS = {
     "out": {"help": "output directory"},
     "head": {"choices": HEAD_CHOICES}, "measure": {"choices": MEASURE_CHOICES},
     "h_dim": {"type": int, "help": "embedding width (default: #classes)"},
-    "hidden": {"help": "hidden layer sizes, e.g. 32,8"},
+    "hidden": {"type": int_list, "help": "hidden layer sizes, e.g. 32,8"},
     "sigma": {"type": float, "help": "kernel width (default 0.5)"},
     "dropout": {"type": float}, "learning_rate": {"type": float},
     "batch_size": {"type": int}, "max_epochs": {"type": int}, "patience": {"type": int},
     "trials": {"type": int},
     "seed": {"type": int, "help": "base seed (default 0)"},
-    "fractions": {"help": "proper,calibration,test fractions"},
-    "epsilons": {"flag": "--epsilon-grid", "help": "comma-separated error rates"},
+    "fractions": {"type": float_list, "help": "proper,calibration,test fractions"},
+    "epsilons": {"flag": "--epsilon-grid", "type": float_list,
+                 "help": "comma-separated error rates"},
     "k": {"type": int, "help": "entries per explanation (default 10)"},
-    "k_list": {"help": "agreement table k values, e.g. 1,5,10,100"},
+    "k_list": {"type": int_list, "help": "agreement table k values, e.g. 1,5,10,100"},
 }
 # Each subcommand: its function, the kinds of run it makes, and its help.
 COMMANDS = {
@@ -660,8 +630,13 @@ def _flag(key: str) -> str:
     return FLAGS[key].get("flag", "--" + key.replace("_", "-"))
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one error line from main, not usage text and an exit
+        raise ValueError(message)
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dwac-kit",
         description="Weighted-averaging classifier with conformal label sets, "
                     "instance explanations, and OOD credibility.",
@@ -679,11 +654,11 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = make_parser().parse_args(argv)
-    logging.basicConfig(format="%(levelname)s %(message)s", stream=sys.stderr)
-    # set on every call: basicConfig does nothing once the root logger has a handler
-    log.setLevel(logging.DEBUG if args.verbose else logging.INFO)
     try:
+        args = make_parser().parse_args(argv)
+        logging.basicConfig(format="%(levelname)s %(message)s", stream=sys.stderr)
+        # set on every call: basicConfig does nothing once the root logger has a handler
+        log.setLevel(logging.DEBUG if args.verbose else logging.INFO)
         cfg = build_config(args)
         # Values too large to compute with (in a CSV, an artifact or a setting)
         # end the run with one error line, not a numpy warning beside NaN outputs.

@@ -11,19 +11,18 @@ their data the same way, by :func:`trial_splits`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .conformal import calibrate, conformal_predict
 from .data import CsvData, Dataset, encode_rows, fit_stats, label_codes
 from .heads import DEFAULT_SIGMA, EmbeddedTrainingSet, Predictions
-from .linalg import make_rng, shuffle_split
-from .network import DWAC, EmbeddingModel
+from .linalg import make_rng, shuffle_split, split_sizes
+from .network import EmbeddingModel
 from .trainer import TrainResult, predict
 
 SPLIT_STREAM = 2
-HIST_BINS = 20
 
 
 def accuracy(predictions, labels: np.ndarray) -> float:
@@ -75,36 +74,6 @@ def calibration_mae(probs: np.ndarray, labels: np.ndarray, per_bin: int = 100) -
     return float(np.mean(errors))
 
 
-@dataclass
-class OodReport:
-    """Credibility samples for in-domain and out-of-domain data, with their
-    means and matching 20-bin histograms on [0, 1]."""
-
-    measure: str
-    in_domain: np.ndarray
-    out_of_domain: np.ndarray
-    in_mean: float
-    out_mean: float
-    hist_edges: np.ndarray
-    in_counts: np.ndarray
-    out_counts: np.ndarray
-
-
-def _ood_report(measure: str, in_cred: np.ndarray, out_cred: np.ndarray) -> OodReport:
-    in_counts, edges = np.histogram(in_cred, bins=HIST_BINS, range=(0.0, 1.0))
-    out_counts, _ = np.histogram(out_cred, bins=HIST_BINS, range=(0.0, 1.0))
-    return OodReport(
-        measure=measure,
-        in_domain=in_cred,
-        out_of_domain=out_cred,
-        in_mean=float(np.mean(in_cred)),
-        out_mean=float(np.mean(out_cred)),
-        hist_edges=edges,
-        in_counts=in_counts,
-        out_counts=out_counts,
-    )
-
-
 def _holdout_remap(labels: np.ndarray, num_classes: int, held_class: int) -> np.ndarray:
     """Old label -> dense label of the remaining classes in ascending order,
     and -1 for the held class, which must have rows."""
@@ -134,26 +103,35 @@ def trial_splits(
     are relabeled densely (0..c-2 in ascending original order, so the
     trained head stays minimal), and the held rows follow as a last,
     unlabeled set; a hold-out study takes no fixed test set. Each row is
-    encoded once, with moments and vocabularies from the proper rows.
+    encoded once, with moments and vocabularies from the proper rows. The
+    data and a fixed test set must be labeled, and no set may be empty:
+    the error names the data, its row count and the set left empty.
     """
     if held_class is not None and data.num_classes < 3:
         raise ValueError("hold-out protocol needs >= 3 classes so training stays multiclass")
+    for given, role in ((data, "training"), (fixed_test, "test")):
+        if given is not None and not given.has_labels:
+            raise ValueError(f"{given.table.path}: {role} data must include the label column "
+                             f"{given.schema.label_column!r}")
     if fixed_test is not None:
         if held_class is not None:
             raise ValueError("a hold-out study takes no fixed test set")
+        if len(fixed_test) == 0:
+            raise ValueError(f"{fixed_test.table.path}: 0 data rows leave the test split empty")
+        split_sizes(len(data), fractions)  # refuses bad fractions before they are renormalized
         a, b = fractions[0], fractions[1]
         fractions = (a / (a + b), b / (a + b))
-    rng = make_rng(seed, SPLIT_STREAM)
     table, schema = data.table, data.schema
-    if held_class is None:
-        parts = shuffle_split(len(data), fractions, rng)
-    else:
-        if not data.has_labels:
-            raise ValueError(f"{table.path}: hold-out protocol needs labels")
+    rows, among = np.arange(len(data)), ""
+    if held_class is not None:
         labels = label_codes(table, schema)
         remap = _holdout_remap(labels, schema.num_classes, held_class)
-        kept = np.flatnonzero(labels != held_class)
-        parts = [kept[p] for p in shuffle_split(kept.size, fractions, rng)]
+        rows, among = np.flatnonzero(labels != held_class), f" outside class {held_class}"
+    for part, size in zip(("proper", "calibration", "test"), split_sizes(rows.size, fractions)):
+        if size == 0:
+            raise ValueError(f"{table.path}: {rows.size} data rows{among} leave the {part} "
+                             "split empty")
+    parts = [rows[p] for p in shuffle_split(rows.size, fractions, make_rng(seed, SPLIT_STREAM))]
     stats = fit_stats(table, schema, index=parts[0])
     sets = [encode_rows(table, schema, stats, data.has_labels, index=p) for p in parts]
     if fixed_test is not None:
@@ -171,14 +149,15 @@ def ood_holdout_class_multi(
     result: TrainResult,
     measures: list[str],
     sigma: float = DEFAULT_SIGMA,
-) -> dict[str, OodReport]:
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Hold-out protocol scored under several measures.
 
     ``splits`` are the proper, calibration, test and held-out sets that
     :func:`trial_splits` makes with ``held_class``, so every head of a study
     can share one split, and ``result`` is a model trained on the first two.
     It is conformally calibrated, and credibility is scored for the
-    in-domain test split and every held-out instance.
+    in-domain test split and every held-out instance, as
+    :func:`ood_cross_dataset` returns it.
     """
     _, calib, test, held = splits
     calibrations = {m: calibrate(result.calib_predictions, calib.y, m) for m in measures}
@@ -192,27 +171,21 @@ def ood_cross_dataset(
     in_domain: Dataset,
     foreign: Dataset,
     sigma: float = DEFAULT_SIGMA,
-) -> dict[str, OodReport]:
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Credibility of a foreign dataset against an already-trained model,
-    with an in-domain dataset as the reference distribution, under each
+    with an in-domain dataset as the reference distribution: measure ->
+    (in-domain credibility, foreign credibility), one per row, under each
     measure of ``calibrations`` (measure -> sorted calibration scores). Each
-    dataset is predicted once for all measures. The foreign data only has to
-    match the encoded feature width."""
+    dataset is predicted once for all measures, by :func:`predict`, which
+    refuses a width the model does not take and a dwac model without
+    ``train_set``."""
     if not calibrations:
         raise ValueError("need at least one nonconformity measure")
-    if len(foreign) == 0:
-        raise ValueError("foreign dataset is empty")
-    if foreign.dim != in_domain.dim:
-        raise ValueError(
-            f"feature width mismatch: foreign {foreign.dim}, in-domain {in_domain.dim}"
-        )
-    if model.head == DWAC and train_set is None:
-        raise ValueError("dwac model needs its embedded training set")
+    for name, ds in (("in-domain", in_domain), ("foreign", foreign)):
+        if len(ds) == 0:
+            raise ValueError(f"{name} dataset is empty")
     in_preds = predict(model, in_domain.x, train=train_set, sigma=sigma)
     out_preds = predict(model, foreign.x, train=train_set, sigma=sigma)
-    reports = {}
-    for measure, scores in calibrations.items():
-        in_cred = conformal_predict(in_preds, scores, measure).credibility()
-        out_cred = conformal_predict(out_preds, scores, measure).credibility()
-        reports[measure] = _ood_report(measure, in_cred, out_cred)
-    return reports
+    return {measure: (conformal_predict(in_preds, scores, measure).credibility(),
+                      conformal_predict(out_preds, scores, measure).credibility())
+            for measure, scores in calibrations.items()}

@@ -85,31 +85,25 @@ def pairwise_sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def split_sizes(n: int, fractions: list[float] | tuple[float, ...]) -> list[int]:
+    """The part sizes of :func:`shuffle_split`: floor(n * f_i) for each
+    fraction, the last part absorbing the remainder. Fractions must be
+    positive and sum to 1."""
+    fractions = list(fractions)
+    if not all(f > 0.0 for f in fractions):  # so NaN fails too
+        raise ValueError(f"fractions must each be > 0, got {fractions}")
+    if abs(sum(fractions) - 1.0) > 1e-9:  # so no fractions fail too
+        raise ValueError(f"fractions must sum to 1, got {sum(fractions)}")
+    sizes = [int(np.floor(n * f)) for f in fractions[:-1]]
+    return [*sizes, n - sum(sizes)]
+
+
 def shuffle_split(
     n: int, fractions: list[float] | tuple[float, ...], rng: np.random.Generator
 ) -> list[np.ndarray]:
-    """Split indices 0..n-1 into disjoint shuffled parts sized by ``fractions``.
-
-    Fractions must be positive and sum to 1. Part i gets floor(n * f_i)
-    indices; the last part absorbs the remainder. Deterministic given the
-    generator state.
-    """
-    fractions = list(fractions)
-    if not fractions:
-        raise ValueError("fractions must be nonempty")
-    if not all(f > 0.0 for f in fractions):  # so NaN fails too
-        raise ValueError(f"fractions must each be > 0, got {fractions}")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError(f"fractions must sum to 1, got {sum(fractions)}")
-    if n < len(fractions):
-        raise ValueError(f"cannot split {n} items into {len(fractions)} parts")
-
-    perm = rng.permutation(n)
-    sizes = [int(np.floor(n * f)) for f in fractions[:-1]]
-    sizes.append(n - sum(sizes))
-    parts = []
-    start = 0
-    for size in sizes:
-        parts.append(perm[start : start + size])
-        start += size
-    return parts
+    """Split indices 0..n-1 into disjoint shuffled parts of
+    :func:`split_sizes`. Deterministic given the generator state."""
+    sizes = split_sizes(n, fractions)
+    if n < len(sizes):
+        raise ValueError(f"cannot split {n} items into {len(sizes)} parts")
+    return np.split(rng.permutation(n), np.cumsum(sizes[:-1]))

@@ -17,7 +17,8 @@ import os
 import pickle
 import signal
 import time
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,6 +48,7 @@ from .network import (
 
 INIT_STREAM = 0
 SHUFFLE_STREAM = 1
+_FORK_WARNING = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\) may lead to deadlocks"
 
 log = logging.getLogger(__name__)
 
@@ -87,17 +89,16 @@ class EpochStats:
 
 @dataclass
 class TrainResult:
-    """The trained model with what validation already computed for it:
-    ``embedded`` is its embedded proper split (dwac only) and
-    ``calib_predictions`` its predictions on the calibration split."""
+    """The model of the restored ``best_epoch`` (``history[best_epoch - 1]``)
+    with its embedded proper split ``embedded`` (dwac only) and its
+    ``calib_predictions`` on the calibration split, as validation made them."""
 
     model: EmbeddingModel
     embedded: EmbeddedTrainingSet | None
     calib_predictions: Predictions
-    history: list[EpochStats] = field(default_factory=list)
-    best_epoch: int = 0
-    best_calib_accuracy: float = float("nan")
-    stopped_early: bool = False
+    history: list[EpochStats]
+    best_epoch: int
+    stopped_early: bool
 
 
 def build_model(config: TrainConfig, input_dim: int, num_classes: int) -> EmbeddingModel:
@@ -146,10 +147,15 @@ def train(proper: Dataset, calibration: Dataset, config: TrainConfig) -> TrainRe
 
     The calibration split is used only for validation accuracy and early
     stopping; its instances never contribute gradients, so it stays clean
-    for conformal calibration afterwards.
+    for conformal calibration afterwards. Both splits must be labeled, the
+    calibration split nonempty, and the proper split must fill a batch:
+    dwac's leave-one-out loss needs two rows.
     """
-    if len(proper) == 0 or proper.y is None:
-        raise ValueError("proper training split must be nonempty and labeled")
+    if proper.y is None or len(proper) < (2 if config.head == DWAC else 1):
+        raise ValueError(f"proper training split must be labeled and hold at least "
+                         f"{2 if config.head == DWAC else 1} rows for {config.head}")
+    if calibration.y is None or len(calibration) == 0:
+        raise ValueError("calibration split must be nonempty and labeled")
     c = proper.num_classes
     model = build_model(config, proper.dim, c)
     rng = make_rng(config.seed, SHUFFLE_STREAM)
@@ -163,12 +169,10 @@ def train(proper: Dataset, calibration: Dataset, config: TrainConfig) -> TrainRe
     step = 0
 
     n = len(proper)
-    best_params = model.copy_parameters()
-    best_embedded, best_preds = None, None
+    best_params = best_embedded = best_preds = None
     best_acc = -np.inf
     best_epoch = 0
     bad_epochs = 0
-    validate = len(calibration) > 0 and calibration.y is not None
     history: list[EpochStats] = []
     stopped_early = False
 
@@ -204,44 +208,33 @@ def train(proper: Dataset, calibration: Dataset, config: TrainConfig) -> TrainRe
             loss_sum += loss * idx.size
             used += idx.size
 
-        mean_loss = loss_sum / used if used else float("nan")
-        if validate:
-            ref = embed_training_set(model, proper) if config.head == DWAC else None
-            preds = predict(model, calibration.x, train=ref, sigma=config.sigma)
-            acc = float(np.mean(preds.predicted == calibration.y))
-        else:
-            acc = float("nan")
+        mean_loss = loss_sum / used
+        ref = embed_training_set(model, proper) if config.head == DWAC else None
+        preds = predict(model, calibration.x, train=ref, sigma=config.sigma)
+        acc = float(np.mean(preds.predicted == calibration.y))
         history.append(EpochStats(epoch=epoch, mean_loss=mean_loss, calib_accuracy=acc))
         log.debug("head=%s epoch=%d mean_loss=%.4f calib_acc=%.4f seconds=%.3f", config.head,
                   epoch, mean_loss, acc, time.perf_counter() - started)
 
-        if validate:
-            if acc > best_acc:
-                best_acc = acc
-                best_epoch = epoch
-                best_params = model.copy_parameters()
-                best_embedded, best_preds = ref, preds
-                bad_epochs = 0
-            else:
-                bad_epochs += 1
-                if bad_epochs >= config.patience:
-                    stopped_early = True
-                    break
-        else:
+        if acc > best_acc:
+            best_acc = acc
             best_epoch = epoch
             best_params = model.copy_parameters()
+            best_embedded, best_preds = ref, preds
+            bad_epochs = 0
+        else:
+            bad_epochs += 1
+            if bad_epochs >= config.patience:
+                stopped_early = True
+                break
 
     model.set_parameters(best_params)
-    if not validate:  # an empty or unlabeled calibration split
-        best_embedded = embed_training_set(model, proper) if config.head == DWAC else None
-        best_preds = predict(model, calibration.x, train=best_embedded, sigma=config.sigma)
     return TrainResult(
         model=model,
         embedded=best_embedded,
         calib_predictions=best_preds,
         history=history,
         best_epoch=best_epoch,
-        best_calib_accuracy=float(best_acc) if validate else float("nan"),
         stopped_early=stopped_early,
     )
 
@@ -262,7 +255,13 @@ def train_many(jobs: list[tuple[Dataset, Dataset, TrainConfig]]) -> list[TrainRe
         for a, b in zip(cuts, cuts[1:]):
             read, write = os.pipe()
             try:
-                pid = os.fork()
+                with warnings.catch_warnings():
+                    # Python 3.12+ warns in the parent when the process has more
+                    # than one thread. None here is a Python thread (kernel_blocks
+                    # joins its helpers before it returns); OpenBLAS's pool is
+                    # joined by its own pthread_atfork prepare handler.
+                    warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
+                    pid = os.fork()
             except OSError:
                 os.close(read)
                 os.close(write)

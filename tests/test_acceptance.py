@@ -9,7 +9,6 @@ other criterion is self-contained.
 
 from __future__ import annotations
 
-import json
 import os
 from collections import namedtuple
 
@@ -377,9 +376,9 @@ def test_criterion_07_ood_direction():
         dwac_rep = ood_holdout_class_multi(splits, train(*splits[:2], dwac_cfg),
                                            [NEG_PROB, NEG_WEIGHT_SUM], dwac_cfg.sigma)
         soft_rep = ood_holdout_class_multi(splits, train(*splits[:2], soft_cfg), [NEG_PROB])
-        ws = dwac_rep[NEG_WEIGHT_SUM].out_mean
-        np_same = dwac_rep[NEG_PROB].out_mean
-        np_soft = soft_rep[NEG_PROB].out_mean
+        ws = float(np.mean(dwac_rep[NEG_WEIGHT_SUM][1]))
+        np_same = float(np.mean(dwac_rep[NEG_PROB][1]))
+        np_soft = float(np.mean(soft_rep[NEG_PROB][1]))
         seed_ok = ws < 0.2 and ws < np_same and ws < np_soft
         ok = ok and seed_ok
         details.append(f"s{seed}: ws {ws:.3f} np {np_same:.3f} soft {np_soft:.3f}")

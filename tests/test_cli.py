@@ -236,11 +236,10 @@ def test_sigma_is_only_a_training_flag(trained_dir, tmp_path, capsys):
     cfg = tmp_path / "sigma.json"
     cfg.write_text(json.dumps({"sigma": 100}))
     for command in ("predict", "explain", "conformal"):
-        with pytest.raises(SystemExit) as exc:
-            run([command, "--data", BLOBS, "--model", model,
-                 "--out", str(tmp_path / command), "--sigma", "100"])
-        assert exc.value.code == 2
         capsys.readouterr()
+        assert run([command, "--data", BLOBS, "--model", model,
+                    "--out", str(tmp_path / command), "--sigma", "100"]) == 2
+        assert assert_one_error_line(capsys) == "error: unrecognized arguments: --sigma 100"
         assert run([command, "--data", BLOBS, "--model", model, "--config", str(cfg),
                     "--out", str(tmp_path / command)]) == 2
         assert_one_error_line(capsys)
@@ -477,10 +476,15 @@ def test_ood_holdout_summary(tmp_path):
     # softmax has no weight sums, so only three combinations exist
     assert set(doc["combinations"]) == {
         "softmax/neg_prob", "dwac/neg_prob", "dwac/neg_weight_sum"}
-    for stats in doc["combinations"].values():
+    for name, stats in doc["combinations"].items():
         assert stats["out_of_domain_n"] == 60
         assert 0.0 <= stats["out_of_domain_mean"] <= 1.0
-    assert (out / "ood_hist_dwac_neg_weight_sum.csv").exists()
+        # 20 bins of [0, 1] that count every scored row
+        _, rows = read_table(out / f"ood_hist_{name.replace('/', '_')}.csv")
+        assert rows[0] == ["bin_low", "bin_high", "in_domain_count", "out_of_domain_count"]
+        assert len(rows) == 21 and rows[1][0] == "0.0" and rows[-1][1] == "1.0"
+        assert sum(int(r[2]) for r in rows[1:]) == stats["in_domain_n"]
+        assert sum(int(r[3]) for r in rows[1:]) == stats["out_of_domain_n"]
     assert doc["provenance"]["held_class"] == 3
     assert set(doc["provenance"]) == provenance_keys("holdout")
 
@@ -496,6 +500,24 @@ def test_ood_cross_dataset(trained_dir, tmp_path):
     assert set(doc["combinations"]) == {"dwac/neg_prob", "dwac/neg_weight_sum"}
     assert doc["combinations"]["dwac/neg_prob"]["out_of_domain_n"] == 80
     assert doc["provenance"]["foreign"].startswith("blobs:")
+
+
+def test_ood_foreign_refuses_an_empty_dataset_before_any_output(tmp_path, capsys):
+    # with no in-domain rows there is no credibility to compare against: one
+    # error line, not a numpy warning beside it and a histogram already written
+    data, schema = write_csv_data(tmp_path)
+    header_only = tmp_path / "header_only.csv"
+    header_only.write_text(Path(data).read_text().splitlines()[0] + "\n")
+    assert run(["train", "--data", data, "--schema", schema, "--head", "dwac",
+                "--out", str(tmp_path / "m"), *FAST]) == 0
+    model = str(tmp_path / "m" / "model_dwac_trial0.json")
+    for in_domain, foreign, empty in ((header_only, data, "in-domain"),
+                                      (data, header_only, "foreign")):
+        capsys.readouterr()
+        assert run(["ood", "--model", model, "--data", str(in_domain), "--foreign",
+                    str(foreign), "--out", str(tmp_path / "o")]) == 2
+        assert assert_one_error_line(capsys) == f"error: {empty} dataset is empty"
+        assert not (tmp_path / "o").exists()
 
 
 def test_ood_foreign_refuses_training_settings(trained_dir, tmp_path, capsys):
@@ -676,14 +698,14 @@ def test_json_outputs_hold_one_record_per_line(trained_dir, tmp_path):
                            "measure": "both", "seed": 0},
             "combinations": {}},
     }
-    reports = ood_cross_dataset(artifact.model, artifact.embedded, artifact.calibrations,
-                                *blobs, sigma=artifact.sigma)
-    assert set(reports) == {"neg_prob", "neg_weight_sum"}
-    for measure, report in reports.items():
+    credibility = ood_cross_dataset(artifact.model, artifact.embedded, artifact.calibrations,
+                                    *blobs, sigma=artifact.sigma)
+    assert set(credibility) == {"neg_prob", "neg_weight_sum"}
+    for measure, (in_cred, out_cred) in credibility.items():
         expected["ood_summary.json"]["combinations"][f"dwac/{measure}"] = {
-            "in_domain_mean": report.in_mean, "out_of_domain_mean": report.out_mean,
-            "in_domain_n": int(report.in_domain.size),
-            "out_of_domain_n": int(report.out_of_domain.size)}
+            "in_domain_mean": float(np.mean(in_cred)),
+            "out_of_domain_mean": float(np.mean(out_cred)),
+            "in_domain_n": int(in_cred.size), "out_of_domain_n": int(out_cred.size)}
     scoring = ["--data", BLOBS, "--model", model, "--out", str(tmp_path)]
     assert run(["predict", *scoring]) == 0
     assert run(["explain", *scoring]) == 0
@@ -749,6 +771,73 @@ def test_config_file_values_are_type_checked(tmp_path, capsys):
     assert run(["train", "--config", str(cfg), "--data", BLOBS,
                 "--out", str(tmp_path / "x")]) == 2
     assert_one_error_line(capsys)
+
+
+def test_config_file_list_keys_are_json_arrays(tmp_path, capsys):
+    # a comma-separated string is a flag's spelling, refused by name in a file
+    cfg = tmp_path / "run.json"
+    model = ["--model", str(tmp_path / "absent.json")]
+    for command, key, text, extra in (("train", "hidden", "32,8", []),
+                                      ("train", "fractions", "0.6,0.2,0.2", []),
+                                      ("conformal", "epsilons", "0.1,0.2", model),
+                                      ("explain", "k_list", "1,5", model)):
+        cfg.write_text(json.dumps({key: text}))
+        capsys.readouterr()
+        assert run([command, "--config", str(cfg), "--data", BLOBS, *extra,
+                    "--out", str(tmp_path / "x")]) == 2
+        line = assert_one_error_line(capsys)
+        assert line.startswith(f"error: {key} must be tuple[") and line.endswith(f"{text!r}")
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--data", BLOBS, "--trials", "x"], "argument --trials: invalid int value: 'x'"),
+    (["train", "--data", BLOBS, "--hidden", "a,b"],
+     "argument --hidden: invalid int_list value: 'a,b'"),
+    (["predict", "--data", BLOBS, "--bogus"], "unrecognized arguments: --bogus"),
+    ([], "the following arguments are required: command"),
+], ids=["bad-int", "bad-int-list", "unknown-flag", "no-subcommand"])
+def test_a_bad_flag_is_one_error_line(argv, message, tmp_path, capsys):
+    capsys.readouterr()
+    assert run(argv + (["--out", str(tmp_path / "x")] if argv else [])) == 2
+    assert assert_one_error_line(capsys) == f"error: {message}"
+    assert not (tmp_path / "x").exists()
+
+
+def test_help_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["train", "-h"])
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: dwac-kit train") and err == ""
+
+
+@pytest.mark.parametrize("argv, refusal", [
+    (["train", "--data", "blobs:n=4,c=2,d=2,sep=5"],
+     "blobs:n=4,c=2,d=2,sep=5: 4 data rows leave the calibration split empty"),
+    (["train", "--data", "blobs:n=40,c=2,d=2,sep=5", "--fractions", "0.96,0.02,0.02"],
+     "blobs:n=40,c=2,d=2,sep=5: 40 data rows leave the calibration split empty"),
+    (["train", "--data", "{csv}", "--schema", "{schema}", "--test-data", "{header_only}"],
+     "{header_only}: 0 data rows leave the test split empty"),
+    # zero fractions are refused before the first two are renormalized for --test-data
+    (["train", "--data", "{csv}", "--schema", "{schema}", "--test-data", "{csv}",
+      "--fractions", "0,0,1"], "fractions must each be > 0, got [0.0, 0.0, 1.0]"),
+    (["ood", "--data", "blobs:n=6,c=3,d=2,sep=5", "--held-class", "0"],
+     "blobs:n=6,c=3,d=2,sep=5: 4 data rows outside class 0 leave the calibration split empty"),
+], ids=["four-blob-rows", "thin-calibration", "header-only-test", "zero-fractions",
+        "holdout"])
+def test_a_split_with_an_empty_part_is_refused_before_training(argv, refusal, tmp_path, capsys,
+                                                              monkeypatch):
+    data, schema = write_csv_data(tmp_path)
+    header_only = tmp_path / "header_only.csv"
+    header_only.write_text(Path(data).read_text().splitlines()[0] + "\n")
+    paths = {"csv": data, "schema": schema, "header_only": str(header_only)}
+    monkeypatch.setattr(cli, "train_many", lambda jobs: pytest.fail("trained"))
+    capsys.readouterr()
+    out = tmp_path / "x"
+    assert run([a.format(**paths) for a in argv] + ["--out", str(out)]) == 2
+    assert assert_one_error_line(capsys) == "error: " + refusal.format(**paths)
+    assert not out.exists()
 
 
 def test_schema_without_columns_is_an_error(tmp_path, capsys):

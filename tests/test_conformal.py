@@ -14,7 +14,7 @@ from dwac_kit.conformal import (
     nonconformity,
     p_values,
 )
-from dwac_kit.heads import EmbeddedTrainingSet, Predictions, dwac_predict
+from dwac_kit.heads import Predictions
 from dwac_kit.linalg import make_rng
 from helpers import calibrate_oracle, p_value_oracle
 

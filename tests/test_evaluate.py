@@ -213,24 +213,22 @@ def holdout_reports():
 
 def test_holdout_reports_shape(holdout_reports):
     assert set(holdout_reports) == {NEG_PROB, NEG_WEIGHT_SUM}
-    for report in holdout_reports.values():
-        assert np.all(report.in_domain >= 0.0) and np.all(report.in_domain <= 1.0)
-        assert np.all(report.out_of_domain >= 0.0) and np.all(report.out_of_domain <= 1.0)
-        assert report.out_of_domain.size == 120  # all held-out rows are scored
-        assert report.in_counts.sum() == report.in_domain.size
-        assert report.out_counts.sum() == report.out_of_domain.size
-        assert report.hist_edges.size == 21
-        assert report.in_mean == pytest.approx(float(np.mean(report.in_domain)))
+    for in_cred, out_cred in holdout_reports.values():
+        assert np.all(in_cred >= 0.0) and np.all(in_cred <= 1.0)
+        assert np.all(out_cred >= 0.0) and np.all(out_cred <= 1.0)
+        assert out_cred.size == 120  # all held-out rows are scored
+        assert in_cred.size == 480 // 4 * 3 - int(360 * 0.6) - int(360 * 0.2)
+        assert in_cred.ndim == out_cred.ndim == 1
 
 
 def test_holdout_weight_sums_flag_the_held_class(holdout_reports):
     # On well-separated clusters the held-out class lands far from every
     # training embedding, so its total kernel mass is tiny and weight-sum
     # credibility collapses; in-domain test data keeps healthy credibility.
-    report = holdout_reports[NEG_WEIGHT_SUM]
-    assert report.out_mean < 0.2
-    assert report.out_mean < report.in_mean
-    assert report.out_mean < holdout_reports[NEG_PROB].in_mean
+    in_mean, out_mean = map(np.mean, holdout_reports[NEG_WEIGHT_SUM])
+    assert out_mean < 0.2
+    assert out_mean < in_mean
+    assert out_mean < np.mean(holdout_reports[NEG_PROB][0])
 
 
 def test_holdout_single_measure_matches_multi(holdout_reports):
@@ -240,8 +238,7 @@ def test_holdout_single_measure_matches_multi(holdout_reports):
     result = train(*splits[:2], config)
     single = ood_holdout_class_multi(splits, result, [NEG_WEIGHT_SUM],
                                      config.sigma)[NEG_WEIGHT_SUM]
-    assert np.array_equal(single.out_of_domain,
-                          holdout_reports[NEG_WEIGHT_SUM].out_of_domain)
+    assert np.array_equal(single[1], holdout_reports[NEG_WEIGHT_SUM][1])
 
 
 def test_drop_class_validation():
@@ -254,7 +251,8 @@ def test_drop_class_validation():
     four = replace(three, schema=replace(three.schema, label_values=("0", "1", "2", "3")))
     with pytest.raises(ValueError, match="class 3 has no instances"):
         trial_splits(four, 0, fractions, held_class=3)
-    with pytest.raises(ValueError, match="^blobs:n=60: hold-out protocol needs labels"):
+    with pytest.raises(ValueError, match="^blobs:n=60: training data must include the label "
+                                         "column 'y'$"):
         trial_splits(replace(three, has_labels=False), 0, fractions, held_class=0)
 
 
@@ -279,10 +277,11 @@ def test_cross_dataset_identical_foreign_scores_identically(dwac_run):
     result, proper, calib, test = dwac_run
     calib_preds = predict(result.model, calib.x, train=result.embedded, sigma=0.5)
     scores = calibrate(calib_preds, calib.y, NEG_WEIGHT_SUM)
-    report = ood_cross_dataset(result.model, result.embedded, {NEG_WEIGHT_SUM: scores},
-                               in_domain=test, foreign=test)[NEG_WEIGHT_SUM]
-    assert np.array_equal(report.in_domain, report.out_of_domain)
-    assert report.in_mean == report.out_mean
+    in_cred, out_cred = ood_cross_dataset(result.model, result.embedded,
+                                          {NEG_WEIGHT_SUM: scores}, in_domain=test,
+                                          foreign=test)[NEG_WEIGHT_SUM]
+    assert np.array_equal(in_cred, out_cred)
+    assert np.mean(in_cred) == np.mean(out_cred)
 
 
 def test_cross_dataset_shifted_foreign_loses_credibility(dwac_run):
@@ -291,21 +290,22 @@ def test_cross_dataset_shifted_foreign_loses_credibility(dwac_run):
     scores = calibrate(calib_preds, calib.y, NEG_WEIGHT_SUM)
     foreign = Dataset(x=test.x + 40.0, y=None, num_classes=test.num_classes,
                       feature_names=test.feature_names)
-    report = ood_cross_dataset(result.model, result.embedded, {NEG_WEIGHT_SUM: scores},
-                               in_domain=test, foreign=foreign)[NEG_WEIGHT_SUM]
-    assert report.out_mean < 0.05
-    assert report.out_mean < report.in_mean
+    in_mean, out_mean = map(np.mean, ood_cross_dataset(
+        result.model, result.embedded, {NEG_WEIGHT_SUM: scores}, in_domain=test,
+        foreign=foreign)[NEG_WEIGHT_SUM])
+    assert out_mean < 0.05
+    assert out_mean < in_mean
 
 
 def test_cross_dataset_credibility_matches_conformal(dwac_run):
     result, proper, calib, test = dwac_run
     calib_preds = predict(result.model, calib.x, train=result.embedded, sigma=0.5)
     scores = calibrate(calib_preds, calib.y, NEG_PROB)
-    report = ood_cross_dataset(result.model, result.embedded, {NEG_PROB: scores},
-                               in_domain=test, foreign=test)[NEG_PROB]
+    in_cred, _ = ood_cross_dataset(result.model, result.embedded, {NEG_PROB: scores},
+                                   in_domain=test, foreign=test)[NEG_PROB]
     test_preds = predict(result.model, test.x, train=result.embedded, sigma=0.5)
     direct = conformal_predict(test_preds, scores, NEG_PROB).credibility()
-    assert np.array_equal(report.in_domain, direct)
+    assert np.array_equal(in_cred, direct)
 
 
 def test_cross_dataset_validation(dwac_run):
@@ -314,9 +314,12 @@ def test_cross_dataset_validation(dwac_run):
     scores = calibrate(calib_preds, calib.y, NEG_PROB)
     empty = Dataset(x=np.zeros((0, test.dim)), y=None, num_classes=test.num_classes,
                     feature_names=test.feature_names)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^foreign dataset is empty$"):
         ood_cross_dataset(result.model, result.embedded, {NEG_PROB: scores},
                           in_domain=test, foreign=empty)
+    with pytest.raises(ValueError, match="^in-domain dataset is empty$"):
+        ood_cross_dataset(result.model, result.embedded, {NEG_PROB: scores},
+                          in_domain=empty, foreign=test)
     narrow = Dataset(x=test.x[:, :-1], y=None, num_classes=test.num_classes,
                      feature_names=test.feature_names[:-1])
     with pytest.raises(ValueError):

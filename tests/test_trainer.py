@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import os
 import time
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -69,7 +71,7 @@ def test_training_is_deterministic():
 def test_best_epoch_restored(dwac_run):
     result, proper, calib, _ = dwac_run
     best = max(e.calib_accuracy for e in result.history)
-    assert result.best_calib_accuracy == best
+    assert result.history[result.best_epoch - 1].calib_accuracy == best
     ref = embed_training_set(result.model, proper)
     preds = predict(result.model, calib.x, train=ref)
     assert accuracy(preds, calib.y) == best
@@ -145,7 +147,7 @@ def test_result_keeps_the_best_epochs_calibration_predictions(head):
     if head == DWAC:
         assert np.array_equal(result.embedded.h, fresh_ref.h)
         assert np.array_equal(kept.weight_sums, fresh.weight_sums)
-    assert result.best_calib_accuracy == accuracy(kept, calib.y)
+    assert result.history[result.best_epoch - 1].calib_accuracy == accuracy(kept, calib.y)
 
 
 @pytest.mark.parametrize("head", [DWAC, SOFTMAX])
@@ -161,15 +163,31 @@ def test_flat_adam_matches_the_per_array_loop_bit_for_bit(head, monkeypatch):
     monkeypatch.setattr(trainer_mod, "adam_step", counted)
     config = TrainConfig(head=head, seed=3, max_epochs=3, patience=3, batch_size=32,
                          dropout_prob=0.3)
-    # no calibration rows: nothing to validate on, so the last epoch is kept
-    result = train(proper, subset(calib, np.arange(0)), config)
-    assert result.best_epoch == 3
+    result = train(proper, calib, config)
+    assert 1 <= result.best_epoch <= 3 and not result.stopped_early
     # 180 proper rows: five full batches of 32 and one of 20, per epoch
     # one update of the whole flat vector per batch, its steps counted from 1
     assert calls == [(1, step) for step in range(1, 3 * 6 + 1)]
+    # validation draws nothing from the shuffle stream, so the restored best
+    # epoch's parameters are the oracle's after that epoch
     for got, expected in zip(result.model.parameters(),
-                             train_per_array_oracle(proper, config, 3)[-1]):
+                             train_per_array_oracle(proper, config, 3)[result.best_epoch - 1],
+                             strict=True):
         assert np.array_equal(got, expected)
+
+
+def test_train_refuses_splits_it_cannot_validate_or_fit():
+    blobs = make_blobs(100, 2, 3, 6.0, make_rng(5, 3))
+    proper, calib, _ = trial_splits(blob_data(blobs), 0, (0.6, 0.2, 0.2))
+    config = TrainConfig(max_epochs=1)
+    for bad in (subset(calib, np.arange(0)), replace(calib, y=None)):
+        with pytest.raises(ValueError, match="^calibration split must be nonempty and labeled$"):
+            train(proper, bad, config)
+    # one proper row leaves dwac's leave-one-out loss no pair: every batch would be skipped
+    one = subset(proper, np.arange(1))
+    with pytest.raises(ValueError, match="at least 2 rows for dwac$"):
+        train(one, calib, replace(config, head=DWAC))
+    assert len(train(one, calib, replace(config, head=SOFTMAX)).history) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +223,7 @@ def forks(monkeypatch):
 def _assert_same_result(a, b) -> None:
     for pa, pb in zip(a.model.parameters(), b.model.parameters(), strict=True):
         assert np.array_equal(pa, pb)
-    # NaN calibration accuracies (no calibration rows) compare equal here
-    assert np.array_equal([(e.epoch, e.mean_loss, e.calib_accuracy) for e in a.history],
-                          [(e.epoch, e.mean_loss, e.calib_accuracy) for e in b.history],
-                          equal_nan=True)
-    assert np.array_equal(a.best_calib_accuracy, b.best_calib_accuracy, equal_nan=True)
+    assert a.history == b.history
     assert (a.best_epoch, a.stopped_early) == (b.best_epoch, b.stopped_early)
     assert np.array_equal(a.calib_predictions.probs, b.calib_predictions.probs)
     assert (a.embedded is None) == (b.embedded is None)
@@ -223,7 +237,7 @@ def test_train_many_equals_serial_training_bit_for_bit(monkeypatch, forks, no_ch
     proper, calib, _ = trial_splits(blob_data(blobs), 4, (0.6, 0.2, 0.2))
     jobs = [(proper, calib, TrainConfig(head=head, seed=seed, max_epochs=6, batch_size=32))
             for seed in (1, 2) for head in (SOFTMAX, DWAC)]
-    jobs.append((proper, subset(calib, np.arange(0)), TrainConfig(max_epochs=3)))
+    jobs.append((proper, calib, TrainConfig(max_epochs=3)))
     serial = [train(*job) for job in jobs]
     # three CPUs, five jobs: two children train two jobs each, the caller the last
     use_cpus(monkeypatch, 3)
@@ -231,6 +245,35 @@ def test_train_many_equals_serial_training_bit_for_bit(monkeypatch, forks, no_ch
     assert len(forks) == 2
     assert len(side_by_side) == len(serial)
     for a, b in zip(side_by_side, serial):
+        _assert_same_result(a, b)
+
+
+def test_the_multi_threaded_fork_warning_neither_raises_nor_leaves_a_child(
+        monkeypatch, capfd, no_child_left):
+    # From Python 3.12 os.fork warns in the parent, once the child exists,
+    # when the process has more than one thread; raised as an error there,
+    # the child would never be recorded, and so never ended nor reaped
+    fork, children = os.fork, []
+
+    def warns_in_the_parent():
+        pid = fork()
+        if pid:
+            children.append(pid)
+            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of fork() "
+                          "may lead to deadlocks in the child.", DeprecationWarning, stacklevel=2)
+        return pid
+
+    blobs = make_blobs(200, 3, 3, 8.0, make_rng(6, 3))
+    proper, calib, _ = trial_splits(blob_data(blobs), 6, (0.6, 0.2, 0.2))
+    jobs = [(proper, calib, TrainConfig(head=head, seed=1, max_epochs=4, batch_size=32))
+            for head in (SOFTMAX, DWAC)]
+    serial = [train(*job) for job in jobs]
+    monkeypatch.setattr(os, "fork", warns_in_the_parent)
+    use_cpus(monkeypatch, 2)
+    capfd.readouterr()
+    side_by_side = train_many(jobs)
+    assert len(children) == 1 and capfd.readouterr().err == ""
+    for a, b in zip(side_by_side, serial, strict=True):
         _assert_same_result(a, b)
 
 
