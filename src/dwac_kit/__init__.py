@@ -53,6 +53,7 @@ from .network import (
     DWAC,
     SOFTMAX,
     EmbeddingModel,
+    Inputs,
     MlpSpec,
     forward,
 )

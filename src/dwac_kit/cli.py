@@ -301,6 +301,8 @@ class _Source:
             if artifact.schema not in self._read:
                 self._read[artifact.schema] = _load_raw(self.source, self.cfg, artifact.schema)
             data = self._read[artifact.schema]
+            if len(data) == 0:
+                raise ValueError(f"{self.source}: no data rows to score")
             ds = encode_rows(data.table, data.schema, artifact.stats,
                              has_labels=self.labels and data.has_labels)
             self._encoded.append((key, ds))

@@ -5,14 +5,20 @@ JSON schema assigns each column a role (label | continuous | categorical |
 drop) and fixes the label vocabulary. Synthetic blobs become a table with a
 generated schema (:func:`blob_data`), so both go through one pipeline.
 Continuous columns are z-scored with statistics fitted on training data
-only; categorical columns become indicator blocks with a trailing
-unknown-category slot so unseen values at prediction time encode instead of
-crashing. Missing continuous values are rejected outright; silent
-imputation would corrupt reproductions. A file is read once, a chunk of
-rows at a time, into a columnar table: continuous cells are parsed then,
-categorical and label cells become integer codes into their distinct values,
-and ``drop`` cells are not kept. Stats are fitted on, and rows encoded from,
-any subset of its rows by index, so splitting copies no cells.
+only, into one float64 block. Categorical columns are not expanded into
+indicator columns: each becomes one int32 code per row, the row of the
+network's first weight matrix that a one-hot encoding of the value would
+select (:class:`~dwac_kit.network.Inputs`). Each column owns a block of
+those rows, one per vocabulary value and a trailing unknown-category row,
+so unseen values at prediction time encode instead of crashing. An encoded
+row takes 8 bytes per continuous and 4 per categorical column, whatever the
+vocabulary sizes, while the first layer keeps the full one-hot width.
+Missing continuous values are rejected outright; silent imputation would
+corrupt reproductions. A file is read once, a chunk of rows at a time, into
+a columnar table: continuous cells are parsed then, categorical and label
+cells become integer codes into their distinct values, and ``drop`` cells
+are not kept. Stats are fitted on, and rows encoded from, any subset of its
+rows by index, so splitting copies no cells.
 
 Model artifacts are single JSON documents (format ``dwac-kit/2``) that hold
 each float array as its shape plus the base64 of its little-endian float64
@@ -36,8 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .heads import EmbeddedTrainingSet
-from .linalg import as_matrix
-from .network import DWAC, EmbeddingModel, MlpSpec
+from .network import DWAC, EmbeddingModel, Inputs, MlpSpec, as_inputs
 
 FORMAT_VERSION = "dwac-kit/2"
 
@@ -139,29 +144,30 @@ class FeatureStats:
 
 @dataclass
 class Dataset:
-    """Encoded feature matrix with labels and preprocessing provenance."""
+    """Encoded feature rows with labels and preprocessing provenance. ``x``
+    may be given as a matrix of continuous columns; it is held as
+    :class:`Inputs`, whose ``width`` is the encoded width ``dim``."""
 
-    x: np.ndarray
+    x: Inputs
     y: np.ndarray | None
     num_classes: int
-    feature_names: tuple[str, ...]
     stats: FeatureStats | None = None
 
     def __post_init__(self):
-        self.x = as_matrix(self.x, "features")
+        self.x = as_inputs(self.x)
         if self.y is not None:
             self.y = np.ascontiguousarray(self.y, dtype=np.int64)
-            if self.y.shape != (self.x.shape[0],):
+            if self.y.shape != (len(self.x),):
                 raise ValueError("labels must align with feature rows")
             if self.y.size and (self.y.min() < 0 or self.y.max() >= self.num_classes):
                 raise ValueError("labels out of range 0..num_classes-1")
 
     def __len__(self) -> int:
-        return self.x.shape[0]
+        return len(self.x)
 
     @property
     def dim(self) -> int:
-        return self.x.shape[1]
+        return self.x.width
 
 
 # ---------------------------------------------------------------------------
@@ -352,39 +358,37 @@ def encode_rows(
     """Encode the rows ``index`` of ``table`` (all rows when None), in that
     order, into a Dataset with the given fitted stats.
 
-    Feature width is sum(|vocab| + 1) over categoricals plus the number of
-    continuous columns; the +1 is the unknown-category slot, which is what
-    unseen values fall into at prediction time. Error messages name the file
-    and the line a bad row came from.
+    The encoded width is the number of continuous columns plus |vocab| + 1
+    per categorical column, in schema order; the + 1 is the unknown-category
+    row, which is what unseen values select at prediction time. Continuous
+    columns are z-scored into one float64 block, and each categorical column
+    becomes one int32 slot per row (see :class:`Inputs`). Error messages name
+    the file and the line a bad row came from.
     """
     n = len(table) if index is None else len(index)
-    widths = [len(stats.vocabs[c.name]) + 1 if c.role == ROLE_CATEGORICAL else 1
-              for c in schema.feature_columns]
-    x = np.zeros((n, sum(widths)))
-    names: list[str] = []
-    offset = 0
-    for col, width in zip(schema.feature_columns, widths):
+    features = schema.feature_columns
+    num_continuous = sum(c.role == ROLE_CONTINUOUS for c in features)
+    cont = np.empty((n, num_continuous))
+    slots = np.empty((n, len(features) - num_continuous), dtype=np.int32)
+    cont_rows: list[int] = []
+    slot_columns = iter(slots.T)
+    width = 0  # rows of the first weight matrix that the columns so far feed
+    for col in features:
         if col.role == ROLE_CONTINUOUS:
             values = _column(table, col.name, index)
-            x[:, offset] = (values - stats.means[col.name]) / stats.stds[col.name]
-            names.append(col.name)
+            cont[:, len(cont_rows)] = (values - stats.means[col.name]) / stats.stds[col.name]
+            cont_rows.append(width)
+            width += 1
         else:
             vocab = stats.vocabs[col.name]
-            slot = {v: offset + i for i, v in enumerate(vocab)}
+            slot = dict(zip(vocab, range(width, width + len(vocab))))
+            width += len(vocab) + 1  # the column's last row is the unknown value's
             values, codes = _column(table, col.name, index)
-            slots = np.array([slot.get(v, offset + width - 1) for v in values], dtype=np.intp)
-            x[np.arange(n), slots[codes]] = 1.0
-            names.extend(f"{col.name}={v}" for v in vocab)
-            names.append(f"{col.name}=<unknown>")
-        offset += width
-
-    return Dataset(
-        x=x,
-        y=label_codes(table, schema, index) if has_labels else None,
-        num_classes=schema.num_classes,
-        feature_names=tuple(names),
-        stats=stats,
-    )
+            next(slot_columns)[:] = np.fromiter((slot.get(v, width - 1) for v in values),
+                                                dtype=np.int32, count=len(values))[codes]
+    y = label_codes(table, schema, index) if has_labels else None  # its errors come first
+    return Dataset(x=Inputs(cont, slots, cont_rows, width), y=y,
+                   num_classes=schema.num_classes, stats=stats)
 
 
 # ---------------------------------------------------------------------------
@@ -421,13 +425,7 @@ def make_blobs(
     counts[: n % c] += 1
     y = np.repeat(np.arange(c), counts)
     x = centers[y] + rng.standard_normal((n, d))
-    return Dataset(
-        x=x,
-        y=y,
-        num_classes=c,
-        feature_names=tuple(f"x{i}" for i in range(d)),
-        stats=None,
-    )
+    return Dataset(x=x, y=y, num_classes=c)
 
 
 def blob_data(ds: Dataset, source: str = "blobs") -> CsvData:
@@ -436,12 +434,13 @@ def blob_data(ds: Dataset, source: str = "blobs") -> CsvData:
     values are ``"0"``..``"{c-1}"``. Errors name ``source`` and number the
     rows from 1."""
     label_values = tuple(map(str, range(ds.num_classes)))
+    names = [f"x{i}" for i in range(ds.dim)]
     schema = Schema(
-        columns=(*(ColumnSpec(name, ROLE_CONTINUOUS) for name in ds.feature_names),
+        columns=(*(ColumnSpec(name, ROLE_CONTINUOUS) for name in names),
                  ColumnSpec("y", ROLE_LABEL)),
         label_values=label_values,
     )
-    columns: dict[str, np.ndarray | Coded] = dict(zip(ds.feature_names, ds.x.T.copy()))
+    columns: dict[str, np.ndarray | Coded] = dict(zip(names, ds.x.cont.T.copy()))
     columns["y"] = Coded(label_values, ds.y)
     table = CsvTable(path=source, columns=columns, lines=range(1, len(ds) + 1))
     return CsvData(table=table, schema=schema, has_labels=True)

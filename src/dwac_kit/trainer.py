@@ -16,7 +16,6 @@ import math
 import os
 import pickle
 import signal
-import time
 import warnings
 from dataclasses import dataclass
 
@@ -177,7 +176,6 @@ def train(proper: Dataset, calibration: Dataset, config: TrainConfig) -> TrainRe
     stopped_early = False
 
     for epoch in range(1, config.max_epochs + 1):
-        started = time.perf_counter()
         order = rng.permutation(n)
         loss_sum = 0.0
         used = 0
@@ -213,8 +211,8 @@ def train(proper: Dataset, calibration: Dataset, config: TrainConfig) -> TrainRe
         preds = predict(model, calibration.x, train=ref, sigma=config.sigma)
         acc = float(np.mean(preds.predicted == calibration.y))
         history.append(EpochStats(epoch=epoch, mean_loss=mean_loss, calib_accuracy=acc))
-        log.debug("head=%s epoch=%d mean_loss=%.4f calib_acc=%.4f seconds=%.3f", config.head,
-                  epoch, mean_loss, acc, time.perf_counter() - started)
+        log.debug("head=%s epoch=%d mean_loss=%.4f calib_acc=%.4f", config.head, epoch,
+                  mean_loss, acc)
 
         if acc > best_acc:
             best_acc = acc
@@ -245,8 +243,11 @@ def train_many(jobs: list[tuple[Dataset, Dataset, TrainConfig]]) -> list[TrainRe
     The caller trains the last job. Up to one child per other usable CPU,
     forked so it inherits the data, trains a contiguous run of the rest and
     pipes back only its pickled results, so none depends on the process
-    count. The first failed job's exception is raised, and no child outlives
-    the call. One job, one CPU or no ``os.fork`` is a serial loop.
+    count. A child's log records come back with its results: the caller
+    emits them after its own, in job order, so a run logs the same lines in
+    the same order every time. The first failed job's exception is raised,
+    and no child outlives the call. One job, one CPU or no ``os.fork`` is a
+    serial loop.
     """
     runs = max(0, min(heads.usable_cpus(), len(jobs)) - 1) if hasattr(os, "fork") else 0
     cuts = [(len(jobs) - 1) * i // max(runs, 1) for i in range(runs + 1)]
@@ -276,8 +277,11 @@ def train_many(jobs: list[tuple[Dataset, Dataset, TrainConfig]]) -> list[TrainRe
                 payload = f.read()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             os.close(children.pop(pid))
-            outcomes.insert(-1, pickle.loads(payload) if payload else RuntimeError(
-                f"a training process ended without a result (exit code {code})"))
+            outcome, records = pickle.loads(payload) if payload else (RuntimeError(
+                f"a training process ended without a result (exit code {code})"), [])
+            for record in records:
+                log.handle(record)
+            outcomes.insert(-1, outcome)
         for outcome in outcomes:
             if isinstance(outcome, Exception):
                 raise outcome
@@ -297,14 +301,30 @@ def _outcome(jobs: list[tuple]) -> list[TrainResult] | Exception:
         return e
 
 
+class _Kept(logging.Handler):
+    """Keeps the records it handles, each message formatted so it pickles."""
+
+    def __init__(self):
+        super().__init__()
+        self.records: list[logging.LogRecord] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        record.msg, record.args, record.exc_info = record.getMessage(), None, None
+        self.records.append(record)
+
+
 def _child(jobs: list[tuple], write: int) -> None:
-    """Train ``jobs`` in a forked child and pipe back the pickled outcome.
-    The process ends here on every path, so it never runs the caller's code."""
+    """Train ``jobs`` in a forked child and pipe back the pickled outcome with
+    the records logged meanwhile, which reach no handler here. The process
+    ends here on every path, so it never runs the caller's code."""
     try:
+        kept = _Kept()
+        log.handlers, log.propagate = [kept], False
         with open(write, "wb") as f:
             try:
-                f.write(pickle.dumps(_outcome(jobs)))
+                f.write(pickle.dumps((_outcome(jobs), kept.records)))
             except Exception as e:  # an outcome that does not pickle
-                f.write(pickle.dumps(RuntimeError(f"cannot send a training result: {e}")))
+                f.write(pickle.dumps((RuntimeError(f"cannot send a training result: {e}"),
+                                      kept.records)))
     finally:
         os._exit(0)

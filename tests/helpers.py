@@ -45,7 +45,7 @@ from dwac_kit.explain import Explanation, explain_with_agreement
 from dwac_kit.evaluate import SPLIT_STREAM
 from dwac_kit.heads import softmax_batch_loss
 from dwac_kit.linalg import pairwise_sq_distances, query_factor, reference_factor
-from dwac_kit.network import DWAC, adam_step, backward, forward
+from dwac_kit.network import DWAC, Inputs, adam_step, backward, forward
 from dwac_kit.trainer import SHUFFLE_STREAM, build_model
 
 # CPU counts the kernel engine is run at in the thread-count tests: serial,
@@ -89,6 +89,23 @@ def write_csv_data(tmp_path):
     return str(data), str(schema)
 
 
+def write_unique_id_csv(tmp_path, rows: int):
+    """A two-class CSV of ``rows`` rows with one continuous feature and one
+    categorical column that holds a distinct value in every row, and its
+    schema, written under ``tmp_path``."""
+    schema = tmp_path / "ids_schema.json"
+    schema.write_text(json.dumps({
+        "columns": [{"name": "size", "role": "continuous"},
+                    {"name": "id", "role": "categorical"},
+                    {"name": "species", "role": "label"}],
+        "label_values": ["a", "b"],
+    }))
+    data = tmp_path / "ids.csv"
+    data.write_text("size,id,species\n" + "".join(
+        f"{i % 2 * 4 + i % 7 / 7:.4f},u{i:06d},{'ab'[i % 2]}\n" for i in range(rows)))
+    return str(data), str(schema)
+
+
 def load_csv(path: str, schema: Schema, stats: FeatureStats | None = None) -> Dataset:
     """Read and encode a whole CSV, with stats fitted on the file itself when
     none are given."""
@@ -99,9 +116,10 @@ def load_csv(path: str, schema: Schema, stats: FeatureStats | None = None) -> Da
 
 
 def explain(x, model, train, k=None, sigma: float = 0.5) -> Explanation:
-    """The explanation of one encoded feature row, through ``explain_with_agreement``."""
-    return explain_with_agreement(np.asarray(x, dtype=np.float64)[None, :], model, train, k=k,
-                                  k_list=(), sigma=sigma)[0][0]
+    """The explanation of one encoded feature row (one-row Inputs, or a
+    vector of continuous features), through ``explain_with_agreement``."""
+    rows = x if isinstance(x, Inputs) else np.asarray(x, dtype=np.float64)[None, :]
+    return explain_with_agreement(rows, model, train, k=k, k_list=(), sigma=sigma)[0][0]
 
 
 def class_weights(explanation: Explanation, num_classes: int) -> np.ndarray:
@@ -393,8 +411,7 @@ def calibrate_oracle(score_rows: np.ndarray, labels: np.ndarray) -> np.ndarray:
 def subset(dataset: Dataset, indices) -> Dataset:
     """The rows ``indices`` of an encoded dataset."""
     return Dataset(x=dataset.x[indices], y=None if dataset.y is None else dataset.y[indices],
-                   num_classes=dataset.num_classes, feature_names=dataset.feature_names,
-                   stats=dataset.stats)
+                   num_classes=dataset.num_classes, stats=dataset.stats)
 
 
 def quick_split(dataset, fractions, seed):
@@ -491,16 +508,30 @@ def fit_stats_oracle(rows, schema) -> FeatureStats:
     return FeatureStats(means=means, stds=stds, vocabs=vocabs)
 
 
+def dense(x: Inputs) -> np.ndarray:
+    """The one-hot matrix that ``x`` codes, one cell at a time: each
+    continuous value in its column, plus 1.0 in a slot's column for each
+    time the row selects it."""
+    out = np.zeros((len(x), x.width))
+    for i in range(len(x)):
+        for j, column in enumerate(x.cont_rows):
+            out[i, column] = x.cont[i, j]
+        for column in x.slots[i]:
+            out[i, column] += 1.0
+    return out
+
+
 def encode_rows_oracle(rows, schema, stats, has_labels: bool = True) -> Dataset:
-    """Row dicts encoded one cell at a time into a block per column, the
-    blocks stacked side by side."""
-    names, blocks = [], []
+    """Row dicts encoded one cell at a time into a dense block per column
+    (an indicator column per vocabulary value and one for unknown values),
+    the blocks stacked side by side: the one-hot matrix that the encoder's
+    codes stand for, held as all-continuous features."""
+    blocks = []
     n = len(rows)
     for col in schema.feature_columns:
         if col.role == ROLE_CONTINUOUS:
             values = _parse_continuous_oracle(rows, col.name)
             blocks.append(((values - stats.means[col.name]) / stats.stds[col.name])[:, None])
-            names.append(col.name)
         else:
             vocab = stats.vocabs[col.name]
             index = {v: i for i, v in enumerate(vocab)}
@@ -509,8 +540,6 @@ def encode_rows_oracle(rows, schema, stats, has_labels: bool = True) -> Dataset:
             for i, row in enumerate(rows):
                 block[i, index.get(row[col.name], width - 1)] = 1.0
             blocks.append(block)
-            names.extend(f"{col.name}={v}" for v in vocab)
-            names.append(f"{col.name}=<unknown>")
     y = None
     if has_labels:
         label_index = {v: i for i, v in enumerate(schema.label_values)}
@@ -520,5 +549,4 @@ def encode_rows_oracle(rows, schema, stats, has_labels: bool = True) -> Dataset:
             if cell not in label_index:
                 raise ValueError(f"{row[WHERE]}: label {cell!r} not in schema label_values")
             y[i] = label_index[cell]
-    return Dataset(x=np.hstack(blocks), y=y, num_classes=schema.num_classes,
-                   feature_names=tuple(names), stats=stats)
+    return Dataset(x=np.hstack(blocks), y=y, num_classes=schema.num_classes, stats=stats)

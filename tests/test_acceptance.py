@@ -44,7 +44,7 @@ from dwac_kit.data import blob_data
 from dwac_kit.evaluate import ood_holdout_class_multi, trial_splits
 from dwac_kit.heads import EmbeddedTrainingSet
 from dwac_kit.linalg import shuffle_split
-from dwac_kit.network import DWAC, SOFTMAX, backward, init_model
+from dwac_kit.network import DWAC, SOFTMAX, Inputs, backward, init_model
 from helpers import (
     calibrate_oracle,
     class_weights,
@@ -100,16 +100,17 @@ def overlapping():
 # criterion 1: analytic gradients match finite differences
 # ---------------------------------------------------------------------------
 
-def _conditioned_tiny_model(head, sizes, batch, seed):
+def _conditioned_tiny_model(head, sizes, batch, seed, make_x=None):
     """A tiny model plus batch whose pre-activations stay clear of the ReLU
     kink, where central differences straddle the corner but the analytic
-    subgradient is one-sided."""
+    subgradient is one-sided. ``make_x(rng, batch)`` draws the batch; by
+    default it is continuous."""
     for attempt in range(20):
         rng = make_rng(seed, 90 + attempt)
         model = init_model(MlpSpec(layer_sizes=sizes, dropout_prob=0.0), head, rng)
         for b in model.biases:
             b += 0.05 * rng.standard_normal(b.shape)
-        x = rng.standard_normal((batch, sizes[0]))
+        x = make_x(rng, batch) if make_x else rng.standard_normal((batch, sizes[0]))
         _, cache = forward(model, x, mode="train")
         if all(np.min(np.abs(p)) > 1e-3 for p in cache["pre"]):
             return model, x, rng
@@ -134,6 +135,27 @@ def _fd_grads(model, x, loss_of_h, step=1e-6):
     return grads
 
 
+def _gradient_error(model, x, labels):
+    """The largest gap between the analytic and the central-difference
+    gradient of the model's batch loss on ``x``, relative to the largest
+    numeric entry."""
+    c = model.spec.output_dim
+    if model.head == DWAC:
+        def loss_and_grad(h):
+            return dwac_batch_loss(h, labels, c)
+    else:
+        def loss_and_grad(h):
+            return softmax_batch_loss(h, labels)
+    h, cache = forward(model, x, mode="train")
+    analytic = backward(model, cache, loss_and_grad(h)[1])
+    numeric = _fd_grads(model, x, lambda h: loss_and_grad(h)[0])
+    a = np.concatenate([g.ravel() for g in analytic])
+    n = np.concatenate([g.ravel() for g in numeric])
+    # denominator floored at the resolution of central differences
+    # with step 1e-6; below that both sides agree the loss is flat
+    return np.abs(a - n).max() / max(np.abs(n).max(), 1e-6)
+
+
 def test_criterion_01_gradient_correctness():
     shapes = ((2, 3, 2), (3, 4, 3), (4, 3, 2))
     batches = (2, 3, 8)
@@ -144,30 +166,30 @@ def test_criterion_01_gradient_correctness():
         for head in (DWAC, SOFTMAX):
             model, x, rng = _conditioned_tiny_model(head, sizes, batch, seed=i)
             assert sum(p.size for p in model.parameters()) <= 50
-            c = sizes[-1]
-            labels = rng.integers(0, c, size=batch)
-
-            if head == DWAC:
-                def loss_of_h(h):
-                    return dwac_batch_loss(h, labels, c)[0]
-                h, cache = forward(model, x, mode="train")
-                _, d_h = dwac_batch_loss(h, labels, c)
-            else:
-                def loss_of_h(h):
-                    return softmax_batch_loss(h, labels)[0]
-                h, cache = forward(model, x, mode="train")
-                _, d_h = softmax_batch_loss(h, labels)
-
-            analytic = backward(model, cache, d_h)
-            numeric = _fd_grads(model, x, loss_of_h)
-            a = np.concatenate([g.ravel() for g in analytic])
-            n = np.concatenate([g.ravel() for g in numeric])
-            # denominator floored at the resolution of central differences
-            # with step 1e-6; below that both sides agree the loss is flat
-            rel = np.abs(a - n).max() / max(np.abs(n).max(), 1e-6)
-            worst = max(worst, rel)
+            labels = rng.integers(0, sizes[-1], size=batch)
+            worst = max(worst, _gradient_error(model, x, labels))
     report(1, "gradient correctness vs central differences", worst < 1e-4,
            f"worst relative error {worst:.3e} over 20 models x 2 losses")
+
+
+def _coded_batch(rng, batch):
+    """Inputs of ``batch`` rows for a 7-row first layer: continuous columns
+    feed rows 0 and 4, one categorical column owns rows 1-3 and another rows
+    5-6. Eight rows over those few values make rows of a batch share a slot."""
+    slots = np.stack([rng.integers(1, 4, batch), rng.integers(5, 7, batch)], axis=1)
+    return Inputs(rng.standard_normal((batch, 2)), slots.astype(np.int32), [0, 4], 7)
+
+
+def test_criterion_01_gradient_correctness_with_categorical_inputs():
+    # the same check through the first layer's slot sum and scatter
+    worst = 0.0
+    for i in range(10):
+        for head in (DWAC, SOFTMAX):
+            model, x, rng = _conditioned_tiny_model(head, (7, 3, 2), 8, i, _coded_batch)
+            assert sum(p.size for p in model.parameters()) <= 50
+            assert all(len(set(column)) < 8 for column in x.slots.T.tolist())
+            worst = max(worst, _gradient_error(model, x, rng.integers(0, 2, size=8)))
+    assert worst < 1e-4, worst
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +382,9 @@ def _distant_blobs(n: int, seed: int, shift: float = 30.0) -> Dataset:
     """Four blobs where the fourth sits far off the simplex spanned by the
     other three, so holding it out yields genuinely distant OOD data."""
     ds = make_blobs(n, 4, 8, 10.0, make_rng(seed, 3))
-    x = ds.x.copy()
+    x = ds.x.cont.copy()
     x[ds.y == 3] -= shift / np.sqrt(ds.dim)
-    return Dataset(x=x, y=ds.y, num_classes=4, feature_names=ds.feature_names)
+    return Dataset(x=x, y=ds.y, num_classes=4)
 
 
 def test_criterion_07_ood_direction():

@@ -4,6 +4,9 @@ import argparse
 import csv
 import importlib
 import json
+import os
+import subprocess
+import sys
 import weakref
 from dataclasses import fields
 from pathlib import Path
@@ -23,7 +26,13 @@ from dwac_kit.data import encode_rows, label_codes
 from dwac_kit.evaluate import ood_cross_dataset
 from dwac_kit.explain import explain_with_agreement
 from dwac_kit.network import forward
-from helpers import CPU_COUNTS, assert_one_error_line, use_cpus, write_csv_data
+from helpers import (
+    CPU_COUNTS,
+    assert_one_error_line,
+    use_cpus,
+    write_csv_data,
+    write_unique_id_csv,
+)
 
 BLOBS = "blobs:n=200,c=3,d=3,sep=8,seed=0"
 FAST = ["--max-epochs", "30", "--batch-size", "64"]
@@ -502,22 +511,27 @@ def test_ood_cross_dataset(trained_dir, tmp_path):
     assert doc["provenance"]["foreign"].startswith("blobs:")
 
 
-def test_ood_foreign_refuses_an_empty_dataset_before_any_output(tmp_path, capsys):
-    # with no in-domain rows there is no credibility to compare against: one
-    # error line, not a numpy warning beside it and a histogram already written
+@pytest.mark.parametrize("command, empty", [
+    ("predict", "data"), ("explain", "data"), ("conformal", "data"), ("ood", "data"),
+    ("ood", "foreign"),
+], ids=["predict", "explain", "conformal", "ood-data", "ood-foreign"])
+def test_scoring_refuses_data_with_no_rows_by_name(command, empty, tmp_path, capsys):
+    # a header-only CSV has nothing to score: one error line naming it, from
+    # every scoring command alike, and no output directory
     data, schema = write_csv_data(tmp_path)
     header_only = tmp_path / "header_only.csv"
     header_only.write_text(Path(data).read_text().splitlines()[0] + "\n")
     assert run(["train", "--data", data, "--schema", schema, "--head", "dwac",
                 "--out", str(tmp_path / "m"), *FAST]) == 0
-    model = str(tmp_path / "m" / "model_dwac_trial0.json")
-    for in_domain, foreign, empty in ((header_only, data, "in-domain"),
-                                      (data, header_only, "foreign")):
-        capsys.readouterr()
-        assert run(["ood", "--model", model, "--data", str(in_domain), "--foreign",
-                    str(foreign), "--out", str(tmp_path / "o")]) == 2
-        assert assert_one_error_line(capsys) == f"error: {empty} dataset is empty"
-        assert not (tmp_path / "o").exists()
+    sources = {"data": data, **({"foreign": data} if command == "ood" else {})}
+    sources[empty] = str(header_only)
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert run([command, "--model", str(tmp_path / "m" / "model_dwac_trial0.json"),
+                *(arg for key, path in sources.items() for arg in (f"--{key}", path)),
+                "--out", str(out)]) == 2
+    assert assert_one_error_line(capsys) == f"error: {header_only}: no data rows to score"
+    assert not out.exists()
 
 
 def test_ood_foreign_refuses_training_settings(trained_dir, tmp_path, capsys):
@@ -1153,6 +1167,42 @@ def test_verbose_logs_one_debug_line_per_epoch(tmp_path, caplog, monkeypatch):
     assert epoch_lines() == []
     for path in (tmp_path / "v").iterdir():  # the outputs do not depend on -v
         assert path.read_bytes() == (tmp_path / "q" / path.name).read_bytes()
+
+
+def test_verbose_logs_of_a_trained_child_follow_the_callers_in_job_order(
+        tmp_path, caplog, monkeypatch):
+    use_cpus(monkeypatch, 2)  # softmax trains in a forked child, dwac in this process
+    with caplog.at_level("DEBUG", logger="dwac_kit"):
+        assert run(["train", "-v", "--data", BLOBS, "--head", "both", "--max-epochs", "2",
+                    "--patience", "2", "--out", str(tmp_path / "v")]) == 0
+    assert [r.getMessage().split()[:2] for r in caplog.records if " epoch=" in r.getMessage()
+            ] == [[f"head={head}", f"epoch={epoch}"] for head in ("dwac", "softmax")
+                  for epoch in (1, 2)]
+
+
+def test_verbose_stderr_is_the_same_on_every_run(tmp_path):
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    errs = [subprocess.run(
+        [sys.executable, "-m", "dwac_kit.cli", "train", "-v", "--data",
+         "blobs:n=300,c=3,d=4,sep=8", "--head", "both", "--max-epochs", "3",
+         "--out", str(tmp_path / str(i))], env=env, capture_output=True, text=True,
+        check=True).stderr for i in range(2)]
+    assert errs[0] == errs[1] and errs[0].count("DEBUG head=") == 6
+
+
+def test_a_column_with_a_value_per_row_trains_and_predicts(tmp_path):
+    # its proper split's 2,400 values make a 2,402-wide first layer, but the
+    # encoded rows hold one code each, and unseen ids select the unknown row
+    data, schema = write_unique_id_csv(tmp_path, 4000)
+    out = tmp_path / "ids"
+    assert run(["train", "--data", data, "--schema", schema, "--head", "dwac",
+                "--max-epochs", "2", "--out", str(out)]) == 0
+    model = out / "model_dwac_trial0.json"
+    assert json.loads(model.read_text())["spec"]["layer_sizes"][0] == 2402
+    assert run(["predict", "--data", data, "--model", str(model),
+                "--out", str(tmp_path / "p")]) == 0
+    assert len(_records(tmp_path / "p" / "predictions.json", "predictions")) == 4000
 
 
 def test_ood_holdout_on_csv(tmp_path):

@@ -23,7 +23,7 @@ from dwac_kit import (
 )
 from dwac_kit import data as data_module
 from dwac_kit.data import atomic_write_text, encode_rows, fit_stats, label_codes, read_csv_rows
-from helpers import load_csv, quick_split, read_rows_oracle
+from helpers import dense, load_csv, quick_split, read_rows_oracle
 
 SCHEMA = Schema(
     columns=(
@@ -93,12 +93,14 @@ def test_schema_json_round_trip(tmp_path):
 def test_encoding_zscores_and_one_hots(tmp_path):
     ds = load_csv(write_csv(tmp_path, TRAIN_CSV), SCHEMA)
     # size has mean 1, std 1 -> {0, 2} map to {-1, +1}
-    assert np.array_equal(ds.x[:, 0], np.array([-1.0, 1.0, -1.0, 1.0]))
-    # 3 observed colors -> 3 indicators + 1 unknown slot
-    assert ds.feature_names == (
-        "size", "color=blue", "color=green", "color=red", "color=<unknown>")
-    assert np.array_equal(ds.x[0, 1:], np.array([0.0, 0.0, 1.0, 0.0]))
-    assert np.array_equal(ds.x[1, 1:], np.array([1.0, 0.0, 0.0, 0.0]))
+    assert np.array_equal(ds.x.cont[:, 0], np.array([-1.0, 1.0, -1.0, 1.0]))
+    # 3 observed colors -> rows 1-3 of the first layer (blue, green, red) and
+    # row 4 for an unknown color; each row codes its color by the row
+    assert ds.stats.vocabs == {"color": ("blue", "green", "red")}
+    assert ds.x.cont_rows.tolist() == [0]
+    assert ds.x.slots.dtype == np.int32 and ds.x.slots[:, 0].tolist() == [3, 1, 2, 3]
+    assert np.array_equal(dense(ds.x)[0, 1:], np.array([0.0, 0.0, 1.0, 0.0]))
+    assert np.array_equal(dense(ds.x)[1, 1:], np.array([1.0, 0.0, 0.0, 0.0]))
     assert np.array_equal(ds.y, np.array([0, 1, 0, 1]))
     assert ds.num_classes == 2 and ds.dim == 5
 
@@ -108,10 +110,10 @@ def test_prediction_data_reuses_training_stats(tmp_path):
     test_csv = write_csv(tmp_path, "species,size,color,notes\ncat,4,purple,q\n", "t.csv")
     test_ds = load_csv(test_csv, SCHEMA, stats=train_ds.stats)
     # z-scored with the training moments, not refit on the single row
-    assert test_ds.x[0, 0] == pytest.approx(3.0)
+    assert test_ds.x.cont[0, 0] == pytest.approx(3.0)
     # unseen category lands in the unknown slot instead of crashing
-    assert np.array_equal(test_ds.x[0, 1:], np.array([0.0, 0.0, 0.0, 1.0]))
-    assert test_ds.feature_names == train_ds.feature_names
+    assert test_ds.x.slots.tolist() == [[4]]
+    assert test_ds.dim == train_ds.dim == 5
 
 
 def test_unlabeled_file_loads_without_labels(tmp_path):
@@ -273,7 +275,7 @@ def test_blobs_balanced_labels():
     counts = np.bincount(ds.y, minlength=3)
     assert counts.tolist() == [4, 3, 3]
     assert ds.num_classes == 3 and ds.dim == 3
-    assert ds.feature_names == ("x0", "x1", "x2")
+    assert ds.x.slots.shape == (10, 0)
 
 
 def test_blob_data_is_an_all_continuous_table():
@@ -285,12 +287,13 @@ def test_blob_data_is_an_all_continuous_table():
     for i in range(2):
         column = data.table.columns[f"x{i}"]
         assert column.dtype == np.float64 and column.flags.c_contiguous
-        assert np.array_equal(column, ds.x[:, i])
+        assert np.array_equal(column, ds.x.cont[:, i])
     assert np.array_equal(label_codes(data.table, data.schema), ds.y)
     # encoded with stats fitted on all of it: each column z-scored on its own
     encoded = encode_rows(data.table, data.schema, fit_stats(data.table, data.schema))
-    assert encoded.feature_names == ("x0", "x1")
-    assert np.allclose(encoded.x, (ds.x - ds.x.mean(axis=0)) / ds.x.std(axis=0))
+    assert encoded.x.cont_rows.tolist() == [0, 1] and encoded.x.slots.shape == (10, 0)
+    x = ds.x.cont
+    assert np.allclose(encoded.x.cont, (x - x.mean(axis=0)) / x.std(axis=0))
     # errors name the source and number the rows from 1
     two = replace(data.schema, label_values=("0", "1"))
     with pytest.raises(ValueError, match=r"^blobs:n=10: row 8: label '2' not in"):
@@ -301,7 +304,7 @@ def test_blobs_centers_are_equidistant():
     # class means converge on the simplex vertices; every pairwise distance
     # should be close to the requested separation
     ds = make_blobs(3000, 3, 2, 20.0, make_rng(1, 3))
-    means = np.stack([ds.x[ds.y == k].mean(axis=0) for k in range(3)])
+    means = np.stack([ds.x.cont[ds.y == k].mean(axis=0) for k in range(3)])
     dists = np.sqrt(pairwise_sq_distances(means, means))
     off = dists[~np.eye(3, dtype=bool)]
     assert np.all(np.abs(off - 20.0) < 0.3)
@@ -310,13 +313,13 @@ def test_blobs_centers_are_equidistant():
 def test_blobs_single_class():
     ds = make_blobs(50, 1, 3, 5.0, make_rng(2, 3))
     assert np.all(ds.y == 0)
-    assert np.abs(ds.x.mean(axis=0)).max() < 1.0
+    assert np.abs(ds.x.cont.mean(axis=0)).max() < 1.0
 
 
 def test_blobs_deterministic():
     a = make_blobs(40, 2, 2, 4.0, make_rng(9, 3))
     b = make_blobs(40, 2, 2, 4.0, make_rng(9, 3))
-    assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+    assert np.array_equal(a.x.cont, b.x.cont) and np.array_equal(a.y, b.y)
 
 
 def test_blobs_validation():
@@ -339,7 +342,7 @@ def test_blobs_nearest_neighbor_separability():
     # classification in input space is essentially perfect
     ds = make_blobs(400, 4, 4, 10.0, make_rng(3, 3))
     ref, query = quick_split(ds, (0.7, 0.3), 3)
-    nearest = np.argmin(pairwise_sq_distances(query.x, ref.x), axis=1)
+    nearest = np.argmin(pairwise_sq_distances(query.x.cont, ref.x.cont), axis=1)
     acc = float(np.mean(ref.y[nearest] == query.y))
     assert acc >= 0.99
 
@@ -350,7 +353,7 @@ def test_blobs_nearest_neighbor_separability():
 
 def make_artifact(run):
     result, proper, calib, test = run
-    schema = Schema(columns=(*(ColumnSpec(name, "continuous") for name in proper.feature_names),
+    schema = Schema(columns=(*(ColumnSpec(f"x{i}", "continuous") for i in range(proper.dim)),
                              ColumnSpec("y", "label")),
                     label_values=("0", "1", "2"))
     return ModelArtifact(

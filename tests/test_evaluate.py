@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -26,7 +27,7 @@ from dwac_kit.conformal import NEG_PROB, NEG_WEIGHT_SUM
 from dwac_kit.data import CsvData, read_csv_rows
 from dwac_kit.evaluate import SPLIT_STREAM, trial_splits
 from dwac_kit.linalg import shuffle_split
-from helpers import quick_split
+from helpers import quick_split, write_unique_id_csv
 
 
 # ---------------------------------------------------------------------------
@@ -131,14 +132,14 @@ def test_blob_splits_fit_moments_on_proper_rows_only():
     for raw, ds in ((raw_proper, proper), (raw_calib, calib), (raw_test, test)):
         assert np.array_equal(ds.y, raw.y)
     # the moments of each column alone, over the proper rows
-    assert proper.stats.means == {f"x{i}": float(np.mean(raw_proper.x[:, i].copy()))
+    assert proper.stats.means == {f"x{i}": float(np.mean(raw_proper.x.cont[:, i].copy()))
                                   for i in range(4)}
-    mean = raw_proper.x.mean(axis=0)
-    std = raw_proper.x.std(axis=0)
-    assert np.allclose(calib.x, (raw_calib.x - mean) / std)
-    assert np.allclose(test.x, (raw_test.x - mean) / std)
+    mean = raw_proper.x.cont.mean(axis=0)
+    std = raw_proper.x.cont.std(axis=0)
+    assert np.allclose(calib.x.cont, (raw_calib.x.cont - mean) / std)
+    assert np.allclose(test.x.cont, (raw_test.x.cont - mean) / std)
     # applying the proper stats is not the same as refitting on calib
-    assert not np.allclose(calib.x.mean(axis=0), 0.0, atol=1e-3)
+    assert not np.allclose(calib.x.cont.mean(axis=0), 0.0, atol=1e-3)
 
 
 def test_holdout_splits_relabel_the_remaining_classes_densely():
@@ -149,7 +150,7 @@ def test_holdout_splits_relabel_the_remaining_classes_densely():
     assert len(held) == 20 and held.y is None
     means = np.array([proper.stats.means[f"x{i}"] for i in range(3)])
     stds = np.array([proper.stats.stds[f"x{i}"] for i in range(3)])
-    assert np.allclose(held.x, (blobs.x[blobs.y == 2] - means) / stds)
+    assert np.allclose(held.x.cont, (blobs.x.cont[blobs.y == 2] - means) / stds)
     # classes 0, 1 and 3 compact to 0, 1 and 2, in the rows of the split
     kept = np.flatnonzero(blobs.y != 2)
     parts = shuffle_split(kept.size, (0.6, 0.2, 0.2), make_rng(0, SPLIT_STREAM))
@@ -179,9 +180,11 @@ def test_csv_holdout_splits_fit_stats_on_proper_rows_only(tmp_path):
     data = CsvData(table=table, schema=schema, has_labels=has_labels)
 
     proper, calib, test, held = trial_splits(data, 4, (0.6, 0.2, 0.2), held_class=2)
-    assert proper.feature_names == ("size", "color=blue", "color=red", "color=<unknown>")
+    # size feeds the first layer's row 0, blue and red rows 1 and 2, and an
+    # unknown colour row 3
+    assert proper.stats.vocabs == {"color": ("blue", "red")} and proper.dim == 4
     assert len(held) == 20 and held.y is None
-    assert np.array_equal(held.x[:, 1:], np.tile([0.0, 0.0, 1.0], (20, 1)))
+    assert held.x.slots.tolist() == [[3]] * 20
     assert len(proper) + len(calib) + len(test) == 40
     for ds in (proper, calib, test, held):
         assert ds.num_classes == 2
@@ -191,7 +194,42 @@ def test_csv_holdout_splits_fit_stats_on_proper_rows_only(tmp_path):
     assert np.array_equal(proper.y, rows % 3)
     sizes = (rows * rows).astype(np.float64)
     assert proper.stats.means["size"] == float(np.mean(sizes))
-    assert np.allclose(proper.x[:, 0], (sizes - sizes.mean()) / sizes.std())
+    assert np.allclose(proper.x.cont[:, 0], (sizes - sizes.mean()) / sizes.std())
+
+
+def _split_allocation(data):
+    """Bytes that ``trial_splits`` of ``data`` holds once it returns, and at
+    its peak."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        sets = trial_splits(data, 0, (0.6, 0.2, 0.2))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, sets)) == len(data)
+    return held - base, peak - base
+
+
+def test_split_memory_does_not_grow_with_the_vocabulary(tmp_path):
+    # a categorical column with a distinct value per row: a one-hot matrix of
+    # its proper split's vocabulary would take 0.6 x rows x 8 bytes per row
+    per_row = {}
+    for rows in (1000, 4000):
+        path, schema_path = write_unique_id_csv(tmp_path, rows)
+        schema = Schema.from_file(schema_path)
+        table, has_labels = read_csv_rows(path, schema)
+        data = CsvData(table=table, schema=schema, has_labels=has_labels)
+        trial_splits(data, 0, (0.6, 0.2, 0.2))  # once first, for numpy's lazy state
+        held, peak = _split_allocation(data)
+        # the sets hold 8 bytes per continuous cell and 4 per categorical one,
+        # 8 per label, and the fitted vocabulary one 8-byte reference per value
+        assert held <= rows * (8 + 4 + 8 + 8) + 64 * 1024, (rows, held)
+        # transients: the vocabulary's lookup table and each value's code
+        assert peak <= rows * (8 + 4 + 96) + 256 * 1024, (rows, peak)
+        per_row[rows] = peak / rows
+    assert per_row[4000] <= 1.1 * per_row[1000], per_row
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +326,7 @@ def test_cross_dataset_shifted_foreign_loses_credibility(dwac_run):
     result, proper, calib, test = dwac_run
     calib_preds = predict(result.model, calib.x, train=result.embedded, sigma=0.5)
     scores = calibrate(calib_preds, calib.y, NEG_WEIGHT_SUM)
-    foreign = Dataset(x=test.x + 40.0, y=None, num_classes=test.num_classes,
-                      feature_names=test.feature_names)
+    foreign = Dataset(x=test.x.cont + 40.0, y=None, num_classes=test.num_classes)
     in_mean, out_mean = map(np.mean, ood_cross_dataset(
         result.model, result.embedded, {NEG_WEIGHT_SUM: scores}, in_domain=test,
         foreign=foreign)[NEG_WEIGHT_SUM])
@@ -312,16 +349,14 @@ def test_cross_dataset_validation(dwac_run):
     result, proper, calib, test = dwac_run
     calib_preds = predict(result.model, calib.x, train=result.embedded, sigma=0.5)
     scores = calibrate(calib_preds, calib.y, NEG_PROB)
-    empty = Dataset(x=np.zeros((0, test.dim)), y=None, num_classes=test.num_classes,
-                    feature_names=test.feature_names)
+    empty = Dataset(x=np.zeros((0, test.dim)), y=None, num_classes=test.num_classes)
     with pytest.raises(ValueError, match="^foreign dataset is empty$"):
         ood_cross_dataset(result.model, result.embedded, {NEG_PROB: scores},
                           in_domain=test, foreign=empty)
     with pytest.raises(ValueError, match="^in-domain dataset is empty$"):
         ood_cross_dataset(result.model, result.embedded, {NEG_PROB: scores},
                           in_domain=empty, foreign=test)
-    narrow = Dataset(x=test.x[:, :-1], y=None, num_classes=test.num_classes,
-                     feature_names=test.feature_names[:-1])
+    narrow = Dataset(x=test.x.cont[:, :-1], y=None, num_classes=test.num_classes)
     with pytest.raises(ValueError):
         ood_cross_dataset(result.model, result.embedded, {NEG_PROB: scores},
                           in_domain=test, foreign=narrow)

@@ -133,8 +133,8 @@ def test_complete_explanation_reconstructs_probabilities(dwac_run):
 def test_top_k_is_prefix_of_full_ranking(dwac_run):
     result, _, _, test = dwac_run
     train = result.embedded
-    full = explain(test.x[0], result.model, train)
-    top = explain(test.x[0], result.model, train, k=7)
+    full = explain(test.x[:1], result.model, train)
+    top = explain(test.x[:1], result.model, train, k=7)
     assert len(top.entries) == 7
     assert [e.index for e in top.entries] == [e.index for e in full.entries[:7]]
     assert top.total_weight == full.total_weight
@@ -159,7 +159,7 @@ def test_explanations_across_row_blocks_keep_global_query_ids():
 def test_query_equal_to_training_point_ranks_first(dwac_run):
     result, proper, _, _ = dwac_run
     train = result.embedded
-    exp = explain(proper.x[5], result.model, train, k=3)
+    exp = explain(proper.x[5:6], result.model, train, k=3)
     assert exp.entries[0].index == 5
     assert abs(exp.entries[0].weight - 1.0) < 1e-12
 

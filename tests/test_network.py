@@ -5,18 +5,27 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dwac_kit import Dataset
+from dwac_kit.data import Schema, encode_rows, fit_stats, read_csv_rows
 from dwac_kit.linalg import make_rng
 from dwac_kit.network import (
     DWAC,
     SOFTMAX,
     EmbeddingModel,
+    Inputs,
     MlpSpec,
     adam_step,
     backward,
     forward,
     init_model,
 )
-from helpers import eval_forward_oracle
+from helpers import (
+    dense,
+    encode_rows_oracle,
+    eval_forward_oracle,
+    read_rows_oracle,
+    write_csv_data,
+)
 
 
 def small_model(sizes=(4, 6, 3), dropout=0.0, seed=0, head=DWAC):
@@ -92,6 +101,84 @@ def test_eval_forward_holds_one_product_per_layer():
     assert h.shape == (2000, 4)
     products = 8 * x.shape[0] * sum(sizes[1:])
     assert peak <= products + 64 * 1024, (peak, products)
+
+
+def _close(a, b, rtol=1e-12):
+    return np.abs(a - b).max() <= rtol * np.abs(b).max()
+
+
+def test_forward_on_codes_equals_the_dense_one_hot_oracle(tmp_path):
+    # moments and vocabularies from the rows of classes a and b only, so the
+    # purple rows of class c hold a colour unseen there: the unknown row
+    path, schema_path = write_csv_data(tmp_path)
+    schema = Schema.from_file(schema_path)
+    table, _ = read_csv_rows(path, schema)
+    rows, _ = read_rows_oracle(path, schema)
+    stats = fit_stats(table, schema, index=[i for i, r in enumerate(rows) if r["species"] != "c"])
+    assert "purple" not in stats.vocabs["color"]
+    coded = encode_rows(table, schema, stats).x
+    oracle = encode_rows_oracle(rows, schema, stats).x
+    unknown = coded.width - 1
+    assert (coded.slots == unknown).any()
+    batch = coded[:64]
+    assert len(np.unique(batch.slots)) < 64  # rows of one batch share slots
+    model = small_model(sizes=(coded.width, 6, 3), seed=2)
+    for b in model.biases:
+        b += make_rng(5).standard_normal(b.shape)
+    assert _close(forward(model, coded)[0], forward(model, oracle)[0])
+    assert _close(forward(model, coded)[0], eval_forward_oracle(model, oracle.cont))
+    h, cache = forward(model, batch, mode="train")
+    h_dense, cache_dense = forward(model, oracle[:64], mode="train")
+    assert _close(h, h_dense)
+    d = make_rng(6).standard_normal(h.shape)
+    for g, g_dense in zip(backward(model, cache, d), backward(model, cache_dense, d)):
+        assert _close(g, g_dense)
+
+
+def test_backward_is_the_gradient_of_any_slots():
+    # the encoder gives each column its own rows, but a hand-made row may
+    # select a row twice or a continuous column's row: its product with W
+    # counts each selection, and so does the gradient
+    x = Inputs(make_rng(7).standard_normal((4, 2)),
+               np.array([[2, 2], [0, 3], [3, 1], [4, 4]], dtype=np.int32), [0, 1], 5)
+    model = small_model(sizes=(5, 3), seed=8)
+    d = make_rng(9).standard_normal((4, 3))
+    h, cache = forward(model, x, mode="train")
+    h_dense, cache_dense = forward(model, dense(x), mode="train")
+    assert _close(h, h_dense)
+    for g, g_dense in zip(backward(model, cache, d), backward(model, cache_dense, d)):
+        assert _close(g, g_dense)
+
+
+def test_all_continuous_rows_take_the_plain_product_bit_for_bit():
+    # data with no categorical columns (every blob set) runs x @ W + b
+    # forward and x.T @ d backward, bit for bit
+    model = small_model(sizes=(5, 7), seed=3)
+    model.biases[0] += make_rng(3).standard_normal(7)
+    x = make_rng(4).standard_normal((130, 5))
+    d = make_rng(5).standard_normal((130, 7))
+    for rows in (x, Dataset(x=x, y=None, num_classes=2).x):
+        for mode in ("eval", "train"):
+            h, cache = forward(model, rows, mode=mode)
+            assert h.tobytes() == (x @ model.weights[0] + model.biases[0]).tobytes()
+        grads = backward(model, cache, d)
+        assert grads[0].tobytes() == (x.T @ d).tobytes()
+        assert grads[1].tobytes() == d.sum(axis=0).tobytes()
+
+
+def test_inputs_checks():
+    cont = np.zeros((3, 1))
+    with pytest.raises(ValueError, match="slots must be an int32"):
+        Inputs(cont, np.zeros((3, 1), dtype=np.int64), [0], 4)
+    with pytest.raises(ValueError, match="slots must lie in 0..3"):
+        Inputs(cont, np.full((3, 1), 4, dtype=np.int32), [0], 4)
+    with pytest.raises(ValueError, match="cannot feed 4 rows"):
+        Inputs(cont, np.zeros((3, 0), dtype=np.int32), [0], 4)
+    with pytest.raises(ValueError, match="non-finite"):
+        Inputs(np.full((3, 1), np.inf), np.zeros((3, 1), dtype=np.int32), [0], 4)
+    with pytest.raises(ValueError, match="input has 4 columns, model expects 5"):
+        forward(small_model(sizes=(5, 2)), Inputs(cont, np.ones((3, 1), dtype=np.int32),
+                                                  [0], 4))
 
 
 def test_forward_input_checks():

@@ -115,7 +115,7 @@ def test_predict_requires_reference_for_dwac(dwac_run):
 
 
 def test_embed_training_set_requires_labels():
-    ds = Dataset(x=np.zeros((3, 2)), y=None, num_classes=2, feature_names=("a", "b"))
+    ds = Dataset(x=np.zeros((3, 2)), y=None, num_classes=2)
     model = build_model(TrainConfig(head=DWAC), 2, 2)
     with pytest.raises(ValueError):
         embed_training_set(model, ds)
@@ -125,7 +125,7 @@ def test_splits_share_no_instances(dwac_run):
     _, proper, calib, test = dwac_run
     assert len(proper) + len(calib) + len(test) == 400
     # split indices partition the source dataset, so x rows must be disjoint
-    all_rows = np.vstack([proper.x, calib.x, test.x])
+    all_rows = np.vstack([proper.x.cont, calib.x.cont, test.x.cont])
     assert np.unique(all_rows, axis=0).shape[0] == 400
 
 
