@@ -51,6 +51,7 @@ from .data import (
     save_model,
 )
 from .evaluate import (
+    PER_BIN,
     accuracy,
     calibration_mae,
     ood_cross_dataset,
@@ -479,6 +480,11 @@ def cmd_train(cfg: RunConfig) -> int:
                 ["epoch", "mean_loss", "calib_accuracy"],
                 [[e.epoch, _fmt(e.mean_loss), _fmt(e.calib_accuracy)] for e in result.history],
             )
+        if math.isnan(mae):  # then every head's is: the bins depend on the test split alone
+            pairs = len(test) * proper.num_classes
+            log.warning("trial %d: the calibration error is NaN: the test split's %d rows x %d "
+                        "classes make %d pairs, fewer than two bins of %d", trial, len(test),
+                        proper.num_classes, pairs, PER_BIN)
     _write_csv(
         cfg, "summary.csv",
         ["head", "accuracy_mean", "accuracy_std", "calibration_mae_mean",

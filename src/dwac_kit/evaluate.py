@@ -23,6 +23,7 @@ from .network import EmbeddingModel
 from .trainer import TrainResult, predict
 
 SPLIT_STREAM = 2
+PER_BIN = 100  # (probability, indicator) pairs per calibration bin
 
 
 def accuracy(predictions, labels: np.ndarray) -> float:
@@ -38,7 +39,7 @@ def accuracy(predictions, labels: np.ndarray) -> float:
     return float(np.mean(predicted == labels))
 
 
-def calibration_mae(probs: np.ndarray, labels: np.ndarray, per_bin: int = 100) -> float:
+def calibration_mae(probs: np.ndarray, labels: np.ndarray, per_bin: int = PER_BIN) -> float:
     """Mean absolute calibration error with equal-count adaptive bins.
 
     All n*c (probability, is-true-class) pairs are pooled and sorted by

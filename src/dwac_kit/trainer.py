@@ -6,7 +6,7 @@ rerunning a config reproduces the parameter trajectory bitwise.
 Validation runs after every epoch; when calibration
 accuracy fails to improve for ``patience`` epochs the loop stops and the
 best epoch's parameters are restored. ``train_many`` trains independent
-models side by side, in forked processes on the other usable CPUs.
+models side by side, in the caller and one forked child.
 """
 
 from __future__ import annotations
@@ -211,8 +211,6 @@ def train(proper: Dataset, calibration: Dataset, config: TrainConfig) -> TrainRe
         preds = predict(model, calibration.x, train=ref, sigma=config.sigma)
         acc = float(np.mean(preds.predicted == calibration.y))
         history.append(EpochStats(epoch=epoch, mean_loss=mean_loss, calib_accuracy=acc))
-        log.debug("head=%s epoch=%d mean_loss=%.4f calib_acc=%.4f", config.head, epoch,
-                  mean_loss, acc)
 
         if acc > best_acc:
             best_acc = acc
@@ -240,57 +238,55 @@ def train(proper: Dataset, calibration: Dataset, config: TrainConfig) -> TrainRe
 def train_many(jobs: list[tuple[Dataset, Dataset, TrainConfig]]) -> list[TrainResult]:
     """``[train(*job) for job in jobs]``, trained side by side.
 
-    The caller trains the last job. Up to one child per other usable CPU,
-    forked so it inherits the data, trains a contiguous run of the rest and
-    pipes back only its pickled results, so none depends on the process
-    count. A child's log records come back with its results: the caller
-    emits them after its own, in job order, so a run logs the same lines in
-    the same order every time. The first failed job's exception is raised,
-    and no child outlives the call. One job, one CPU or no ``os.fork`` is a
-    serial loop.
+    With two or more jobs, another usable CPU and ``os.fork``, the caller
+    trains the last job while one forked child trains the rest in order and
+    pipes back their pickled results; otherwise a serial loop trains them.
+    Then each job's epochs are logged at DEBUG from its history, in job order.
+    The first failed job's exception is raised; no child outlives the call.
     """
-    runs = max(0, min(heads.usable_cpus(), len(jobs)) - 1) if hasattr(os, "fork") else 0
-    cuts = [(len(jobs) - 1) * i // max(runs, 1) for i in range(runs + 1)]
-    children: dict[int, int] = {}  # pid -> read end of its pipe, until reaped
-    try:
-        for a, b in zip(cuts, cuts[1:]):
-            read, write = os.pipe()
-            try:
-                with warnings.catch_warnings():
-                    # Python 3.12+ warns in the parent when the process has more
-                    # than one thread. None here is a Python thread (kernel_blocks
-                    # joins its helpers before it returns); OpenBLAS's pool is
-                    # joined by its own pthread_atfork prepare handler.
-                    warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
-                    pid = os.fork()
-            except OSError:
-                os.close(read)
-                os.close(write)
-                raise
+    if len(jobs) > 1 and heads.usable_cpus() > 1 and hasattr(os, "fork"):
+        results = _beside_a_child(jobs)
+    else:
+        results = [train(*job) for job in jobs]
+    for (_, _, config), result in zip(jobs, results):
+        for e in result.history:
+            log.debug("head=%s epoch=%d mean_loss=%.4f calib_acc=%.4f", config.head, e.epoch,
+                      e.mean_loss, e.calib_accuracy)
+    return results
+
+
+def _beside_a_child(jobs: list[tuple]) -> list[TrainResult]:
+    """Train the last job here while a forked child trains the rest."""
+    read, write = os.pipe()
+    with open(read, "rb") as pipe:
+        try:
+            with warnings.catch_warnings():
+                # Python 3.12+ warns in the parent when the process has more than
+                # one thread. None here is a Python thread (kernel_blocks joins its
+                # helpers before it returns); OpenBLAS's pool is joined by its own
+                # pthread_atfork prepare handler.
+                warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
+                pid = os.fork()
             if pid == 0:
-                _child(jobs[a:b], write)
+                _child(jobs[:-1], write)
+        finally:
             os.close(write)
-            children[pid] = read
-        outcomes = [_outcome(jobs[cuts[-1]:])]
-        for pid, read in list(children.items()):
-            with open(read, "rb", closefd=False) as f:
-                payload = f.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            os.close(children.pop(pid))
-            outcome, records = pickle.loads(payload) if payload else (RuntimeError(
-                f"a training process ended without a result (exit code {code})"), [])
-            for record in records:
-                log.handle(record)
-            outcomes.insert(-1, outcome)
-        for outcome in outcomes:
-            if isinstance(outcome, Exception):
-                raise outcome
-        return [result for outcome in outcomes for result in outcome]
-    finally:
-        for pid, read in children.items():  # left only by an error: end them
-            os.close(read)
+        try:
+            mine = _outcome(jobs[-1:])
+            payload = pipe.read()
+        except BaseException:  # an interrupt, say: end the child, do not await it
             os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            raise
+        finally:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    try:
+        theirs = pickle.loads(payload)
+    except (pickle.UnpicklingError, EOFError):  # empty or cut short: the child died writing
+        theirs = RuntimeError(f"a training process ended without a result (exit code {code})")
+    for outcome in (theirs, mine):  # the child's jobs come first
+        if isinstance(outcome, Exception):
+            raise outcome
+    return theirs + mine
 
 
 def _outcome(jobs: list[tuple]) -> list[TrainResult] | Exception:
@@ -301,30 +297,14 @@ def _outcome(jobs: list[tuple]) -> list[TrainResult] | Exception:
         return e
 
 
-class _Kept(logging.Handler):
-    """Keeps the records it handles, each message formatted so it pickles."""
-
-    def __init__(self):
-        super().__init__()
-        self.records: list[logging.LogRecord] = []
-
-    def emit(self, record: logging.LogRecord) -> None:
-        record.msg, record.args, record.exc_info = record.getMessage(), None, None
-        self.records.append(record)
-
-
 def _child(jobs: list[tuple], write: int) -> None:
-    """Train ``jobs`` in a forked child and pipe back the pickled outcome with
-    the records logged meanwhile, which reach no handler here. The process
-    ends here on every path, so it never runs the caller's code."""
+    """Train ``jobs`` in a forked child and pipe back the pickled outcome. The
+    process ends here on every path, so it never runs the caller's code."""
     try:
-        kept = _Kept()
-        log.handlers, log.propagate = [kept], False
         with open(write, "wb") as f:
             try:
-                f.write(pickle.dumps((_outcome(jobs), kept.records)))
+                f.write(pickle.dumps(_outcome(jobs)))
             except Exception as e:  # an outcome that does not pickle
-                f.write(pickle.dumps((RuntimeError(f"cannot send a training result: {e}"),
-                                      kept.records)))
+                f.write(pickle.dumps(RuntimeError(f"cannot send a training result: {e}")))
     finally:
         os._exit(0)

@@ -200,7 +200,9 @@ def test_a_tiny_sigma_scores_by_the_nearest_neighbours(tmp_path, caplog):
     accs = [float(r.getMessage().split(" acc=")[1].split()[0]) for r in caplog.records
             if r.getMessage().startswith("head=dwac trial=")]
     assert len(accs) == 2 and min(accs) > 0.5, accs
-    assert not [r for r in caplog.records if r.levelname == "WARNING"]
+    assert [r.getMessage() for r in caplog.records if r.levelname == "WARNING"] == [
+        f"trial {trial}: the calibration error is NaN: the test split's 32 rows x 4 classes "
+        "make 128 pairs, fewer than two bins of 100" for trial in (0, 1)]
     assert run(argv + ["--out", str(tmp_path / "b")]) == 0
     for path in (tmp_path / "a").iterdir():
         assert path.read_bytes() == (tmp_path / "b" / path.name).read_bytes()
@@ -1123,13 +1125,26 @@ def test_a_test_split_too_small_to_score_is_logged(tmp_path, caplog):
     with caplog.at_level("INFO", logger="dwac_kit"):
         assert run(["train", "--data", "blobs:n=5,c=2,d=2,sep=3",
                     "--out", str(tmp_path / "tiny"), *FAST]) == 0
-    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
-    assert warnings == ["trial 0: the test split has 1 rows, fewer than the 2 classes; "
-                        "its accuracy and calibration error say little"]
+    def warnings():
+        return [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+
+    assert warnings() == ["trial 0: the test split has 1 rows, fewer than the 2 classes; "
+                          "its accuracy and calibration error say little",
+                          "trial 0: the calibration error is NaN: the test split's 1 rows x 2 "
+                          "classes make 2 pairs, fewer than two bins of 100"]
     caplog.clear()
     with caplog.at_level("INFO", logger="dwac_kit"):
-        assert run(["train", "--data", BLOBS, "--out", str(tmp_path / "big"), *FAST]) == 0
-    assert not [r for r in caplog.records if r.levelname == "WARNING"]
+        assert run(["train", "--data", BLOBS, "--out", str(tmp_path / "small"), *FAST]) == 0
+    assert warnings() == ["trial 0: the calibration error is NaN: the test split's 40 rows x 3 "
+                          "classes make 120 pairs, fewer than two bins of 100"]
+    caplog.clear()
+    # 120 test rows x 3 classes: 360 pairs make three bins, and a defined error
+    with caplog.at_level("INFO", logger="dwac_kit"):
+        assert run(["train", "--data", "blobs:n=600,c=3", "--out", str(tmp_path / "big"),
+                    *FAST]) == 0
+    assert warnings() == []
+    _, rows = read_table(tmp_path / "big" / "summary.csv")
+    assert all(np.isfinite(float(r[3])) for r in rows[1:])  # calibration_mae_mean
 
 
 @pytest.mark.parametrize("message, line", [
@@ -1151,33 +1166,27 @@ def test_an_allocation_too_large_for_the_host_is_one_error_line(tmp_path, capsys
 
 
 def test_verbose_logs_one_debug_line_per_epoch(tmp_path, caplog, monkeypatch):
-    use_cpus(monkeypatch, 1)  # both heads train in this process, where caplog sees them
     argv = ["train", "--data", BLOBS, "--head", "both", "--max-epochs", "2", "--patience", "2"]
 
     def epoch_lines():
-        return [r.getMessage().split()[:2] for r in caplog.records
+        return [r.getMessage() for r in caplog.records
                 if r.levelname == "DEBUG" and " epoch=" in r.getMessage()]
 
-    assert run([*argv, "-v", "--out", str(tmp_path / "v")]) == 0
-    assert epoch_lines() == [[f"head={head}", f"epoch={epoch}"]
-                             for head in ("softmax", "dwac") for epoch in (1, 2)]
+    lines = []
+    for n in (1, 2):  # on 2 CPUs softmax trains in a forked child, dwac in this process
+        use_cpus(monkeypatch, n)
+        caplog.clear()
+        assert run([*argv, "-v", "--out", str(tmp_path / f"v{n}")]) == 0
+        lines.append(epoch_lines())
+    assert [line.split()[:2] for line in lines[0]] == [
+        [f"head={head}", f"epoch={epoch}"] for head in ("softmax", "dwac") for epoch in (1, 2)]
+    assert lines[1] == lines[0]
     caplog.clear()
     # a second run in the same process takes its own level, not the first run's
     assert run([*argv, "--out", str(tmp_path / "q")]) == 0
     assert epoch_lines() == []
-    for path in (tmp_path / "v").iterdir():  # the outputs do not depend on -v
+    for path in (tmp_path / "v1").iterdir():  # the outputs do not depend on -v
         assert path.read_bytes() == (tmp_path / "q" / path.name).read_bytes()
-
-
-def test_verbose_logs_of_a_trained_child_follow_the_callers_in_job_order(
-        tmp_path, caplog, monkeypatch):
-    use_cpus(monkeypatch, 2)  # softmax trains in a forked child, dwac in this process
-    with caplog.at_level("DEBUG", logger="dwac_kit"):
-        assert run(["train", "-v", "--data", BLOBS, "--head", "both", "--max-epochs", "2",
-                    "--patience", "2", "--out", str(tmp_path / "v")]) == 0
-    assert [r.getMessage().split()[:2] for r in caplog.records if " epoch=" in r.getMessage()
-            ] == [[f"head={head}", f"epoch={epoch}"] for head in ("dwac", "softmax")
-                  for epoch in (1, 2)]
 
 
 def test_verbose_stderr_is_the_same_on_every_run(tmp_path):

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import os
+import pickle
 import time
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -191,7 +193,7 @@ def test_train_refuses_splits_it_cannot_validate_or_fit():
 
 
 # ---------------------------------------------------------------------------
-# train_many: jobs side by side, one forked child per other usable CPU
+# train_many: the last job in the caller, the others in one forked child
 # ---------------------------------------------------------------------------
 
 FAST = ["--max-epochs", "30", "--batch-size", "64"]
@@ -239,13 +241,14 @@ def test_train_many_equals_serial_training_bit_for_bit(monkeypatch, forks, no_ch
             for seed in (1, 2) for head in (SOFTMAX, DWAC)]
     jobs.append((proper, calib, TrainConfig(max_epochs=3)))
     serial = [train(*job) for job in jobs]
-    # three CPUs, five jobs: two children train two jobs each, the caller the last
+    # three CPUs: one child trains all jobs but the last, the caller the last
     use_cpus(monkeypatch, 3)
-    side_by_side = train_many(jobs)
-    assert len(forks) == 2
-    assert len(side_by_side) == len(serial)
-    for a, b in zip(side_by_side, serial):
-        _assert_same_result(a, b)
+    for count in (2, 3, 5):
+        forks.clear()
+        side_by_side = train_many(jobs[:count])
+        assert len(forks) == 1
+        for a, b in zip(side_by_side, serial[:count], strict=True):
+            _assert_same_result(a, b)
 
 
 def test_the_multi_threaded_fork_warning_neither_raises_nor_leaves_a_child(
@@ -320,6 +323,23 @@ def test_a_failure_in_a_forked_job_is_one_error_line(tmp_path, monkeypatch, caps
     assert assert_one_error_line(capsys) == "error: raised in the child"
 
 
+def test_a_child_cut_off_while_it_writes_its_result_is_one_error_line(
+        tmp_path, monkeypatch, capsys, no_child_left):
+    use_cpus(monkeypatch, 2)
+    caller, dumps = os.getpid(), pickle.dumps
+
+    def half_in_the_child(obj):
+        data = dumps(obj)
+        return data if os.getpid() == caller else data[:len(data) // 2]
+
+    monkeypatch.setattr(pickle, "dumps", half_in_the_child)
+    capsys.readouterr()
+    assert main(["train", "--data", "blobs:n=200,c=3,d=3,sep=8", "--head", "both",
+                 "--out", str(tmp_path / "t"), *FAST]) == 2
+    assert assert_one_error_line(capsys) == (
+        "error: a training process ended without a result (exit code 0)")
+
+
 def test_a_child_that_ends_without_a_result_is_one_error_line(tmp_path, monkeypatch, capsys,
                                                               no_child_left):
     use_cpus(monkeypatch, 2)
@@ -371,9 +391,10 @@ def test_children_are_ended_when_the_caller_is_interrupted(monkeypatch, no_child
 
 def test_forked_jobs_run_under_the_callers_errstate(monkeypatch, no_child_left):
     use_cpus(monkeypatch, 2)
-    monkeypatch.setattr(trainer_mod, "train", lambda *job: (os.getpid(), np.geterr()))
+    monkeypatch.setattr(trainer_mod, "train", lambda *job: SimpleNamespace(
+        pid=os.getpid(), errstate=np.geterr(), history=[]))
     with np.errstate(over="raise", invalid="warn", divide="ignore", under="print"):
         expected = np.geterr()
-        (child, in_child), (caller, in_caller) = train_many([(None, None, None)] * 2)
-    assert child != caller == os.getpid()
-    assert in_child == in_caller == expected
+        child, caller = train_many([(None, None, None)] * 2)
+    assert child.pid != caller.pid == os.getpid()
+    assert child.errstate == caller.errstate == expected
