@@ -1166,27 +1166,39 @@ def test_an_allocation_too_large_for_the_host_is_one_error_line(tmp_path, capsys
 
 
 def test_verbose_logs_one_debug_line_per_epoch(tmp_path, caplog, monkeypatch):
+    use_cpus(monkeypatch, 1)  # both heads train in this process
     argv = ["train", "--data", BLOBS, "--head", "both", "--max-epochs", "2", "--patience", "2"]
 
     def epoch_lines():
-        return [r.getMessage() for r in caplog.records
+        return [r.getMessage().split()[:2] for r in caplog.records
                 if r.levelname == "DEBUG" and " epoch=" in r.getMessage()]
 
-    lines = []
-    for n in (1, 2):  # on 2 CPUs softmax trains in a forked child, dwac in this process
-        use_cpus(monkeypatch, n)
-        caplog.clear()
-        assert run([*argv, "-v", "--out", str(tmp_path / f"v{n}")]) == 0
-        lines.append(epoch_lines())
-    assert [line.split()[:2] for line in lines[0]] == [
-        [f"head={head}", f"epoch={epoch}"] for head in ("softmax", "dwac") for epoch in (1, 2)]
-    assert lines[1] == lines[0]
+    assert run([*argv, "-v", "--out", str(tmp_path / "v")]) == 0
+    assert epoch_lines() == [[f"head={head}", f"epoch={epoch}"]
+                             for head in ("softmax", "dwac") for epoch in (1, 2)]
     caplog.clear()
     # a second run in the same process takes its own level, not the first run's
     assert run([*argv, "--out", str(tmp_path / "q")]) == 0
     assert epoch_lines() == []
-    for path in (tmp_path / "v1").iterdir():  # the outputs do not depend on -v
+    for path in (tmp_path / "v").iterdir():  # the outputs do not depend on -v
         assert path.read_bytes() == (tmp_path / "q" / path.name).read_bytes()
+
+
+def test_verbose_logs_of_a_trained_child_follow_the_callers_in_job_order(
+        tmp_path, caplog, monkeypatch):
+    argv = ["train", "-v", "--data", BLOBS, "--head", "both", "--max-epochs", "2",
+            "--patience", "2"]
+    lines = []
+    for n in (1, 2):  # on 2 CPUs softmax trains in a forked child, dwac in this process
+        use_cpus(monkeypatch, n)
+        caplog.clear()
+        with caplog.at_level("DEBUG", logger="dwac_kit"):
+            assert run([*argv, "--out", str(tmp_path / f"v{n}")]) == 0
+        lines.append([r.getMessage() for r in caplog.records
+                      if r.levelname == "DEBUG" and " epoch=" in r.getMessage()])
+    assert [line.split()[:2] for line in lines[1]] == [
+        [f"head={head}", f"epoch={epoch}"] for head in ("softmax", "dwac") for epoch in (1, 2)]
+    assert lines[1] == lines[0]
 
 
 def test_verbose_stderr_is_the_same_on_every_run(tmp_path):
