@@ -38,7 +38,7 @@ from .evaluate import (
     ood_holdout_class_multi,
     trial_splits,
 )
-from .explain import Explanation, explain_with_agreement
+from .explain import explain_with_agreement
 from .heads import (
     DEFAULT_SIGMA,
     EmbeddedTrainingSet,

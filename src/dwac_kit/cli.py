@@ -130,6 +130,11 @@ class RunConfig:
             raise ValueError(f"fractions must be finite, got {list(self.fractions)!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name in ("epsilons", "k_list"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must hold at least one value")
         if any(not 0.0 <= e <= 1.0 for e in self.epsilons):
             raise ValueError("epsilon values must lie in [0, 1]")
         if self.head not in HEAD_CHOICES:
@@ -195,7 +200,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     merged: dict = {"command": args.command}
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as f:
-            file_values = json.load(f)
+            try:
+                file_values = json.load(f)
+            except ValueError as e:
+                raise ValueError(f"{args.config}: {e}") from None
         if not isinstance(file_values, dict):
             raise ValueError(f"{args.config}: config file must hold a JSON object")
         known = {f.name for f in fields(RunConfig)} - {"command"}  # the subcommand decides
@@ -524,8 +532,7 @@ def cmd_explain(cfg: RunConfig) -> int:
         ds.x, artifact.model, artifact.embedded, k=cfg.k, k_list=cfg.k_list,
         sigma=artifact.sigma,
     )
-    _write_json(cfg, "explanations.json", "explanations",
-                [e.to_json_dict() for e in explanations])
+    _write_json(cfg, "explanations.json", "explanations", explanations)
     _write_csv(cfg, "agreement.csv", [f"k_{k}" for k, _ in table],
                [[_fmt(frac) for _, frac in table]])
     log.info("wrote %d explanations and agreement table for k=%s",

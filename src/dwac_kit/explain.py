@@ -11,58 +11,10 @@ which is what justifies showing users only a short prefix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .heads import DEFAULT_SIGMA, EmbeddedTrainingSet, kernel_blocks
 from .network import DWAC, EmbeddingModel, forward
-
-
-@dataclass(frozen=True)
-class Entry:
-    index: int  # row in the embedded training set
-    weight: float
-    label: int
-
-
-@dataclass
-class Explanation:
-    """Ranked neighbor list for one query.
-
-    The entries (``index``, ``weights`` and ``labels``, one column each) are
-    sorted by descending weight, ties broken by ascending training index.
-    decisive_prefix is the smallest j such that the leading class's weight
-    among the first j entries exceeds the runner-up's by more than the total
-    weight remaining beyond j (exact remainder, even when entries are
-    truncated to top-k); 0 means the list never certifies the prediction.
-    When nonzero, relabeling everything beyond the prefix cannot change
-    predicted_label.
-    """
-
-    query_id: int
-    predicted_label: int
-    index: list[int]
-    weights: list[float]
-    labels: list[int]
-    cumulative_weight: np.ndarray
-    decisive_prefix: int
-    total_weight: float
-
-    @property
-    def entries(self) -> list[Entry]:
-        return list(map(Entry, self.index, self.weights, self.labels))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "query_id": self.query_id,
-            "predicted_label": self.predicted_label,
-            "entries": [
-                {"index": i, "weight": w, "label": lb}
-                for i, w, lb in zip(self.index, self.weights, self.labels)
-            ],
-            "decisive_prefix": self.decisive_prefix,
-        }
 
 
 def _ranked(w: np.ndarray, order: np.ndarray, depth: int) -> np.ndarray:
@@ -87,21 +39,29 @@ def explain_with_agreement(
     x: np.ndarray,
     model: EmbeddingModel,
     train: EmbeddedTrainingSet,
-    k: int | None,
+    k: int,
     k_list: tuple[int, ...],
     sigma: float = DEFAULT_SIGMA,
-) -> tuple[list[Explanation], list[tuple[int, float]]]:
-    """The explanation of each row of ``x`` (query_id is the row position),
-    and the agreement table of the same queries: for each k in ``k_list``,
-    the fraction of rows whose argmax over only the k nearest training
-    instances matches the full-model argmax. Both come from one embedding and
-    one pass of ``kernel_blocks``.
+) -> tuple[list[dict], list[tuple[int, float]]]:
+    """The explanation of each row of ``x``, and the agreement table of the
+    same queries: for each k in ``k_list``, the fraction of rows whose argmax
+    over only the k nearest training instances matches the full-model argmax.
+    Both come from one embedding and one pass of ``kernel_blocks``.
 
-    ``k`` truncates each ranked list to the k heaviest neighbors (None keeps
-    all of them); the decisive prefix still accounts for the exact truncated
-    mass. For agreement, each row ranks only its top kmax weights, kmax being
-    the largest k in ``k_list`` below the training set size; k values at or
-    above that size agree exactly by construction.
+    Each explanation is the record that ``explanations.json`` holds:
+    ``{"query_id", "predicted_label", "entries", "decisive_prefix"}``.
+    query_id is the row position. The entries, ``{"index", "weight",
+    "label"}`` each, are the ``k`` heaviest training instances (all of them if
+    ``k`` is at least the training set size), sorted by descending weight,
+    ties broken by ascending training index. decisive_prefix is the smallest
+    j such that the leading class's weight among the first j entries exceeds
+    the runner-up's by more than the total weight remaining beyond j (the
+    exact remainder, beyond the k entries too); 0 means the list never
+    certifies the prediction. When nonzero, relabeling everything beyond the
+    prefix cannot change predicted_label. For agreement, each row ranks only
+    its top kmax weights, kmax being the largest k in ``k_list`` below the
+    training set size; k values at or above that size agree exactly by
+    construction.
 
     Each kernel block is ranked as a whole (``_ranked``), with no loop over
     its rows. The class masses of every prefix are cumulative sums along the
@@ -112,8 +72,8 @@ def explain_with_agreement(
         raise ValueError("explanations require a dwac head; softmax has no reference instances")
     if len(train) == 0:
         raise ValueError("cannot explain against an empty training set")
-    if k is not None and k < 1:
-        raise ValueError(f"k must be >= 1 or None for all, got {k}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if any(kk < 1 for kk in k_list):
         raise ValueError("k_list entries must be >= 1")
     h, _ = forward(model, x, mode="eval")
@@ -121,10 +81,10 @@ def explain_with_agreement(
     if k_list and n == 0:
         raise ValueError("agreement of an empty test set is undefined")
     short = sorted({kk for kk in k_list if kk < t})
-    depth = min(t if k is None else max([k, *short]), t)
-    shown = depth if k is None else min(k, t)
+    depth = min(max([k, *short]), t)
+    shown = min(k, t)
     classes = np.arange(train.num_classes)
-    explanations: list[Explanation] = [None] * n
+    explanations: list[dict] = [None] * n
     agree = np.zeros((len(short), n), dtype=bool)
 
     def visit(rows: slice, w: np.ndarray, sums: np.ndarray) -> None:
@@ -136,20 +96,23 @@ def explain_with_agreement(
         # exact, so each equals the sum of its class's weights in rank order
         masses = np.cumsum(np.where(labels[:, :, None] == classes, weights[:, :, None], 0.0),
                            axis=1)
-        cum = np.cumsum(weights[:, :shown], axis=1)
-        total = sums.sum(axis=1)
+        remaining = sums.sum(axis=1)[:, None] - np.cumsum(weights[:, :shown], axis=1)
         if train.num_classes < 2:
             lead, runner = masses[:, :shown, 0], 0.0
         else:
             top2 = np.partition(masses[:, :shown], -2, axis=2)
             lead, runner = top2[:, :, -1], top2[:, :, -2]
-        certified = lead - runner > total[:, None] - cum
+        certified = lead - runner > remaining
         prefix = np.where(certified.any(axis=1), certified.argmax(axis=1) + 1, 0)
         full_argmax = sums.argmax(axis=1)
-        explanations[rows] = map(
-            Explanation, range(rows.start, rows.stop), full_argmax.tolist(),
-            index[:, :shown].tolist(), weights[:, :shown].tolist(),
-            labels[:, :shown].tolist(), cum, prefix.tolist(), total.tolist())
+        explanations[rows] = [
+            {"query_id": q, "predicted_label": p,
+             "entries": [{"index": i, "weight": wt, "label": lb} for i, wt, lb in zip(*cols)],
+             "decisive_prefix": d}
+            for q, p, d, *cols in zip(
+                range(rows.start, rows.stop), full_argmax.tolist(), prefix.tolist(),
+                index[:, :shown].tolist(), weights[:, :shown].tolist(),
+                labels[:, :shown].tolist())]
         if short:
             at_k = masses[:, np.array(short) - 1].argmax(axis=2)
             agree[:, rows] = (at_k == full_argmax[:, None]).T

@@ -41,7 +41,7 @@ from dwac_kit.data import (
     fit_stats,
     read_csv_rows,
 )
-from dwac_kit.explain import Explanation, explain_with_agreement
+from dwac_kit.explain import explain_with_agreement
 from dwac_kit.evaluate import SPLIT_STREAM
 from dwac_kit.heads import softmax_batch_loss
 from dwac_kit.linalg import pairwise_sq_distances, query_factor, reference_factor
@@ -115,19 +115,28 @@ def load_csv(path: str, schema: Schema, stats: FeatureStats | None = None) -> Da
     return encode_rows(table, schema, stats, has_labels=has_labels)
 
 
-def explain(x, model, train, k=None, sigma: float = 0.5) -> Explanation:
-    """The explanation of one encoded feature row (one-row Inputs, or a
-    vector of continuous features), through ``explain_with_agreement``."""
+def explain(x, model, train, k: int | None = None, sigma: float = 0.5) -> dict:
+    """The explanation record of one encoded feature row (one-row Inputs, or
+    a vector of continuous features), through ``explain_with_agreement``,
+    with ``k`` entries (every training instance unless given)."""
     rows = x if isinstance(x, Inputs) else np.asarray(x, dtype=np.float64)[None, :]
+    k = len(train) if k is None else k
     return explain_with_agreement(rows, model, train, k=k, k_list=(), sigma=sigma)[0][0]
 
 
-def class_weights(explanation: Explanation, num_classes: int) -> np.ndarray:
-    """Per-class weight mass rebuilt from an explanation's entries."""
+def class_weights(explanation: dict, num_classes: int) -> np.ndarray:
+    """Per-class weight mass rebuilt from an explanation record's entries."""
     masses = np.zeros(num_classes)
-    for e in explanation.entries:
-        masses[e.label] += e.weight
+    for e in explanation["entries"]:
+        masses[e["label"]] += e["weight"]
     return masses
+
+
+def total_weights(x, model, train, sigma: float = 0.5) -> np.ndarray:
+    """Each query's total kernel weight, relative to its nearest training
+    instance's: the class sums ``explain_with_agreement`` reads, summed."""
+    h, _ = forward(model, x, mode="eval")
+    return heads.kernel_blocks(h, train, None, sigma)[0].sum(axis=1)
 
 
 def kernel_matrix(h_query, train, sigma: float = 0.5) -> np.ndarray:
@@ -363,11 +372,10 @@ def _decisive_prefix_oracle(labels, weights, total: float, num_classes: int) -> 
 def explain_rows_oracle(weights, sums, train, k, k_list):
     """What ``explain_with_agreement`` returns, from the class-sorted kernel
     ``weights`` and class sums ``sums`` of the queries, one row at a time:
-    (per query, its ``to_json_dict()``, total weight and cumulative weights;
-    the agreement table)."""
+    (the explanation records, the agreement table)."""
     n, t = weights.shape
     short = sorted({kk for kk in k_list if kk < t})
-    depth = t if k is None else max([k, *short])
+    depth = max([k, *short])
     docs = []
     agree = {kk: 0 for kk in short}
     for i, (w, row_sums) in enumerate(zip(weights, sums)):
@@ -384,7 +392,7 @@ def explain_rows_oracle(weights, sums, train, k, k_list):
             "decisive_prefix": _decisive_prefix_oracle(labels, w[top[:k]], total,
                                                        train.num_classes),
         }
-        docs.append((doc, total, np.cumsum(w[top[:k]]).tolist()))
+        docs.append(doc)
         masses = np.zeros(train.num_classes)
         done = 0
         for kk in short:

@@ -353,7 +353,7 @@ def test_criterion_06_explanation_fidelity(separated):
     preds = predict(run.result.model, sample, train=run.result.embedded, sigma=0.5)
     rebuilt = [int(np.argmax(class_weights(e, run.proper.num_classes)))
                for e in explain_with_agreement(sample, run.result.model, run.result.embedded,
-                                               k=None, k_list=(), sigma=0.5)[0]]
+                                               k=t, k_list=(), sigma=0.5)[0]]
     exact_at_t = exact_at_t and np.array_equal(rebuilt, preds.predicted)
 
     at_one = []
@@ -452,21 +452,22 @@ def test_criterion_09_decisive_prefix_soundness(separated):
     for seed in SEEDS:
         run = separated[DWAC, seed]
         explanations, _ = explain_with_agreement(run.test.x[:40], run.result.model,
-                                                 run.result.embedded, k=None, k_list=(),
-                                                 sigma=0.5)
+                                                 run.result.embedded, k=len(run.proper),
+                                                 k_list=(), sigma=0.5)
         for e in explanations:
             queries += 1
-            if e.decisive_prefix == 0:
+            j = e["decisive_prefix"]
+            if j == 0:
                 continue  # no certificate claimed, nothing to attack
             decisive += 1
             masses = np.zeros(run.proper.num_classes)
-            for entry in e.entries[:e.decisive_prefix]:
-                masses[entry.label] += entry.weight
-            tail = sum(entry.weight for entry in e.entries[e.decisive_prefix:])
+            for entry in e["entries"][:j]:
+                masses[entry["label"]] += entry["weight"]
+            tail = sum(entry["weight"] for entry in e["entries"][j:])
             for k in range(run.proper.num_classes):
                 hostile = masses.copy()
                 hostile[k] += tail
-                if int(np.argmax(hostile)) != e.predicted_label:
+                if int(np.argmax(hostile)) != e["predicted_label"]:
                     flips += 1
     ok = queries == 200 and flips == 0 and decisive >= 150
     report(9, "adversarial relabeling beyond decisive prefix never flips",

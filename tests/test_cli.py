@@ -708,7 +708,7 @@ def test_json_outputs_hold_one_record_per_line(trained_dir, tmp_path):
         "explanations.json": {
             "provenance": {"command": "explain", "data": BLOBS, "seed": 0, "k": 10,
                            "k_list": [1, 5, 10, 100]},
-            "explanations": [e.to_json_dict() for e in explanations]},
+            "explanations": explanations},
         "ood_summary.json": {
             "provenance": {"command": "ood", "data": BLOBS, "foreign": foreign_spec,
                            "measure": "both", "seed": 0},
@@ -818,6 +818,38 @@ def test_a_bad_flag_is_one_error_line(argv, message, tmp_path, capsys):
     assert run(argv + (["--out", str(tmp_path / "x")] if argv else [])) == 2
     assert assert_one_error_line(capsys) == f"error: {message}"
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("argv, config, refusal", [
+    (["train", "--data", "blobs:n=300,c=3,d=4,sep=8", "--seed", "-1"], None,
+     "seed must be >= 0, got -1"),
+    (["train", "--data", "{csv}", "--schema", "{schema}", "--seed", "-1"], None,
+     "seed must be >= 0, got -1"),
+    (["train", "--data", BLOBS], '{"seed": -1}', "seed must be >= 0, got -1"),
+    (["train", "--data", BLOBS], '{"seed": 1,\n',
+     "{config}: Expecting property name enclosed in double quotes: line 2 column 1 (char 12)"),
+    (["explain", "--data", BLOBS, "--model", "{dwac}", "--k-list", ""], None,
+     "k_list must hold at least one value"),
+    (["conformal", "--data", BLOBS, "--model", "{dwac}", "--epsilon-grid", ""], None,
+     "epsilons must hold at least one value"),
+    (["conformal", "--data", BLOBS, "--model", "{dwac}"], '{"epsilons": []}',
+     "epsilons must hold at least one value"),
+], ids=["seed-flag-blobs", "seed-flag-csv", "seed-config", "truncated-config", "empty-k-list",
+        "empty-epsilon-grid", "empty-epsilons-config"])
+def test_a_bad_setting_is_refused_by_name_before_any_data_is_read(
+        argv, config, refusal, trained_dir, tmp_path, capsys, monkeypatch):
+    data, schema = write_csv_data(tmp_path)
+    paths = {"csv": data, "schema": schema, "config": str(tmp_path / "cfg.json"),
+             "dwac": str(trained_dir / "model_dwac_trial0.json")}
+    if config is not None:
+        Path(paths["config"]).write_text(config)
+        argv = argv + ["--config", paths["config"]]
+    monkeypatch.setattr(cli, "_load_raw", lambda *a, **k: pytest.fail("read data"))
+    capsys.readouterr()
+    out = tmp_path / "x"
+    assert run([a.format(**paths) for a in argv] + ["--out", str(out)]) == 2
+    assert assert_one_error_line(capsys) == "error: " + refusal.format(**paths)
+    assert not out.exists()
 
 
 def test_help_prints_usage_and_exits_0(capsys):

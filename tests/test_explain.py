@@ -18,6 +18,7 @@ from helpers import (
     explain,
     explain_rows_oracle,
     kernel_matrix,
+    total_weights,
     use_cpus,
 )
 
@@ -46,13 +47,12 @@ def train_set_with_weights(weights, labels, num_classes):
 def test_entries_sorted_with_weight_values():
     train, query = train_set_with_weights([0.9, 0.5, 0.1], [0, 0, 1], 2)
     exp = explain(query, identity_model(3), train)
-    weights = [e.weight for e in exp.entries]
+    weights = [e["weight"] for e in exp["entries"]]
     assert weights == sorted(weights, reverse=True)
     # relative to the nearest instance's, which weighs exactly 1.0
     assert weights[0] == 1.0 and np.allclose(weights, [1.0, 0.5 / 0.9, 0.1 / 0.9])
-    assert [e.index for e in exp.entries] == [0, 1, 2]
-    assert np.allclose(exp.cumulative_weight, np.cumsum(weights))
-    assert abs(exp.total_weight - 1.5 / 0.9) < 1e-12
+    assert [e["index"] for e in exp["entries"]] == [0, 1, 2]
+    assert abs(total_weights(query[None, :], identity_model(3), train)[0] - 1.5 / 0.9) < 1e-12
 
 
 def test_tie_broken_by_ascending_index():
@@ -61,7 +61,7 @@ def test_tie_broken_by_ascending_index():
     h = np.array([[1.0, 0.0], [0.5, 0.5], [1.0, 0.0]])
     train = EmbeddedTrainingSet(h=h, labels=np.array([0, 1, 0]), num_classes=2)
     exp = explain(np.zeros(2), identity_model(2), train)
-    tied = [e.index for e in exp.entries if abs(e.weight - np.exp(-0.5)) < 1e-12]
+    tied = [e["index"] for e in exp["entries"] if abs(e["weight"] - np.exp(-0.5)) < 1e-12]
     assert tied == [0, 2]
 
 
@@ -69,65 +69,67 @@ def test_decisive_prefix_certifies_immediately_when_margin_large():
     # first entry alone outweighs everything else: 0.9 > 0.5 + 0.1
     train, query = train_set_with_weights([0.9, 0.5, 0.1], [0, 0, 1], 2)
     exp = explain(query, identity_model(3), train)
-    assert exp.decisive_prefix == 1
-    assert exp.predicted_label == 0
+    assert exp["decisive_prefix"] == 1
+    assert exp["predicted_label"] == 0
 
 
 def test_decisive_prefix_waits_for_full_list():
     # 0.5 - 0 <= 0.75; (0.5 - 0.45) <= 0.3; only the full list certifies
     train, query = train_set_with_weights([0.5, 0.45, 0.3], [0, 1, 0], 2)
     exp = explain(query, identity_model(3), train)
-    assert exp.decisive_prefix == 3
+    assert exp["decisive_prefix"] == 3
 
 
 def test_decisive_prefix_single_instance():
     train, query = train_set_with_weights([0.8], [0], 2)
     exp = explain(query, identity_model(1), train)
-    assert exp.decisive_prefix == 1
+    assert exp["decisive_prefix"] == 1
 
 
 def test_decisive_prefix_zero_when_truncation_hides_too_much():
     # top-1 of an even three-way split cannot certify anything
     train, query = train_set_with_weights([0.5, 0.5, 0.5], [0, 1, 0], 2)
     exp = explain(query, identity_model(3), train, k=1)
-    assert exp.decisive_prefix == 0
-    assert len(exp.entries) == 1
+    assert exp["decisive_prefix"] == 0
+    assert len(exp["entries"]) == 1
 
 
 def test_adversarial_relabeling_never_flips_certified_predictions(dwac_run):
     result, _, _, test = dwac_run
     train = result.embedded
-    explanations, _ = explain_with_agreement(test.x[:50], result.model, train, k=None, k_list=())
+    x = test.x[:50]
+    explanations, _ = explain_with_agreement(x, result.model, train, k=len(train), k_list=())
     certified = 0
-    for exp in explanations:
-        j = exp.decisive_prefix
+    for exp, total in zip(explanations, total_weights(x, result.model, train)):
+        j = exp["decisive_prefix"]
         if j == 0:
             continue
         certified += 1
         prefix = np.zeros(train.num_classes)
-        for e in exp.entries[:j]:
-            prefix[e.label] += e.weight
-        remaining = exp.total_weight - exp.cumulative_weight[j - 1]
+        for e in exp["entries"][:j]:
+            prefix[e["label"]] += e["weight"]
+        remaining = total - np.cumsum([e["weight"] for e in exp["entries"]])[j - 1]
         for k in range(train.num_classes):
-            if k == exp.predicted_label:
+            if k == exp["predicted_label"]:
                 continue
             hostile = prefix.copy()
             hostile[k] += remaining  # worst case: entire tail votes for k
-            assert np.argmax(hostile) == exp.predicted_label
+            assert np.argmax(hostile) == exp["predicted_label"]
     assert certified > 0
 
 
 def test_complete_explanation_reconstructs_probabilities(dwac_run):
     result, _, _, test = dwac_run
     train = result.embedded
-    preds = predict(result.model, test.x[:20], train=train)
-    explanations, _ = explain_with_agreement(test.x[:20], result.model, train, k=None, k_list=())
-    for i, exp in enumerate(explanations):
+    x = test.x[:20]
+    preds = predict(result.model, x, train=train)
+    explanations, _ = explain_with_agreement(x, result.model, train, k=len(train), k_list=())
+    for i, (exp, total) in enumerate(zip(explanations, total_weights(x, result.model, train))):
         masses = class_weights(exp, train.num_classes)
-        assert abs(masses.sum() - exp.total_weight) < 1e-9
-        if exp.total_weight > 0:
+        assert abs(masses.sum() - total) < 1e-9
+        if total > 0:
             assert np.max(np.abs(masses / masses.sum() - preds.probs[i])) < 1e-12
-        assert exp.predicted_label == preds.predicted[i]
+        assert exp["predicted_label"] == preds.predicted[i]
 
 
 def test_top_k_is_prefix_of_full_ranking(dwac_run):
@@ -135,9 +137,8 @@ def test_top_k_is_prefix_of_full_ranking(dwac_run):
     train = result.embedded
     full = explain(test.x[:1], result.model, train)
     top = explain(test.x[:1], result.model, train, k=7)
-    assert len(top.entries) == 7
-    assert [e.index for e in top.entries] == [e.index for e in full.entries[:7]]
-    assert top.total_weight == full.total_weight
+    assert len(top["entries"]) == 7
+    assert top["entries"] == full["entries"][:7]
 
 
 def test_explanations_across_row_blocks_keep_global_query_ids():
@@ -147,12 +148,14 @@ def test_explanations_across_row_blocks_keep_global_query_ids():
                                 labels=rng.integers(0, 2, size=20_000), num_classes=2)
     x = rng.standard_normal((250, 2))
     explanations, _ = explain_with_agreement(x, identity_model(2), train, k=3, k_list=())
-    assert [e.query_id for e in explanations] == list(range(250))
+    assert [e["query_id"] for e in explanations] == list(range(250))
     for i in (0, 103, 104, 249):
         # the same query explained alone, in a block of its own
         alone = explain(x[i], identity_model(2), train, k=3)
-        assert [e.index for e in explanations[i].entries] == [e.index for e in alone.entries]
-        assert np.allclose(explanations[i].cumulative_weight, alone.cumulative_weight,
+        entries = explanations[i]["entries"]
+        assert [e["index"] for e in entries] == [e["index"] for e in alone["entries"]]
+        assert np.allclose(np.cumsum([e["weight"] for e in entries]),
+                           np.cumsum([e["weight"] for e in alone["entries"]]),
                            rtol=1e-12, atol=0.0)
 
 
@@ -160,8 +163,8 @@ def test_query_equal_to_training_point_ranks_first(dwac_run):
     result, proper, _, _ = dwac_run
     train = result.embedded
     exp = explain(proper.x[5:6], result.model, train, k=3)
-    assert exp.entries[0].index == 5
-    assert abs(exp.entries[0].weight - 1.0) < 1e-12
+    assert exp["entries"][0]["index"] == 5
+    assert abs(exp["entries"][0]["weight"] - 1.0) < 1e-12
 
 
 def test_far_query_lists_its_nearest_row_first_with_weight_one():
@@ -174,15 +177,15 @@ def test_far_query_lists_its_nearest_row_first_with_weight_one():
     explanations, _ = explain_with_agreement(x, identity_model(3), train, k=5, k_list=())
     nearest = np.argmin(((x[:, None, :] - h[None, :, :]) ** 2).sum(axis=2), axis=1)
     for exp, j in zip(explanations, nearest.tolist()):
-        assert (exp.index[0], exp.weights[0]) == (j, 1.0)
-        assert exp.predicted_label == train.labels[j] and exp.decisive_prefix == 1
+        assert exp["entries"][0]["index"] == j and exp["entries"][0]["weight"] == 1.0
+        assert exp["predicted_label"] == train.labels[j] and exp["decisive_prefix"] == 1
 
 
 def test_explain_validation(dwac_run):
     result, *_ = dwac_run
     train = result.embedded
     d = result.model.spec.input_dim
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^k must be >= 1, got 0$"):
         explain(np.zeros(d), result.model, train, k=0)
     empty = EmbeddedTrainingSet(h=np.zeros((0, train.h.shape[1])),
                                 labels=np.zeros(0, dtype=np.int64), num_classes=2)
@@ -255,7 +258,8 @@ def test_explanations_and_agreement_do_not_depend_on_the_block_size(monkeypatch)
         monkeypatch.setattr(heads, "BLOCK_ENTRIES", entries)
         explanations, table = explain_with_agreement(
             x, identity_model(2), train, k=25, k_list=(1, 4, 30, 200, t))
-        runs.append(([(e.to_json_dict(), e.total_weight) for e in explanations], table))
+        totals = heads.kernel_blocks(x, train, None)[0].sum(axis=1).tolist()
+        runs.append((explanations, table, totals))
     assert all(run == runs[0] for run in runs[1:])
     # entries are each row's heaviest weights by weight, then training index
     weights = np.empty((60, t))
@@ -263,7 +267,7 @@ def test_explanations_and_agreement_do_not_depend_on_the_block_size(monkeypatch)
     absolute = kernel_weights(x, h)
     assert np.allclose(weights, absolute / absolute.max(axis=1, keepdims=True),
                        rtol=1e-12, atol=0.0)
-    for i, (doc, _) in enumerate(runs[0][0]):
+    for i, doc in enumerate(runs[0][0]):
         ranked = sorted(range(t), key=lambda j: (-weights[i, j], j))[:25]
         assert [e["index"] for e in doc["entries"]] == ranked
         assert [e["weight"] for e in doc["entries"]] == list(weights[i, ranked])
@@ -285,15 +289,15 @@ def test_explanations_and_agreement_do_not_depend_on_the_thread_count(monkeypatc
     try:
         for n in CPU_COUNTS:
             use_cpus(monkeypatch, n)
-            for k in (None, 3):
+            for k in (t, 3):
                 explanations, table = explain_with_agreement(
                     x, identity_model(2), train, k=k, k_list=(1, 4, 30, t, t + 5))
-                runs.append((k, table, [(e.to_json_dict(), e.total_weight,
-                                         e.cumulative_weight.tolist()) for e in explanations]))
+                totals = heads.kernel_blocks(x, train, None)[0].sum(axis=1).tolist()
+                runs.append((k, table, explanations, totals))
     finally:
         sys.setswitchinterval(switch)
-    assert [e["query_id"] for e, _, _ in runs[0][2]] == list(range(60))
-    assert len(runs[0][2][0][0]["entries"]) == t
+    assert [e["query_id"] for e in runs[0][2]] == list(range(60))
+    assert len(runs[0][2][0]["entries"]) == t
     for i, run in enumerate(runs[2:]):
         assert run == runs[i % 2]
 
@@ -330,7 +334,7 @@ def _random_train(seed, t, c):
 RANKING_CASES = {
     "ties at the pivot": _grid_ties,
     "weights mostly 0.0": _mostly_zero,
-    "k None": lambda: (*_random_train(33, 300, 3), None, (1, 5, 299, 300, 301)),
+    "k at t": lambda: (*_random_train(33, 300, 3), 300, (1, 5, 299, 300, 301)),
     "k at or above t": lambda: (*_random_train(34, 200, 3), 250, (1, 3)),
     "k_list at or above t": lambda: (*_random_train(35, 500, 4), 5, (1, 10, 499, 500, 600)),
     "one class": lambda: (*_random_train(36, 400, 1), 10, (1, 5)),
@@ -348,12 +352,8 @@ def test_block_ranking_equals_the_per_row_oracle(monkeypatch, case, cpus):
                                                  k_list=k_list)
     docs, expected = explain_rows_oracle(kernel_matrix(x, train),
                                          heads.kernel_blocks(x, train, None)[0], train, k, k_list)
-    assert [(e.to_json_dict(), e.total_weight, e.cumulative_weight.tolist())
-            for e in explanations] == docs
+    assert explanations == docs
     assert table == expected
-    # each entry as an Entry, in the order of the JSON columns
-    assert [[(e.index, e.weight, e.label) for e in ex.entries] for ex in explanations] == [
-        [(e["index"], e["weight"], e["label"]) for e in doc["entries"]] for doc, _, _ in docs]
 
 
 def test_ranking_cases_reach_what_they_name():

@@ -20,6 +20,6 @@ def test_library_example_runs():
     assert covered >= 0.9
     # one explanation per test row, of the label the model predicts
     explanations, agreement = namespace["explanations"], namespace["agreement"]
-    assert [e.predicted_label for e in explanations] == namespace["preds"].predicted.tolist()
-    assert all(len(e.entries) == 5 for e in explanations)
+    assert [e["predicted_label"] for e in explanations] == namespace["preds"].predicted.tolist()
+    assert all(len(e["entries"]) == 5 for e in explanations)
     assert [k for k, _ in agreement] == [1, 5] and all(0.0 <= f <= 1.0 for _, f in agreement)
