@@ -15,7 +15,6 @@ from .conformal import (
     NEG_PROB,
     NEG_WEIGHT_SUM,
     ConformalScores,
-    CoverageRow,
     calibrate,
     conformal_predict,
     coverage_report,

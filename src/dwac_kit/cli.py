@@ -103,14 +103,14 @@ class RunConfig:
     out: str | None = None
     head: str = BOTH
     measure: str = BOTH
-    h_dim: int | None = None
-    hidden: tuple[int, ...] = (32, 8)
-    dropout: float = 0.2
-    sigma: float = 0.5
-    learning_rate: float = 0.001
-    batch_size: int = 128
-    max_epochs: int = 200
-    patience: int = 10
+    h_dim: int | None = TrainConfig.h_dim
+    hidden: tuple[int, ...] = TrainConfig.hidden
+    dropout: float = TrainConfig.dropout
+    sigma: float = TrainConfig.sigma
+    learning_rate: float = TrainConfig.learning_rate
+    batch_size: int = TrainConfig.batch_size
+    max_epochs: int = TrainConfig.max_epochs
+    patience: int = TrainConfig.patience
     trials: int = 1
     seed: int = 0
     fractions: tuple[float, float, float] = (0.6, 0.2, 0.2)
@@ -123,9 +123,6 @@ class RunConfig:
             value = getattr(self, f.name)
             if not _conforms(value, _FIELD_TYPES[f.name]):
                 raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
-        for name in ("sigma", "learning_rate", "dropout"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not all(map(math.isfinite, self.fractions)):
             raise ValueError(f"fractions must be finite, got {list(self.fractions)!r}")
         if self.trials < 1:
@@ -135,6 +132,10 @@ class RunConfig:
         for name in ("epsilons", "k_list"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must hold at least one value")
+        if self.k < 1:
+            raise ValueError(f"k must be >= 1, got {self.k}")
+        if min(self.k_list) < 1:
+            raise ValueError(f"k_list entries must be >= 1, got {list(self.k_list)}")
         if any(not 0.0 <= e <= 1.0 for e in self.epsilons):
             raise ValueError("epsilon values must lie in [0, 1]")
         if self.head not in HEAD_CHOICES:
@@ -231,6 +232,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                          f"{', '.join(k for k in reads if k not in PATH_KEYS)} besides paths")
     if cfg.data is None:  # every kind of run reads it
         raise ValueError(f"{cfg.command} needs --data")
+    if "head" in reads:  # a run that trains: its bad settings go before any data is read
+        for head in _heads(cfg):
+            _train_config(cfg, head, cfg.seed)
     return cfg
 
 
@@ -286,42 +290,33 @@ def _load_raw(source: str, cfg: RunConfig, schema: Schema | None = None) -> CsvD
     return CsvData(table=table, schema=schema, has_labels=has_labels)
 
 
-class _Source:
-    """A --data or --foreign input scored against the run's artifacts, each
-    of which asks for it once. It is read once per schema, and encoded once
-    per distinct schema and stats, so the artifacts of one training run
-    share one encoding. The table read is let go once the last artifact has
-    its encoding, so it does not sit beside that artifact's kernel sums. Its
-    labels are encoded only for a command that reads them."""
-
-    def __init__(self, source: str, cfg: RunConfig, labels: bool = False):
-        self.source = source
-        self.cfg = cfg
-        self.labels = labels
-        self._read: dict[Schema, CsvData] = {}
-        self._encoded: list[tuple[tuple, Dataset]] = []
-        self._artifacts_left = len(cfg.model)
-
-    def for_artifact(self, artifact: ModelArtifact) -> Dataset:
-        """The input encoded the way ``artifact``'s training data was."""
+def _encoded(source: str, cfg: RunConfig, artifacts: list[ModelArtifact],
+             labels: bool = False) -> list[Dataset]:
+    """A --data or --foreign input encoded the way each artifact's training
+    data was. It is read once per schema, and encoded once per distinct
+    schema and stats, so the artifacts of one training run share one
+    encoding. The tables read go when this returns, so none sits beside a
+    kernel sum. Labels are encoded only for a command that reads them."""
+    read: dict[Schema, CsvData] = {}
+    encoded: list[tuple[tuple, Dataset]] = []
+    datasets = []
+    for artifact in artifacts:
         key = (artifact.schema, artifact.stats)
-        ds = next((ds for k, ds in self._encoded if k == key), None)
+        ds = next((ds for k, ds in encoded if k == key), None)
         if ds is None:
-            if artifact.schema not in self._read:
-                self._read[artifact.schema] = _load_raw(self.source, self.cfg, artifact.schema)
-            data = self._read[artifact.schema]
+            if artifact.schema not in read:
+                read[artifact.schema] = _load_raw(source, cfg, artifact.schema)
+            data = read[artifact.schema]
             if len(data) == 0:
-                raise ValueError(f"{self.source}: no data rows to score")
+                raise ValueError(f"{source}: no data rows to score")
             ds = encode_rows(data.table, data.schema, artifact.stats,
-                             has_labels=self.labels and data.has_labels)
-            self._encoded.append((key, ds))
-        self._artifacts_left -= 1
-        if self._artifacts_left <= 0:
-            self._read.clear()
+                             has_labels=labels and data.has_labels)
+            encoded.append((key, ds))
         expected = artifact.model.spec.input_dim
         if ds.dim != expected:
-            raise ValueError(f"{self.source}: feature width {ds.dim}, model expects {expected}")
-        return ds
+            raise ValueError(f"{source}: feature width {ds.dim}, model expects {expected}")
+        datasets.append(ds)
+    return datasets
 
 
 def _heads(cfg: RunConfig) -> list[str]:
@@ -367,18 +362,8 @@ def _scored_artifacts(cfg: RunConfig) -> list[tuple[ModelArtifact, dict[str, np.
 
 
 def _train_config(cfg: RunConfig, head: str, seed: int) -> TrainConfig:
-    return TrainConfig(
-        head=head,
-        hidden_sizes=cfg.hidden,
-        h_dim=cfg.h_dim,
-        dropout_prob=cfg.dropout,
-        sigma=cfg.sigma,
-        learning_rate=cfg.learning_rate,
-        batch_size=cfg.batch_size,
-        max_epochs=cfg.max_epochs,
-        patience=cfg.patience,
-        seed=seed,
-    )
+    settings = {key: getattr(cfg, key) for key in TRAINING_KEYS if key != "fractions"}
+    return TrainConfig(**{**settings, "head": head, "seed": seed})
 
 
 def _write_csv(cfg: RunConfig, name: str, header: list[str], rows: list[list]) -> None:
@@ -439,7 +424,6 @@ def _write_histogram(cfg: RunConfig, name: str, samples: dict[str, np.ndarray]) 
 # ---------------------------------------------------------------------------
 
 def cmd_train(cfg: RunConfig) -> int:
-    _require_out(cfg)
     raw = _load_raw(cfg.data, cfg)
     fixed_test = _load_raw(cfg.test_data, cfg, schema=raw.schema) if cfg.test_data else None
     heads = _heads(cfg)
@@ -510,9 +494,8 @@ def _single_model(cfg: RunConfig) -> ModelArtifact:
 
 
 def cmd_predict(cfg: RunConfig) -> int:
-    _require_out(cfg)
     artifact = _single_model(cfg)
-    ds = _Source(cfg.data, cfg).for_artifact(artifact)
+    ds, = _encoded(cfg.data, cfg, [artifact])
     preds = predict(artifact.model, ds.x, train=artifact.embedded, sigma=artifact.sigma)
     label_names = artifact.schema.label_values
     records = [{"index": i, "label": label_names[k], "predicted": k, "probs": p}
@@ -523,11 +506,10 @@ def cmd_predict(cfg: RunConfig) -> int:
 
 
 def cmd_explain(cfg: RunConfig) -> int:
-    _require_out(cfg)
     artifact = _single_model(cfg)
     if artifact.model.head != DWAC:
         raise ValueError("explanations need a dwac artifact")
-    ds = _Source(cfg.data, cfg).for_artifact(artifact)
+    ds, = _encoded(cfg.data, cfg, [artifact])
     explanations, table = explain_with_agreement(
         ds.x, artifact.model, artifact.embedded, k=cfg.k, k_list=cfg.k_list,
         sigma=artifact.sigma,
@@ -541,32 +523,26 @@ def cmd_explain(cfg: RunConfig) -> int:
 
 
 def cmd_conformal(cfg: RunConfig) -> int:
-    _require_out(cfg)
-    data = _Source(cfg.data, cfg, labels=True)
-    for artifact, calibrations in _scored_artifacts(cfg):
+    scored = _scored_artifacts(cfg)
+    datasets = _encoded(cfg.data, cfg, [artifact for artifact, _ in scored], labels=True)
+    for (artifact, calibrations), ds in zip(scored, datasets):
         head = artifact.model.head
-        ds = data.for_artifact(artifact)
         if ds.y is None:
             raise ValueError(f"{cfg.data}: coverage evaluation needs labels")
         preds = predict(artifact.model, ds.x, train=artifact.embedded, sigma=artifact.sigma)
         for measure, calibration in calibrations.items():
             scores = conformal_predict(preds, calibration, measure)
             rows = coverage_report(scores, ds.y, cfg.epsilons)
-            _write_csv(
-                cfg, f"coverage_{head}_{measure}.csv",
-                ["epsilon", "coverage", "mean_set_size", "empty_rate", "singleton_rate"],
-                [[_fmt(r.epsilon), _fmt(r.coverage), _fmt(r.mean_set_size),
-                  _fmt(r.empty_rate), _fmt(r.singleton_rate)] for r in rows],
-            )
+            _write_csv(cfg, f"coverage_{head}_{measure}.csv", list(rows[0]),
+                       [[_fmt(value) for value in r.values()] for r in rows])
             _write_histogram(cfg, f"credibility_{head}_{measure}.csv",
                              {"count": scores.credibility()})
             log.info("head=%s measure=%s coverage@0.05=%s", head, measure,
-                     next((r.coverage for r in rows if abs(r.epsilon - 0.05) < 1e-9), "n/a"))
+                     next((r["coverage"] for r in rows if abs(r["epsilon"] - 0.05) < 1e-9), "n/a"))
     return 0
 
 
 def cmd_ood(cfg: RunConfig) -> int:
-    _require_out(cfg)
     credibility = {}  # head -> measure -> (in-domain, out-of-domain)
     if cfg.held_class is not None:
         # one split and encoding, shared by every head
@@ -578,11 +554,13 @@ def cmd_ood(cfg: RunConfig) -> int:
         for (head, head_measures), result in zip(measures.items(), results):
             credibility[head] = ood_holdout_class_multi(splits, result, head_measures, cfg.sigma)
     elif cfg.foreign is not None:
-        in_data, foreign_data = _Source(cfg.data, cfg), _Source(cfg.foreign, cfg)
-        for artifact, calibrations in _scored_artifacts(cfg):
+        scored = _scored_artifacts(cfg)
+        artifacts = [artifact for artifact, _ in scored]
+        in_sets = _encoded(cfg.data, cfg, artifacts)
+        foreign_sets = _encoded(cfg.foreign, cfg, artifacts)
+        for (artifact, calibrations), in_ds, foreign_ds in zip(scored, in_sets, foreign_sets):
             credibility[artifact.model.head] = ood_cross_dataset(
-                artifact.model, artifact.embedded, calibrations,
-                in_data.for_artifact(artifact), foreign_data.for_artifact(artifact),
+                artifact.model, artifact.embedded, calibrations, in_ds, foreign_ds,
                 sigma=artifact.sigma)
     else:
         raise ValueError("ood needs either --held-class or --foreign")
@@ -675,6 +653,7 @@ def main(argv: list[str] | None = None) -> int:
         # set on every call: basicConfig does nothing once the root logger has a handler
         log.setLevel(logging.DEBUG if args.verbose else logging.INFO)
         cfg = build_config(args)
+        _require_out(cfg)
         # Values too large to compute with (in a CSV, an artifact or a setting)
         # end the run with one error line, not a numpy warning beside NaN outputs.
         with np.errstate(over="raise", invalid="raise", divide="raise"):

@@ -82,12 +82,9 @@ class ConformalScores:
     def num_classes(self) -> int:
         return self.p.shape[1]
 
-    def label_set(self, i: int, epsilon: float) -> np.ndarray:
-        """Classes whose p-value exceeds epsilon, ascending class index."""
-        return np.nonzero(self.p[i] > epsilon)[0]
-
     def label_sets(self, epsilon: float) -> list[np.ndarray]:
-        return [self.label_set(i, epsilon) for i in range(len(self))]
+        """Each instance's classes with a p-value above epsilon, in ascending order."""
+        return [np.nonzero(p > epsilon)[0] for p in self.p]
 
     def credibility(self) -> np.ndarray:
         """Largest p-value per instance; near zero means no class fits, a
@@ -110,21 +107,13 @@ def conformal_predict(
     return ConformalScores(p_values(calib, nonconformity(preds, measure)))
 
 
-@dataclass(frozen=True)
-class CoverageRow:
-    epsilon: float
-    coverage: float
-    mean_set_size: float
-    empty_rate: float
-    singleton_rate: float
-
-
 def coverage_report(
     scores: ConformalScores,
     labels: np.ndarray,
     epsilons: tuple[float, ...] = EPSILON_GRID,
-) -> list[CoverageRow]:
-    """Empirical coverage and set-size statistics over an epsilon grid.
+) -> list[dict[str, float]]:
+    """Empirical coverage and set-size statistics over an epsilon grid, one
+    record per epsilon with the coverage CSV's columns as keys.
 
     Coverage at epsilon is the fraction of instances whose true label made
     it into the label set; validity means this stays near 1 - epsilon.
@@ -140,13 +129,11 @@ def coverage_report(
     for eps in epsilons:
         in_set = scores.p > eps
         sizes = in_set.sum(axis=1)
-        rows.append(
-            CoverageRow(
-                epsilon=float(eps),
-                coverage=float(np.mean(p_true > eps)),
-                mean_set_size=float(np.mean(sizes)),
-                empty_rate=float(np.mean(sizes == 0)),
-                singleton_rate=float(np.mean(sizes == 1)),
-            )
-        )
+        rows.append({
+            "epsilon": float(eps),
+            "coverage": float(np.mean(p_true > eps)),
+            "mean_set_size": float(np.mean(sizes)),
+            "empty_rate": float(np.mean(sizes == 0)),
+            "singleton_rate": float(np.mean(sizes == 1)),
+        })
     return rows

@@ -26,17 +26,14 @@ SPLIT_STREAM = 2
 PER_BIN = 100  # (probability, indicator) pairs per calibration bin
 
 
-def accuracy(predictions, labels: np.ndarray) -> float:
-    """Fraction of instances whose predicted label matches; accepts either a
-    Predictions batch or a plain vector of predicted labels."""
-    predicted = predictions.predicted if isinstance(predictions, Predictions) else predictions
-    predicted = np.asarray(predicted)
+def accuracy(predictions: Predictions, labels: np.ndarray) -> float:
+    """Fraction of instances whose predicted label matches."""
     labels = np.asarray(labels)
-    if predicted.shape != labels.shape:
+    if predictions.predicted.shape != labels.shape:
         raise ValueError("predictions and labels must align")
-    if predicted.size == 0:
+    if labels.size == 0:
         raise ValueError("accuracy of an empty set is undefined")
-    return float(np.mean(predicted == labels))
+    return float(np.mean(predictions.predicted == labels))
 
 
 def calibration_mae(probs: np.ndarray, labels: np.ndarray, per_bin: int = PER_BIN) -> float:

@@ -54,10 +54,12 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Training settings, named as the CLI's keys; the one place they are checked."""
+
     head: str = DWAC
-    hidden_sizes: tuple[int, ...] = (32, 8)
+    hidden: tuple[int, ...] = (32, 8)
     h_dim: int | None = None  # None: embedding width = number of classes
-    dropout_prob: float = 0.2
+    dropout: float = 0.2
     sigma: float = DEFAULT_SIGMA
     learning_rate: float = 0.001
     batch_size: int = 128
@@ -68,15 +70,23 @@ class TrainConfig:
     def __post_init__(self):
         if self.head not in HEADS:
             raise ValueError(f"head must be one of {HEADS}, got {self.head!r}")
+        for name in ("batch_size", "max_epochs", "patience"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.batch_size < 2 and self.head == DWAC:
             raise ValueError("dwac needs batch_size >= 2 for leave-one-out loss")
-        if self.batch_size < 1 or self.max_epochs < 1 or self.patience < 1:
-            raise ValueError("batch_size, max_epochs, and patience must be positive")
-        for name in ("sigma", "learning_rate", "dropout_prob"):
+        if any(size < 1 for size in self.hidden):
+            raise ValueError(f"hidden sizes must be >= 1, got {list(self.hidden)}")
+        if self.h_dim is not None and self.h_dim < 1:
+            raise ValueError(f"h_dim must be >= 1, got {self.h_dim}")
+        for name in ("sigma", "learning_rate", "dropout"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.sigma <= 0.0 or self.learning_rate <= 0.0:
-            raise ValueError("sigma and learning_rate must be > 0")
+        for name in ("sigma", "learning_rate"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout!r}")
 
 
 @dataclass
@@ -111,8 +121,8 @@ def build_model(config: TrainConfig, input_dim: int, num_classes: int) -> Embedd
     else:
         out = config.h_dim if config.h_dim is not None else num_classes
     spec = MlpSpec(
-        layer_sizes=(input_dim, *config.hidden_sizes, out),
-        dropout_prob=config.dropout_prob,
+        layer_sizes=(input_dim, *config.hidden, out),
+        dropout_prob=config.dropout,
     )
     return init_model(spec, config.head, make_rng(config.seed, INIT_STREAM))
 

@@ -256,7 +256,7 @@ def test_criterion_03_conformal_validity(separated):
                 scores = calibrate(run.calib_preds, run.calib.y, measure)
                 cs = conformal_predict(run.test_preds, scores, measure)
                 row = coverage_report(cs, run.test.y, (eps,))[0]
-                per_seed.append(row.coverage)
+                per_seed.append(row["coverage"])
             mean_cov = float(np.mean(per_seed))
             target = 1.0 - eps - 0.03
             margins.append(mean_cov - target)

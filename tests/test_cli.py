@@ -834,13 +834,37 @@ def test_a_bad_flag_is_one_error_line(argv, message, tmp_path, capsys):
      "epsilons must hold at least one value"),
     (["conformal", "--data", BLOBS, "--model", "{dwac}"], '{"epsilons": []}',
      "epsilons must hold at least one value"),
+    (["train", "--data", "{missing}", "--schema", "{schema}", "--batch-size", "0"], None,
+     "batch_size must be >= 1, got 0"),
+    (["train", "--data", "{missing}", "--schema", "{schema}", "--patience", "0"], None,
+     "patience must be >= 1, got 0"),
+    (["train", "--data", "{missing}", "--schema", "{schema}", "--sigma", "-1"], None,
+     "sigma must be > 0, got -1.0"),
+    (["train", "--data", "{csv}", "--schema", "{schema}", "--learning-rate", "0"], None,
+     "learning_rate must be > 0, got 0.0"),
+    (["train", "--data", "{missing}", "--schema", "{schema}", "--dropout", "1.0"], None,
+     "dropout must be in [0, 1), got 1.0"),
+    (["train", "--data", BLOBS], '{"dropout": 1}', "dropout must be in [0, 1), got 1"),
+    (["train", "--data", "{missing}", "--schema", "{schema}", "--hidden", "32,0"], None,
+     "hidden sizes must be >= 1, got [32, 0]"),
+    (["ood", "--data", "{missing}", "--schema", "{schema}", "--held-class", "2",
+      "--h-dim", "0"], None, "h_dim must be >= 1, got 0"),
+    (["train", "--data", BLOBS, "--head", "dwac", "--batch-size", "1"], None,
+     "dwac needs batch_size >= 2 for leave-one-out loss"),
+    (["explain", "--data", "{missing}", "--model", "{dwac}", "--k", "0"], None,
+     "k must be >= 1, got 0"),
+    (["explain", "--data", "{missing}", "--model", "{dwac}", "--k-list", "0,5"], None,
+     "k_list entries must be >= 1, got [0, 5]"),
 ], ids=["seed-flag-blobs", "seed-flag-csv", "seed-config", "truncated-config", "empty-k-list",
-        "empty-epsilon-grid", "empty-epsilons-config"])
+        "empty-epsilon-grid", "empty-epsilons-config", "batch-size-0", "patience-0",
+        "sigma-negative", "learning-rate-0", "dropout-1", "dropout-1-config", "hidden-0",
+        "ood-h-dim-0", "dwac-batch-size-1", "k-0", "k-list-0"])
 def test_a_bad_setting_is_refused_by_name_before_any_data_is_read(
         argv, config, refusal, trained_dir, tmp_path, capsys, monkeypatch):
     data, schema = write_csv_data(tmp_path)
     paths = {"csv": data, "schema": schema, "config": str(tmp_path / "cfg.json"),
-             "dwac": str(trained_dir / "model_dwac_trial0.json")}
+             "dwac": str(trained_dir / "model_dwac_trial0.json"),
+             "missing": str(tmp_path / "missing.csv")}
     if config is not None:
         Path(paths["config"]).write_text(config)
         argv = argv + ["--config", paths["config"]]
@@ -1125,6 +1149,39 @@ def test_train_lets_its_tables_go_before_the_last_trial_trains(tmp_path, monkeyp
     assert run(argv) == 0
     tables_read = 2 if fixed_test else 1
     assert alive == [[True] * tables_read, [False] * tables_read]
+
+
+@pytest.mark.parametrize("command", ["conformal", "ood"])
+def test_scoring_lets_its_tables_go_before_any_artifact_scores(tmp_path, monkeypatch, command):
+    # every artifact's encoding is made before the first one scores, so no
+    # table read sits beside a kernel sum
+    data, schema = write_csv_data(tmp_path)
+    out = tmp_path / "train"
+    assert run(["train", "--data", data, "--schema", schema, "--out", str(out), *FAST]) == 0
+    tables, alive = [], []
+    read = cli.read_csv_rows
+
+    def recorded_read(*args, **kwargs):
+        table, has_labels = read(*args, **kwargs)
+        tables.append(weakref.ref(table))
+        return table, has_labels
+
+    def recorded(scorer):
+        def call(*args, **kwargs):
+            alive.append([ref() is not None for ref in tables])
+            return scorer(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(cli, "read_csv_rows", recorded_read)
+    monkeypatch.setattr(cli, "predict", recorded(cli.predict))
+    monkeypatch.setattr(cli, "ood_cross_dataset", recorded(cli.ood_cross_dataset))
+    argv = [command, "--data", data, "--model", str(out / "model_dwac_trial0.json"),
+            "--model", str(out / "model_softmax_trial0.json"), "--out", str(tmp_path / "o")]
+    if command == "ood":
+        argv += ["--foreign", data]
+    assert run(argv) == 0
+    tables_read = 2 if command == "ood" else 1  # ood reads --data and --foreign
+    assert alive == [[False] * tables_read] * 2  # one scoring call per artifact
 
 
 def test_ood_holdout_splits_and_encodes_once_for_both_heads(tmp_path, monkeypatch):

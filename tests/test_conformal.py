@@ -78,9 +78,9 @@ def test_p_values_reject_empty_calibration():
 
 def test_label_set_threshold_is_strict():
     scores = ConformalScores(np.array([[0.3, 0.05, 0.051]]))
-    assert scores.label_set(0, 0.05).tolist() == [0, 2]  # p == epsilon excluded
-    assert scores.label_set(0, 0.0).tolist() == [0, 1, 2]
-    assert scores.label_set(0, 0.5).tolist() == []
+    assert scores.label_sets(0.05)[0].tolist() == [0, 2]  # p == epsilon excluded
+    assert scores.label_sets(0.0)[0].tolist() == [0, 1, 2]
+    assert scores.label_sets(0.5)[0].tolist() == []
 
 
 def test_credibility_and_confidence():
@@ -120,20 +120,17 @@ def test_degenerate_far_query_is_maximally_nonconforming(dwac_run):
     cs = conformal_predict(far_preds, calib_scores, NEG_WEIGHT_SUM)
     assert np.all(cs.p[0] == 0.0)
     assert cs.credibility()[0] == 0.0
-    assert cs.label_set(0, 0.0).size == 0
+    assert cs.label_sets(0.0)[0].size == 0
 
 
 def test_coverage_report_hand_example():
     scores = ConformalScores(np.array([[0.9, 0.05], [0.5, 0.3], [0.02, 0.8], [0.04, 0.01]]))
     labels = np.array([0, 1, 1, 0])
-    rows = coverage_report(scores, labels, epsilons=(0.1,))
-    row = rows[0]
+    row, = coverage_report(scores, labels, epsilons=(0.1,))
     # true-label p-values: 0.9, 0.3, 0.8, 0.04 -> covered: 3 of 4
-    assert row.coverage == 0.75
     # sets at 0.1: {0}, {0,1}, {1}, {} -> sizes 1, 2, 1, 0
-    assert row.mean_set_size == 1.0
-    assert row.empty_rate == 0.25
-    assert row.singleton_rate == 0.5
+    assert row == {"epsilon": 0.1, "coverage": 0.75, "mean_set_size": 1.0,
+                   "empty_rate": 0.25, "singleton_rate": 0.5}
 
 
 def test_coverage_report_grid_size():

@@ -34,21 +34,24 @@ from helpers import quick_split, write_unique_id_csv
 # accuracy
 # ---------------------------------------------------------------------------
 
+def predicted(labels):
+    """A batch of one-hot predictions of ``labels``."""
+    labels = np.array(labels, dtype=np.int64)
+    return Predictions(probs=np.eye(3)[labels], predicted=labels)
+
+
 def test_accuracy_from_vector_and_predictions():
     labels = np.array([0, 1, 2, 1])
-    assert accuracy(np.array([0, 1, 2, 1]), labels) == 1.0
-    assert accuracy(np.array([0, 1, 0, 0]), labels) == 0.5
-    probs = np.eye(3)[[0, 1, 2, 2]]
-    preds = Predictions(probs=probs, predicted=np.array([0, 1, 2, 2]),
-                        weight_sums=None)
-    assert accuracy(preds, labels) == 0.75
+    assert accuracy(predicted([0, 1, 2, 1]), labels) == 1.0
+    assert accuracy(predicted([0, 1, 0, 0]), labels) == 0.5
+    assert accuracy(predicted([0, 1, 2, 2]), labels) == 0.75
 
 
 def test_accuracy_rejects_misaligned_or_empty():
     with pytest.raises(ValueError):
-        accuracy(np.array([0, 1]), np.array([0, 1, 2]))
+        accuracy(predicted([0, 1]), np.array([0, 1, 2]))
     with pytest.raises(ValueError):
-        accuracy(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+        accuracy(predicted([]), np.array([], dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -34,15 +34,15 @@ from helpers import (
 
 
 def test_build_model_widths():
-    cfg = TrainConfig(head=SOFTMAX, hidden_sizes=(8, 4), h_dim=7)
+    cfg = TrainConfig(head=SOFTMAX, hidden=(8, 4), h_dim=7)
     model = build_model(cfg, input_dim=5, num_classes=3)
     assert model.spec.layer_sizes == (5, 8, 4, 3)  # softmax ignores h_dim
 
-    cfg = TrainConfig(head=DWAC, hidden_sizes=(8, 4), h_dim=7)
+    cfg = TrainConfig(head=DWAC, hidden=(8, 4), h_dim=7)
     model = build_model(cfg, input_dim=5, num_classes=3)
     assert model.spec.layer_sizes == (5, 8, 4, 7)
 
-    cfg = TrainConfig(head=DWAC, hidden_sizes=(8, 4))
+    cfg = TrainConfig(head=DWAC, hidden=(8, 4))
     assert build_model(cfg, 5, 3).spec.layer_sizes == (5, 8, 4, 3)
 
 
@@ -53,6 +53,11 @@ def test_config_validation():
         TrainConfig(head=DWAC, batch_size=1)
     with pytest.raises(ValueError):
         TrainConfig(max_epochs=0)
+    # each setting is refused under its own name, the CLI's key
+    for key, value in (("dropout", 1.0), ("dropout", -0.1), ("hidden", (8, 0)), ("h_dim", 0),
+                       ("sigma", 0.0), ("learning_rate", float("nan")), ("patience", 0)):
+        with pytest.raises(ValueError, match=f"^{key} "):
+            TrainConfig(**{key: value})
 
 
 def test_training_learns_blobs(dwac_run, softmax_run):
@@ -164,7 +169,7 @@ def test_flat_adam_matches_the_per_array_loop_bit_for_bit(head, monkeypatch):
 
     monkeypatch.setattr(trainer_mod, "adam_step", counted)
     config = TrainConfig(head=head, seed=3, max_epochs=3, patience=3, batch_size=32,
-                         dropout_prob=0.3)
+                         dropout=0.3)
     result = train(proper, calib, config)
     assert 1 <= result.best_epoch <= 3 and not result.stopped_early
     # 180 proper rows: five full batches of 32 and one of 20, per epoch
