@@ -24,6 +24,7 @@ import os
 import sys
 import types
 import typing
+from collections.abc import Iterable
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -44,6 +45,7 @@ from .data import (
     Schema,
     atomic_write_text,
     blob_data,
+    encode_json,
     encode_rows,
     load_model,
     make_blobs,
@@ -66,6 +68,7 @@ from .trainer import TrainConfig, predict, train_many
 log = logging.getLogger("dwac_kit")
 
 BLOBS_STREAM = 3
+RECORD_ROWS = 1024  # predictions turned into records at a time, as they are written
 HIST_BINS = 20  # equal bins of [0, 1] in every credibility histogram
 BLOB_KEYS = {"n": int, "c": int, "d": int, "sep": float, "seed": int}
 
@@ -163,7 +166,7 @@ class RunConfig:
                                      and not value.startswith("blobs:")):
                 continue  # CSV paths are location, not meaning; blob specs stay
             doc[name] = list(value) if isinstance(value, tuple) else value
-        return json.dumps(doc, sort_keys=True)
+        return encode_json(doc)
 
 
 _FIELD_TYPES = typing.get_type_hints(RunConfig)
@@ -374,22 +377,27 @@ def _write_csv(cfg: RunConfig, name: str, header: list[str], rows: list[list]) -
     writer = csv.writer(buf)
     writer.writerow(header)
     writer.writerows(rows)
-    atomic_write_text(os.path.join(cfg.out, name), buf.getvalue())
+    atomic_write_text(os.path.join(cfg.out, name), [buf.getvalue()])
 
 
-def _write_json(cfg: RunConfig, name: str, key: str, records: list | dict) -> None:
+def _write_json(cfg: RunConfig, name: str, key: str, records: Iterable[str] | dict) -> None:
     """Write ``{key: records, "provenance": ...}`` as ``name`` under --out,
-    with sorted keys and one record (list item or dict entry) per line, each
-    through the C encoder, which serves only compact output."""
-    encode = json.JSONEncoder(sort_keys=True).encode
+    with sorted keys (``key`` sorts before "provenance") and one record per
+    line: a dict entry, or a list item given as its ``encode_json`` line.
+    Each line is written as it comes, so no list of them all is held here."""
     if isinstance(records, dict):
-        lines = [f"{encode(k)}: {encode(v)}" for k, v in sorted(records.items())]
-        body = "{\n" + ",\n".join(lines) + "\n}"
+        lines = (f"{encode_json(k)}: {encode_json(v)}" for k, v in sorted(records.items()))
+        opening, closing = "{", "}"
     else:
-        body = "[\n" + ",\n".join(map(encode, records)) + "\n]"
-    parts = sorted([(key, body), ("provenance", cfg.provenance())])
-    atomic_write_text(os.path.join(cfg.out, name),
-                      "{" + ",\n".join(f"{encode(k)}: {v}" for k, v in parts) + "}\n")
+        lines, opening, closing = records, "[", "]"
+
+    def chunks():
+        yield f"{{{encode_json(key)}: {opening}\n"
+        for i, line in enumerate(lines):
+            yield f",\n{line}" if i else line
+        yield f"\n{closing},\n{encode_json('provenance')}: {cfg.provenance()}}}\n"
+
+    atomic_write_text(os.path.join(cfg.out, name), chunks())
 
 
 def _require_out(cfg: RunConfig) -> None:
@@ -498,10 +506,16 @@ def cmd_predict(cfg: RunConfig) -> int:
     ds, = _encoded(cfg.data, cfg, [artifact])
     preds = predict(artifact.model, ds.x, train=artifact.embedded, sigma=artifact.sigma)
     label_names = artifact.schema.label_values
-    records = [{"index": i, "label": label_names[k], "predicted": k, "probs": p}
-               for i, (k, p) in enumerate(zip(preds.predicted.tolist(), preds.probs.tolist()))]
-    _write_json(cfg, "predictions.json", "predictions", records)
-    log.info("wrote %d predictions", len(records))
+
+    def records():
+        for a in range(0, len(preds), RECORD_ROWS):
+            b = a + RECORD_ROWS
+            for i, k, p in zip(range(a, b), preds.predicted[a:b].tolist(),
+                               preds.probs[a:b].tolist()):
+                yield encode_json({"index": i, "label": label_names[k], "predicted": k, "probs": p})
+
+    _write_json(cfg, "predictions.json", "predictions", records())
+    log.info("wrote %d predictions", len(preds))
     return 0
 
 

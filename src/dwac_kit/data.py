@@ -34,6 +34,7 @@ import json
 import math
 import os
 import tempfile
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
@@ -45,6 +46,8 @@ from .heads import EmbeddedTrainingSet
 from .network import DWAC, EmbeddingModel, Inputs, MlpSpec, as_inputs
 
 FORMAT_VERSION = "dwac-kit/2"
+# every JSON output's: sorted keys, compact (all that CPython's C encoder serves)
+encode_json = json.JSONEncoder(sort_keys=True).encode
 
 ROLE_LABEL = "label"
 ROLE_CONTINUOUS = "continuous"
@@ -492,16 +495,18 @@ def _decode_array(obj: dict, ndim: int, what: str) -> np.ndarray:
     return a
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temp file in the same directory plus rename, so a crash
-    never leaves a partial file at the target path. The directory is made
-    if it does not exist yet."""
+def atomic_write_text(path: str, chunks: Iterable[str]) -> None:
+    """Write the text ``chunks``, as they come, to a temp file in the same
+    directory, then rename it to ``path``: a process that fails or is killed,
+    even between chunks, leaves no partial file at ``path`` (a killed one may
+    leave its temp file). Nothing is fsynced before the rename, so an OS
+    crash can. The directory is made if it does not exist yet."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as f:
-            f.write(text)
+            f.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -536,8 +541,7 @@ def save_model(artifact: ModelArtifact, path: str) -> None:
             "labels": artifact.embedded.labels.tolist(),
             "num_classes": artifact.embedded.num_classes,
         }
-    # no indent: CPython's C encoder serves only compact output
-    atomic_write_text(path, json.dumps(doc, sort_keys=True))
+    atomic_write_text(path, [encode_json(doc)])
 
 
 def _encode_stats(stats: FeatureStats) -> dict:

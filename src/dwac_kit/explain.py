@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .data import encode_json
 from .heads import DEFAULT_SIGMA, EmbeddedTrainingSet, kernel_blocks
 from .network import DWAC, EmbeddingModel, forward
 
@@ -42,14 +43,14 @@ def explain_with_agreement(
     k: int,
     k_list: tuple[int, ...],
     sigma: float = DEFAULT_SIGMA,
-) -> tuple[list[dict], list[tuple[int, float]]]:
+) -> tuple[list[str], list[tuple[int, float]]]:
     """The explanation of each row of ``x``, and the agreement table of the
     same queries: for each k in ``k_list``, the fraction of rows whose argmax
     over only the k nearest training instances matches the full-model argmax.
     Both come from one embedding and one pass of ``kernel_blocks``.
 
-    Each explanation is the record that ``explanations.json`` holds:
-    ``{"query_id", "predicted_label", "entries", "decisive_prefix"}``.
+    Each explanation is the JSON line (``data.encode_json``) that
+    ``explanations.json`` holds: ``{"query_id", "predicted_label", "entries", "decisive_prefix"}``.
     query_id is the row position. The entries, ``{"index", "weight",
     "label"}`` each, are the ``k`` heaviest training instances (all of them if
     ``k`` is at least the training set size), sorted by descending weight,
@@ -84,7 +85,7 @@ def explain_with_agreement(
     depth = min(max([k, *short]), t)
     shown = min(k, t)
     classes = np.arange(train.num_classes)
-    explanations: list[dict] = [None] * n
+    explanations: list[str] = [None] * n
     agree = np.zeros((len(short), n), dtype=bool)
 
     def visit(rows: slice, w: np.ndarray, sums: np.ndarray) -> None:
@@ -106,9 +107,10 @@ def explain_with_agreement(
         prefix = np.where(certified.any(axis=1), certified.argmax(axis=1) + 1, 0)
         full_argmax = sums.argmax(axis=1)
         explanations[rows] = [
-            {"query_id": q, "predicted_label": p,
-             "entries": [{"index": i, "weight": wt, "label": lb} for i, wt, lb in zip(*cols)],
-             "decisive_prefix": d}
+            encode_json({"query_id": q, "predicted_label": p,
+                         "entries": [{"index": i, "weight": wt, "label": lb}
+                                     for i, wt, lb in zip(*cols)],
+                         "decisive_prefix": d})
             for q, p, d, *cols in zip(
                 range(rows.start, rows.stop), full_argmax.tolist(), prefix.tolist(),
                 index[:, :shown].tolist(), weights[:, :shown].tolist(),

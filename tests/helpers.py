@@ -115,13 +115,20 @@ def load_csv(path: str, schema: Schema, stats: FeatureStats | None = None) -> Da
     return encode_rows(table, schema, stats, has_labels=has_labels)
 
 
+def decode_lines(lines) -> list:
+    """The records of JSON lines, such as ``explain_with_agreement``'s
+    explanations, each through ``json.loads``."""
+    return [json.loads(line) for line in lines]
+
+
 def explain(x, model, train, k: int | None = None, sigma: float = 0.5) -> dict:
     """The explanation record of one encoded feature row (one-row Inputs, or
     a vector of continuous features), through ``explain_with_agreement``,
     with ``k`` entries (every training instance unless given)."""
     rows = x if isinstance(x, Inputs) else np.asarray(x, dtype=np.float64)[None, :]
     k = len(train) if k is None else k
-    return explain_with_agreement(rows, model, train, k=k, k_list=(), sigma=sigma)[0][0]
+    return decode_lines(explain_with_agreement(rows, model, train, k=k, k_list=(),
+                                               sigma=sigma)[0])[0]
 
 
 def class_weights(explanation: dict, num_classes: int) -> np.ndarray:

@@ -48,6 +48,7 @@ from dwac_kit.network import DWAC, SOFTMAX, Inputs, backward, init_model
 from helpers import (
     calibrate_oracle,
     class_weights,
+    decode_lines,
     dwac_predict_oracle,
     load_csv,
     loo_loss_oracle,
@@ -352,8 +353,8 @@ def test_criterion_06_explanation_fidelity(separated):
     sample = run.test.x[:100]
     preds = predict(run.result.model, sample, train=run.result.embedded, sigma=0.5)
     rebuilt = [int(np.argmax(class_weights(e, run.proper.num_classes)))
-               for e in explain_with_agreement(sample, run.result.model, run.result.embedded,
-                                               k=t, k_list=(), sigma=0.5)[0]]
+               for e in decode_lines(explain_with_agreement(
+                   sample, run.result.model, run.result.embedded, k=t, k_list=(), sigma=0.5)[0])]
     exact_at_t = exact_at_t and np.array_equal(rebuilt, preds.predicted)
 
     at_one = []
@@ -454,7 +455,7 @@ def test_criterion_09_decisive_prefix_soundness(separated):
         explanations, _ = explain_with_agreement(run.test.x[:40], run.result.model,
                                                  run.result.embedded, k=len(run.proper),
                                                  k_list=(), sigma=0.5)
-        for e in explanations:
+        for e in decode_lines(explanations):
             queries += 1
             j = e["decisive_prefix"]
             if j == 0:

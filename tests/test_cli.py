@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from dataclasses import fields
 from pathlib import Path
@@ -22,13 +23,14 @@ from dwac_kit.cli import (
     BLOBS_STREAM, PATH_KEYS, READS, TRAINING_KEYS, RunConfig, build_config, main, make_parser,
 )
 from dwac_kit.conformal import NEG_PROB
-from dwac_kit.data import encode_rows, label_codes
+from dwac_kit.data import encode_json, encode_rows, label_codes
 from dwac_kit.evaluate import ood_cross_dataset
 from dwac_kit.explain import explain_with_agreement
 from dwac_kit.network import forward
 from helpers import (
     CPU_COUNTS,
     assert_one_error_line,
+    decode_lines,
     use_cpus,
     write_csv_data,
     write_unique_id_csv,
@@ -708,7 +710,7 @@ def test_json_outputs_hold_one_record_per_line(trained_dir, tmp_path):
         "explanations.json": {
             "provenance": {"command": "explain", "data": BLOBS, "seed": 0, "k": 10,
                            "k_list": [1, 5, 10, 100]},
-            "explanations": explanations},
+            "explanations": decode_lines(explanations)},
         "ood_summary.json": {
             "provenance": {"command": "ood", "data": BLOBS, "foreign": foreign_spec,
                            "measure": "both", "seed": 0},
@@ -731,6 +733,71 @@ def test_json_outputs_hold_one_record_per_line(trained_dir, tmp_path):
         assert json.loads(path.read_text()) == doc
         key = next(k for k in doc if k != "provenance")
         assert _records(path, key) == doc[key]
+
+
+@pytest.fixture(scope="module")
+def quick_start_model(tmp_path_factory):
+    """A dwac artifact of the README quick start's shape: 2,400 reference rows."""
+    out = tmp_path_factory.mktemp("quick_start")
+    assert run(["train", "--data", "blobs:n=4000,c=4,d=8,sep=10", "--head", "dwac",
+                "--max-epochs", "2", "--out", str(out)]) == 0
+    return str(out / "model_dwac_trial0.json")
+
+
+def _traced_peak(argv) -> int:
+    """The traced heap's peak during ``main(argv)``, above what was live before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert run(argv) == 0
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("command, bound", [("predict", 600), ("explain", 2_000)])
+def test_scoring_memory_per_query_row_holds_no_record_of_every_row(
+        quick_start_model, tmp_path, monkeypatch, command, bound):
+    # Records written as they are made leave the per-row arrays: 254 B a row
+    # for predict and 896 for explain --k 10, against 960 and 4,780 while
+    # every row's record was held until the file was written. One CPU, so
+    # the engine's per-thread block buffers do not grow with the rows.
+    monkeypatch.setattr(heads, "usable_cpus", lambda: 1)
+    peaks = []
+    for n in (2_000, 8_000):
+        argv = [command, "--model", quick_start_model, "--out", str(tmp_path / f"{n}"),
+                "--data", f"blobs:n={n},c=4,d=8,sep=10,seed=9"]
+        peaks.append(_traced_peak(argv + (["--k", "10"] if command == "explain" else [])))
+    assert (peaks[1] - peaks[0]) / 6_000 <= bound, peaks
+
+
+def test_a_write_that_fails_part_way_leaves_the_out_directory_as_it_was(
+        trained_dir, tmp_path, capsys, monkeypatch):
+    # predictions are encoded as the file is written; the encoder fails once
+    # more than a buffer's worth of lines is in the temp file
+    earlier = tmp_path / "earlier"
+    earlier.mkdir()
+    (earlier / "predictions.json").write_bytes(b"old predictions\n")
+    calls, temp_sizes = [], []
+
+    def failing_encode(obj):
+        calls.append(obj)
+        if len(calls) == 150:
+            temp_sizes.extend(p.stat().st_size for p in tmp_path.glob("*/.tmp-*~"))
+            raise OSError("No space left on device")
+        return encode_json(obj)
+
+    monkeypatch.setattr(cli, "encode_json", failing_encode)
+    for out, before in ((tmp_path / "fresh", []), (earlier, ["predictions.json"])):
+        calls.clear()
+        capsys.readouterr()
+        assert run(["predict", "--data", BLOBS, "--out", str(out),
+                    "--model", str(trained_dir / "model_dwac_trial0.json")]) == 2
+        assert assert_one_error_line(capsys) == "error: No space left on device"
+        assert sorted(p.name for p in out.iterdir()) == before
+    assert len(temp_sizes) == 2 and min(temp_sizes) > 0, temp_sizes
+    assert (earlier / "predictions.json").read_bytes() == b"old predictions\n"
 
 
 def test_values_too_large_to_compute_with_are_one_error_line(trained_dir, tmp_path, capsys):

@@ -459,6 +459,6 @@ def test_dwac_artifact_requires_embedded(dwac_run):
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):
     target = tmp_path / "out.txt"
-    atomic_write_text(str(target), "hello\n")
+    atomic_write_text(str(target), ["hello\n"])
     assert target.read_text() == "hello\n"
     assert os.listdir(tmp_path) == ["out.txt"]

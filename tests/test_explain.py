@@ -15,6 +15,7 @@ from helpers import (
     CPU_COUNTS,
     agreement_oracle,
     class_weights,
+    decode_lines,
     explain,
     explain_rows_oracle,
     kernel_matrix,
@@ -100,7 +101,7 @@ def test_adversarial_relabeling_never_flips_certified_predictions(dwac_run):
     x = test.x[:50]
     explanations, _ = explain_with_agreement(x, result.model, train, k=len(train), k_list=())
     certified = 0
-    for exp, total in zip(explanations, total_weights(x, result.model, train)):
+    for exp, total in zip(decode_lines(explanations), total_weights(x, result.model, train)):
         j = exp["decisive_prefix"]
         if j == 0:
             continue
@@ -124,7 +125,8 @@ def test_complete_explanation_reconstructs_probabilities(dwac_run):
     x = test.x[:20]
     preds = predict(result.model, x, train=train)
     explanations, _ = explain_with_agreement(x, result.model, train, k=len(train), k_list=())
-    for i, (exp, total) in enumerate(zip(explanations, total_weights(x, result.model, train))):
+    for i, (exp, total) in enumerate(zip(decode_lines(explanations),
+                                         total_weights(x, result.model, train))):
         masses = class_weights(exp, train.num_classes)
         assert abs(masses.sum() - total) < 1e-9
         if total > 0:
@@ -147,7 +149,8 @@ def test_explanations_across_row_blocks_keep_global_query_ids():
     train = EmbeddedTrainingSet(h=rng.standard_normal((20_000, 2)),
                                 labels=rng.integers(0, 2, size=20_000), num_classes=2)
     x = rng.standard_normal((250, 2))
-    explanations, _ = explain_with_agreement(x, identity_model(2), train, k=3, k_list=())
+    explanations = decode_lines(explain_with_agreement(x, identity_model(2), train, k=3,
+                                                       k_list=())[0])
     assert [e["query_id"] for e in explanations] == list(range(250))
     for i in (0, 103, 104, 249):
         # the same query explained alone, in a block of its own
@@ -176,7 +179,7 @@ def test_far_query_lists_its_nearest_row_first_with_weight_one():
     assert np.all(kernel_weights(x, h) == 0.0)
     explanations, _ = explain_with_agreement(x, identity_model(3), train, k=5, k_list=())
     nearest = np.argmin(((x[:, None, :] - h[None, :, :]) ** 2).sum(axis=2), axis=1)
-    for exp, j in zip(explanations, nearest.tolist()):
+    for exp, j in zip(decode_lines(explanations), nearest.tolist()):
         assert exp["entries"][0]["index"] == j and exp["entries"][0]["weight"] == 1.0
         assert exp["predicted_label"] == train.labels[j] and exp["decisive_prefix"] == 1
 
@@ -267,7 +270,7 @@ def test_explanations_and_agreement_do_not_depend_on_the_block_size(monkeypatch)
     absolute = kernel_weights(x, h)
     assert np.allclose(weights, absolute / absolute.max(axis=1, keepdims=True),
                        rtol=1e-12, atol=0.0)
-    for i, doc in enumerate(runs[0][0]):
+    for i, doc in enumerate(decode_lines(runs[0][0])):
         ranked = sorted(range(t), key=lambda j: (-weights[i, j], j))[:25]
         assert [e["index"] for e in doc["entries"]] == ranked
         assert [e["weight"] for e in doc["entries"]] == list(weights[i, ranked])
@@ -296,8 +299,9 @@ def test_explanations_and_agreement_do_not_depend_on_the_thread_count(monkeypatc
                 runs.append((k, table, explanations, totals))
     finally:
         sys.setswitchinterval(switch)
-    assert [e["query_id"] for e in runs[0][2]] == list(range(60))
-    assert len(runs[0][2][0]["entries"]) == t
+    first = decode_lines(runs[0][2])
+    assert [e["query_id"] for e in first] == list(range(60))
+    assert len(first[0]["entries"]) == t
     for i, run in enumerate(runs[2:]):
         assert run == runs[i % 2]
 
@@ -352,7 +356,7 @@ def test_block_ranking_equals_the_per_row_oracle(monkeypatch, case, cpus):
                                                  k_list=k_list)
     docs, expected = explain_rows_oracle(kernel_matrix(x, train),
                                          heads.kernel_blocks(x, train, None)[0], train, k, k_list)
-    assert explanations == docs
+    assert decode_lines(explanations) == docs
     assert table == expected
 
 
