@@ -53,7 +53,7 @@ SOFTMAX = "softmax"
 DWAC = "dwac"
 HEADS = (SOFTMAX, DWAC)
 
-GATHER_ROWS = 1024  # rows per block of the first layer's slot sums
+GATHER_ROWS = 1024  # rows per block of an eval pass
 
 # Adam's decay rates and denominator guard
 BETA1 = 0.9
@@ -101,8 +101,20 @@ class Inputs:
         return self.cont.shape[0]
 
     def __getitem__(self, rows) -> "Inputs":
-        """The rows ``rows`` (a slice or an index array), as Inputs."""
-        return Inputs(self.cont[rows], self.slots[rows], self.cont_rows, self.width)
+        """The rows ``rows`` (a slice or an index array), as Inputs. They were
+        checked when these Inputs were made, so they are not checked again."""
+        return _checked(np.ascontiguousarray(self.cont[rows]),
+                        np.ascontiguousarray(self.slots[rows]), self.cont_rows, self.width)
+
+
+def _checked(cont, slots, cont_rows, width) -> Inputs:
+    """Inputs of arrays that already hold checked values, built without
+    :meth:`Inputs.__post_init__`'s scans."""
+    x = object.__new__(Inputs)
+    for name, value in zip(("cont", "slots", "cont_rows", "width"),
+                           (cont, slots, cont_rows, width)):
+        object.__setattr__(x, name, value)
+    return x
 
 
 def as_inputs(x) -> Inputs:
@@ -119,15 +131,13 @@ def _first_layer(x: Inputs, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     one-hot encoding with W, adding each slot's row in column order. With
     no slots it is the plain ``x @ W + b``.
 
-    The slots' rows are added ``GATHER_ROWS`` rows at a time, so a block's
-    sums stay in cache: a 20,000-row Adult pass takes half the time of one
-    add per column over all rows. Each entry takes the same additions in the
-    same order whatever the block."""
+    An eval pass calls it on one ``GATHER_ROWS``-row block at a time, so a
+    block's sums stay in cache: a 20,000-row Adult pass takes half the time
+    of one add per column over all rows. Each entry takes the same additions
+    in the same order whatever the block."""
     z = x.cont @ (w if not x.slots.shape[1] else w[x.cont_rows])
-    for start in range(0, len(x), GATHER_ROWS):
-        block = z[start:start + GATHER_ROWS]
-        for column in x.slots[start:start + GATHER_ROWS].T:
-            block += w[column]
+    for column in x.slots.T:
+        z += w[column]
     z += b
     return z
 
@@ -231,13 +241,17 @@ def forward(
     pre-activation and mask for ``backward``.
 
     In eval mode dropout is the identity and the cache is None: nothing
-    backpropagates through an eval pass, so each layer's fresh product is
-    rectified in place and let go once the next layer has used it, and the
-    pass never holds more than one layer's input and its product. It is
-    not split into blocks of rows, which would bound memory further,
-    because OpenBLAS rounds a row block's GEMM differently from the whole
-    one for some shapes (a 9,000 x 36 by 36 x 4 product differs at every
-    block size tried), and embeddings must not depend on a block size.
+    backpropagates through an eval pass. It embeds ``GATHER_ROWS`` rows at
+    a time into one preallocated output, rectifying each layer's product in
+    place and letting it go once the next layer has used it, so it holds
+    the output and one block's activations. The last block is zero-padded
+    to full height (its padded rows select slot 0 of each categorical
+    column) and its padded rows' outputs are dropped, so every GEMM has one
+    shape. That keeps a row's embedding from depending on the rows embedded
+    with it: OpenBLAS rounds some products differently by their row count
+    (a one-row product takes its GEMV path, and a 9,000 x 36 by 36 x 4
+    product differs from its row blocks), but a row comes out bit for bit
+    the same alone, at any offset or in a full batch.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -248,12 +262,7 @@ def forward(
         )
     layers = list(zip(model.weights, model.biases))
     if mode == "eval":
-        a = _first_layer(x, *layers[0])
-        for w, b in layers[1:]:
-            np.maximum(a, 0.0, out=a)
-            a = a @ w
-            a += b
-        return a, None
+        return _embed(x, layers), None
 
     p = model.spec.dropout_prob
     use_dropout = p > 0.0
@@ -285,6 +294,29 @@ def forward(
         "batch": len(x),
     }
     return z, cache
+
+
+def _embed(x: Inputs, layers: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Eval-mode embeddings of ``x``, one zero-padded ``GATHER_ROWS``-row
+    block at a time (see :func:`forward`)."""
+    n = len(x)
+    out = np.empty((n, layers[-1][1].size))
+    for start in range(0, n, GATHER_ROWS):
+        block = x[start:start + GATHER_ROWS]
+        rows = len(block)
+        if rows < GATHER_ROWS:
+            cont = np.zeros((GATHER_ROWS, block.cont.shape[1]))
+            cont[:rows] = block.cont
+            slots = np.zeros((GATHER_ROWS, block.slots.shape[1]), dtype=np.int32)
+            slots[:rows] = block.slots
+            block = _checked(cont, slots, x.cont_rows, x.width)
+        a = _first_layer(block, *layers[0])
+        for w, b in layers[1:]:
+            np.maximum(a, 0.0, out=a)
+            a = a @ w
+            a += b
+        out[start:start + rows] = a[:rows]
+    return out
 
 
 def backward(

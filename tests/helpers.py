@@ -45,7 +45,7 @@ from dwac_kit.explain import explain_with_agreement
 from dwac_kit.evaluate import SPLIT_STREAM
 from dwac_kit.heads import softmax_batch_loss
 from dwac_kit.linalg import pairwise_sq_distances, query_factor, reference_factor
-from dwac_kit.network import DWAC, Inputs, adam_step, backward, forward
+from dwac_kit.network import DWAC, GATHER_ROWS, Inputs, adam_step, backward, forward
 from dwac_kit.trainer import SHUFFLE_STREAM, build_model
 
 # CPU counts the kernel engine is run at in the thread-count tests: serial,
@@ -276,13 +276,20 @@ def dwac_batch_loss_oracle(h_batch, labels, num_classes, sigma=0.5, prob_floor=1
 
 def eval_forward_oracle(model, x) -> np.ndarray:
     """Eval-mode embedding one layer at a time, each step a fresh array:
-    product plus bias, then the rectifier on every layer but the last."""
-    a = np.asarray(x, dtype=np.float64)
+    product plus bias, then the rectifier on every layer but the last.
+
+    All rows go through at once, zero-padded to a whole number of
+    ``GATHER_ROWS``-row blocks, and the padded rows are dropped: a product
+    of fewer rows than a block may round otherwise (one row takes
+    OpenBLAS's GEMV path), and an embedding must not depend on its batch."""
+    x = np.asarray(x, dtype=np.float64)
+    a = np.zeros((-(-len(x) // GATHER_ROWS) * GATHER_ROWS, x.shape[1]))
+    a[:len(x)] = x
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         z = a @ w + b
         a = z if i == last else np.maximum(z, 0.0)
-    return a
+    return a[:len(x)]
 
 
 def train_per_array_oracle(proper, config, epochs):

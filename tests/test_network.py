@@ -10,6 +10,7 @@ from dwac_kit.data import Schema, encode_rows, fit_stats, read_csv_rows
 from dwac_kit.linalg import make_rng
 from dwac_kit.network import (
     DWAC,
+    GATHER_ROWS,
     SOFTMAX,
     EmbeddingModel,
     Inputs,
@@ -101,6 +102,71 @@ def test_eval_forward_holds_one_product_per_layer():
     assert h.shape == (2000, 4)
     products = 8 * x.shape[0] * sum(sizes[1:])
     assert peak <= products + 64 * 1024, (peak, products)
+
+
+def _adult_shaped(rows, seed):
+    """Inputs shaped like encoded Adult rows: 5 continuous columns, then 8
+    categorical ones of 17 values each, 141 rows of W in all."""
+    rng = make_rng(seed)
+    slots = 5 + 17 * np.arange(8) + rng.integers(0, 17, size=(rows, 8))
+    return Inputs(rng.standard_normal((rows, 5)), slots.astype(np.int32), np.arange(5), 141)
+
+
+# an 8-column blob matrix with the default hidden sizes, Adult-shaped codes,
+# and 36 continuous columns with hidden (36, 4), whose whole-matrix product
+# OpenBLAS rounds otherwise than its row blocks
+EMBEDDING_INPUTS = {
+    "blobs": ((8, 32, 8, 4), lambda rows: make_rng(11).standard_normal((rows, 8))),
+    "adult": ((141, 32, 8, 2), lambda rows: _adult_shaped(rows, 12)),
+    "wide": ((36, 36, 4, 3), lambda rows: make_rng(13).standard_normal((rows, 36))),
+}
+
+
+@pytest.mark.parametrize("kind", EMBEDDING_INPUTS)
+def test_eval_embeddings_do_not_depend_on_the_batch(kind):
+    # a row alone, two rows, and a block and a row at an odd offset (across
+    # block edges) embed bit for bit as in a full pass
+    sizes, make = EMBEDDING_INPUTS[kind]
+    model = small_model(sizes=sizes, seed=4)
+    for b in model.biases:
+        b += make_rng(5).standard_normal(b.shape)
+    x = make(3 * GATHER_ROWS + 5)
+    full, _ = forward(model, x, mode="eval")
+    parts = [(0, 1), (GATHER_ROWS, GATHER_ROWS + 1), (len(full) - 1, len(full)),
+             (GATHER_ROWS - 1, GATHER_ROWS + 1), (511, 511 + GATHER_ROWS + 1)]
+    for start, stop in parts:
+        h, _ = forward(model, x[start:stop], mode="eval")
+        assert h.tobytes() == full[start:stop].tobytes(), (start, stop)
+
+
+@pytest.mark.parametrize("kind", EMBEDDING_INPUTS)
+def test_an_eval_pass_holds_one_block_of_activations(kind):
+    # 40 blocks' worth of rows: the pass may hold its output and a few
+    # blocks of the widest layer, never a layer's product over every row
+    sizes, make = EMBEDDING_INPUTS[kind]
+    model = small_model(sizes=sizes, seed=6)
+    x = make(40 * GATHER_ROWS)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        h, _ = forward(model, x, mode="eval")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    bound = h.nbytes + 4 * 8 * GATHER_ROWS * max(sizes[1:])
+    assert peak <= bound, (peak, bound)
+
+
+def test_rows_of_inputs_are_those_rows_without_a_new_check(monkeypatch):
+    x = _adult_shaped(300, 7)
+    idx = make_rng(8).permutation(300)[:128]
+    monkeypatch.setattr(Inputs, "__post_init__", None)  # a check would raise
+    for rows, part in ((idx, x[idx]), (slice(10, 138), x[10:138])):
+        assert part.cont.tobytes() == x.cont[rows].tobytes()
+        assert part.slots.tobytes() == x.slots[rows].tobytes()
+        assert part.cont.flags.c_contiguous and part.slots.flags.c_contiguous
+        assert part.cont_rows is x.cont_rows and part.width == x.width
 
 
 def _close(a, b, rtol=1e-12):

@@ -121,6 +121,14 @@ def test_predict_requires_reference_for_dwac(dwac_run):
         predict(result.model, np.zeros((2, result.model.spec.input_dim)))
 
 
+def test_predict_scores_a_row_alone_as_in_its_batch(dwac_run):
+    result, _, _, test = dwac_run
+    full = predict(result.model, test.x, result.embedded)
+    alone = predict(result.model, test.x[:1], result.embedded)
+    assert alone.probs.tobytes() == full.probs[:1].tobytes()
+    assert alone.weight_sums.tobytes() == full.weight_sums[:1].tobytes()
+
+
 def test_embed_training_set_requires_labels():
     ds = Dataset(x=np.zeros((3, 2)), y=None, num_classes=2)
     model = build_model(TrainConfig(head=DWAC), 2, 2)
