@@ -5,6 +5,10 @@ config file, and command-line flags (flags win). Outputs embed the
 resolved semantic config (not file paths) as a header comment or JSON
 field, so a rerun with the same config produces byte-identical files.
 
+A setting is declared once: its line in KEYS gives the runs that read it
+and its flag, and its field (TrainConfig's for a training value, else
+RunConfig's) its type, default and check.
+
 Datasets are either CSV files paired with a JSON schema, or synthetic
 blob specs written inline as ``blobs:n=4000,c=4,d=8,sep=10`` (optional
 ``seed=``; defaults to the run seed). Blob data needs no schema file: it
@@ -22,8 +26,6 @@ import logging
 import math
 import os
 import sys
-import types
-import typing
 from collections.abc import Iterable
 from dataclasses import dataclass, fields, replace
 
@@ -75,28 +77,62 @@ BLOB_KEYS = {"n": int, "c": int, "d": int, "sep": float, "seed": int}
 BOTH = "both"
 HEAD_CHOICES = (SOFTMAX, DWAC, BOTH)
 MEASURE_CHOICES = MEASURES + (BOTH,)
-# Settings that only training reads; runs that train nothing refuse them.
-TRAINING_KEYS = ("head", "sigma", "h_dim", "hidden", "dropout", "learning_rate",
-                 "batch_size", "max_epochs", "patience", "fractions")
+# The kinds of run: train, ood --held-class, ood --foreign, and the commands
+# that score with a saved artifact. Only the first two train.
+RUNS = ("train", "holdout", "foreign", "predict", "explain", "conformal")
+TRAINS, SCORES = RUNS[:2], RUNS[2:]
 # Locations, not meaning: every run accepts them and no provenance holds them.
 PATH_KEYS = frozenset({"schema", "model", "out"})
-# All that each kind of run reads: train, ood --held-class, ood --foreign,
-# and the commands that score with a saved artifact. Its provenance holds
-# the command and these keys but the paths; it refuses every other key but
-# a path, and its subcommand takes a flag for each key (see FLAGS).
-READS = {
-    "train": ("data", "test_data", "seed", "trials", *TRAINING_KEYS),
-    "holdout": ("data", "held_class", "measure", "seed", *TRAINING_KEYS),
-    "foreign": ("data", "foreign", "measure", "seed", "model"),
-    "predict": ("data", "seed", "model"),
-    "explain": ("data", "seed", "k", "k_list", "model"),
-    "conformal": ("data", "seed", "measure", "epsilons", "model"),
+
+
+def int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(p) for p in text.split(",") if p.strip())
+
+
+def float_list(text: str) -> tuple[float, ...]:
+    return tuple(float(p) for p in text.split(",") if p.strip())
+
+
+# Each key of a flag or config file: the kinds of run that read it, and its
+# flag's argparse options ("flag" if not the key with dashes). A run refuses
+# every key it does not read but a path (a key read only by runs that train
+# is a training key), and its provenance holds the command and what it reads
+# but the paths. A subcommand takes the flags of what its runs (COMMANDS) read.
+KEYS = {
+    "schema": (RUNS, {"help": "JSON schema for CSV data"}),
+    "out": (RUNS, {"help": "output directory"}),
+    "data": (RUNS, {"help": "CSV path or blobs:n=..,c=..,d=..,sep=.."}),
+    "test_data": (("train",),
+                  {"help": "fixed test CSV; --data is then split proper/calibration only"}),
+    "foreign": (("foreign",), {"help": "foreign dataset (CSV or blobs spec)"}),
+    "held_class": (("holdout",), {"type": int, "help": "class index to hold out of training"}),
+    "measure": (("holdout", "foreign", "conformal"), {"choices": MEASURE_CHOICES}),
+    "seed": (RUNS, {"type": int, "help": "base seed (default 0)"}),
+    "trials": (("train",), {"type": int}),
+    "head": (TRAINS, {"choices": HEAD_CHOICES}),
+    "sigma": (TRAINS, {"type": float, "help": "kernel width (default 0.5)"}),
+    "h_dim": (TRAINS, {"type": int, "help": "embedding width (default: #classes)"}),
+    "hidden": (TRAINS, {"type": int_list, "help": "hidden layer sizes, e.g. 32,8"}),
+    "dropout": (TRAINS, {"type": float}),
+    "learning_rate": (TRAINS, {"type": float}),
+    "batch_size": (TRAINS, {"type": int}),
+    "max_epochs": (TRAINS, {"type": int}),
+    "patience": (TRAINS, {"type": int}),
+    "fractions": (TRAINS, {"type": float_list, "help": "proper,calibration,test fractions"}),
+    "epsilons": (("conformal",), {"flag": "--epsilon-grid", "type": float_list,
+                                  "help": "comma-separated error rates"}),
+    "k": (("explain",), {"type": int, "help": "entries per explanation (default 10)"}),
+    "k_list": (("explain",),
+               {"type": int_list, "help": "agreement table k values, e.g. 1,5,10,100"}),
+    "model": (SCORES, {"action": "append", "help": "model artifact path"}),
 }
+READS = {run: tuple(key for key, (runs, _) in KEYS.items() if run in runs) for run in RUNS}
 
 
 @dataclass(frozen=True)
 class RunConfig:
     command: str
+    training: tuple[TrainConfig, ...] = ()  # a run that trains: its settings, one per head
     data: str | None = None
     test_data: str | None = None
     schema: str | None = None
@@ -104,16 +140,7 @@ class RunConfig:
     foreign: str | None = None
     held_class: int | None = None
     out: str | None = None
-    head: str = BOTH
     measure: str = BOTH
-    h_dim: int | None = TrainConfig.h_dim
-    hidden: tuple[int, ...] = TrainConfig.hidden
-    dropout: float = TrainConfig.dropout
-    sigma: float = TrainConfig.sigma
-    learning_rate: float = TrainConfig.learning_rate
-    batch_size: int = TrainConfig.batch_size
-    max_epochs: int = TrainConfig.max_epochs
-    patience: int = TrainConfig.patience
     trials: int = 1
     seed: int = 0
     fractions: tuple[float, float, float] = (0.6, 0.2, 0.2)
@@ -122,10 +149,6 @@ class RunConfig:
     k_list: tuple[int, ...] = (1, 5, 10, 100)
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not _conforms(value, _FIELD_TYPES[f.name]):
-                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
         if not all(map(math.isfinite, self.fractions)):
             raise ValueError(f"fractions must be finite, got {list(self.fractions)!r}")
         if self.trials < 1:
@@ -141,16 +164,10 @@ class RunConfig:
             raise ValueError(f"k_list entries must be >= 1, got {list(self.k_list)}")
         if any(not 0.0 <= e <= 1.0 for e in self.epsilons):
             raise ValueError("epsilon values must lie in [0, 1]")
-        if self.head not in HEAD_CHOICES:
-            raise ValueError(f"head must be one of {HEAD_CHOICES}")
-        if self.measure not in MEASURE_CHOICES:
-            raise ValueError(f"measure must be one of {MEASURE_CHOICES}")
 
     @property
     def run(self) -> str:
-        """The kind of run, a key of READS: the command, or for ood its
-        protocol. Only ``train`` and hold-out ``ood`` train, and so take
-        sigma; the others score with the artifact's."""
+        """The kind of run, one of RUNS: the command, or for ood its protocol."""
         if self.command != "ood":
             return self.command
         return "foreign" if self.held_class is None else "holdout"
@@ -158,10 +175,14 @@ class RunConfig:
     def provenance(self) -> str:
         """Canonical JSON of the semantic config: everything that shapes the
         numbers, none of the filesystem paths."""
+        values = {**vars(self)}
+        if self.training:  # the heads share every training value but the head
+            values.update(vars(self.training[0]))
+            values["head"] = BOTH if len(self.training) > 1 else self.training[0].head
         sources = ("data", "test_data", "foreign")
         doc = {}
         for name in ("command", *READS[self.run]):
-            value = getattr(self, name)
+            value = values[name]
             if name in PATH_KEYS or (name in sources and value is not None
                                      and not value.startswith("blobs:")):
                 continue  # CSV paths are location, not meaning; blob specs stay
@@ -169,39 +190,24 @@ class RunConfig:
         return encode_json(doc)
 
 
-_FIELD_TYPES = typing.get_type_hints(RunConfig)
-
-
-def _conforms(value, hint) -> bool:
-    """Whether ``value`` has the annotated type; ints pass for floats, bools
-    pass for nothing."""
-    args = typing.get_args(hint)
-    if isinstance(hint, types.UnionType):
-        return any(_conforms(value, h) for h in args)
-    if typing.get_origin(hint) is tuple:
-        if not isinstance(value, tuple):
-            return False
-        if len(args) == 2 and args[1] is Ellipsis:
-            return all(_conforms(v, args[0]) for v in value)
-        return len(value) == len(args) and all(map(_conforms, value, args))
-    if isinstance(value, bool):
-        return False
-    if hint is float:
-        return isinstance(value, (int, float))
-    return isinstance(value, hint)
-
-
-def int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in text.split(",") if p.strip())
-
-
-def float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(p) for p in text.split(",") if p.strip())
+def _conforms(value, hint: str) -> bool:
+    """Whether ``value`` has the type a field's annotation ``hint`` names;
+    ints pass for floats, bools pass for nothing."""
+    if " | " in hint:
+        return any(_conforms(value, h) for h in hint.split(" | "))
+    if hint.startswith("tuple["):
+        items = hint[6:-1].split(", ")
+        if items[-1] == "...":
+            items = items[:1] * len(value) if isinstance(value, tuple) else []
+        return (isinstance(value, tuple) and len(value) == len(items)
+                and all(map(_conforms, value, items)))
+    return type(value) in {"int": (int,), "float": (int, float), "str": (str,),
+                           "None": (type(None),)}[hint]
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, the optional config file, and explicit flags."""
-    merged: dict = {"command": args.command}
+    merged: dict = {}
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as f:
             try:
@@ -210,34 +216,41 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                 raise ValueError(f"{args.config}: {e}") from None
         if not isinstance(file_values, dict):
             raise ValueError(f"{args.config}: config file must hold a JSON object")
-        known = {f.name for f in fields(RunConfig)} - {"command"}  # the subcommand decides
-        unknown = set(file_values) - known
+        unknown = set(file_values) - set(KEYS)
         if unknown:
             raise ValueError(f"{args.config}: unknown config keys {sorted(unknown)}")
         merged.update(file_values)
-    for key, value in vars(args).items():
-        if key in ("command", "config", "func", "verbose") or value is None:
-            continue
-        merged[key] = value
-    # JSON arrays of the config file, and the --model list, as the tuples RunConfig holds
-    cfg = RunConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in merged.items()})
+    merged.update((k, v) for k, v in vars(args).items() if k in KEYS and v is not None)
+    # JSON arrays of the config file, and the --model list, as the tuples the fields hold
+    merged = {k: tuple(v) if isinstance(v, list) else v for k, v in merged.items()}
+    hints = {f.name: f.type for c in (TrainConfig, RunConfig) for f in fields(c)}
+    for key, value in merged.items():
+        choices = KEYS[key][1].get("choices")
+        if not _conforms(value, hints[key]):
+            raise ValueError(f"{key} must be {hints[key]}, got {value!r}")
+        if choices and value not in choices:
+            raise ValueError(f"{key} must be one of {choices}")
+    own = {f.name for f in fields(RunConfig)}
+    cfg = RunConfig(args.command, **{k: v for k, v in merged.items() if k in own})
     reads = READS[cfg.run]
-    refused = sorted(merged.keys() - {"command"} - PATH_KEYS - set(reads))
+    refused = sorted(merged.keys() - PATH_KEYS - set(reads))
     if refused:
         key = refused[0]
         source = _flag(key) if getattr(args, key, None) is not None else args.config
-        if key in TRAINING_KEYS:
-            raise ValueError(
-                f"{source}: {key} is a training key; {cfg.command} scores with the model "
-                "artifact and trains nothing (ood trains only with --held-class)"
-            )
+        if KEYS[key][0] == TRAINS:
+            raise ValueError(f"{source}: {key} is a training key; {cfg.command} scores with "
+                             "the model artifact and trains nothing (ood trains only with "
+                             "--held-class)")
         raise ValueError(f"{source}: {cfg.command} does not read {key}; it reads only "
                          f"{', '.join(k for k in reads if k not in PATH_KEYS)} besides paths")
     if cfg.data is None:  # every kind of run reads it
         raise ValueError(f"{cfg.command} needs --data")
-    if "head" in reads:  # a run that trains: its bad settings go before any data is read
-        for head in _heads(cfg):
-            _train_config(cfg, head, cfg.seed)
+    if cfg.run in TRAINS:  # its bad settings go before any data is read
+        settings = {k: v for k, v in merged.items() if k not in own}
+        head = settings.pop("head", BOTH)  # the CLI trains both heads unless told one
+        heads = (SOFTMAX, DWAC) if head == BOTH else (head,)
+        cfg = replace(cfg, training=tuple(TrainConfig(**settings, head=h, seed=cfg.seed)
+                                          for h in heads))
     return cfg
 
 
@@ -322,10 +335,6 @@ def _encoded(source: str, cfg: RunConfig, artifacts: list[ModelArtifact],
     return datasets
 
 
-def _heads(cfg: RunConfig) -> list[str]:
-    return [SOFTMAX, DWAC] if cfg.head == BOTH else [cfg.head]
-
-
 def _measures_for(head: str, requested: str) -> list[str]:
     valid = (NEG_PROB, NEG_WEIGHT_SUM) if head == DWAC else (NEG_PROB,)
     if requested == BOTH:
@@ -362,11 +371,6 @@ def _scored_artifacts(cfg: RunConfig) -> list[tuple[ModelArtifact, dict[str, np.
             raise ValueError(f"--model {cfg.model[heads.index(head)]} and --model {cfg.model[i]} "
                              f"are both {head} artifacts; give one artifact per head")
     return [(a, _calibrations(a, path, cfg.measure)) for a, path in zip(artifacts, cfg.model)]
-
-
-def _train_config(cfg: RunConfig, head: str, seed: int) -> TrainConfig:
-    settings = {key: getattr(cfg, key) for key in TRAINING_KEYS if key != "fractions"}
-    return TrainConfig(**{**settings, "head": head, "seed": seed})
 
 
 def _write_csv(cfg: RunConfig, name: str, header: list[str], rows: list[list]) -> None:
@@ -434,9 +438,8 @@ def _write_histogram(cfg: RunConfig, name: str, samples: dict[str, np.ndarray]) 
 def cmd_train(cfg: RunConfig) -> int:
     raw = _load_raw(cfg.data, cfg)
     fixed_test = _load_raw(cfg.test_data, cfg, schema=raw.schema) if cfg.test_data else None
-    heads = _heads(cfg)
-    accs = {head: [] for head in heads}
-    maes = {head: [] for head in heads}
+    accs = {config.head: [] for config in cfg.training}
+    maes = {head: [] for head in accs}
     schema = raw.schema
     for trial in range(cfg.trials):
         seed = cfg.seed + trial
@@ -448,10 +451,11 @@ def cmd_train(cfg: RunConfig) -> int:
             log.warning("trial %d: the test split has %d rows, fewer than the %d classes; "
                         "its accuracy and calibration error say little",
                         trial, len(test), proper.num_classes)
-        results = train_many([(proper, calib_set, _train_config(cfg, head, seed))
-                              for head in heads])
-        for head, result in zip(heads, results):
-            preds = predict(result.model, test.x, train=result.embedded, sigma=cfg.sigma)
+        configs = [replace(config, seed=seed) for config in cfg.training]
+        results = train_many([(proper, calib_set, config) for config in configs])
+        for config, result in zip(configs, results):
+            head = config.head
+            preds = predict(result.model, test.x, train=result.embedded, sigma=config.sigma)
             acc = accuracy(preds, test.y)
             mae = calibration_mae(preds.probs, test.y)
             accs[head].append(acc)
@@ -467,7 +471,7 @@ def cmd_train(cfg: RunConfig) -> int:
             }
             artifact = ModelArtifact(
                 model=result.model,
-                sigma=cfg.sigma,
+                sigma=config.sigma,
                 num_classes=proper.num_classes,
                 schema=schema,
                 stats=proper.stats,
@@ -490,7 +494,7 @@ def cmd_train(cfg: RunConfig) -> int:
         ["head", "accuracy_mean", "accuracy_std", "calibration_mae_mean",
          "calibration_mae_std"],
         [[head, _fmt(np.mean(accs[head])), _fmt(np.std(accs[head])),
-          _fmt(np.mean(maes[head])), _fmt(np.std(maes[head]))] for head in heads],
+          _fmt(np.mean(maes[head])), _fmt(np.std(maes[head]))] for head in accs],
     )
     return 0
 
@@ -559,14 +563,14 @@ def cmd_conformal(cfg: RunConfig) -> int:
 def cmd_ood(cfg: RunConfig) -> int:
     credibility = {}  # head -> measure -> (in-domain, out-of-domain)
     if cfg.held_class is not None:
+        measures = [_measures_for(config.head, cfg.measure) for config in cfg.training]
         # one split and encoding, shared by every head
         splits = trial_splits(_load_raw(cfg.data, cfg), cfg.seed, cfg.fractions,
                               held_class=cfg.held_class)
-        measures = {head: _measures_for(head, cfg.measure) for head in _heads(cfg)}
-        results = train_many([(*splits[:2], _train_config(cfg, head, cfg.seed))
-                              for head in measures])
-        for (head, head_measures), result in zip(measures.items(), results):
-            credibility[head] = ood_holdout_class_multi(splits, result, head_measures, cfg.sigma)
+        results = train_many([(*splits[:2], config) for config in cfg.training])
+        for config, head_measures, result in zip(cfg.training, measures, results):
+            credibility[config.head] = ood_holdout_class_multi(splits, result, head_measures,
+                                                               config.sigma)
     elif cfg.foreign is not None:
         scored = _scored_artifacts(cfg)
         artifacts = [artifact for artifact, _ in scored]
@@ -597,31 +601,6 @@ def cmd_ood(cfg: RunConfig) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-# The flag of each key: its argparse options, and its name where that is not
-# the key's with dashes. Every subcommand takes --config, -v, --schema, --out
-# and the flag of every key that its kinds of run (COMMANDS) read.
-FLAGS = {
-    "data": {"help": "CSV path or blobs:n=..,c=..,d=..,sep=.."},
-    "test_data": {"help": "fixed test CSV; --data is then split proper/calibration only"},
-    "schema": {"help": "JSON schema for CSV data"},
-    "model": {"action": "append", "help": "model artifact path"},
-    "foreign": {"help": "foreign dataset (CSV or blobs spec)"},
-    "held_class": {"type": int, "help": "class index to hold out of training"},
-    "out": {"help": "output directory"},
-    "head": {"choices": HEAD_CHOICES}, "measure": {"choices": MEASURE_CHOICES},
-    "h_dim": {"type": int, "help": "embedding width (default: #classes)"},
-    "hidden": {"type": int_list, "help": "hidden layer sizes, e.g. 32,8"},
-    "sigma": {"type": float, "help": "kernel width (default 0.5)"},
-    "dropout": {"type": float}, "learning_rate": {"type": float},
-    "batch_size": {"type": int}, "max_epochs": {"type": int}, "patience": {"type": int},
-    "trials": {"type": int},
-    "seed": {"type": int, "help": "base seed (default 0)"},
-    "fractions": {"type": float_list, "help": "proper,calibration,test fractions"},
-    "epsilons": {"flag": "--epsilon-grid", "type": float_list,
-                 "help": "comma-separated error rates"},
-    "k": {"type": int, "help": "entries per explanation (default 10)"},
-    "k_list": {"type": int_list, "help": "agreement table k values, e.g. 1,5,10,100"},
-}
 # Each subcommand: its function, the kinds of run it makes, and its help.
 COMMANDS = {
     "train": (cmd_train, ("train",), "train one or both heads over several trials"),
@@ -634,7 +613,7 @@ COMMANDS = {
 
 
 def _flag(key: str) -> str:
-    return FLAGS[key].get("flag", "--" + key.replace("_", "-"))
+    return KEYS[key][1].get("flag", "--" + key.replace("_", "-"))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -653,9 +632,10 @@ def make_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=text)
         p.add_argument("--config", help="JSON config file; flags override its values")
         p.add_argument("-v", "--verbose", action="store_true", default=None)
-        for key in dict.fromkeys(("schema", "out", *(k for run in runs for k in READS[run]))):
-            options = {k: v for k, v in FLAGS[key].items() if k != "flag"}
-            p.add_argument(_flag(key), dest=key, **options)
+        for key, (key_runs, options) in KEYS.items():
+            if set(runs) & set(key_runs):
+                options = {k: v for k, v in options.items() if k != "flag"}
+                p.add_argument(_flag(key), dest=key, **options)
         p.set_defaults(func=func)
     return parser
 

@@ -54,7 +54,9 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Training settings, named as the CLI's keys; the one place they are checked."""
+    """Training settings, named as the CLI's keys. Each field is the one
+    declaration of a setting's type, default and check; the CLI adds only
+    its flag and the runs that read it (``cli.KEYS``)."""
 
     head: str = DWAC
     hidden: tuple[int, ...] = (32, 8)
@@ -73,6 +75,8 @@ class TrainConfig:
         for name in ("batch_size", "max_epochs", "patience"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.batch_size < 2 and self.head == DWAC:
             raise ValueError("dwac needs batch_size >= 2 for leave-one-out loss")
         if any(size < 1 for size in self.hidden):

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import importlib
+import io
 import json
 import os
 import subprocess
@@ -14,13 +16,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dataclasses import replace
 
-from dwac_kit import blob_data, heads, load_model, make_blobs, make_rng, predict, save_model
+from dwac_kit import (TrainConfig, blob_data, heads, load_model, make_blobs, make_rng, predict,
+                      save_model)
 from dwac_kit import cli, evaluate
 from dwac_kit.cli import (
-    BLOBS_STREAM, PATH_KEYS, READS, TRAINING_KEYS, RunConfig, build_config, main, make_parser,
+    BLOBS_STREAM, KEYS, PATH_KEYS, READS, TRAINS, RunConfig, build_config, main, make_parser,
 )
 from dwac_kit.conformal import NEG_PROB
 from dwac_kit.data import encode_json, encode_rows, label_codes
@@ -58,9 +63,16 @@ def provenance_keys(run_kind):
     return {"command", *READS[run_kind]} - PATH_KEYS
 
 
-# every key a config file may name, at its default value
+# every key a config file may name, at its field's default value: TrainConfig's
+# for a training value, RunConfig's for any other
 DEFAULTS = {f.name: list(f.default) if isinstance(f.default, tuple) else f.default
-            for f in fields(RunConfig) if f.name != "command"}
+            for cls in (TrainConfig, RunConfig) for f in fields(cls) if f.name in KEYS}
+TRAINING_KEYS = {key for key, (runs, _) in KEYS.items() if runs == TRAINS}
+
+
+def test_every_declared_key_has_a_default():
+    # so assert_reads_only_its_keys tries a key added later against every run
+    assert DEFAULTS.keys() == KEYS.keys()
 
 
 def assert_reads_only_its_keys(run_kind, argv, out, tmp_path, capsys):
@@ -274,7 +286,8 @@ def test_sigma_is_only_a_training_flag(trained_dir, tmp_path, capsys):
     assert "sigma" not in doc["provenance"]
     held = build_config(make_parser().parse_args(
         ["ood", "--data", BLOBS, "--held-class", "2", "--config", str(cfg)]))
-    assert held.sigma == 100 and json.loads(held.provenance())["sigma"] == 100
+    assert [c.sigma for c in held.training] == [100, 100]
+    assert json.loads(held.provenance())["sigma"] == 100
 
 
 def test_scoring_commands_read_only_their_keys(trained_dir, tmp_path, capsys):
@@ -856,6 +869,35 @@ def test_config_file_values_are_type_checked(tmp_path, capsys):
     assert_one_error_line(capsys)
 
 
+# JSON values of every kind a config file may hold, and of no key's type
+CONFIG_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70) | st.floats()
+    | st.sampled_from(["", "x", "32,8", "0.6,0.2,0.2", "dwac", "both", "neg_weight_sum"]),
+    lambda inner: st.lists(inner, max_size=4), max_leaves=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.dictionaries(st.sampled_from([*KEYS, "sneed", "command", "epsilon_grid"]),
+                              CONFIG_VALUES, max_size=4))
+def test_a_fuzzed_config_file_is_one_error_line_before_any_output(values, tmp_path_factory):
+    # every path a flag names is missing, so an accepted config ends at the
+    # first read: whatever the file holds, one error line and no --out
+    tmp = tmp_path_factory.mktemp("fuzz")
+    cfg, out = tmp / "cfg.json", tmp / "out"
+    cfg.write_text(json.dumps(values))
+    model = ["--model", str(tmp / "absent.json")]
+    paths = ["--data", str(tmp / "absent.csv"), "--schema", str(tmp / "absent_schema.json"),
+             "--config", str(cfg), "--out", str(out)]
+    for argv in (["train"], ["predict", *model], ["explain", *model], ["conformal", *model],
+                 ["ood", "--held-class", "0"], ["ood", "--foreign", str(tmp / "absent"), *model]):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = run(argv + paths)
+        lines = err.getvalue().splitlines()
+        assert rc == 2 and len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+        assert not out.exists()
+
+
 def test_config_file_list_keys_are_json_arrays(tmp_path, capsys):
     # a comma-separated string is a flag's spelling, refused by name in a file
     cfg = tmp_path / "run.json"
@@ -922,10 +964,13 @@ def test_a_bad_flag_is_one_error_line(argv, message, tmp_path, capsys):
      "k must be >= 1, got 0"),
     (["explain", "--data", "{missing}", "--model", "{dwac}", "--k-list", "0,5"], None,
      "k_list entries must be >= 1, got [0, 5]"),
+    (["ood", "--data", "{missing}", "--schema", "{schema}", "--held-class", "2",
+      "--head", "softmax", "--measure", "neg_weight_sum"], None,
+     "measure 'neg_weight_sum' is incompatible with head 'softmax'; valid: ('neg_prob',)"),
 ], ids=["seed-flag-blobs", "seed-flag-csv", "seed-config", "truncated-config", "empty-k-list",
         "empty-epsilon-grid", "empty-epsilons-config", "batch-size-0", "patience-0",
         "sigma-negative", "learning-rate-0", "dropout-1", "dropout-1-config", "hidden-0",
-        "ood-h-dim-0", "dwac-batch-size-1", "k-0", "k-list-0"])
+        "ood-h-dim-0", "dwac-batch-size-1", "k-0", "k-list-0", "ood-measure-of-no-head"])
 def test_a_bad_setting_is_refused_by_name_before_any_data_is_read(
         argv, config, refusal, trained_dir, tmp_path, capsys, monkeypatch):
     data, schema = write_csv_data(tmp_path)

@@ -55,7 +55,8 @@ def test_config_validation():
         TrainConfig(max_epochs=0)
     # each setting is refused under its own name, the CLI's key
     for key, value in (("dropout", 1.0), ("dropout", -0.1), ("hidden", (8, 0)), ("h_dim", 0),
-                       ("sigma", 0.0), ("learning_rate", float("nan")), ("patience", 0)):
+                       ("sigma", 0.0), ("learning_rate", float("nan")), ("patience", 0),
+                       ("seed", -1)):
         with pytest.raises(ValueError, match=f"^{key} "):
             TrainConfig(**{key: value})
 
