@@ -34,7 +34,6 @@ from .evaluate import (
     accuracy,
     calibration_mae,
     ood_cross_dataset,
-    ood_holdout_class_multi,
     trial_splits,
 )
 from .explain import explain_with_agreement

@@ -31,15 +31,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .conformal import (
-    EPSILON_GRID,
-    MEASURES,
-    NEG_PROB,
-    NEG_WEIGHT_SUM,
-    calibrate,
-    conformal_predict,
-    coverage_report,
-)
+from .conformal import EPSILON_GRID, HEAD_MEASURES, MEASURES, conformal_predict, coverage_report
 from .data import (
     CsvData,
     Dataset,
@@ -54,14 +46,7 @@ from .data import (
     read_csv_rows,
     save_model,
 )
-from .evaluate import (
-    PER_BIN,
-    accuracy,
-    calibration_mae,
-    ood_cross_dataset,
-    ood_holdout_class_multi,
-    trial_splits,
-)
+from .evaluate import PER_BIN, accuracy, calibration_mae, ood_cross_dataset, trial_splits
 from .explain import explain_with_agreement
 from .linalg import make_rng
 from .network import DWAC, SOFTMAX
@@ -107,10 +92,10 @@ KEYS = {
     "foreign": (("foreign",), {"help": "foreign dataset (CSV or blobs spec)"}),
     "held_class": (("holdout",), {"type": int, "help": "class index to hold out of training"}),
     "measure": (("holdout", "foreign", "conformal"), {"choices": MEASURE_CHOICES}),
-    "seed": (RUNS, {"type": int, "help": "base seed (default 0)"}),
+    "seed": (RUNS, {"type": int, "help": "base seed"}),
     "trials": (("train",), {"type": int}),
     "head": (TRAINS, {"choices": HEAD_CHOICES}),
-    "sigma": (TRAINS, {"type": float, "help": "kernel width (default 0.5)"}),
+    "sigma": (TRAINS, {"type": float, "help": "kernel width"}),
     "h_dim": (TRAINS, {"type": int, "help": "embedding width (default: #classes)"}),
     "hidden": (TRAINS, {"type": int_list, "help": "hidden layer sizes, e.g. 32,8"}),
     "dropout": (TRAINS, {"type": float}),
@@ -121,7 +106,7 @@ KEYS = {
     "fractions": (TRAINS, {"type": float_list, "help": "proper,calibration,test fractions"}),
     "epsilons": (("conformal",), {"flag": "--epsilon-grid", "type": float_list,
                                   "help": "comma-separated error rates"}),
-    "k": (("explain",), {"type": int, "help": "entries per explanation (default 10)"}),
+    "k": (("explain",), {"type": int, "help": "entries per explanation"}),
     "k_list": (("explain",),
                {"type": int_list, "help": "agreement table k values, e.g. 1,5,10,100"}),
     "model": (SCORES, {"action": "append", "help": "model artifact path"}),
@@ -266,8 +251,10 @@ def _parse_blob_spec(spec: str, default_seed: int) -> Dataset:
             continue
         if "=" not in part:
             raise ValueError(f"bad blob spec {spec!r}: expected key=value, got {part!r}")
-        key, value = part.split("=", 1)
-        kv[key.strip()] = value.strip()
+        key, value = (t.strip() for t in part.split("=", 1))
+        if key in kv:
+            raise ValueError(f"bad blob spec {spec!r}: repeated key {key!r}")
+        kv[key] = value
     unknown = set(kv) - set(BLOB_KEYS)
     if unknown:
         raise ValueError(f"bad blob spec {spec!r}: unknown keys {sorted(unknown)}")
@@ -335,15 +322,15 @@ def _encoded(source: str, cfg: RunConfig, artifacts: list[ModelArtifact],
     return datasets
 
 
-def _measures_for(head: str, requested: str) -> list[str]:
-    valid = (NEG_PROB, NEG_WEIGHT_SUM) if head == DWAC else (NEG_PROB,)
+def _measures_for(head: str, requested: str) -> tuple[str, ...]:
+    valid = HEAD_MEASURES[head]
     if requested == BOTH:
-        return list(valid)
+        return valid
     if requested not in valid:
         raise ValueError(
             f"measure {requested!r} is incompatible with head {head!r}; valid: {valid}"
         )
-    return [requested]
+    return (requested,)
 
 
 def _calibrations(artifact: ModelArtifact, path: str, requested: str) -> dict[str, np.ndarray]:
@@ -464,11 +451,6 @@ def cmd_train(cfg: RunConfig) -> int:
                 "head=%s trial=%d seed=%d epochs=%d acc=%.4f mae=%.4f",
                 head, trial, seed, len(result.history), acc, mae,
             )
-
-            calibrations = {
-                m: calibrate(result.calib_predictions, calib_set.y, m)
-                for m in _measures_for(head, BOTH)
-            }
             artifact = ModelArtifact(
                 model=result.model,
                 sigma=config.sigma,
@@ -476,7 +458,7 @@ def cmd_train(cfg: RunConfig) -> int:
                 schema=schema,
                 stats=proper.stats,
                 embedded=result.embedded,
-                calibrations=calibrations,
+                calibrations=result.calibrations,
             )
             save_model(artifact, os.path.join(cfg.out, f"model_{head}_trial{trial}.json"))
             _write_csv(
@@ -561,27 +543,28 @@ def cmd_conformal(cfg: RunConfig) -> int:
 
 
 def cmd_ood(cfg: RunConfig) -> int:
-    credibility = {}  # head -> measure -> (in-domain, out-of-domain)
+    # Each protocol gives each head's ood_cross_dataset arguments: the model, its
+    # embedded reference rows, calibrations, in-domain and out-of-domain data, sigma.
     if cfg.held_class is not None:
         measures = [_measures_for(config.head, cfg.measure) for config in cfg.training]
-        # one split and encoding, shared by every head
-        splits = trial_splits(_load_raw(cfg.data, cfg), cfg.seed, cfg.fractions,
-                              held_class=cfg.held_class)
-        results = train_many([(*splits[:2], config) for config in cfg.training])
-        for config, head_measures, result in zip(cfg.training, measures, results):
-            credibility[config.head] = ood_holdout_class_multi(splits, result, head_measures,
-                                                               config.sigma)
+        # one split and encoding, shared by every head; the held class is out of domain
+        proper, calib, test, held = trial_splits(_load_raw(cfg.data, cfg), cfg.seed,
+                                                 cfg.fractions, held_class=cfg.held_class)
+        results = train_many([(proper, calib, config) for config in cfg.training])
+        jobs = [(r.model, r.embedded, {m: r.calibrations[m] for m in head_measures},
+                 test, held, config.sigma)
+                for config, head_measures, r in zip(cfg.training, measures, results)]
     elif cfg.foreign is not None:
         scored = _scored_artifacts(cfg)
         artifacts = [artifact for artifact, _ in scored]
-        in_sets = _encoded(cfg.data, cfg, artifacts)
-        foreign_sets = _encoded(cfg.foreign, cfg, artifacts)
-        for (artifact, calibrations), in_ds, foreign_ds in zip(scored, in_sets, foreign_sets):
-            credibility[artifact.model.head] = ood_cross_dataset(
-                artifact.model, artifact.embedded, calibrations, in_ds, foreign_ds,
-                sigma=artifact.sigma)
+        jobs = [(a.model, a.embedded, calibrations, in_ds, foreign_ds, a.sigma)
+                for (a, calibrations), in_ds, foreign_ds in zip(
+                    scored, _encoded(cfg.data, cfg, artifacts),
+                    _encoded(cfg.foreign, cfg, artifacts))]
     else:
         raise ValueError("ood needs either --held-class or --foreign")
+    # head -> measure -> (in-domain, out-of-domain credibility)
+    credibility = {job[0].head: ood_cross_dataset(*job) for job in jobs}
 
     summary = {}
     for head, per_measure in sorted(credibility.items()):
@@ -628,6 +611,8 @@ def make_parser() -> argparse.ArgumentParser:
                     "instance explanations, and OOD credibility.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # each help shows its field's default where that is a number
+    defaults = {f.name: f.default for c in (TrainConfig, RunConfig) for f in fields(c)}
     for command, (func, runs, text) in COMMANDS.items():
         p = sub.add_parser(command, help=text)
         p.add_argument("--config", help="JSON config file; flags override its values")
@@ -635,6 +620,9 @@ def make_parser() -> argparse.ArgumentParser:
         for key, (key_runs, options) in KEYS.items():
             if set(runs) & set(key_runs):
                 options = {k: v for k, v in options.items() if k != "flag"}
+                if type(defaults.get(key)) in (int, float):
+                    text = options.get("help", "")
+                    options["help"] = f"{text} (default {defaults[key]})".lstrip()
                 p.add_argument(_flag(key), dest=key, **options)
         p.set_defaults(func=func)
     return parser

@@ -21,10 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .heads import Predictions
+from .network import DWAC, SOFTMAX
 
 NEG_PROB = "neg_prob"
 NEG_WEIGHT_SUM = "neg_weight_sum"
 MEASURES = (NEG_PROB, NEG_WEIGHT_SUM)
+# The measures each head is scored under: only dwac predictions carry weight sums.
+HEAD_MEASURES = {SOFTMAX: (NEG_PROB,), DWAC: MEASURES}
 
 # error rates reported by default: 0.00 to 0.20 in steps of 0.01
 EPSILON_GRID = tuple(i / 100 for i in range(21))

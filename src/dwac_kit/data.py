@@ -85,6 +85,9 @@ class Schema:
         names = [c.name for c in self.columns]
         if len(set(names)) != len(names):
             raise ValueError("duplicate column names in schema")
+        repeated = sorted({v for v in self.label_values if self.label_values.count(v) > 1})
+        if repeated:
+            raise ValueError(f"label values repeated in schema: {repeated}")
 
     @cached_property
     def label_column(self) -> str:
@@ -414,7 +417,9 @@ def make_blobs(
     if not 0.0 < separation < np.inf:  # so NaN fails too
         raise ValueError(f"separation must be finite and > 0, got {separation}")
     if d < max(1, c - 1):
-        raise ValueError(f"equidistant centers for {c} classes need d >= {c - 1}")
+        raise ValueError(f"equidistant centers for {c} classes need d >= {max(1, c - 1)}")
+    if n * d > np.iinfo(np.intp).max // 8:  # checked before anything is allocated
+        raise ValueError(f"n x d = {n} x {d} float64 values are more than an array holds")
 
     centers = np.zeros((c, d))
     if c > 1:

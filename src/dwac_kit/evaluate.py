@@ -5,8 +5,10 @@ sorts by predicted probability, and cuts equal-count bins so every bin is
 equally well populated regardless of how probabilities cluster. The two
 OOD protocols score credibility (max conformal p-value) on data the model
 never saw the likes of: either a class held out of training entirely, or
-a width-matched foreign dataset. Training and the hold-out study split
-their data the same way, by :func:`trial_splits`.
+a width-matched foreign dataset. Both score by :func:`ood_cross_dataset`,
+with the calibration scores of a ``TrainResult`` or a saved artifact.
+Training and the hold-out study split their data the same way, by
+:func:`trial_splits`.
 """
 
 from __future__ import annotations
@@ -15,12 +17,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from .conformal import calibrate, conformal_predict
+from .conformal import conformal_predict
 from .data import CsvData, Dataset, encode_rows, fit_stats, label_codes
 from .heads import DEFAULT_SIGMA, EmbeddedTrainingSet, Predictions
 from .linalg import make_rng, shuffle_split, split_sizes
 from .network import EmbeddingModel
-from .trainer import TrainResult, predict
+from .trainer import predict
 
 SPLIT_STREAM = 2
 PER_BIN = 100  # (probability, indicator) pairs per calibration bin
@@ -140,26 +142,6 @@ def trial_splits(
                        index=np.flatnonzero(labels == held_class))
     return (*(replace(ds, y=remap[ds.y], num_classes=ds.num_classes - 1) for ds in sets),
             replace(held, num_classes=held.num_classes - 1))
-
-
-def ood_holdout_class_multi(
-    splits: tuple[Dataset, Dataset, Dataset, Dataset],
-    result: TrainResult,
-    measures: list[str],
-    sigma: float = DEFAULT_SIGMA,
-) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Hold-out protocol scored under several measures.
-
-    ``splits`` are the proper, calibration, test and held-out sets that
-    :func:`trial_splits` makes with ``held_class``, so every head of a study
-    can share one split, and ``result`` is a model trained on the first two.
-    It is conformally calibrated, and credibility is scored for the
-    in-domain test split and every held-out instance, as
-    :func:`ood_cross_dataset` returns it.
-    """
-    _, calib, test, held = splits
-    calibrations = {m: calibrate(result.calib_predictions, calib.y, m) for m in measures}
-    return ood_cross_dataset(result.model, result.embedded, calibrations, test, held, sigma)
 
 
 def ood_cross_dataset(

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import heads
+from .conformal import HEAD_MEASURES, calibrate
 from .data import Dataset
 from .heads import (
     DEFAULT_SIGMA,
@@ -104,11 +105,13 @@ class EpochStats:
 class TrainResult:
     """The model of the restored ``best_epoch`` (``history[best_epoch - 1]``)
     with its embedded proper split ``embedded`` (dwac only) and its
-    ``calib_predictions`` on the calibration split, as validation made them."""
+    ``calibrations``: measure -> sorted calibration scores, for each measure
+    of its head (``conformal.HEAD_MEASURES``), from the predictions that
+    validation made on the calibration split."""
 
     model: EmbeddingModel
     embedded: EmbeddedTrainingSet | None
-    calib_predictions: Predictions
+    calibrations: dict[str, np.ndarray]
     history: list[EpochStats]
     best_epoch: int
     stopped_early: bool
@@ -160,7 +163,8 @@ def train(proper: Dataset, calibration: Dataset, config: TrainConfig) -> TrainRe
 
     The calibration split is used only for validation accuracy and early
     stopping; its instances never contribute gradients, so it stays clean
-    for conformal calibration afterwards. Both splits must be labeled, the
+    for conformal calibration, which scores the best epoch's predictions
+    on it under each measure of the head. Both splits must be labeled, the
     calibration split nonempty, and the proper split must fill a batch:
     dwac's leave-one-out loss needs two rows.
     """
@@ -242,7 +246,8 @@ def train(proper: Dataset, calibration: Dataset, config: TrainConfig) -> TrainRe
     return TrainResult(
         model=model,
         embedded=best_embedded,
-        calib_predictions=best_preds,
+        calibrations={m: calibrate(best_preds, calibration.y, m)
+                      for m in HEAD_MEASURES[config.head]},
         history=history,
         best_epoch=best_epoch,
         stopped_early=stopped_early,

@@ -41,7 +41,7 @@ from dwac_kit import (
 from dwac_kit.cli import main as cli_main
 from dwac_kit.conformal import NEG_PROB, NEG_WEIGHT_SUM, p_values
 from dwac_kit.data import blob_data
-from dwac_kit.evaluate import ood_holdout_class_multi, trial_splits
+from dwac_kit.evaluate import ood_cross_dataset, trial_splits
 from dwac_kit.heads import EmbeddedTrainingSet
 from dwac_kit.linalg import shuffle_split
 from dwac_kit.network import DWAC, SOFTMAX, Inputs, backward, init_model
@@ -396,9 +396,11 @@ def test_criterion_07_ood_direction():
         dwac_cfg = TrainConfig(head=DWAC, seed=seed, max_epochs=60, patience=10)
         soft_cfg = TrainConfig(head=SOFTMAX, seed=seed, max_epochs=60, patience=10)
         splits = trial_splits(blob_data(blobs), seed, (0.6, 0.2, 0.2), held_class=3)
-        dwac_rep = ood_holdout_class_multi(splits, train(*splits[:2], dwac_cfg),
-                                           [NEG_PROB, NEG_WEIGHT_SUM], dwac_cfg.sigma)
-        soft_rep = ood_holdout_class_multi(splits, train(*splits[:2], soft_cfg), [NEG_PROB])
+        dwac_res, soft_res = (train(*splits[:2], cfg) for cfg in (dwac_cfg, soft_cfg))
+        dwac_rep = ood_cross_dataset(dwac_res.model, dwac_res.embedded, dwac_res.calibrations,
+                                     *splits[2:], dwac_cfg.sigma)
+        soft_rep = ood_cross_dataset(soft_res.model, soft_res.embedded, soft_res.calibrations,
+                                     *splits[2:])
         ws = float(np.mean(dwac_rep[NEG_WEIGHT_SUM][1]))
         np_same = float(np.mean(dwac_rep[NEG_PROB][1]))
         np_soft = float(np.mean(soft_rep[NEG_PROB][1]))

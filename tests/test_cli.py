@@ -25,7 +25,8 @@ from dwac_kit import (TrainConfig, blob_data, heads, load_model, make_blobs, mak
                       save_model)
 from dwac_kit import cli, evaluate
 from dwac_kit.cli import (
-    BLOBS_STREAM, KEYS, PATH_KEYS, READS, TRAINS, RunConfig, build_config, main, make_parser,
+    BLOBS_STREAM, KEYS, PATH_KEYS, READS, TRAINS, RunConfig, _flag, build_config, main,
+    make_parser,
 )
 from dwac_kit.conformal import NEG_PROB
 from dwac_kit.data import encode_json, encode_rows, label_codes
@@ -335,10 +336,8 @@ def test_training_runs_read_only_their_keys(tmp_path, capsys):
     # each subcommand takes the flags of what its kinds of run read
     common = {"-h", "--help", "--config", "-v", "--verbose", "--data", "--schema", "--out",
               "--seed"}
-    training = {"--head", "--sigma", "--h-dim", "--hidden", "--dropout", "--learning-rate",
-                "--batch-size", "--max-epochs", "--patience", "--fractions"}
-    subparsers = next(a for a in make_parser()._actions
-                      if isinstance(a, argparse._SubParsersAction)).choices
+    training = {_flag(key) for key in TRAINING_KEYS}
+    subparsers = _subparsers()
     assert {name: {flag for a in p._actions for flag in a.option_strings}
             for name, p in subparsers.items()} == {
         "train": common | training | {"--test-data", "--trials"},
@@ -347,6 +346,27 @@ def test_training_runs_read_only_their_keys(tmp_path, capsys):
         "conformal": common | {"--model", "--measure", "--epsilon-grid"},
         "ood": common | training | {"--model", "--measure", "--held-class", "--foreign"},
     }
+
+
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    return next(a for a in make_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_help_shows_each_numeric_default_of_its_field():
+    # the default is read from the field, never written by hand in KEYS
+    shown = {action.dest: action.help or "" for parser in _subparsers().values()
+             for action in parser._actions if action.dest in KEYS}
+    for key, text in shown.items():
+        if type(DEFAULTS[key]) in (int, float):
+            assert text.endswith(f"(default {DEFAULTS[key]})"), (key, text)
+            assert text.count("default") == 1, (key, text)
+        else:  # --head's default is both, not TrainConfig's dwac
+            assert "(default " not in text, (key, text)
+    assert shown["sigma"] == "kernel width (default 0.5)"
+    assert shown["h_dim"] == "embedding width (default: #classes)"
+    assert shown["head"] == ""
+    assert set(shown) == set(KEYS)
 
 
 def test_scoring_reads_labels_only_where_it_uses_them(tmp_path, capsys):
@@ -1177,12 +1197,46 @@ def test_bad_blob_specs(tmp_path, capsys):
     for spec, named in (("blobs:q=3", "unknown keys ['q']"), ("blobs:nope", "'nope'"),
                         ("blobs:n=2,c=3", "n=2, c=3"), ("blobs:n=abc", "n='abc'"),
                         ("blobs:n=1e3", "n='1e3'"), ("blobs:n=20,c=2,d=1,seed=x", "seed='x'"),
-                        ("blobs:sep=nan", "separation"), ("blobs:sep=inf", "separation")):
+                        ("blobs:sep=nan", "separation"), ("blobs:sep=inf", "separation"),
+                        ("blobs:n=99999999999999999999", "n x d = 99999999999999999999 x 8"),
+                        ("blobs:n=40,n=50", "repeated key 'n'")):
         capsys.readouterr()
         assert run(["train", "--data", spec, "--out", str(out)]) == 2
         line = assert_one_error_line(capsys)
         assert line.startswith(f"error: bad blob spec {spec!r}: ") and named in line, line
     assert not out.exists()
+
+
+# Values of each blob key: accepted sizes stay small, and the int64-overflowing
+# ones are refused before anything is allocated (np.repeat of counts whose sum
+# overflows int64 crashes the process). Parts that no spec may hold (a bare word, an unknown
+# key, a value of no key's type) or that may repeat a key ride along.
+HUGE = st.integers(2 ** 63, 2 ** 70)
+BLOB_VALUES = {
+    "n": st.integers(-2, 300) | st.integers(12, 300) | HUGE,
+    "c": st.integers(-1, 6) | st.integers(1, 6) | HUGE,
+    "d": st.integers(-1, 12) | st.integers(5, 12) | HUGE,
+    "sep": st.floats() | st.integers(-2, 20) | st.floats(1.0, 20.0),
+    "seed": st.integers(-2, 2 ** 70),
+}
+BAD_BLOB_PARTS = ["", "nope", "q=1", "=2", "n=1e3", "c=", "d=1.5", "sep=x", "seed=x", "n=7"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.fixed_dictionaries({}, optional={k: v.map(str) for k, v in BLOB_VALUES.items()}),
+       extra=st.lists(st.sampled_from(BAD_BLOB_PARTS), max_size=1), order=st.randoms())
+def test_a_generated_blob_spec_trains_or_is_one_error_line(values, extra, order,
+                                                             tmp_path_factory):
+    parts = [f"{key}={value}" for key, value in values.items()] + extra
+    order.shuffle(parts)
+    spec = "blobs:" + ",".join(parts)
+    out = tmp_path_factory.mktemp("blobs") / "out"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = run(["train", "--data", spec, "--max-epochs", "1", "--out", str(out)])
+    lines = err.getvalue().splitlines()
+    assert rc == 0 or (rc == 2 and len(lines) == 1 and lines[0].startswith("error: ")), (
+        spec, rc, lines)
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,9 @@ def test_schema_validation():
     with pytest.raises(ValueError):
         Schema(columns=(ColumnSpec("a", "label"), ColumnSpec("b", "continuous")),
                label_values=())
+    with pytest.raises(ValueError, match=r"^label values repeated in schema: \['x'\]$"):
+        Schema(columns=(ColumnSpec("a", "label"), ColumnSpec("b", "continuous")),
+               label_values=("x", "x", "y"))
 
 
 def test_schema_json_round_trip(tmp_path):

@@ -19,7 +19,6 @@ from dwac_kit import (
     make_blobs,
     make_rng,
     ood_cross_dataset,
-    ood_holdout_class_multi,
     predict,
     train,
 )
@@ -247,9 +246,10 @@ def holdout_reports():
     # keeps its kernel mass unremarkable.
     blobs = blob_data(make_blobs(480, 4, 4, 8.0, make_rng(11, 3)))
     config = TrainConfig(head="dwac", seed=11, max_epochs=40, batch_size=64)
-    splits = trial_splits(blobs, 11, (0.6, 0.2, 0.2), held_class=3)
+    _, _, test, held = splits = trial_splits(blobs, 11, (0.6, 0.2, 0.2), held_class=3)
     result = train(*splits[:2], config)
-    return ood_holdout_class_multi(splits, result, [NEG_PROB, NEG_WEIGHT_SUM], config.sigma)
+    return ood_cross_dataset(result.model, result.embedded, result.calibrations, test, held,
+                             config.sigma)
 
 
 def test_holdout_reports_shape(holdout_reports):
@@ -275,10 +275,11 @@ def test_holdout_weight_sums_flag_the_held_class(holdout_reports):
 def test_holdout_single_measure_matches_multi(holdout_reports):
     blobs = blob_data(make_blobs(480, 4, 4, 8.0, make_rng(11, 3)))
     config = TrainConfig(head="dwac", seed=11, max_epochs=40, batch_size=64)
-    splits = trial_splits(blobs, 11, (0.6, 0.2, 0.2), held_class=3)
+    _, _, test, held = splits = trial_splits(blobs, 11, (0.6, 0.2, 0.2), held_class=3)
     result = train(*splits[:2], config)
-    single = ood_holdout_class_multi(splits, result, [NEG_WEIGHT_SUM],
-                                     config.sigma)[NEG_WEIGHT_SUM]
+    single = ood_cross_dataset(result.model, result.embedded,
+                               {NEG_WEIGHT_SUM: result.calibrations[NEG_WEIGHT_SUM]}, test,
+                               held, config.sigma)[NEG_WEIGHT_SUM]
     assert np.array_equal(single[1], holdout_reports[NEG_WEIGHT_SUM][1])
 
 
@@ -302,12 +303,6 @@ def test_holdout_validation():
     two = blob_data(make_blobs(40, 2, 2, 6.0, make_rng(0, 3)))
     with pytest.raises(ValueError, match=">= 3 classes"):
         trial_splits(two, 0, fractions, held_class=0)
-    three = blob_data(make_blobs(60, 3, 2, 6.0, make_rng(0, 3)))
-    config = TrainConfig(head="dwac", seed=0, max_epochs=2)
-    splits = trial_splits(three, 0, fractions, held_class=0)
-    result = train(*splits[:2], config)
-    with pytest.raises(ValueError):
-        ood_holdout_class_multi(splits, result, [], config.sigma)
 
 
 # ---------------------------------------------------------------------------

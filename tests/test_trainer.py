@@ -13,6 +13,7 @@ import pytest
 import dwac_kit.trainer as trainer_mod
 from dwac_kit import Dataset, TrainConfig, blob_data, make_blobs, make_rng
 from dwac_kit.cli import main
+from dwac_kit.conformal import HEAD_MEASURES, calibrate
 from dwac_kit.evaluate import accuracy, trial_splits
 from dwac_kit.network import DWAC, SOFTMAX, adam_step
 from dwac_kit.trainer import (
@@ -157,13 +158,12 @@ def test_result_keeps_the_best_epochs_calibration_predictions(head):
     assert result.best_epoch < len(result.history)  # later epochs moved the weights
     fresh_ref = embed_training_set(result.model, proper) if head == DWAC else None
     fresh = predict(result.model, calib.x, train=fresh_ref)
-    kept = result.calib_predictions
-    assert np.array_equal(kept.probs, fresh.probs)
-    assert np.array_equal(kept.predicted, fresh.predicted)
+    assert list(result.calibrations) == list(HEAD_MEASURES[head])
+    for measure, kept in result.calibrations.items():
+        assert np.array_equal(kept, calibrate(fresh, calib.y, measure))
     if head == DWAC:
         assert np.array_equal(result.embedded.h, fresh_ref.h)
-        assert np.array_equal(kept.weight_sums, fresh.weight_sums)
-    assert result.history[result.best_epoch - 1].calib_accuracy == accuracy(kept, calib.y)
+    assert result.history[result.best_epoch - 1].calib_accuracy == accuracy(fresh, calib.y)
 
 
 @pytest.mark.parametrize("head", [DWAC, SOFTMAX])
@@ -241,7 +241,9 @@ def _assert_same_result(a, b) -> None:
         assert np.array_equal(pa, pb)
     assert a.history == b.history
     assert (a.best_epoch, a.stopped_early) == (b.best_epoch, b.stopped_early)
-    assert np.array_equal(a.calib_predictions.probs, b.calib_predictions.probs)
+    assert a.calibrations.keys() == b.calibrations.keys()
+    for measure, scores in a.calibrations.items():
+        assert np.array_equal(scores, b.calibrations[measure])
     assert (a.embedded is None) == (b.embedded is None)
     if a.embedded is not None:
         assert np.array_equal(a.embedded.h, b.embedded.h)
