@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .conformal import EPSILON_GRID, HEAD_MEASURES, MEASURES, conformal_predict, coverage_report
+from .conformal import EPSILON_GRID, HEAD_MEASURES, conformal_predict, coverage_report
 from .data import (
     CsvData,
     Dataset,
@@ -48,7 +48,7 @@ from .data import (
 )
 from .evaluate import PER_BIN, accuracy, calibration_mae, ood_cross_dataset, trial_splits
 from .explain import explain_with_agreement
-from .linalg import make_rng
+from .linalg import make_rng, split_sizes
 from .network import DWAC, SOFTMAX
 from .trainer import TrainConfig, predict, train_many
 
@@ -61,7 +61,6 @@ BLOB_KEYS = {"n": int, "c": int, "d": int, "sep": float, "seed": int}
 
 BOTH = "both"
 HEAD_CHOICES = (SOFTMAX, DWAC, BOTH)
-MEASURE_CHOICES = MEASURES + (BOTH,)
 # The kinds of run: train, ood --held-class, ood --foreign, and the commands
 # that score with a saved artifact. Only the first two train.
 RUNS = ("train", "holdout", "foreign", "predict", "explain", "conformal")
@@ -91,7 +90,6 @@ KEYS = {
                   {"help": "fixed test CSV; --data is then split proper/calibration only"}),
     "foreign": (("foreign",), {"help": "foreign dataset (CSV or blobs spec)"}),
     "held_class": (("holdout",), {"type": int, "help": "class index to hold out of training"}),
-    "measure": (("holdout", "foreign", "conformal"), {"choices": MEASURE_CHOICES}),
     "seed": (RUNS, {"type": int, "help": "base seed"}),
     "trials": (("train",), {"type": int}),
     "head": (TRAINS, {"choices": HEAD_CHOICES}),
@@ -125,7 +123,6 @@ class RunConfig:
     foreign: str | None = None
     held_class: int | None = None
     out: str | None = None
-    measure: str = BOTH
     trials: int = 1
     seed: int = 0
     fractions: tuple[float, float, float] = (0.6, 0.2, 0.2)
@@ -136,6 +133,9 @@ class RunConfig:
     def __post_init__(self):
         if not all(map(math.isfinite, self.fractions)):
             raise ValueError(f"fractions must be finite, got {list(self.fractions)!r}")
+        split_sizes(0, self.fractions)  # each part > 0, and they sum to 1
+        if self.held_class is not None and self.held_class < 0:
+            raise ValueError(f"held_class must be >= 0, got {self.held_class}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.seed < 0:
@@ -322,42 +322,32 @@ def _encoded(source: str, cfg: RunConfig, artifacts: list[ModelArtifact],
     return datasets
 
 
-def _measures_for(head: str, requested: str) -> tuple[str, ...]:
-    valid = HEAD_MEASURES[head]
-    if requested == BOTH:
-        return valid
-    if requested not in valid:
-        raise ValueError(
-            f"measure {requested!r} is incompatible with head {head!r}; valid: {valid}"
-        )
-    return (requested,)
-
-
-def _calibrations(artifact: ModelArtifact, path: str, requested: str) -> dict[str, np.ndarray]:
-    """The artifact's calibration scores of each measure ``requested`` of its
-    head, refused if the head has no such measure or the artifact no such
-    scores. Commands call it before they score or write anything."""
-    calibrations = {}
-    for measure in _measures_for(artifact.model.head, requested):
-        if measure not in artifact.calibrations:
-            raise ValueError(f"{path}: artifact has no calibration scores for {measure!r}")
-        calibrations[measure] = artifact.calibrations[measure]
-    return calibrations
-
-
-def _scored_artifacts(cfg: RunConfig) -> list[tuple[ModelArtifact, dict[str, np.ndarray]]]:
-    """Each --model artifact with its ``_calibrations``, refused before
-    anything is scored if there is none or two share a head: outputs are
-    named by head, so the second would overwrite the first."""
-    if not cfg.model:
-        raise ValueError(f"{cfg.command} needs at least one --model")
-    artifacts = [load_model(path) for path in cfg.model]
-    heads = [a.model.head for a in artifacts]
-    for i, head in enumerate(heads):
-        if head in heads[:i]:
-            raise ValueError(f"--model {cfg.model[heads.index(head)]} and --model {cfg.model[i]} "
-                             f"are both {head} artifacts; give one artifact per head")
-    return [(a, _calibrations(a, path, cfg.measure)) for a, path in zip(artifacts, cfg.model)]
+def _artifacts(cfg: RunConfig) -> list[ModelArtifact]:
+    """The --model artifacts of a scoring run, refused before any data is
+    read. predict and explain take exactly one. conformal and ood --foreign
+    name their outputs by head, so they take one per head, and they score
+    each head under every measure it has (HEAD_MEASURES): each artifact
+    keeps those calibration scores, in that order, and is refused if it
+    lacks one."""
+    single = cfg.run in ("predict", "explain")
+    if not cfg.model or single and len(cfg.model) > 1:
+        raise ValueError(f"{cfg.command} needs {'exactly' if single else 'at least'} one --model")
+    artifacts = []
+    for path in cfg.model:
+        artifact = load_model(path)
+        head = artifact.model.head
+        for other, earlier in zip(cfg.model, artifacts):
+            if earlier.model.head == head:
+                raise ValueError(f"--model {other} and --model {path} are both {head} "
+                                 "artifacts; give one artifact per head")
+        if not single:
+            missing = [m for m in HEAD_MEASURES[head] if m not in artifact.calibrations]
+            if missing:
+                raise ValueError(f"{path}: artifact has no calibration scores for {missing[0]!r}")
+            artifact = replace(artifact, calibrations={m: artifact.calibrations[m]
+                                                       for m in HEAD_MEASURES[head]})
+        artifacts.append(artifact)
+    return artifacts
 
 
 def _write_csv(cfg: RunConfig, name: str, header: list[str], rows: list[list]) -> None:
@@ -481,14 +471,8 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
-def _single_model(cfg: RunConfig) -> ModelArtifact:
-    if len(cfg.model) != 1:
-        raise ValueError("this command needs exactly one --model")
-    return load_model(cfg.model[0])
-
-
 def cmd_predict(cfg: RunConfig) -> int:
-    artifact = _single_model(cfg)
+    artifact, = _artifacts(cfg)
     ds, = _encoded(cfg.data, cfg, [artifact])
     preds = predict(artifact.model, ds.x, train=artifact.embedded, sigma=artifact.sigma)
     label_names = artifact.schema.label_values
@@ -506,7 +490,7 @@ def cmd_predict(cfg: RunConfig) -> int:
 
 
 def cmd_explain(cfg: RunConfig) -> int:
-    artifact = _single_model(cfg)
+    artifact, = _artifacts(cfg)
     if artifact.model.head != DWAC:
         raise ValueError("explanations need a dwac artifact")
     ds, = _encoded(cfg.data, cfg, [artifact])
@@ -523,14 +507,13 @@ def cmd_explain(cfg: RunConfig) -> int:
 
 
 def cmd_conformal(cfg: RunConfig) -> int:
-    scored = _scored_artifacts(cfg)
-    datasets = _encoded(cfg.data, cfg, [artifact for artifact, _ in scored], labels=True)
-    for (artifact, calibrations), ds in zip(scored, datasets):
+    artifacts = _artifacts(cfg)
+    for artifact, ds in zip(artifacts, _encoded(cfg.data, cfg, artifacts, labels=True)):
         head = artifact.model.head
         if ds.y is None:
             raise ValueError(f"{cfg.data}: coverage evaluation needs labels")
         preds = predict(artifact.model, ds.x, train=artifact.embedded, sigma=artifact.sigma)
-        for measure, calibration in calibrations.items():
+        for measure, calibration in artifact.calibrations.items():
             scores = conformal_predict(preds, calibration, measure)
             rows = coverage_report(scores, ds.y, cfg.epsilons)
             _write_csv(cfg, f"coverage_{head}_{measure}.csv", list(rows[0]),
@@ -546,21 +529,17 @@ def cmd_ood(cfg: RunConfig) -> int:
     # Each protocol gives each head's ood_cross_dataset arguments: the model, its
     # embedded reference rows, calibrations, in-domain and out-of-domain data, sigma.
     if cfg.held_class is not None:
-        measures = [_measures_for(config.head, cfg.measure) for config in cfg.training]
         # one split and encoding, shared by every head; the held class is out of domain
         proper, calib, test, held = trial_splits(_load_raw(cfg.data, cfg), cfg.seed,
                                                  cfg.fractions, held_class=cfg.held_class)
         results = train_many([(proper, calib, config) for config in cfg.training])
-        jobs = [(r.model, r.embedded, {m: r.calibrations[m] for m in head_measures},
-                 test, held, config.sigma)
-                for config, head_measures, r in zip(cfg.training, measures, results)]
+        jobs = [(r.model, r.embedded, r.calibrations, test, held, config.sigma)
+                for config, r in zip(cfg.training, results)]
     elif cfg.foreign is not None:
-        scored = _scored_artifacts(cfg)
-        artifacts = [artifact for artifact, _ in scored]
-        jobs = [(a.model, a.embedded, calibrations, in_ds, foreign_ds, a.sigma)
-                for (a, calibrations), in_ds, foreign_ds in zip(
-                    scored, _encoded(cfg.data, cfg, artifacts),
-                    _encoded(cfg.foreign, cfg, artifacts))]
+        artifacts = _artifacts(cfg)
+        jobs = [(a.model, a.embedded, a.calibrations, in_ds, foreign_ds, a.sigma)
+                for a, in_ds, foreign_ds in zip(artifacts, _encoded(cfg.data, cfg, artifacts),
+                                                _encoded(cfg.foreign, cfg, artifacts))]
     else:
         raise ValueError("ood needs either --held-class or --foreign")
     # head -> measure -> (in-domain, out-of-domain credibility)

@@ -331,8 +331,13 @@ def fit_stats(table: CsvTable, schema: Schema, index=None) -> FeatureStats:
     for col in schema.feature_columns:
         if col.role == ROLE_CONTINUOUS:
             values = _column(table, col.name, index)
-            means[col.name] = float(np.mean(values)) if len(values) else 0.0
-            std = float(np.std(values)) if len(values) else 1.0
+            with np.errstate(over="ignore", invalid="ignore"):  # refused by name below
+                mean = float(np.mean(values)) if len(values) else 0.0
+                std = float(np.std(values)) if len(values) else 1.0
+            if not (math.isfinite(mean) and math.isfinite(std)):
+                raise ValueError(f"{table.path}: column {col.name!r}: no finite mean and spread "
+                                 "(a value is not finite, or too large)")
+            means[col.name] = mean
             stds[col.name] = std if std > 0.0 else 1.0
         else:
             values, codes = _column(table, col.name, index)
@@ -420,6 +425,9 @@ def make_blobs(
         raise ValueError(f"equidistant centers for {c} classes need d >= {max(1, c - 1)}")
     if n * d > np.iinfo(np.intp).max // 8:  # checked before anything is allocated
         raise ValueError(f"n x d = {n} x {d} float64 values are more than an array holds")
+    if not math.isfinite(n * separation * separation):  # bounds a column's squared spread
+        raise ValueError(f"separation {separation} is too large: the squared spread of "
+                         f"{n} rows overflows float64")
 
     centers = np.zeros((c, d))
     if c > 1:

@@ -516,14 +516,19 @@ def _parse_continuous_oracle(rows, name):
     return np.array([_parse_cell_oracle(row, name) for row in rows], dtype=np.float64)
 
 
-def fit_stats_oracle(rows, schema) -> FeatureStats:
-    """Moments and sorted vocabularies fitted on row dicts, one cell at a time."""
+def fit_stats_oracle(rows, schema, path) -> FeatureStats:
+    """Moments and sorted vocabularies fitted on row dicts of the file
+    ``path``, one cell at a time. A column without a finite mean and spread
+    is refused."""
     means, stds, vocabs = {}, {}, {}
     for col in schema.feature_columns:
         if col.role == ROLE_CONTINUOUS:
             values = _parse_continuous_oracle(rows, col.name)
             means[col.name] = float(np.mean(values)) if len(values) else 0.0
             std = float(np.std(values)) if len(values) else 1.0
+            if not (math.isfinite(means[col.name]) and math.isfinite(std)):
+                raise ValueError(f"{path}: column {col.name!r}: no finite mean and spread "
+                                 "(a value is not finite, or too large)")
             stds[col.name] = std if std > 0.0 else 1.0
         else:
             vocabs[col.name] = tuple(sorted({r[col.name] for r in rows}))

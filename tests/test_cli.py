@@ -343,8 +343,8 @@ def test_training_runs_read_only_their_keys(tmp_path, capsys):
         "train": common | training | {"--test-data", "--trials"},
         "predict": common | {"--model"},
         "explain": common | {"--model", "--k", "--k-list"},
-        "conformal": common | {"--model", "--measure", "--epsilon-grid"},
-        "ood": common | training | {"--model", "--measure", "--held-class", "--foreign"},
+        "conformal": common | {"--model", "--epsilon-grid"},
+        "ood": common | training | {"--model", "--held-class", "--foreign"},
     }
 
 
@@ -493,19 +493,11 @@ def test_conformal_custom_epsilon_grid(trained_dir, tmp_path):
     out = tmp_path / "conf2"
     rc = run(["conformal", "--data", BLOBS,
               "--model", str(trained_dir / "model_dwac_trial0.json"),
-              "--measure", "neg_prob", "--epsilon-grid", "0.05,0.1",
-              "--out", str(out)])
+              "--epsilon-grid", "0.05,0.1", "--out", str(out)])
     assert rc == 0
-    _, rows = read_table(out / "coverage_dwac_neg_prob.csv")
-    assert [r[0] for r in rows[1:]] == ["0.05", "0.1"]
-    assert not (out / "coverage_dwac_neg_weight_sum.csv").exists()
-
-
-def test_conformal_rejects_incompatible_measure(trained_dir, tmp_path):
-    rc = run(["conformal", "--data", BLOBS,
-              "--model", str(trained_dir / "model_softmax_trial0.json"),
-              "--measure", "neg_weight_sum", "--out", str(tmp_path / "x")])
-    assert rc == 2
+    for measure in ("neg_prob", "neg_weight_sum"):
+        _, rows = read_table(out / f"coverage_dwac_{measure}.csv")
+        assert [r[0] for r in rows[1:]] == ["0.05", "0.1"]
 
 
 # ---------------------------------------------------------------------------
@@ -586,10 +578,9 @@ def test_ood_foreign_refuses_training_settings(trained_dir, tmp_path, capsys):
         assert run(foreign + extra) == 2
         assert_one_error_line(capsys)
         assert not (tmp_path / "ood").exists()
-    assert run(foreign + ["--measure", "neg_prob"]) == 0
+    assert run(foreign) == 0
     doc = json.loads((tmp_path / "ood" / "ood_summary.json").read_text())
     assert set(doc["provenance"]) == provenance_keys("foreign")
-    assert doc["provenance"]["measure"] == "neg_prob"
 
 
 def test_a_missing_calibration_is_refused_before_any_output(trained_dir, tmp_path, capsys):
@@ -620,7 +611,7 @@ def test_ood_foreign_predicts_each_dataset_once(trained_dir, tmp_path, monkeypat
 
     monkeypatch.setattr(evaluate, "predict", counted)
     assert run(["ood", "--data", BLOBS, "--foreign", "blobs:n=30,c=3,d=3,sep=8,seed=9",
-                "--model", str(trained_dir / "model_dwac_trial0.json"), "--measure", "both",
+                "--model", str(trained_dir / "model_dwac_trial0.json"),
                 "--out", str(tmp_path / "ood")]) == 0
     assert rows == [200, 30]
 
@@ -679,7 +670,7 @@ def test_a_far_reference_set_predicts_the_nearest_rows_class(trained_dir, tmp_pa
     assert run(["predict", "--data", BLOBS, "--model", str(model),
                 "--out", str(tmp_path / "p")]) == 0
     assert run(["conformal", "--data", BLOBS, "--model", str(model),
-                "--measure", "neg_prob", "--out", str(tmp_path / "c")]) == 0
+                "--out", str(tmp_path / "c")]) == 0
     table = blob_data(make_blobs(200, 3, 3, 8.0, make_rng(0, BLOBS_STREAM)))
     x = encode_rows(table.table, table.schema, artifact.stats, has_labels=False).x
     h, _ = forward(artifact.model, x, mode="eval")
@@ -746,7 +737,7 @@ def test_json_outputs_hold_one_record_per_line(trained_dir, tmp_path):
             "explanations": decode_lines(explanations)},
         "ood_summary.json": {
             "provenance": {"command": "ood", "data": BLOBS, "foreign": foreign_spec,
-                           "measure": "both", "seed": 0},
+                           "seed": 0},
             "combinations": {}},
     }
     credibility = ood_cross_dataset(artifact.model, artifact.embedded, artifact.calibrations,
@@ -984,13 +975,34 @@ def test_a_bad_flag_is_one_error_line(argv, message, tmp_path, capsys):
      "k must be >= 1, got 0"),
     (["explain", "--data", "{missing}", "--model", "{dwac}", "--k-list", "0,5"], None,
      "k_list entries must be >= 1, got [0, 5]"),
-    (["ood", "--data", "{missing}", "--schema", "{schema}", "--held-class", "2",
-      "--head", "softmax", "--measure", "neg_weight_sum"], None,
-     "measure 'neg_weight_sum' is incompatible with head 'softmax'; valid: ('neg_prob',)"),
+    (["train", "--data", "{missing}", "--schema", "{schema}", "--fractions", "0.5,0.5,0.5"],
+     None, "fractions must sum to 1, got 1.5"),
+    (["train", "--data", "{missing}", "--schema", "{schema}"], '{"fractions": [0.5, 0.5, 0.5]}',
+     "fractions must sum to 1, got 1.5"),
+    (["ood", "--data", "{missing}", "--schema", "{schema}", "--held-class", "-1"], None,
+     "held_class must be >= 0, got -1"),
+    (["ood", "--data", "{missing}", "--schema", "{schema}"], '{"held_class": -1}',
+     "held_class must be >= 0, got -1"),
+    # each head is scored under every measure it has: the filter key is gone
+    (["conformal", "--data", BLOBS, "--model", "{dwac}", "--measure", "neg_prob"], None,
+     "unrecognized arguments: --measure neg_prob"),
+    (["conformal", "--data", BLOBS, "--model", "{dwac}"], '{"measure": "neg_prob"}',
+     "{config}: unknown config keys ['measure']"),
+    (["ood", "--data", BLOBS, "--held-class", "2", "--measure", "both"], None,
+     "unrecognized arguments: --measure both"),
+    (["ood", "--data", BLOBS, "--held-class", "2"], '{"measure": "both"}',
+     "{config}: unknown config keys ['measure']"),
+    (["ood", "--data", BLOBS, "--foreign", BLOBS, "--model", "{dwac}", "--measure", "neg_prob"],
+     None, "unrecognized arguments: --measure neg_prob"),
+    (["ood", "--data", BLOBS, "--foreign", BLOBS, "--model", "{dwac}"], '{"measure": "neg_prob"}',
+     "{config}: unknown config keys ['measure']"),
 ], ids=["seed-flag-blobs", "seed-flag-csv", "seed-config", "truncated-config", "empty-k-list",
         "empty-epsilon-grid", "empty-epsilons-config", "batch-size-0", "patience-0",
         "sigma-negative", "learning-rate-0", "dropout-1", "dropout-1-config", "hidden-0",
-        "ood-h-dim-0", "dwac-batch-size-1", "k-0", "k-list-0", "ood-measure-of-no-head"])
+        "ood-h-dim-0", "dwac-batch-size-1", "k-0", "k-list-0", "fractions-sum",
+        "fractions-sum-config", "held-class-negative", "held-class-negative-config",
+        "measure-conformal", "measure-conformal-config", "measure-holdout",
+        "measure-holdout-config", "measure-foreign", "measure-foreign-config"])
 def test_a_bad_setting_is_refused_by_name_before_any_data_is_read(
         argv, config, refusal, trained_dir, tmp_path, capsys, monkeypatch):
     data, schema = write_csv_data(tmp_path)
@@ -1198,6 +1210,7 @@ def test_bad_blob_specs(tmp_path, capsys):
                         ("blobs:n=2,c=3", "n=2, c=3"), ("blobs:n=abc", "n='abc'"),
                         ("blobs:n=1e3", "n='1e3'"), ("blobs:n=20,c=2,d=1,seed=x", "seed='x'"),
                         ("blobs:sep=nan", "separation"), ("blobs:sep=inf", "separation"),
+                        ("blobs:n=40,c=2,d=2,sep=1e300", "separation 1e+300 is too large"),
                         ("blobs:n=99999999999999999999", "n x d = 99999999999999999999 x 8"),
                         ("blobs:n=40,n=50", "repeated key 'n'")):
         capsys.readouterr()
@@ -1205,6 +1218,19 @@ def test_bad_blob_specs(tmp_path, capsys):
         line = assert_one_error_line(capsys)
         assert line.startswith(f"error: bad blob spec {spec!r}: ") and named in line, line
     assert not out.exists()
+
+
+def test_a_csv_column_too_large_for_its_moments_is_refused_by_name(tmp_path, capsys):
+    # each size times 1e200: the squared spread overflows float64
+    data, schema = write_csv_data(tmp_path)
+    header, *rows = Path(data).read_text().splitlines()
+    Path(data).write_text("\n".join([header, *(row.replace(",", "e200,", 1) for row in rows)]))
+    capsys.readouterr()
+    assert run(["train", "--data", data, "--schema", schema, "--out", str(tmp_path / "x")]) == 2
+    assert assert_one_error_line(capsys) == (
+        f"error: {data}: column 'size': no finite mean and spread "
+        "(a value is not finite, or too large)")
+    assert not (tmp_path / "x").exists()
 
 
 # Values of each blob key: accepted sizes stay small, and the int64-overflowing
@@ -1235,8 +1261,8 @@ def test_a_generated_blob_spec_trains_or_is_one_error_line(values, extra, order,
     with contextlib.redirect_stderr(err):
         rc = run(["train", "--data", spec, "--max-epochs", "1", "--out", str(out)])
     lines = err.getvalue().splitlines()
-    assert rc == 0 or (rc == 2 and len(lines) == 1 and lines[0].startswith("error: ")), (
-        spec, rc, lines)
+    assert rc == 0 or (rc == 2 and len(lines) == 1 and lines[0].startswith("error: ")
+                       and spec in lines[0]), (spec, rc, lines)
 
 
 # ---------------------------------------------------------------------------

@@ -112,7 +112,7 @@ def test_columnar_encoder_matches_the_row_oracle(tmp_path, body, data):
     def pick(index):
         return rows if index is None else [rows[i] for i in index]
 
-    stats = _outcome(lambda: fit_stats_oracle(pick(fit_index), SCHEMA))
+    stats = _outcome(lambda: fit_stats_oracle(pick(fit_index), SCHEMA, str(path)))
     got_stats = _outcome(lambda: fit_stats(
         table, SCHEMA, index=None if fit_index is None else np.array(fit_index, dtype=np.intp)))
     assert repr(got_stats) == repr(stats)
