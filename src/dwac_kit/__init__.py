@@ -41,6 +41,7 @@ from .heads import (
     DEFAULT_SIGMA,
     EmbeddedTrainingSet,
     Predictions,
+    Predictor,
     dwac_batch_loss,
     dwac_predict,
     softmax_batch_loss,

@@ -432,7 +432,7 @@ def cmd_train(cfg: RunConfig) -> int:
         results = train_many([(proper, calib_set, config) for config in configs])
         for config, result in zip(configs, results):
             head = config.head
-            preds = predict(result.model, test.x, train=result.embedded, sigma=config.sigma)
+            preds = predict(result, test.x)
             acc = accuracy(preds, test.y)
             mae = calibration_mae(preds.probs, test.y)
             accs[head].append(acc)
@@ -441,16 +441,8 @@ def cmd_train(cfg: RunConfig) -> int:
                 "head=%s trial=%d seed=%d epochs=%d acc=%.4f mae=%.4f",
                 head, trial, seed, len(result.history), acc, mae,
             )
-            artifact = ModelArtifact(
-                model=result.model,
-                sigma=config.sigma,
-                num_classes=proper.num_classes,
-                schema=schema,
-                stats=proper.stats,
-                embedded=result.embedded,
-                calibrations=result.calibrations,
-            )
-            save_model(artifact, os.path.join(cfg.out, f"model_{head}_trial{trial}.json"))
+            save_model(ModelArtifact.of(result, schema, proper.stats),
+                       os.path.join(cfg.out, f"model_{head}_trial{trial}.json"))
             _write_csv(
                 cfg, f"history_{head}_trial{trial}.csv",
                 ["epoch", "mean_loss", "calib_accuracy"],
@@ -474,7 +466,7 @@ def cmd_train(cfg: RunConfig) -> int:
 def cmd_predict(cfg: RunConfig) -> int:
     artifact, = _artifacts(cfg)
     ds, = _encoded(cfg.data, cfg, [artifact])
-    preds = predict(artifact.model, ds.x, train=artifact.embedded, sigma=artifact.sigma)
+    preds = predict(artifact, ds.x)
     label_names = artifact.schema.label_values
 
     def records():
@@ -494,10 +486,7 @@ def cmd_explain(cfg: RunConfig) -> int:
     if artifact.model.head != DWAC:
         raise ValueError("explanations need a dwac artifact")
     ds, = _encoded(cfg.data, cfg, [artifact])
-    explanations, table = explain_with_agreement(
-        ds.x, artifact.model, artifact.embedded, k=cfg.k, k_list=cfg.k_list,
-        sigma=artifact.sigma,
-    )
+    explanations, table = explain_with_agreement(ds.x, artifact, k=cfg.k, k_list=cfg.k_list)
     _write_json(cfg, "explanations.json", "explanations", explanations)
     _write_csv(cfg, "agreement.csv", [f"k_{k}" for k, _ in table],
                [[_fmt(frac) for _, frac in table]])
@@ -512,7 +501,7 @@ def cmd_conformal(cfg: RunConfig) -> int:
         head = artifact.model.head
         if ds.y is None:
             raise ValueError(f"{cfg.data}: coverage evaluation needs labels")
-        preds = predict(artifact.model, ds.x, train=artifact.embedded, sigma=artifact.sigma)
+        preds = predict(artifact, ds.x)
         for measure, calibration in artifact.calibrations.items():
             scores = conformal_predict(preds, calibration, measure)
             rows = coverage_report(scores, ds.y, cfg.epsilons)
@@ -526,24 +515,22 @@ def cmd_conformal(cfg: RunConfig) -> int:
 
 
 def cmd_ood(cfg: RunConfig) -> int:
-    # Each protocol gives each head's ood_cross_dataset arguments: the model, its
-    # embedded reference rows, calibrations, in-domain and out-of-domain data, sigma.
+    # Each protocol gives each head's ood_cross_dataset arguments: the trained
+    # head, in-domain and out-of-domain data.
     if cfg.held_class is not None:
         # one split and encoding, shared by every head; the held class is out of domain
         proper, calib, test, held = trial_splits(_load_raw(cfg.data, cfg), cfg.seed,
                                                  cfg.fractions, held_class=cfg.held_class)
         results = train_many([(proper, calib, config) for config in cfg.training])
-        jobs = [(r.model, r.embedded, r.calibrations, test, held, config.sigma)
-                for config, r in zip(cfg.training, results)]
+        jobs = [(r, test, held) for r in results]
     elif cfg.foreign is not None:
         artifacts = _artifacts(cfg)
-        jobs = [(a.model, a.embedded, a.calibrations, in_ds, foreign_ds, a.sigma)
-                for a, in_ds, foreign_ds in zip(artifacts, _encoded(cfg.data, cfg, artifacts),
-                                                _encoded(cfg.foreign, cfg, artifacts))]
+        jobs = list(zip(artifacts, _encoded(cfg.data, cfg, artifacts),
+                        _encoded(cfg.foreign, cfg, artifacts)))
     else:
         raise ValueError("ood needs either --held-class or --foreign")
     # head -> measure -> (in-domain, out-of-domain credibility)
-    credibility = {job[0].head: ood_cross_dataset(*job) for job in jobs}
+    credibility = {job[0].model.head: ood_cross_dataset(*job) for job in jobs}
 
     summary = {}
     for head, per_measure in sorted(credibility.items()):

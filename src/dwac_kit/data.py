@@ -35,14 +35,14 @@ import math
 import os
 import tempfile
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
 
-from .heads import EmbeddedTrainingSet
+from .heads import EmbeddedTrainingSet, Predictor
 from .network import DWAC, EmbeddingModel, Inputs, MlpSpec, as_inputs
 
 FORMAT_VERSION = "dwac-kit/2"
@@ -374,9 +374,12 @@ def encode_rows(
     row, which is what unseen values select at prediction time. Continuous
     columns are z-scored into one float64 block, and each categorical column
     becomes one int32 slot per row (see :class:`Inputs`). Error messages name
-    the file and the line a bad row came from.
+    the file and the line a bad row came from: a label not in the schema
+    first, then a continuous value that is not finite or whose z-score's
+    square overflows float64 (the first such row of the first such column).
     """
     n = len(table) if index is None else len(index)
+    y = label_codes(table, schema, index) if has_labels else None
     features = schema.feature_columns
     num_continuous = sum(c.role == ROLE_CONTINUOUS for c in features)
     cont = np.empty((n, num_continuous))
@@ -387,7 +390,16 @@ def encode_rows(
     for col in features:
         if col.role == ROLE_CONTINUOUS:
             values = _column(table, col.name, index)
-            cont[:, len(cont_rows)] = (values - stats.means[col.name]) / stats.stds[col.name]
+            z = cont[:, len(cont_rows)]
+            with np.errstate(over="ignore", invalid="ignore"):  # refused by name below
+                np.divide(values - stats.means[col.name], stats.stds[col.name], out=z)
+                usable = np.isfinite(np.square(z))
+            if not usable.all():
+                i = int(np.argmin(usable))
+                line = table.lines[i if index is None else index[i]]
+                raise ValueError(f"{table.path}: row {line}, column {col.name!r}: "
+                                 f"{float(values[i])!r} is not finite, or too large once "
+                                 "z-scored")
             cont_rows.append(width)
             width += 1
         else:
@@ -397,7 +409,6 @@ def encode_rows(
             values, codes = _column(table, col.name, index)
             next(slot_columns)[:] = np.fromiter((slot.get(v, width - 1) for v in values),
                                                 dtype=np.int32, count=len(values))[codes]
-    y = label_codes(table, schema, index) if has_labels else None  # its errors come first
     return Dataset(x=Inputs(cont, slots, cont_rows, width), y=y,
                    num_classes=schema.num_classes, stats=stats)
 
@@ -467,21 +478,22 @@ def blob_data(ds: Dataset, source: str = "blobs") -> CsvData:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class ModelArtifact:
-    """Everything needed to reproduce predictions: parameters, head,
-    preprocessing state, embedded training set, and calibration scores."""
+class ModelArtifact(Predictor):
+    """Everything needed to reproduce predictions: a trained head and the
+    preprocessing state (schema and stats) that encodes its input."""
 
-    model: EmbeddingModel
-    sigma: float
-    num_classes: int
     schema: Schema
     stats: FeatureStats
-    embedded: EmbeddedTrainingSet | None = None
-    calibrations: dict[str, np.ndarray] = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.model.head == DWAC and self.embedded is None:
-            raise ValueError("dwac artifacts must carry the embedded training set")
+    @property
+    def num_classes(self) -> int:
+        return self.schema.num_classes
+
+    @classmethod
+    def of(cls, head: Predictor, schema: Schema, stats: FeatureStats) -> ModelArtifact:
+        """The artifact of a trained head, every field of it kept."""
+        return cls(**{f.name: getattr(head, f.name) for f in fields(Predictor)},
+                   schema=schema, stats=stats)
 
 
 def _encode_array(a: np.ndarray) -> dict:
@@ -645,18 +657,10 @@ def load_model(path: str) -> ModelArtifact:
         sigma = float(doc["sigma"])
         if not (math.isfinite(sigma) and sigma > 0.0):
             raise ValueError(f"sigma must be finite and > 0, got {sigma}")
-        return ModelArtifact(
-            model=model,
-            sigma=sigma,
-            num_classes=num_classes,
-            schema=schema,
-            stats=_decode_stats(doc["stats"], schema),
-            embedded=embedded,
-            calibrations={
-                measure: _decode_array(scores, 1, f"calibrations.{measure}")
-                for measure, scores in doc["calibrations"].items()
-            },
-        )
+        stats = _decode_stats(doc["stats"], schema)
+        calibrations = {measure: _decode_array(scores, 1, f"calibrations.{measure}")
+                        for measure, scores in doc["calibrations"].items()}
+        return ModelArtifact(model, sigma, embedded, calibrations, schema, stats)
     except (KeyError, TypeError, AttributeError) as e:
         raise ValueError(f"{path}: incomplete or malformed model file "
                          f"({type(e).__name__}: {e})") from None

@@ -6,7 +6,7 @@ equally well populated regardless of how probabilities cluster. The two
 OOD protocols score credibility (max conformal p-value) on data the model
 never saw the likes of: either a class held out of training entirely, or
 a width-matched foreign dataset. Both score by :func:`ood_cross_dataset`,
-with the calibration scores of a ``TrainResult`` or a saved artifact.
+with a ``TrainResult`` or a saved artifact as the predictor.
 Training and the hold-out study split their data the same way, by
 :func:`trial_splits`.
 """
@@ -19,9 +19,8 @@ import numpy as np
 
 from .conformal import conformal_predict
 from .data import CsvData, Dataset, encode_rows, fit_stats, label_codes
-from .heads import DEFAULT_SIGMA, EmbeddedTrainingSet, Predictions
+from .heads import Predictions, Predictor
 from .linalg import make_rng, shuffle_split, split_sizes
-from .network import EmbeddingModel
 from .trainer import predict
 
 SPLIT_STREAM = 2
@@ -145,27 +144,21 @@ def trial_splits(
 
 
 def ood_cross_dataset(
-    model: EmbeddingModel,
-    train_set: EmbeddedTrainingSet | None,
-    calibrations: dict[str, np.ndarray],
-    in_domain: Dataset,
-    foreign: Dataset,
-    sigma: float = DEFAULT_SIGMA,
+    predictor: Predictor, in_domain: Dataset, foreign: Dataset
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Credibility of a foreign dataset against an already-trained model,
-    with an in-domain dataset as the reference distribution: measure ->
-    (in-domain credibility, foreign credibility), one per row, under each
-    measure of ``calibrations`` (measure -> sorted calibration scores). Each
-    dataset is predicted once for all measures, by :func:`predict`, which
-    refuses a width the model does not take and a dwac model without
-    ``train_set``."""
-    if not calibrations:
+    """Credibility of a foreign dataset against a trained head, with an
+    in-domain dataset as the reference distribution: measure -> (in-domain
+    credibility, foreign credibility), one per row, under each measure of
+    the predictor's calibrations. Each dataset is predicted once for all
+    measures, by :func:`predict`, which refuses a width the model does not
+    take."""
+    if not predictor.calibrations:
         raise ValueError("need at least one nonconformity measure")
     for name, ds in (("in-domain", in_domain), ("foreign", foreign)):
         if len(ds) == 0:
             raise ValueError(f"{name} dataset is empty")
-    in_preds = predict(model, in_domain.x, train=train_set, sigma=sigma)
-    out_preds = predict(model, foreign.x, train=train_set, sigma=sigma)
+    in_preds = predict(predictor, in_domain.x)
+    out_preds = predict(predictor, foreign.x)
     return {measure: (conformal_predict(in_preds, scores, measure).credibility(),
                       conformal_predict(out_preds, scores, measure).credibility())
-            for measure, scores in calibrations.items()}
+            for measure, scores in predictor.calibrations.items()}

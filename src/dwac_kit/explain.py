@@ -14,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from .data import encode_json
-from .heads import DEFAULT_SIGMA, EmbeddedTrainingSet, kernel_blocks
-from .network import DWAC, EmbeddingModel, forward
+from .heads import Predictor, kernel_blocks
+from .network import DWAC, forward
 
 
 def _ranked(w: np.ndarray, order: np.ndarray, depth: int) -> np.ndarray:
@@ -38,16 +38,15 @@ def _ranked(w: np.ndarray, order: np.ndarray, depth: int) -> np.ndarray:
 
 def explain_with_agreement(
     x: np.ndarray,
-    model: EmbeddingModel,
-    train: EmbeddedTrainingSet,
+    predictor: Predictor,
     k: int,
     k_list: tuple[int, ...],
-    sigma: float = DEFAULT_SIGMA,
 ) -> tuple[list[str], list[tuple[int, float]]]:
-    """The explanation of each row of ``x``, and the agreement table of the
-    same queries: for each k in ``k_list``, the fraction of rows whose argmax
-    over only the k nearest training instances matches the full-model argmax.
-    Both come from one embedding and one pass of ``kernel_blocks``.
+    """The explanation of each row of ``x`` by the dwac head ``predictor``,
+    and the agreement table of the same queries: for each k in ``k_list``,
+    the fraction of rows whose argmax over only the k nearest training
+    instances matches the full-model argmax. Both come from one embedding
+    and one pass of ``kernel_blocks``, at the predictor's kernel width.
 
     Each explanation is the JSON line (``data.encode_json``) that
     ``explanations.json`` holds: ``{"query_id", "predicted_label", "entries", "decisive_prefix"}``.
@@ -69,15 +68,16 @@ def explain_with_agreement(
     ranks, so they are added in rank order; the decisive prefix and the
     agreement at each k are read from them.
     """
-    if model.head != DWAC:
+    if predictor.model.head != DWAC:
         raise ValueError("explanations require a dwac head; softmax has no reference instances")
+    train = predictor.embedded
     if len(train) == 0:
         raise ValueError("cannot explain against an empty training set")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if any(kk < 1 for kk in k_list):
         raise ValueError("k_list entries must be >= 1")
-    h, _ = forward(model, x, mode="eval")
+    h, _ = forward(predictor.model, x, mode="eval")
     n, t = h.shape[0], len(train)
     if k_list and n == 0:
         raise ValueError("agreement of an empty test set is undefined")
@@ -119,7 +119,7 @@ def explain_with_agreement(
             at_k = masses[:, np.array(short) - 1].argmax(axis=2)
             agree[:, rows] = (at_k == full_argmax[:, None]).T
 
-    kernel_blocks(h, train, visit, sigma)
+    kernel_blocks(h, train, visit, predictor.sigma)
     hits = dict(zip(short, np.count_nonzero(agree, axis=1).tolist()))
     table = [(kk, hits[kk] / n if kk < t else 1.0) for kk in k_list]
     return explanations, table

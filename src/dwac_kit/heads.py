@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import as_matrix, pairwise_sq_distances, query_factor, reference_factor
+from .network import DWAC, EmbeddingModel
 
 DEFAULT_SIGMA = 0.5
 PROB_FLOOR = 1e-12
@@ -80,6 +81,22 @@ class EmbeddedTrainingSet:
 
     def __len__(self) -> int:
         return self.h.shape[0]
+
+
+@dataclass
+class Predictor:
+    """A trained head, all that scoring it needs: the network, the kernel
+    width it was trained at, its embedded proper training set (dwac only),
+    and ``calibrations``: measure -> sorted calibration scores."""
+
+    model: EmbeddingModel
+    sigma: float
+    embedded: EmbeddedTrainingSet | None
+    calibrations: dict[str, np.ndarray]
+
+    def __post_init__(self):
+        if self.model.head == DWAC and self.embedded is None:
+            raise ValueError("a dwac head needs its embedded training set")
 
 
 @dataclass

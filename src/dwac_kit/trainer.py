@@ -28,6 +28,7 @@ from .heads import (
     DEFAULT_SIGMA,
     EmbeddedTrainingSet,
     Predictions,
+    Predictor,
     dwac_batch_loss,
     dwac_predict,
     softmax_batch_loss,
@@ -102,16 +103,13 @@ class EpochStats:
 
 
 @dataclass
-class TrainResult:
-    """The model of the restored ``best_epoch`` (``history[best_epoch - 1]``)
-    with its embedded proper split ``embedded`` (dwac only) and its
-    ``calibrations``: measure -> sorted calibration scores, for each measure
-    of its head (``conformal.HEAD_MEASURES``), from the predictions that
-    validation made on the calibration split."""
+class TrainResult(Predictor):
+    """The head of the restored ``best_epoch`` (``history[best_epoch - 1]``):
+    its model, its training sigma, its embedded proper split, and its
+    calibration scores for each measure of its head
+    (``conformal.HEAD_MEASURES``), from the predictions that validation made
+    on the calibration split."""
 
-    model: EmbeddingModel
-    embedded: EmbeddedTrainingSet | None
-    calibrations: dict[str, np.ndarray]
     history: list[EpochStats]
     best_epoch: int
     stopped_early: bool
@@ -143,18 +141,12 @@ def embed_training_set(model: EmbeddingModel, dataset: Dataset) -> EmbeddedTrain
     return EmbeddedTrainingSet(h=h, labels=dataset.y, num_classes=dataset.num_classes)
 
 
-def predict(
-    model: EmbeddingModel,
-    x: np.ndarray,
-    train: EmbeddedTrainingSet | None = None,
-    sigma: float = DEFAULT_SIGMA,
-) -> Predictions:
-    """Predict classes for raw (already encoded) feature rows."""
-    h, _ = forward(model, x, mode="eval")
-    if model.head == DWAC:
-        if train is None:
-            raise ValueError("dwac prediction needs an embedded training set")
-        return dwac_predict(h, train, sigma=sigma)
+def predict(predictor: Predictor, x: np.ndarray) -> Predictions:
+    """Predict classes for raw (already encoded) feature rows, at the
+    predictor's own kernel width."""
+    h, _ = forward(predictor.model, x, mode="eval")
+    if predictor.model.head == DWAC:
+        return dwac_predict(h, predictor.embedded, sigma=predictor.sigma)
     return softmax_predict(h)
 
 
@@ -226,7 +218,7 @@ def train(proper: Dataset, calibration: Dataset, config: TrainConfig) -> TrainRe
 
         mean_loss = loss_sum / used
         ref = embed_training_set(model, proper) if config.head == DWAC else None
-        preds = predict(model, calibration.x, train=ref, sigma=config.sigma)
+        preds = predict(Predictor(model, config.sigma, ref, {}), calibration.x)
         acc = float(np.mean(preds.predicted == calibration.y))
         history.append(EpochStats(epoch=epoch, mean_loss=mean_loss, calib_accuracy=acc))
 
@@ -245,6 +237,7 @@ def train(proper: Dataset, calibration: Dataset, config: TrainConfig) -> TrainRe
     model.set_parameters(best_params)
     return TrainResult(
         model=model,
+        sigma=config.sigma,
         embedded=best_embedded,
         calibrations={m: calibrate(best_preds, calibration.y, m)
                       for m in HEAD_MEASURES[config.head]},

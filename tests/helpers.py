@@ -43,7 +43,7 @@ from dwac_kit.data import (
 )
 from dwac_kit.explain import explain_with_agreement
 from dwac_kit.evaluate import SPLIT_STREAM
-from dwac_kit.heads import softmax_batch_loss
+from dwac_kit.heads import Predictor, softmax_batch_loss
 from dwac_kit.linalg import pairwise_sq_distances, query_factor, reference_factor
 from dwac_kit.network import DWAC, GATHER_ROWS, Inputs, adam_step, backward, forward
 from dwac_kit.trainer import SHUFFLE_STREAM, build_model
@@ -127,8 +127,8 @@ def explain(x, model, train, k: int | None = None, sigma: float = 0.5) -> dict:
     with ``k`` entries (every training instance unless given)."""
     rows = x if isinstance(x, Inputs) else np.asarray(x, dtype=np.float64)[None, :]
     k = len(train) if k is None else k
-    return decode_lines(explain_with_agreement(rows, model, train, k=k, k_list=(),
-                                               sigma=sigma)[0])[0]
+    return decode_lines(explain_with_agreement(rows, Predictor(model, sigma, train, {}), k=k,
+                                               k_list=())[0])[0]
 
 
 def class_weights(explanation: dict, num_classes: int) -> np.ndarray:
@@ -552,21 +552,11 @@ def encode_rows_oracle(rows, schema, stats, has_labels: bool = True) -> Dataset:
     """Row dicts encoded one cell at a time into a dense block per column
     (an indicator column per vocabulary value and one for unknown values),
     the blocks stacked side by side: the one-hot matrix that the encoder's
-    codes stand for, held as all-continuous features."""
+    codes stand for, held as all-continuous features. A label not in the
+    schema is refused first, then a continuous cell whose z-score is not
+    finite or has no finite square, column by column."""
     blocks = []
     n = len(rows)
-    for col in schema.feature_columns:
-        if col.role == ROLE_CONTINUOUS:
-            values = _parse_continuous_oracle(rows, col.name)
-            blocks.append(((values - stats.means[col.name]) / stats.stds[col.name])[:, None])
-        else:
-            vocab = stats.vocabs[col.name]
-            index = {v: i for i, v in enumerate(vocab)}
-            width = len(vocab) + 1
-            block = np.zeros((n, width))
-            for i, row in enumerate(rows):
-                block[i, index.get(row[col.name], width - 1)] = 1.0
-            blocks.append(block)
     y = None
     if has_labels:
         label_index = {v: i for i, v in enumerate(schema.label_values)}
@@ -576,4 +566,23 @@ def encode_rows_oracle(rows, schema, stats, has_labels: bool = True) -> Dataset:
             if cell not in label_index:
                 raise ValueError(f"{row[WHERE]}: label {cell!r} not in schema label_values")
             y[i] = label_index[cell]
+    for col in schema.feature_columns:
+        if col.role == ROLE_CONTINUOUS:
+            column = []
+            for row in rows:
+                value = _parse_cell_oracle(row, col.name)
+                z = (value - stats.means[col.name]) / stats.stds[col.name]
+                if not math.isfinite(z * z):
+                    raise ValueError(f"{row[WHERE]}, column {col.name!r}: {value!r} is not "
+                                     "finite, or too large once z-scored")
+                column.append(z)
+            blocks.append(np.array(column, dtype=np.float64).reshape(n, 1))
+        else:
+            vocab = stats.vocabs[col.name]
+            index = {v: i for i, v in enumerate(vocab)}
+            width = len(vocab) + 1
+            block = np.zeros((n, width))
+            for i, row in enumerate(rows):
+                block[i, index.get(row[col.name], width - 1)] = 1.0
+            blocks.append(block)
     return Dataset(x=np.hstack(blocks), y=y, num_classes=schema.num_classes, stats=stats)

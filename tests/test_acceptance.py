@@ -79,8 +79,8 @@ def protocol_run(head: str, seed: int, separation: float) -> ProtocolRun:
     proper, calib, test = trial_splits(blob_data(blobs), seed, (4 / 9, 1 / 9, 4 / 9))
     config = TrainConfig(head=head, seed=seed, max_epochs=300, patience=50)
     result = train(proper, calib, config)
-    cp = predict(result.model, calib.x, train=result.embedded, sigma=config.sigma)
-    tp = predict(result.model, test.x, train=result.embedded, sigma=config.sigma)
+    cp = predict(result, calib.x)
+    tp = predict(result, test.x)
     return ProtocolRun(result, proper, calib, test, cp, tp)
 
 
@@ -316,7 +316,7 @@ def adult_runs():
                 proper, calib, test = (subset(train_ds, p) for p in parts)
             config = TrainConfig(head=head, seed=seed, max_epochs=50, patience=10)
             result = train(proper, calib, config)
-            tp = predict(result.model, test.x, train=result.embedded, sigma=config.sigma)
+            tp = predict(result, test.x)
             runs[head, seed] = ProtocolRun(result, proper, calib, test, None, tp)
     return runs
 
@@ -344,24 +344,22 @@ def test_criterion_05_adult_income_reproduction(adult_runs):
 def test_criterion_06_explanation_fidelity(separated):
     run = separated[DWAC, 0]
     t = len(run.proper)
-    table = dict(explain_with_agreement(run.test.x, run.result.model, run.result.embedded,
-                                        k=1, k_list=(1, t), sigma=0.5)[1])
+    table = dict(explain_with_agreement(run.test.x, run.result, k=1, k_list=(1, t))[1])
     exact_at_t = table[t] == 1.0
 
     # independent check of the k=t identity: rebuild the class masses from a
     # full (untruncated) explanation and compare against the predictor
     sample = run.test.x[:100]
-    preds = predict(run.result.model, sample, train=run.result.embedded, sigma=0.5)
+    preds = predict(run.result, sample)
     rebuilt = [int(np.argmax(class_weights(e, run.proper.num_classes)))
-               for e in decode_lines(explain_with_agreement(
-                   sample, run.result.model, run.result.embedded, k=t, k_list=(), sigma=0.5)[0])]
+               for e in decode_lines(explain_with_agreement(sample, run.result, k=t,
+                                                            k_list=())[0])]
     exact_at_t = exact_at_t and np.array_equal(rebuilt, preds.predicted)
 
     at_one = []
     for seed in SEEDS:
         r = separated[DWAC, seed]
-        at_one.append(dict(explain_with_agreement(r.test.x, r.result.model, r.result.embedded,
-                                                  k=1, k_list=(1,), sigma=0.5)[1])[1])
+        at_one.append(dict(explain_with_agreement(r.test.x, r.result, k=1, k_list=(1,))[1])[1])
     ok = exact_at_t and min(at_one) >= 0.95
     report(6, "explanation agreement: exact at k=t, >= 0.95 at k=1", ok,
            f"k=t {table[t]!r} (rebuilt argmax matches), k=1 min {min(at_one):.4f}")
@@ -370,8 +368,7 @@ def test_criterion_06_explanation_fidelity(separated):
 @pytest.mark.skipif(_adult_missing, reason=f"set {ADULT_ENV} to run the Adult check")
 def test_criterion_06b_adult_agreement(adult_runs):
     run = adult_runs[DWAC, 0]
-    frac = dict(explain_with_agreement(run.test.x, run.result.model, run.result.embedded,
-                                       k=1, k_list=(10,), sigma=0.5)[1])[10]
+    frac = dict(explain_with_agreement(run.test.x, run.result, k=1, k_list=(10,))[1])[10]
     report(6, "Adult agreement at k=10 >= 0.90", frac >= 0.90, f"k=10 {frac:.4f}")
 
 
@@ -397,10 +394,8 @@ def test_criterion_07_ood_direction():
         soft_cfg = TrainConfig(head=SOFTMAX, seed=seed, max_epochs=60, patience=10)
         splits = trial_splits(blob_data(blobs), seed, (0.6, 0.2, 0.2), held_class=3)
         dwac_res, soft_res = (train(*splits[:2], cfg) for cfg in (dwac_cfg, soft_cfg))
-        dwac_rep = ood_cross_dataset(dwac_res.model, dwac_res.embedded, dwac_res.calibrations,
-                                     *splits[2:], dwac_cfg.sigma)
-        soft_rep = ood_cross_dataset(soft_res.model, soft_res.embedded, soft_res.calibrations,
-                                     *splits[2:])
+        dwac_rep = ood_cross_dataset(dwac_res, *splits[2:])
+        soft_rep = ood_cross_dataset(soft_res, *splits[2:])
         ws = float(np.mean(dwac_rep[NEG_WEIGHT_SUM][1]))
         np_same = float(np.mean(dwac_rep[NEG_PROB][1]))
         np_soft = float(np.mean(soft_rep[NEG_PROB][1]))
@@ -432,8 +427,8 @@ def test_criterion_08_credibility_uniformity():
     for head in (DWAC, SOFTMAX):
         config = TrainConfig(head=head, seed=0, max_epochs=300, patience=50)
         result = train(proper, dev, config)
-        cp = predict(result.model, calib.x, train=result.embedded, sigma=0.5)
-        tp = predict(result.model, test.x, train=result.embedded, sigma=0.5)
+        cp = predict(result, calib.x)
+        tp = predict(result, test.x)
         measures = (NEG_PROB, NEG_WEIGHT_SUM) if head == DWAC else (NEG_PROB,)
         for measure in measures:
             scores = calibrate(cp, calib.y, measure)
@@ -454,9 +449,8 @@ def test_criterion_09_decisive_prefix_soundness(separated):
     queries = flips = decisive = 0
     for seed in SEEDS:
         run = separated[DWAC, seed]
-        explanations, _ = explain_with_agreement(run.test.x[:40], run.result.model,
-                                                 run.result.embedded, k=len(run.proper),
-                                                 k_list=(), sigma=0.5)
+        explanations, _ = explain_with_agreement(run.test.x[:40], run.result,
+                                                 k=len(run.proper), k_list=())
         for e in decode_lines(explanations):
             queries += 1
             j = e["decisive_prefix"]
@@ -496,8 +490,8 @@ def test_criterion_10_determinism_round_trip(tmp_path):
     save_model(artifact, str(resaved))
     reloaded = load_model(str(resaved))
     x = make_blobs(64, 3, 3, 8.0, make_rng(7, 3)).x
-    first = predict(artifact.model, x, train=artifact.embedded, sigma=artifact.sigma)
-    second = predict(reloaded.model, x, train=reloaded.embedded, sigma=reloaded.sigma)
+    first = predict(artifact, x)
+    second = predict(reloaded, x)
     bitwise = (np.array_equal(first.probs, second.probs)
                and np.array_equal(first.weight_sums, second.weight_sums)
                and resaved.read_bytes() == (run_a / "model_dwac_trial0.json").read_bytes())

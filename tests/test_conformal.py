@@ -110,10 +110,10 @@ def test_degenerate_far_query_is_maximally_nonconforming(dwac_run):
     result, _, calib, _ = dwac_run
     from dwac_kit.trainer import predict
 
-    calib_preds = predict(result.model, calib.x, train=result.embedded)
+    calib_preds = predict(result, calib.x)
     calib_scores = calibrate(calib_preds, calib.y, NEG_WEIGHT_SUM)
     far = np.full((1, result.model.spec.input_dim), 1e6)
-    far_preds = predict(result.model, far, train=result.embedded)
+    far_preds = predict(result, far)
     # its absolute kernel mass underflows; its probabilities do not
     assert np.all(far_preds.weight_sums[0] == 0.0)
     assert np.all(np.isfinite(far_preds.probs[0]))

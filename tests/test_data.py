@@ -362,7 +362,6 @@ def make_artifact(run):
     return ModelArtifact(
         model=result.model,
         sigma=0.5,
-        num_classes=proper.num_classes,
         schema=schema,
         stats=proper.stats,
         embedded=result.embedded,
@@ -376,8 +375,8 @@ def test_artifact_round_trip_is_bit_identical(tmp_path, dwac_run):
     save_model(artifact, str(path))
     loaded = load_model(str(path))
 
-    before = predict(artifact.model, test.x, train=artifact.embedded, sigma=0.5)
-    after = predict(loaded.model, test.x, train=loaded.embedded, sigma=0.5)
+    before = predict(artifact, test.x)
+    after = predict(loaded, test.x)
     assert np.array_equal(before.probs, after.probs)
     assert np.array_equal(before.weight_sums, after.weight_sums)
     assert np.array_equal(artifact.calibrations["neg_prob"],
@@ -396,8 +395,8 @@ def test_artifact_preserves_schema(tmp_path, softmax_run):
     result, proper, *_ = softmax_run
     schema = Schema(columns=SCHEMA.columns, label_values=("cat", "dog", "eel"))
     stats = FeatureStats(means={"size": 1.5}, stds={"size": 2.0}, vocabs={"color": ("red",)})
-    artifact = ModelArtifact(model=result.model, sigma=0.5,
-                             num_classes=proper.num_classes, schema=schema, stats=stats)
+    artifact = ModelArtifact(model=result.model, sigma=0.5, embedded=None, calibrations={},
+                             schema=schema, stats=stats)
     path = tmp_path / "m.json"
     save_model(artifact, str(path))
     loaded = load_model(str(path))

@@ -248,8 +248,7 @@ def holdout_reports():
     config = TrainConfig(head="dwac", seed=11, max_epochs=40, batch_size=64)
     _, _, test, held = splits = trial_splits(blobs, 11, (0.6, 0.2, 0.2), held_class=3)
     result = train(*splits[:2], config)
-    return ood_cross_dataset(result.model, result.embedded, result.calibrations, test, held,
-                             config.sigma)
+    return ood_cross_dataset(result, test, held)
 
 
 def test_holdout_reports_shape(holdout_reports):
@@ -277,9 +276,9 @@ def test_holdout_single_measure_matches_multi(holdout_reports):
     config = TrainConfig(head="dwac", seed=11, max_epochs=40, batch_size=64)
     _, _, test, held = splits = trial_splits(blobs, 11, (0.6, 0.2, 0.2), held_class=3)
     result = train(*splits[:2], config)
-    single = ood_cross_dataset(result.model, result.embedded,
-                               {NEG_WEIGHT_SUM: result.calibrations[NEG_WEIGHT_SUM]}, test,
-                               held, config.sigma)[NEG_WEIGHT_SUM]
+    single = ood_cross_dataset(
+        replace(result, calibrations={NEG_WEIGHT_SUM: result.calibrations[NEG_WEIGHT_SUM]}),
+        test, held)[NEG_WEIGHT_SUM]
     assert np.array_equal(single[1], holdout_reports[NEG_WEIGHT_SUM][1])
 
 
@@ -311,22 +310,21 @@ def test_holdout_validation():
 
 def test_cross_dataset_identical_foreign_scores_identically(dwac_run):
     result, proper, calib, test = dwac_run
-    calib_preds = predict(result.model, calib.x, train=result.embedded, sigma=0.5)
+    calib_preds = predict(result, calib.x)
     scores = calibrate(calib_preds, calib.y, NEG_WEIGHT_SUM)
-    in_cred, out_cred = ood_cross_dataset(result.model, result.embedded,
-                                          {NEG_WEIGHT_SUM: scores}, in_domain=test,
-                                          foreign=test)[NEG_WEIGHT_SUM]
+    in_cred, out_cred = ood_cross_dataset(replace(result, calibrations={NEG_WEIGHT_SUM: scores}),
+                                          in_domain=test, foreign=test)[NEG_WEIGHT_SUM]
     assert np.array_equal(in_cred, out_cred)
     assert np.mean(in_cred) == np.mean(out_cred)
 
 
 def test_cross_dataset_shifted_foreign_loses_credibility(dwac_run):
     result, proper, calib, test = dwac_run
-    calib_preds = predict(result.model, calib.x, train=result.embedded, sigma=0.5)
+    calib_preds = predict(result, calib.x)
     scores = calibrate(calib_preds, calib.y, NEG_WEIGHT_SUM)
     foreign = Dataset(x=test.x.cont + 40.0, y=None, num_classes=test.num_classes)
     in_mean, out_mean = map(np.mean, ood_cross_dataset(
-        result.model, result.embedded, {NEG_WEIGHT_SUM: scores}, in_domain=test,
+        replace(result, calibrations={NEG_WEIGHT_SUM: scores}), in_domain=test,
         foreign=foreign)[NEG_WEIGHT_SUM])
     assert out_mean < 0.05
     assert out_mean < in_mean
@@ -334,31 +332,29 @@ def test_cross_dataset_shifted_foreign_loses_credibility(dwac_run):
 
 def test_cross_dataset_credibility_matches_conformal(dwac_run):
     result, proper, calib, test = dwac_run
-    calib_preds = predict(result.model, calib.x, train=result.embedded, sigma=0.5)
+    calib_preds = predict(result, calib.x)
     scores = calibrate(calib_preds, calib.y, NEG_PROB)
-    in_cred, _ = ood_cross_dataset(result.model, result.embedded, {NEG_PROB: scores},
+    in_cred, _ = ood_cross_dataset(replace(result, calibrations={NEG_PROB: scores}),
                                    in_domain=test, foreign=test)[NEG_PROB]
-    test_preds = predict(result.model, test.x, train=result.embedded, sigma=0.5)
+    test_preds = predict(result, test.x)
     direct = conformal_predict(test_preds, scores, NEG_PROB).credibility()
     assert np.array_equal(in_cred, direct)
 
 
 def test_cross_dataset_validation(dwac_run):
     result, proper, calib, test = dwac_run
-    calib_preds = predict(result.model, calib.x, train=result.embedded, sigma=0.5)
+    calib_preds = predict(result, calib.x)
     scores = calibrate(calib_preds, calib.y, NEG_PROB)
     empty = Dataset(x=np.zeros((0, test.dim)), y=None, num_classes=test.num_classes)
+    scored = replace(result, calibrations={NEG_PROB: scores})
     with pytest.raises(ValueError, match="^foreign dataset is empty$"):
-        ood_cross_dataset(result.model, result.embedded, {NEG_PROB: scores},
-                          in_domain=test, foreign=empty)
+        ood_cross_dataset(scored, in_domain=test, foreign=empty)
     with pytest.raises(ValueError, match="^in-domain dataset is empty$"):
-        ood_cross_dataset(result.model, result.embedded, {NEG_PROB: scores},
-                          in_domain=empty, foreign=test)
+        ood_cross_dataset(scored, in_domain=empty, foreign=test)
     narrow = Dataset(x=test.x.cont[:, :-1], y=None, num_classes=test.num_classes)
     with pytest.raises(ValueError):
-        ood_cross_dataset(result.model, result.embedded, {NEG_PROB: scores},
-                          in_domain=test, foreign=narrow)
-    with pytest.raises(ValueError):
-        ood_cross_dataset(result.model, None, {NEG_PROB: scores}, in_domain=test, foreign=test)
+        ood_cross_dataset(scored, in_domain=test, foreign=narrow)
+    with pytest.raises(ValueError, match="embedded training set"):
+        ood_cross_dataset(replace(scored, embedded=None), in_domain=test, foreign=test)
     with pytest.raises(ValueError, match="at least one nonconformity measure"):
-        ood_cross_dataset(result.model, result.embedded, {}, in_domain=test, foreign=test)
+        ood_cross_dataset(replace(result, calibrations={}), in_domain=test, foreign=test)

@@ -7,7 +7,7 @@ import pytest
 
 from dwac_kit import heads
 from dwac_kit.explain import explain_with_agreement
-from dwac_kit.heads import EmbeddedTrainingSet, kernel_weights
+from dwac_kit.heads import EmbeddedTrainingSet, Predictor, kernel_weights
 from dwac_kit.linalg import make_rng
 from dwac_kit.network import DWAC, SOFTMAX, EmbeddingModel, MlpSpec
 from dwac_kit.trainer import predict
@@ -32,6 +32,11 @@ def identity_model(d: int) -> EmbeddingModel:
         biases=[np.zeros(d)],
         head=DWAC,
     )
+
+
+def identity_head(train: EmbeddedTrainingSet) -> Predictor:
+    """A dwac head of the identity model at sigma 0.5 over ``train``."""
+    return Predictor(identity_model(train.h.shape[1]), 0.5, train, {})
 
 
 def train_set_with_weights(weights, labels, num_classes):
@@ -99,7 +104,7 @@ def test_adversarial_relabeling_never_flips_certified_predictions(dwac_run):
     result, _, _, test = dwac_run
     train = result.embedded
     x = test.x[:50]
-    explanations, _ = explain_with_agreement(x, result.model, train, k=len(train), k_list=())
+    explanations, _ = explain_with_agreement(x, result, k=len(train), k_list=())
     certified = 0
     for exp, total in zip(decode_lines(explanations), total_weights(x, result.model, train)):
         j = exp["decisive_prefix"]
@@ -123,8 +128,8 @@ def test_complete_explanation_reconstructs_probabilities(dwac_run):
     result, _, _, test = dwac_run
     train = result.embedded
     x = test.x[:20]
-    preds = predict(result.model, x, train=train)
-    explanations, _ = explain_with_agreement(x, result.model, train, k=len(train), k_list=())
+    preds = predict(result, x)
+    explanations, _ = explain_with_agreement(x, result, k=len(train), k_list=())
     for i, (exp, total) in enumerate(zip(decode_lines(explanations),
                                          total_weights(x, result.model, train))):
         masses = class_weights(exp, train.num_classes)
@@ -149,7 +154,7 @@ def test_explanations_across_row_blocks_keep_global_query_ids():
     train = EmbeddedTrainingSet(h=rng.standard_normal((20_000, 2)),
                                 labels=rng.integers(0, 2, size=20_000), num_classes=2)
     x = rng.standard_normal((250, 2))
-    explanations = decode_lines(explain_with_agreement(x, identity_model(2), train, k=3,
+    explanations = decode_lines(explain_with_agreement(x, identity_head(train), k=3,
                                                        k_list=())[0])
     assert [e["query_id"] for e in explanations] == list(range(250))
     for i in (0, 103, 104, 249):
@@ -177,7 +182,7 @@ def test_far_query_lists_its_nearest_row_first_with_weight_one():
     train = EmbeddedTrainingSet(h=h, labels=rng.integers(0, 3, size=300), num_classes=3)
     x = rng.standard_normal((8, 3)) * 500.0
     assert np.all(kernel_weights(x, h) == 0.0)
-    explanations, _ = explain_with_agreement(x, identity_model(3), train, k=5, k_list=())
+    explanations, _ = explain_with_agreement(x, identity_head(train), k=5, k_list=())
     nearest = np.argmin(((x[:, None, :] - h[None, :, :]) ** 2).sum(axis=2), axis=1)
     for exp, j in zip(decode_lines(explanations), nearest.tolist()):
         assert exp["entries"][0]["index"] == j and exp["entries"][0]["weight"] == 1.0
@@ -205,19 +210,17 @@ def test_explain_validation(dwac_run):
 def test_agreement_exact_at_full_size(dwac_run):
     result, _, _, test = dwac_run
     t = len(result.embedded)
-    _, table = explain_with_agreement(test.x, result.model, result.embedded, k=1,
-                                      k_list=(t, t + 50))
+    _, table = explain_with_agreement(test.x, result, k=1, k_list=(t, t + 50))
     assert table == [(t, 1.0), (t + 50, 1.0)]
 
 
 def test_agreement_values_bounded(dwac_run):
     result, _, _, test = dwac_run
-    _, table = explain_with_agreement(test.x, result.model, result.embedded, k=1,
-                                      k_list=(1, 5, 10))
+    _, table = explain_with_agreement(test.x, result, k=1, k_list=(1, 5, 10))
     for k, frac in table:
         assert 0.0 <= frac <= 1.0
     with pytest.raises(ValueError):
-        explain_with_agreement(test.x, result.model, result.embedded, k=1, k_list=(0,))
+        explain_with_agreement(test.x, result, k=1, k_list=(0,))
 
 
 def test_agreement_matches_full_ranking_oracle_with_tied_weights():
@@ -231,7 +234,7 @@ def test_agreement_matches_full_ranking_oracle_with_tied_weights():
     weights = kernel_weights(queries, h)
     for k_list in ((1, 4, 7, 12), (1, 20, t - 1, t, t + 50)):
         expected = agreement_oracle(weights, train.labels, c, k_list)
-        _, table = explain_with_agreement(queries, identity_model(2), train, k=1, k_list=k_list)
+        _, table = explain_with_agreement(queries, identity_head(train), k=1, k_list=k_list)
         assert table == expected
     assert 0.0 < dict(expected)[1] < 1.0
 
@@ -239,8 +242,7 @@ def test_agreement_matches_full_ranking_oracle_with_tied_weights():
 def test_restricted_argmax_matches_manual_check():
     # hand-checkable: nearest neighbor disagrees with the full vote
     train, query = train_set_with_weights([0.6, 0.55, 0.5], [1, 0, 0], 2)
-    model = identity_model(3)
-    _, table = explain_with_agreement(query[None, :], model, train, k=1, k_list=(1, 3))
+    _, table = explain_with_agreement(query[None, :], identity_head(train), k=1, k_list=(1, 3))
     table = dict(table)
     assert table[1] == 0.0  # top instance says class 1, full vote says 0
     assert table[3] == 1.0
@@ -260,7 +262,7 @@ def test_explanations_and_agreement_do_not_depend_on_the_block_size(monkeypatch)
     for entries in (1 << 10, 1 << 12, 1 << 13, 1 << 15, 1 << 40):
         monkeypatch.setattr(heads, "BLOCK_ENTRIES", entries)
         explanations, table = explain_with_agreement(
-            x, identity_model(2), train, k=25, k_list=(1, 4, 30, 200, t))
+            x, identity_head(train), k=25, k_list=(1, 4, 30, 200, t))
         totals = heads.kernel_blocks(x, train, None)[0].sum(axis=1).tolist()
         runs.append((explanations, table, totals))
     assert all(run == runs[0] for run in runs[1:])
@@ -294,7 +296,7 @@ def test_explanations_and_agreement_do_not_depend_on_the_thread_count(monkeypatc
             use_cpus(monkeypatch, n)
             for k in (t, 3):
                 explanations, table = explain_with_agreement(
-                    x, identity_model(2), train, k=k, k_list=(1, 4, 30, t, t + 5))
+                    x, identity_head(train), k=k, k_list=(1, 4, 30, t, t + 5))
                 totals = heads.kernel_blocks(x, train, None)[0].sum(axis=1).tolist()
                 runs.append((k, table, explanations, totals))
     finally:
@@ -352,7 +354,7 @@ def test_block_ranking_equals_the_per_row_oracle(monkeypatch, case, cpus):
     train, x, k, k_list = RANKING_CASES[case]()
     monkeypatch.setattr(heads, "BLOCK_ENTRIES", 4 * len(train))
     use_cpus(monkeypatch, cpus)
-    explanations, table = explain_with_agreement(x, identity_model(2), train, k=k,
+    explanations, table = explain_with_agreement(x, identity_head(train), k=k,
                                                  k_list=k_list)
     docs, expected = explain_rows_oracle(kernel_matrix(x, train),
                                          heads.kernel_blocks(x, train, None)[0], train, k, k_list)

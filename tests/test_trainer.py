@@ -11,11 +11,23 @@ import numpy as np
 import pytest
 
 import dwac_kit.trainer as trainer_mod
-from dwac_kit import Dataset, TrainConfig, blob_data, make_blobs, make_rng
+from dwac_kit import (
+    Dataset,
+    ModelArtifact,
+    Predictor,
+    TrainConfig,
+    blob_data,
+    dwac_predict,
+    explain_with_agreement,
+    load_model,
+    make_blobs,
+    make_rng,
+    save_model,
+)
 from dwac_kit.cli import main
-from dwac_kit.conformal import HEAD_MEASURES, calibrate
-from dwac_kit.evaluate import accuracy, trial_splits
-from dwac_kit.network import DWAC, SOFTMAX, adam_step
+from dwac_kit.conformal import HEAD_MEASURES, NEG_PROB, calibrate, conformal_predict
+from dwac_kit.evaluate import accuracy, ood_cross_dataset, trial_splits
+from dwac_kit.network import DWAC, SOFTMAX, adam_step, forward
 from dwac_kit.trainer import (
     build_model,
     embed_training_set,
@@ -25,6 +37,7 @@ from dwac_kit.trainer import (
 )
 from helpers import (
     assert_one_error_line,
+    decode_lines,
     quick_split,
     quick_train,
     subset,
@@ -64,7 +77,7 @@ def test_config_validation():
 
 def test_training_learns_blobs(dwac_run, softmax_run):
     for (result, _, _, test) in (dwac_run, softmax_run):
-        preds = predict(result.model, test.x, train=result.embedded)
+        preds = predict(result, test.x)
         assert accuracy(preds, test.y) > 0.9
         assert result.history[-1].mean_loss < result.history[0].mean_loss
 
@@ -82,7 +95,7 @@ def test_best_epoch_restored(dwac_run):
     best = max(e.calib_accuracy for e in result.history)
     assert result.history[result.best_epoch - 1].calib_accuracy == best
     ref = embed_training_set(result.model, proper)
-    preds = predict(result.model, calib.x, train=ref)
+    preds = predict(Predictor(result.model, result.sigma, ref, {}), calib.x)
     assert accuracy(preds, calib.y) == best
 
 
@@ -119,16 +132,63 @@ def test_nonfinite_loss_aborts(monkeypatch):
 
 def test_predict_requires_reference_for_dwac(dwac_run):
     result, *_ = dwac_run
-    with pytest.raises(ValueError):
-        predict(result.model, np.zeros((2, result.model.spec.input_dim)))
+    with pytest.raises(ValueError, match="embedded training set"):
+        Predictor(result.model, result.sigma, None, {})
 
 
 def test_predict_scores_a_row_alone_as_in_its_batch(dwac_run):
     result, _, _, test = dwac_run
-    full = predict(result.model, test.x, result.embedded)
-    alone = predict(result.model, test.x[:1], result.embedded)
+    full = predict(result, test.x)
+    alone = predict(result, test.x[:1])
     assert alone.probs.tobytes() == full.probs[:1].tobytes()
     assert alone.weight_sums.tobytes() == full.weight_sums[:1].tobytes()
+
+
+def test_a_head_scores_at_the_width_it_was_trained_at(tmp_path):
+    # the README example's data, trained at sigma 4: every scorer, and a
+    # saved and reloaded artifact, must score at 4 and not at the default 0.5
+    blobs = blob_data(make_blobs(600, 4, 8, 3.0, make_rng(0, 3)))
+    proper, calib, test = trial_splits(blobs, 0, (0.6, 0.2, 0.2))
+    result = train(proper, calib, TrainConfig(head=DWAC, sigma=4.0, seed=0, max_epochs=20))
+    assert result.sigma == 4.0
+    h, _ = forward(result.model, test.x, mode="eval")
+    trained, default = (dwac_predict(h, result.embedded, sigma=s) for s in (4.0, 0.5))
+    assert not np.array_equal(trained.predicted, default.predicted)
+    at_default = replace(result, sigma=0.5)
+
+    for head in (result, at_default):
+        expected = trained if head is result else default
+        preds = predict(head, test.x)
+        assert preds.probs.tobytes() == expected.probs.tobytes()
+        assert preds.weight_sums.tobytes() == expected.weight_sums.tobytes()
+
+    labels = {head.sigma: [e["predicted_label"] for e in decode_lines(
+        explain_with_agreement(test.x, head, k=5, k_list=(1,))[0])]
+        for head in (result, at_default)}
+    assert labels == {4.0: trained.predicted.tolist(), 0.5: default.predicted.tolist()}
+
+    foreign = Dataset(x=test.x.cont + 3.0, y=None, num_classes=test.num_classes)
+    h_foreign, _ = forward(result.model, foreign.x, mode="eval")
+    for head in (result, at_default):
+        in_preds, out_preds = (dwac_predict(x, result.embedded, sigma=head.sigma)
+                               for x in (h, h_foreign))
+        credibility = ood_cross_dataset(head, test, foreign)
+        assert list(credibility) == list(HEAD_MEASURES[DWAC])
+        for measure, (in_cred, out_cred) in credibility.items():
+            scores = result.calibrations[measure]
+            assert np.array_equal(in_cred, conformal_predict(in_preds, scores,
+                                                             measure).credibility())
+            assert np.array_equal(out_cred, conformal_predict(out_preds, scores,
+                                                              measure).credibility())
+    trained_cred = ood_cross_dataset(result, test, foreign)[NEG_PROB][0]
+    assert not np.array_equal(trained_cred, ood_cross_dataset(at_default, test,
+                                                              foreign)[NEG_PROB][0])
+
+    path = str(tmp_path / "model.json")
+    save_model(ModelArtifact.of(result, blobs.schema, proper.stats), path)
+    loaded = load_model(path)
+    assert loaded.sigma == 4.0
+    assert predict(loaded, test.x).probs.tobytes() == trained.probs.tobytes()
 
 
 def test_embed_training_set_requires_labels():
@@ -157,7 +217,7 @@ def test_result_keeps_the_best_epochs_calibration_predictions(head):
     result, proper, calib, _ = quick_train(head, max_epochs=20, patience=3)
     assert result.best_epoch < len(result.history)  # later epochs moved the weights
     fresh_ref = embed_training_set(result.model, proper) if head == DWAC else None
-    fresh = predict(result.model, calib.x, train=fresh_ref)
+    fresh = predict(Predictor(result.model, result.sigma, fresh_ref, {}), calib.x)
     assert list(result.calibrations) == list(HEAD_MEASURES[head])
     for measure, kept in result.calibrations.items():
         assert np.array_equal(kept, calibrate(fresh, calib.y, measure))
