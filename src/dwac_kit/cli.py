@@ -26,12 +26,14 @@ import logging
 import math
 import os
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields, replace
+from itertools import chain
 
 import numpy as np
 
-from .conformal import EPSILON_GRID, HEAD_MEASURES, conformal_predict, coverage_report
+from . import heads
+from .conformal import EPSILON_GRID, HEAD_MEASURES, Coverage, conformal_predict
 from .data import (
     CsvData,
     Dataset,
@@ -44,12 +46,20 @@ from .data import (
     load_model,
     make_blobs,
     read_csv_rows,
+    read_csv_tables,
     save_model,
 )
-from .evaluate import PER_BIN, accuracy, calibration_mae, ood_cross_dataset, trial_splits
-from .explain import explain_with_agreement
+from .evaluate import (
+    PER_BIN,
+    accuracy,
+    calibration_mae,
+    credibility,
+    ood_cross_dataset,
+    trial_splits,
+)
+from .explain import explain_rows
 from .linalg import make_rng, split_sizes
-from .network import DWAC, SOFTMAX
+from .network import DWAC, GATHER_ROWS, SOFTMAX
 from .trainer import TrainConfig, predict, train_many
 
 log = logging.getLogger("dwac_kit")
@@ -293,25 +303,42 @@ def _load_raw(source: str, cfg: RunConfig, schema: Schema | None = None) -> CsvD
     return CsvData(table=table, schema=schema, has_labels=has_labels)
 
 
-def _encoded(source: str, cfg: RunConfig, artifacts: list[ModelArtifact],
-             labels: bool = False) -> list[Dataset]:
-    """A --data or --foreign input encoded the way each artifact's training
-    data was. It is read once per schema, and encoded once per distinct
-    schema and stats, so the artifacts of one training run share one
-    encoding. The tables read go when this returns, so none sits beside a
-    kernel sum. Labels are encoded only for a command that reads them."""
-    read: dict[Schema, CsvData] = {}
+def _chunk_rows(artifacts: list[ModelArtifact]) -> int:
+    """Query rows scored at a time: a multiple of GATHER_ROWS, so only the
+    last chunk pads its eval block, with at least RUN_BLOCKS kernel blocks
+    for each usable CPU against each artifact's embedded training set, so
+    the kernel engine runs a thread on each."""
+    blocks = heads.usable_cpus() * heads.RUN_BLOCKS
+    rows = max((blocks * heads.block_rows(len(a.embedded)) for a in artifacts
+                if a.embedded is not None), default=1)
+    return -(-rows // GATHER_ROWS) * GATHER_ROWS
+
+
+def _tables(source: str, cfg: RunConfig, schema: Schema, rows: int) -> Iterator[CsvData]:
+    """``source`` read with an artifact's ``schema`` as tables of ``rows`` rows
+    each, in row order. A blob spec is generated whole, since drawing it in
+    parts would change its values, and taken ``rows`` at a time."""
+    if source.startswith("blobs:"):
+        data = _load_raw(source, cfg, schema)
+        return (data.rows(a, a + rows) for a in range(0, len(data), rows))
+    return read_csv_tables(source, schema, rows)
+
+
+def _encode_chunk(source: str, read: dict[Schema, CsvData | None],
+                  artifacts: list[ModelArtifact], labels: bool) -> list[Dataset] | None:
+    """The tables ``read`` of one chunk, one per schema, encoded the way each
+    artifact's training data was: once per distinct schema and stats, so the
+    artifacts of one training run share one encoding. None once the tables
+    have run out."""
+    if not all(read.values()):
+        return None
     encoded: list[tuple[tuple, Dataset]] = []
     datasets = []
     for artifact in artifacts:
         key = (artifact.schema, artifact.stats)
         ds = next((ds for k, ds in encoded if k == key), None)
         if ds is None:
-            if artifact.schema not in read:
-                read[artifact.schema] = _load_raw(source, cfg, artifact.schema)
             data = read[artifact.schema]
-            if len(data) == 0:
-                raise ValueError(f"{source}: no data rows to score")
             ds = encode_rows(data.table, data.schema, artifact.stats,
                              has_labels=labels and data.has_labels)
             encoded.append((key, ds))
@@ -320,6 +347,29 @@ def _encoded(source: str, cfg: RunConfig, artifacts: list[ModelArtifact],
             raise ValueError(f"{source}: feature width {ds.dim}, model expects {expected}")
         datasets.append(ds)
     return datasets
+
+
+def _chunks(source: str, cfg: RunConfig, artifacts: list[ModelArtifact],
+            labels: bool = False) -> Iterator[tuple[int, list[Dataset]]]:
+    """A --data or --foreign input, ``_chunk_rows(artifacts)`` rows at a
+    time in row order: the position of each chunk's first row, and the chunk
+    encoded for each artifact. The input is read once per schema, a chunk at
+    a time, and each chunk's tables go once it is encoded, so no table sits
+    beside a kernel sum. No output depends on the chunk size, as no row's
+    does on the rows scored with it. Labels are encoded only for a command
+    that reads them. An input with no rows is refused."""
+    rows = _chunk_rows(artifacts)
+    readers = {schema: _tables(source, cfg, schema, rows)
+               for schema in dict.fromkeys(a.schema for a in artifacts)}
+    start = 0
+    while datasets := _encode_chunk(
+            source, {schema: next(tables, None) for schema, tables in readers.items()},
+            artifacts, labels):
+        yield start, datasets
+        start += len(datasets[0])
+        del datasets  # the next chunk is read with this one let go
+    if start == 0:
+        raise ValueError(f"{source}: no data rows to score")
 
 
 def _artifacts(cfg: RunConfig) -> list[ModelArtifact]:
@@ -398,13 +448,17 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _write_histogram(cfg: RunConfig, name: str, samples: dict[str, np.ndarray]) -> None:
+def _histogram(values: np.ndarray) -> np.ndarray:
+    """Counts of ``values`` in the HIST_BINS equal bins of [0, 1]."""
+    return np.histogram(values, bins=HIST_BINS, range=(0.0, 1.0))[0]
+
+
+def _write_histogram(cfg: RunConfig, name: str, counts: dict[str, np.ndarray]) -> None:
     """Write ``name`` under --out: the HIST_BINS equal bins of [0, 1], with
-    a count column per named sample of credibilities."""
-    hists = [np.histogram(v, bins=HIST_BINS, range=(0.0, 1.0)) for v in samples.values()]
-    edges = hists[0][1]
-    _write_csv(cfg, name, ["bin_low", "bin_high", *samples],
-               [[_fmt(edges[i]), _fmt(edges[i + 1]), *(int(counts[i]) for counts, _ in hists)]
+    a column per named ``_histogram`` of credibilities."""
+    edges = np.linspace(0.0, 1.0, HIST_BINS + 1)
+    _write_csv(cfg, name, ["bin_low", "bin_high", *counts],
+               [[_fmt(edges[i]), _fmt(edges[i + 1]), *(int(c[i]) for c in counts.values())]
                 for i in range(HIST_BINS)])
 
 
@@ -465,19 +519,24 @@ def cmd_train(cfg: RunConfig) -> int:
 
 def cmd_predict(cfg: RunConfig) -> int:
     artifact, = _artifacts(cfg)
-    ds, = _encoded(cfg.data, cfg, [artifact])
-    preds = predict(artifact, ds.x)
     label_names = artifact.schema.label_values
+    written = 0
 
     def records():
-        for a in range(0, len(preds), RECORD_ROWS):
-            b = a + RECORD_ROWS
-            for i, k, p in zip(range(a, b), preds.predicted[a:b].tolist(),
-                               preds.probs[a:b].tolist()):
-                yield encode_json({"index": i, "label": label_names[k], "predicted": k, "probs": p})
+        nonlocal written
+        for start, (ds,) in _chunks(cfg.data, cfg, [artifact]):
+            preds = predict(artifact, ds.x)
+            for a in range(0, len(preds), RECORD_ROWS):
+                b = a + RECORD_ROWS
+                for i, k, p in zip(range(start + a, start + b), preds.predicted[a:b].tolist(),
+                                   preds.probs[a:b].tolist()):
+                    yield encode_json({"index": i, "label": label_names[k], "predicted": k,
+                                       "probs": p})
+            written += len(preds)
+            del ds, preds  # the next chunk is read with this one let go
 
     _write_json(cfg, "predictions.json", "predictions", records())
-    log.info("wrote %d predictions", len(preds))
+    log.info("wrote %d predictions", written)
     return 0
 
 
@@ -485,59 +544,95 @@ def cmd_explain(cfg: RunConfig) -> int:
     artifact, = _artifacts(cfg)
     if artifact.model.head != DWAC:
         raise ValueError("explanations need a dwac artifact")
-    ds, = _encoded(cfg.data, cfg, [artifact])
-    explanations, table = explain_with_agreement(ds.x, artifact, k=cfg.k, k_list=cfg.k_list)
-    _write_json(cfg, "explanations.json", "explanations", explanations)
-    _write_csv(cfg, "agreement.csv", [f"k_{k}" for k, _ in table],
-               [[_fmt(frac) for _, frac in table]])
+    hits = np.zeros(len(cfg.k_list), dtype=np.int64)  # rows agreeing at each k
+    written = 0
+
+    def lines():
+        nonlocal written
+        for start, (ds,) in _chunks(cfg.data, cfg, [artifact]):
+            chunk, chunk_hits = explain_rows(ds.x, artifact, cfg.k, cfg.k_list, first=start)
+            hits[:] += chunk_hits
+            written += len(chunk)
+            yield from chunk
+            del ds, chunk  # the next chunk is read with this one let go
+
+    _write_json(cfg, "explanations.json", "explanations", lines())
+    _write_csv(cfg, "agreement.csv", [f"k_{k}" for k in cfg.k_list],
+               [[_fmt(h / written) for h in hits.tolist()]])
     log.info("wrote %d explanations and agreement table for k=%s",
-             len(explanations), list(cfg.k_list))
+             written, list(cfg.k_list))
     return 0
 
 
 def cmd_conformal(cfg: RunConfig) -> int:
     artifacts = _artifacts(cfg)
-    for artifact, ds in zip(artifacts, _encoded(cfg.data, cfg, artifacts, labels=True)):
+    # per artifact, measure -> its coverage counts and credibility histogram
+    tallies = [{measure: (Coverage(cfg.epsilons), np.zeros(HIST_BINS, dtype=np.int64))
+                for measure in artifact.calibrations} for artifact in artifacts]
+    for _, datasets in _chunks(cfg.data, cfg, artifacts, labels=True):
+        for artifact, ds, tally in zip(artifacts, datasets, tallies):
+            if ds.y is None:
+                raise ValueError(f"{cfg.data}: coverage evaluation needs labels")
+            preds = predict(artifact, ds.x)
+            for measure, calibration in artifact.calibrations.items():
+                scores = conformal_predict(preds, calibration, measure)
+                coverage, counts = tally[measure]
+                coverage.add(scores, ds.y)
+                counts += _histogram(scores.credibility())
+        del datasets, ds, preds, scores  # the next chunk is read with this one let go
+    for artifact, tally in zip(artifacts, tallies):
         head = artifact.model.head
-        if ds.y is None:
-            raise ValueError(f"{cfg.data}: coverage evaluation needs labels")
-        preds = predict(artifact, ds.x)
-        for measure, calibration in artifact.calibrations.items():
-            scores = conformal_predict(preds, calibration, measure)
-            rows = coverage_report(scores, ds.y, cfg.epsilons)
+        for measure, (coverage, counts) in tally.items():
+            rows = coverage.rows()
             _write_csv(cfg, f"coverage_{head}_{measure}.csv", list(rows[0]),
                        [[_fmt(value) for value in r.values()] for r in rows])
-            _write_histogram(cfg, f"credibility_{head}_{measure}.csv",
-                             {"count": scores.credibility()})
+            _write_histogram(cfg, f"credibility_{head}_{measure}.csv", {"count": counts})
             log.info("head=%s measure=%s coverage@0.05=%s", head, measure,
                      next((r["coverage"] for r in rows if abs(r["epsilon"] - 0.05) < 1e-9), "n/a"))
     return 0
 
 
+def _credibility(chunks: Iterable[tuple[int, list[Dataset]]],
+                 artifacts: list[ModelArtifact]) -> list[dict[str, np.ndarray]]:
+    """Per artifact, measure -> the credibility of each row of the ``_chunks``."""
+    parts = [{measure: [] for measure in artifact.calibrations} for artifact in artifacts]
+    for _, datasets in chunks:
+        for artifact, ds, part in zip(artifacts, datasets, parts):
+            for measure, values in credibility(artifact, ds.x).items():
+                part[measure].append(values)
+        del datasets, ds  # the next chunk is read with this one let go
+    return [{measure: np.concatenate(values) for measure, values in part.items()}
+            for part in parts]
+
+
 def cmd_ood(cfg: RunConfig) -> int:
-    # Each protocol gives each head's ood_cross_dataset arguments: the trained
-    # head, in-domain and out-of-domain data.
+    # head -> measure -> (in-domain, out-of-domain credibility), by either protocol
     if cfg.held_class is not None:
         # one split and encoding, shared by every head; the held class is out of domain
         proper, calib, test, held = trial_splits(_load_raw(cfg.data, cfg), cfg.seed,
                                                  cfg.fractions, held_class=cfg.held_class)
         results = train_many([(proper, calib, config) for config in cfg.training])
-        jobs = [(r, test, held) for r in results]
+        scored = {r.model.head: ood_cross_dataset(r, test, held) for r in results}
     elif cfg.foreign is not None:
         artifacts = _artifacts(cfg)
-        jobs = list(zip(artifacts, _encoded(cfg.data, cfg, artifacts),
-                        _encoded(cfg.foreign, cfg, artifacts)))
+        # each input's first chunk is read before either is scored, so a
+        # missing or malformed --foreign is refused before --data is scored;
+        # each first chunk is then held until its input is scored through
+        primed = [chain([next(chunks)], chunks) for chunks in
+                  [_chunks(source, cfg, artifacts) for source in (cfg.data, cfg.foreign)]]
+        inside, outside = (_credibility(chunks, artifacts) for chunks in primed)
+        scored = {a.model.head: {m: (i[m], o[m]) for m in i}
+                  for a, i, o in zip(artifacts, inside, outside)}
     else:
         raise ValueError("ood needs either --held-class or --foreign")
-    # head -> measure -> (in-domain, out-of-domain credibility)
-    credibility = {job[0].model.head: ood_cross_dataset(*job) for job in jobs}
 
     summary = {}
-    for head, per_measure in sorted(credibility.items()):
+    for head, per_measure in sorted(scored.items()):
         for measure, (in_cred, out_cred) in per_measure.items():
             name = f"{head}/{measure}"
             _write_histogram(cfg, f"ood_hist_{head}_{measure}.csv",
-                             {"in_domain_count": in_cred, "out_of_domain_count": out_cred})
+                             {"in_domain_count": _histogram(in_cred),
+                              "out_of_domain_count": _histogram(out_cred)})
             in_mean, out_mean = float(np.mean(in_cred)), float(np.mean(out_cred))
             summary[name] = {"in_domain_mean": in_mean, "out_of_domain_mean": out_mean,
                              "in_domain_n": in_cred.size, "out_of_domain_n": out_cred.size}

@@ -110,33 +110,50 @@ def conformal_predict(
     return ConformalScores(p_values(calib, nonconformity(preds, measure)))
 
 
+class Coverage:
+    """Empirical coverage and set-size counts over an epsilon grid, added up
+    a batch of instances at a time (:meth:`add`), so no batch need be held
+    once it is added. Every count is an integer, so the rates that
+    :meth:`rows` gives do not depend on how the instances were batched.
+
+    Coverage at epsilon is the fraction of instances whose true label made
+    it into the label set; validity means this stays near 1 - epsilon.
+    """
+
+    def __init__(self, epsilons: tuple[float, ...] = EPSILON_GRID):
+        self.epsilons = tuple(epsilons)
+        self.n = 0
+        # per epsilon: true labels in the set, set sizes summed, empty sets, singletons
+        self.counts = np.zeros((len(self.epsilons), 4), dtype=np.int64)
+
+    def add(self, scores: ConformalScores, labels: np.ndarray) -> None:
+        labels = np.asarray(labels, dtype=np.int64)
+        if labels.shape != (len(scores),):
+            raise ValueError("labels must align with conformal scores")
+        p_true = scores.p[np.arange(labels.size), labels]
+        for counts, eps in zip(self.counts, self.epsilons):
+            sizes = np.count_nonzero(scores.p > eps, axis=1)
+            counts += (np.count_nonzero(p_true > eps), sizes.sum(),
+                       np.count_nonzero(sizes == 0), np.count_nonzero(sizes == 1))
+        self.n += labels.size
+
+    def rows(self) -> list[dict[str, float]]:
+        """One record per epsilon, with the coverage CSV's columns as keys."""
+        n = self.n
+        if n == 0:
+            raise ValueError("coverage report needs at least one instance")
+        return [{"epsilon": float(eps), "coverage": covered / n, "mean_set_size": sizes / n,
+                 "empty_rate": empty / n, "singleton_rate": singletons / n}
+                for eps, (covered, sizes, empty, singletons)
+                in zip(self.epsilons, self.counts.tolist())]
+
+
 def coverage_report(
     scores: ConformalScores,
     labels: np.ndarray,
     epsilons: tuple[float, ...] = EPSILON_GRID,
 ) -> list[dict[str, float]]:
-    """Empirical coverage and set-size statistics over an epsilon grid, one
-    record per epsilon with the coverage CSV's columns as keys.
-
-    Coverage at epsilon is the fraction of instances whose true label made
-    it into the label set; validity means this stays near 1 - epsilon.
-    """
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (len(scores),):
-        raise ValueError("labels must align with conformal scores")
-    n = labels.size
-    if n == 0:
-        raise ValueError("coverage report needs at least one instance")
-    p_true = scores.p[np.arange(n), labels]
-    rows = []
-    for eps in epsilons:
-        in_set = scores.p > eps
-        sizes = in_set.sum(axis=1)
-        rows.append({
-            "epsilon": float(eps),
-            "coverage": float(np.mean(p_true > eps)),
-            "mean_set_size": float(np.mean(sizes)),
-            "empty_rate": float(np.mean(sizes == 0)),
-            "singleton_rate": float(np.mean(sizes == 1)),
-        })
-    return rows
+    """The :class:`Coverage` records of one batch of instances."""
+    coverage = Coverage(epsilons)
+    coverage.add(scores, labels)
+    return coverage.rows()

@@ -15,7 +15,8 @@ row takes 8 bytes per continuous and 4 per categorical column, whatever the
 vocabulary sizes, while the first layer keeps the full one-hot width.
 Missing continuous values are rejected outright; silent imputation would
 corrupt reproductions. A file is read once, a chunk of rows at a time, into
-a columnar table: continuous cells are parsed then, categorical and label
+a columnar table, or into one table per run of rows for a caller that takes
+them in turn: continuous cells are parsed then, categorical and label
 cells become integer codes into their distinct values, and ``drop`` cells
 are not kept. Stats are fitted on, and rows encoded from, any subset of its
 rows by index, so splitting copies no cells.
@@ -29,12 +30,13 @@ from __future__ import annotations
 
 import base64
 import binascii
+import contextlib
 import csv
 import json
 import math
 import os
 import tempfile
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import islice
@@ -222,6 +224,14 @@ class CsvData:
     def num_classes(self) -> int:
         return self.schema.num_classes
 
+    def rows(self, start: int, stop: int) -> CsvData:
+        """The rows ``start:stop``, their columns views of these."""
+        table = self.table
+        columns = {name: Coded(c.values, c.codes[start:stop]) if isinstance(c, Coded)
+                   else c[start:stop] for name, c in table.columns.items()}
+        return CsvData(CsvTable(table.path, columns, table.lines[start:stop]), self.schema,
+                       self.has_labels)
+
 
 def _records(reader, path: str, width: int):
     """(line, record) for each nonblank record, line the one it starts on
@@ -249,15 +259,20 @@ def _bad_number(path: str, lines, cells: dict[str, list[str]], names: list[str])
                 return f"{path}: row {line}, column {name!r}: {what}"
 
 
-def read_csv_rows(path: str, schema: Schema) -> tuple[CsvTable, bool]:
-    """Parse a headered CSV into a table, ``CHUNK_ROWS`` rows at a time.
+def read_csv_tables(path: str, schema: Schema, rows: int | None = None) -> Iterator[CsvData]:
+    """The data rows of a headered CSV as tables of ``rows`` rows each, in
+    file order (all of them in one table when None), each parsed
+    ``CHUNK_ROWS`` rows at a time. The last table may be shorter, and a file
+    with no data rows gives one empty table. No table is held here once it
+    is yielded, so a caller that lets go of each holds one at a time.
 
-    Returns (table, has_labels). The file must contain every schema column
-    except that the label column may be absent (unlabeled data); columns
-    not named in the schema, or named twice, are rejected. Continuous cells
-    are parsed here, once. A row of the wrong width is the error when it is
-    read; otherwise the first empty or unparseable continuous cell in file
-    order is, named by its line and column.
+    The file must contain every schema column except that the label column
+    may be absent (unlabeled data); columns not named in the schema, or named
+    twice, are rejected. Continuous cells are parsed here, once. Each table's
+    rows are read before it is yielded: a row of the wrong width is the error
+    when it is read; otherwise the table's first empty or unparseable
+    continuous cell in file order is, named by its line and column. So a bad
+    row in a later table is found only once the tables before it are taken.
     """
     with open(path, "r", encoding="utf-8", newline="") as f:
         reader = csv.reader(f)
@@ -278,37 +293,61 @@ def read_csv_rows(path: str, schema: Schema) -> tuple[CsvTable, bool]:
         if missing:
             raise ValueError(f"{path}: schema columns missing from file: {sorted(missing)}")
         has_labels = schema.label_column in header
+        records = _records(reader, path, len(header))
+        first = True
+        while True:
+            read = [_read_table(path, header, roles, records, rows)]
+            n = len(read[0])
+            if n or first:
+                # popped, so this frame holds no table while the caller has it
+                yield CsvData(read.pop(), schema, has_labels)
+            if rows is None or n < rows:
+                return
+            first = False
 
-        continuous = [h for h in header if roles[h] == ROLE_CONTINUOUS]
-        coded = {h: {} for h in header if roles[h] in (ROLE_CATEGORICAL, ROLE_LABEL)}
-        # each column's chunks, after an empty one that gives an empty file its dtype
-        parts = {**{name: [np.empty(0)] for name in continuous},
-                 **{name: [np.empty(0, dtype=np.int32)] for name in coded}}
-        line_parts = [np.empty(0, dtype=np.int64)]
-        error = None
-        rows = _records(reader, path, len(header))
-        while chunk := list(islice(rows, CHUNK_ROWS)):
-            lines, records = zip(*chunk)
-            line_parts.append(np.array(lines, dtype=np.int64))
-            cells = {name: list(map(str.strip, column))
-                     for name, column in zip(header, zip(*records)) if name in parts}
-            for name, index in coded.items():
-                for value in dict.fromkeys(cells[name]):
-                    index.setdefault(value, len(index))
-                parts[name].append(np.fromiter(map(index.__getitem__, cells[name]),
-                                               dtype=np.int32, count=len(lines)))
-            try:
-                for name in continuous:
-                    parts[name].append(np.fromiter(map(float, cells[name]), dtype=np.float64,
-                                                   count=len(lines)))
-            except ValueError as e:
-                error = error or _bad_number(path, lines, cells, continuous) or str(e)
+
+def _read_table(path: str, header: list[str], roles: dict[str, str], records,
+                rows: int | None) -> CsvTable:
+    """The next ``rows`` of ``records`` (all that are left when None) as a
+    table, read and parsed ``CHUNK_ROWS`` at a time (see read_csv_tables)."""
+    continuous = [h for h in header if roles[h] == ROLE_CONTINUOUS]
+    coded = {h: {} for h in header if roles[h] in (ROLE_CATEGORICAL, ROLE_LABEL)}
+    # each column's chunks, after an empty one that gives an empty table its dtype
+    parts = {**{name: [np.empty(0)] for name in continuous},
+             **{name: [np.empty(0, dtype=np.int32)] for name in coded}}
+    line_parts = [np.empty(0, dtype=np.int64)]
+    error = None
+    left = math.inf if rows is None else rows
+    while chunk := list(islice(records, min(CHUNK_ROWS, left))):
+        left -= len(chunk)
+        lines, row_cells = zip(*chunk)
+        line_parts.append(np.array(lines, dtype=np.int64))
+        cells = {name: list(map(str.strip, column))
+                 for name, column in zip(header, zip(*row_cells)) if name in parts}
+        for name, index in coded.items():
+            for value in dict.fromkeys(cells[name]):
+                index.setdefault(value, len(index))
+            parts[name].append(np.fromiter(map(index.__getitem__, cells[name]),
+                                           dtype=np.int32, count=len(lines)))
+        try:
+            for name in continuous:
+                parts[name].append(np.fromiter(map(float, cells[name]), dtype=np.float64,
+                                               count=len(lines)))
+        except ValueError as e:
+            error = error or _bad_number(path, lines, cells, continuous) or str(e)
     if error is not None:
         raise ValueError(error)
     columns = {name: np.concatenate(parts[name]) for name in continuous}
     columns.update((name, Coded(tuple(index), np.concatenate(parts[name])))
                    for name, index in coded.items())
-    return CsvTable(path=path, columns=columns, lines=np.concatenate(line_parts)), has_labels
+    return CsvTable(path=path, columns=columns, lines=np.concatenate(line_parts))
+
+
+def read_csv_rows(path: str, schema: Schema) -> tuple[CsvTable, bool]:
+    """The whole of a headered CSV as one table (see read_csv_tables), and
+    whether it has the label column."""
+    data, = read_csv_tables(path, schema)
+    return data.table, data.has_labels
 
 
 def _column(table: CsvTable, name: str, index) -> np.ndarray | Coded:
@@ -525,8 +564,14 @@ def atomic_write_text(path: str, chunks: Iterable[str]) -> None:
     directory, then rename it to ``path``: a process that fails or is killed,
     even between chunks, leaves no partial file at ``path`` (a killed one may
     leave its temp file). Nothing is fsynced before the rename, so an OS
-    crash can. The directory is made if it does not exist yet."""
+    crash can. The directory is made if it does not exist yet, and a write
+    that fails removes it again, with each parent it made, if still empty."""
     directory = os.path.dirname(os.path.abspath(path))
+    made = []  # the directories this call makes, deepest first
+    parent = directory
+    while not os.path.exists(parent):
+        made.append(parent)
+        parent = os.path.dirname(parent)
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
@@ -536,6 +581,9 @@ def atomic_write_text(path: str, chunks: Iterable[str]) -> None:
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        for made_dir in made:
+            with contextlib.suppress(OSError):  # another writer's file keeps it
+                os.rmdir(made_dir)
         raise
 
 

@@ -5,8 +5,9 @@ sorts by predicted probability, and cuts equal-count bins so every bin is
 equally well populated regardless of how probabilities cluster. The two
 OOD protocols score credibility (max conformal p-value) on data the model
 never saw the likes of: either a class held out of training entirely, or
-a width-matched foreign dataset. Both score by :func:`ood_cross_dataset`,
-with a ``TrainResult`` or a saved artifact as the predictor.
+a width-matched foreign dataset. Both score by :func:`credibility`, a
+batch of rows at a time, with a ``TrainResult`` or a saved artifact as the
+predictor; :func:`ood_cross_dataset` scores two whole datasets.
 Training and the hold-out study split their data the same way, by
 :func:`trial_splits`.
 """
@@ -143,6 +144,16 @@ def trial_splits(
             replace(held, num_classes=held.num_classes - 1))
 
 
+def credibility(predictor: Predictor, x) -> dict[str, np.ndarray]:
+    """Each row's credibility under each measure of the predictor's
+    calibrations: measure -> one value per row of the encoded rows ``x``,
+    from one prediction by :func:`predict`, which refuses a width the model
+    does not take."""
+    preds = predict(predictor, x)
+    return {measure: conformal_predict(preds, scores, measure).credibility()
+            for measure, scores in predictor.calibrations.items()}
+
+
 def ood_cross_dataset(
     predictor: Predictor, in_domain: Dataset, foreign: Dataset
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -150,15 +161,11 @@ def ood_cross_dataset(
     in-domain dataset as the reference distribution: measure -> (in-domain
     credibility, foreign credibility), one per row, under each measure of
     the predictor's calibrations. Each dataset is predicted once for all
-    measures, by :func:`predict`, which refuses a width the model does not
-    take."""
+    measures (:func:`credibility`)."""
     if not predictor.calibrations:
         raise ValueError("need at least one nonconformity measure")
     for name, ds in (("in-domain", in_domain), ("foreign", foreign)):
         if len(ds) == 0:
             raise ValueError(f"{name} dataset is empty")
-    in_preds = predict(predictor, in_domain.x)
-    out_preds = predict(predictor, foreign.x)
-    return {measure: (conformal_predict(in_preds, scores, measure).credibility(),
-                      conformal_predict(out_preds, scores, measure).credibility())
-            for measure, scores in predictor.calibrations.items()}
+    inside, outside = credibility(predictor, in_domain.x), credibility(predictor, foreign.x)
+    return {measure: (inside[measure], outside[measure]) for measure in inside}

@@ -18,15 +18,25 @@ from .heads import Predictor, kernel_blocks
 from .network import DWAC, forward
 
 
+# Entries of the groups of rows partitioned at a time to find their pivots:
+# a partition copies what it sorts, so a group, not a kernel block, is copied.
+PIVOT_ENTRIES = 1 << 14
+
+
 def _ranked(w: np.ndarray, order: np.ndarray, depth: int) -> np.ndarray:
     """Positions of each row's ``depth`` largest weights in ``w``, by
     descending weight and then ascending ``order`` (the training index of each
-    position): a (rows x depth) array. One partition finds each row's pivot,
-    the depth-th largest weight; every weight at or above it is a candidate,
-    and one sort of all candidates ranks them, however many tie at the pivot."""
+    position): a (rows x depth) array. A partition of each group of rows of at
+    most PIVOT_ENTRIES entries (one row when t exceeds it) finds each row's
+    pivot, the depth-th largest weight; every weight at or above it is a
+    candidate, and one sort of all candidates ranks them, however many tie at
+    the pivot."""
     n, t = w.shape
     if depth < t:
-        pivot = np.partition(w, t - depth, axis=1)[:, t - depth, None]
+        pivot = np.empty((n, 1))
+        step = max(1, PIVOT_ENTRIES // t)
+        for a in range(0, n, step):
+            pivot[a : a + step, 0] = np.partition(w[a : a + step], t - depth, axis=1)[:, t - depth]
         flat = np.flatnonzero(w >= pivot)  # a 2-d nonzero is ten times slower
     else:
         flat = np.arange(n * t)
@@ -42,15 +52,31 @@ def explain_with_agreement(
     k: int,
     k_list: tuple[int, ...],
 ) -> tuple[list[str], list[tuple[int, float]]]:
+    """The explanation of each row of ``x`` by the dwac head ``predictor``
+    (:func:`explain_rows`), and the agreement table of the same queries: for
+    each k in ``k_list``, the fraction of rows whose argmax over only the k
+    nearest training instances matches the full-model argmax."""
+    explanations, hits = explain_rows(x, predictor, k, k_list)
+    return explanations, [(kk, h / len(explanations)) for kk, h in zip(k_list, hits)]
+
+
+def explain_rows(
+    x: np.ndarray,
+    predictor: Predictor,
+    k: int,
+    k_list: tuple[int, ...],
+    first: int = 0,
+) -> tuple[list[str], list[int]]:
     """The explanation of each row of ``x`` by the dwac head ``predictor``,
-    and the agreement table of the same queries: for each k in ``k_list``,
-    the fraction of rows whose argmax over only the k nearest training
-    instances matches the full-model argmax. Both come from one embedding
-    and one pass of ``kernel_blocks``, at the predictor's kernel width.
+    and for each k in ``k_list`` the number of rows whose argmax over only the
+    k nearest training instances matches the full-model argmax. Both come
+    from one embedding and one pass of ``kernel_blocks``, at the predictor's
+    kernel width. No row's result depends on the other rows, so the rows of
+    a query may be explained a run at a time.
 
     Each explanation is the JSON line (``data.encode_json``) that
     ``explanations.json`` holds: ``{"query_id", "predicted_label", "entries", "decisive_prefix"}``.
-    query_id is the row position. The entries, ``{"index", "weight",
+    query_id is ``first`` plus the row position. The entries, ``{"index", "weight",
     "label"}`` each, are the ``k`` heaviest training instances (all of them if
     ``k`` is at least the training set size), sorted by descending weight,
     ties broken by ascending training index. decisive_prefix is the smallest
@@ -60,7 +86,7 @@ def explain_with_agreement(
     certifies the prediction. When nonzero, relabeling everything beyond the
     prefix cannot change predicted_label. For agreement, each row ranks only
     its top kmax weights, kmax being the largest k in ``k_list`` below the
-    training set size; k values at or above that size agree exactly by
+    training set size; k values at or above that size agree for every row by
     construction.
 
     Each kernel block is ranked as a whole (``_ranked``), with no loop over
@@ -112,8 +138,8 @@ def explain_with_agreement(
                                      for i, wt, lb in zip(*cols)],
                          "decisive_prefix": d})
             for q, p, d, *cols in zip(
-                range(rows.start, rows.stop), full_argmax.tolist(), prefix.tolist(),
-                index[:, :shown].tolist(), weights[:, :shown].tolist(),
+                range(first + rows.start, first + rows.stop), full_argmax.tolist(),
+                prefix.tolist(), index[:, :shown].tolist(), weights[:, :shown].tolist(),
                 labels[:, :shown].tolist())]
         if short:
             at_k = masses[:, np.array(short) - 1].argmax(axis=2)
@@ -121,5 +147,4 @@ def explain_with_agreement(
 
     kernel_blocks(h, train, visit, predictor.sigma)
     hits = dict(zip(short, np.count_nonzero(agree, axis=1).tolist()))
-    table = [(kk, hits[kk] / n if kk < t else 1.0) for kk in k_list]
-    return explanations, table
+    return explanations, [hits[kk] if kk < t else n for kk in k_list]

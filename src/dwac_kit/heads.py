@@ -137,12 +137,16 @@ def kernel_weights(
     return w
 
 
+def block_rows(t: int) -> int:
+    """Most query rows whose kernel against t training rows holds at most
+    BLOCK_ENTRIES entries; one when t exceeds it."""
+    return max(1, BLOCK_ENTRIES // max(t, 1))
+
+
 def row_blocks(q: int, t: int) -> list[slice]:
-    """Consecutive query-row slices, as even in size as possible, whose
-    blocks of the q x t kernel hold at most BLOCK_ENTRIES entries (one row
-    each when t exceeds it). q = 0 gives one empty block."""
-    step = max(1, BLOCK_ENTRIES // max(t, 1))
-    n = max(1, -(-q // step))
+    """Consecutive query-row slices, as even in size as possible, of at most
+    ``block_rows(t)`` rows each. q = 0 gives one empty block."""
+    n = max(1, -(-q // block_rows(t)))
     bounds = [q * i // n for i in range(n + 1)]
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 

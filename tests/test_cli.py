@@ -33,7 +33,7 @@ from dwac_kit.conformal import NEG_PROB
 from dwac_kit.data import encode_json, encode_rows, label_codes
 from dwac_kit.evaluate import ood_cross_dataset
 from dwac_kit.explain import explain_with_agreement
-from dwac_kit.network import forward
+from dwac_kit.network import GATHER_ROWS, forward
 from helpers import (
     CPU_COUNTS,
     assert_one_error_line,
@@ -779,20 +779,132 @@ def _traced_peak(argv) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("command, bound", [("predict", 600), ("explain", 2_000)])
+@pytest.mark.parametrize("command, cpus, bound", [
+    ("predict", 1, 80), ("conformal", 1, 80), ("explain", 1, 80), ("explain", 2, 120),
+], ids=["predict", "conformal", "explain", "explain-2cpus"])
 def test_scoring_memory_per_query_row_holds_no_record_of_every_row(
-        quick_start_model, tmp_path, monkeypatch, command, bound):
-    # Records written as they are made leave the per-row arrays: 254 B a row
-    # for predict and 896 for explain --k 10, against 960 and 4,780 while
-    # every row's record was held until the file was written. One CPU, so
-    # the engine's per-thread block buffers do not grow with the rows.
-    monkeypatch.setattr(heads, "usable_cpus", lambda: 1)
+        quick_start_model, tmp_path, monkeypatch, command, cpus, bound):
+    # Rows are scored a chunk at a time, 4,096 of them on one CPU against
+    # these 2,400 reference rows and 7,168 on two, each chunk let go before
+    # the next is read, and each chunk's records are written as they are
+    # made. So past a chunk, the heap grows only by the blob spec's table,
+    # generated whole: 72 B a row (64 for 8 float64 features, 8 for the label
+    # code). Over these 8,000 rows it grew by 72.0 B a row for predict,
+    # 70.1-74.3 for conformal and 68.3-73.2 for explain --k 10 on one CPU.
+    # On two, explain grew by 66-96 B: whether the two threads' block
+    # temporaries meet at the peak moves it by up to 0.3 MB. Scoring every
+    # row at once, predict grew by 178 B a row over these rows, conformal by
+    # 270, and explain by 892 on one CPU and 982 on two.
+    monkeypatch.setattr(heads, "usable_cpus", lambda: cpus)
     peaks = []
-    for n in (2_000, 8_000):
+    for n in (8_000, 16_000):
         argv = [command, "--model", quick_start_model, "--out", str(tmp_path / f"{n}"),
                 "--data", f"blobs:n={n},c=4,d=8,sep=10,seed=9"]
         peaks.append(_traced_peak(argv + (["--k", "10"] if command == "explain" else [])))
-    assert (peaks[1] - peaks[0]) / 6_000 <= bound, peaks
+    assert (peaks[1] - peaks[0]) / 8_000 <= bound, peaks
+
+
+def _outputs(out: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*"))
+            if p.is_file()}
+
+
+def _query_csv(tmp_path, name: str, copies: int, edits: dict[int, str] | None = None) -> str:
+    """``write_csv_data``'s rows ``copies`` times over as a CSV under ``tmp_path``,
+    with the row on each line of ``edits`` replaced by its text."""
+    lines = Path(tmp_path / "data.csv").read_text().splitlines()
+    lines = [lines[0], *lines[1:] * copies]
+    for line, text in (edits or {}).items():
+        lines[line - 1] = text
+    path = tmp_path / name
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_scoring_outputs_do_not_depend_on_the_chunk_size(quick_start_model, tmp_path,
+                                                         monkeypatch):
+    # Each query is one chunk at the default size, and 3 or 4 at one eval
+    # block (GATHER_ROWS) and at 1,500 rows, which is no multiple of it and
+    # ends inside a thread's run of 3,456 rows against the 2,400 reference rows.
+    data, schema = write_csv_data(tmp_path)
+    csv_model = tmp_path / "csv" / "model_dwac_trial0.json"
+    assert run(["train", "--data", data, "--schema", schema, "--head", "dwac",
+                "--out", str(csv_model.parent), *FAST]) == 0
+    flows = {
+        "blob": (quick_start_model, "blobs:n=4000,c=4,d=8,sep=10,seed=9",
+                 "blobs:n=3200,c=2,d=8,sep=40,seed=5"),
+        "csv": (str(csv_model), _query_csv(tmp_path, "query.csv", 24),
+                _query_csv(tmp_path, "foreign.csv", 21)),
+    }
+    default_rows = cli._chunk_rows
+    outputs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(heads, "usable_cpus", lambda n=cpus: n)
+        for rows in (None, GATHER_ROWS, 1_500):
+            monkeypatch.setattr(cli, "_chunk_rows",
+                                default_rows if rows is None else lambda artifacts, n=rows: n)
+            out = tmp_path / f"cpus{cpus}-rows{rows}"
+            for name, (model, query, foreign) in flows.items():
+                for command in (["predict"], ["conformal"], ["explain"],
+                                ["ood", "--foreign", foreign]):
+                    assert run([*command, "--model", model, "--data", query,
+                                "--out", str(out / name / command[0])]) == 0
+            outputs.append(_outputs(out))
+    # per flow: predictions, 2 x 2 conformal grids, explanations, agreement,
+    # the ood summary and its 2 histograms
+    assert len(outputs[0]) == 2 * 10
+    assert all(other == outputs[0] for other in outputs[1:])
+
+
+def test_a_bad_row_in_a_later_chunk_is_one_error_line_and_no_output(tmp_path, capsys,
+                                                                    monkeypatch):
+    # Scoring reads its CSV a chunk at a time, so the first chunk holding a bad
+    # row of any kind names it; the whole-file read of training finds an
+    # unparseable cell anywhere before an unknown label. A run stopped part way
+    # through its output leaves neither the file nor the --out directory.
+    data, schema = write_csv_data(tmp_path)
+    model = tmp_path / "m" / "model_dwac_trial0.json"
+    assert run(["train", "--data", data, "--schema", schema, "--head", "dwac",
+                "--out", str(model.parent), *FAST]) == 0
+    monkeypatch.setattr(cli, "_chunk_rows", lambda artifacts: GATHER_ROWS)
+    # 3,600 rows: the file's lines 2-1025 are chunk 1, and lines 2050-3073 chunk 3
+    unknown = _query_csv(tmp_path, "unknown.csv", 24, {2500: "4.0,red,x"})
+    nan = _query_csv(tmp_path, "nan.csv", 24, {2500: "nan,red,a"})
+    both = _query_csv(tmp_path, "both.csv", 24, {1500: "4.0,red,x", 3000: "oops,red,a"})
+    cases = [
+        (["conformal", "--data", unknown], f"{unknown}: row 2500: label 'x' not in schema "
+                                           "label_values"),
+        (["conformal", "--data", both], f"{both}: row 1500: label 'x' not in schema "
+                                        "label_values"),
+        (["predict", "--data", both], f"{both}: row 3000, column 'size': cannot parse 'oops' "
+                                      "as a number"),
+        *((argv, f"{nan}: row 2500, column 'size': nan is not finite, or too large once "
+                 "z-scored")
+          for argv in (["predict", "--data", nan], ["conformal", "--data", nan],
+                       ["explain", "--data", nan], ["ood", "--data", data, "--foreign", nan])),
+    ]
+    for argv, line in cases:
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run([*argv, "--model", str(model), "--out", str(out)]) == 2
+        assert assert_one_error_line(capsys) == f"error: {line}"
+        assert not out.exists()
+
+
+def test_ood_refuses_a_bad_foreign_input_before_it_scores_its_data(trained_dir, tmp_path,
+                                                                    capsys, monkeypatch):
+    # the first chunk of --data and of --foreign is read before either is scored
+    monkeypatch.setattr(cli, "credibility", lambda *args: pytest.fail("scored"))
+    missing = tmp_path / "missing.csv"
+    cases = [(str(missing), f"error: [Errno 2] No such file or directory: '{missing}'"),
+             ("blobs:n=50,c=2,d=4,sep=40", "error: blobs:n=50,c=2,d=4,sep=40: blob columns "
+              "['x0', 'x1', 'x2', 'x3', 'y'] are not the schema's ['x0', 'x1', 'x2', 'y']")]
+    for foreign, line in cases:
+        capsys.readouterr()
+        assert run(["ood", "--data", BLOBS, "--foreign", foreign, "--out", str(tmp_path / "o"),
+                    "--model", str(trained_dir / "model_dwac_trial0.json")]) == 2
+        assert assert_one_error_line(capsys) == line
+        assert not (tmp_path / "o").exists()
 
 
 def test_a_write_that_fails_part_way_leaves_the_out_directory_as_it_was(
@@ -812,13 +924,14 @@ def test_a_write_that_fails_part_way_leaves_the_out_directory_as_it_was(
         return encode_json(obj)
 
     monkeypatch.setattr(cli, "encode_json", failing_encode)
-    for out, before in ((tmp_path / "fresh", []), (earlier, ["predictions.json"])):
+    # a directory the failed write made goes with it
+    for out, before in ((tmp_path / "fresh", None), (earlier, ["predictions.json"])):
         calls.clear()
         capsys.readouterr()
         assert run(["predict", "--data", BLOBS, "--out", str(out),
                     "--model", str(trained_dir / "model_dwac_trial0.json")]) == 2
         assert assert_one_error_line(capsys) == "error: No space left on device"
-        assert sorted(p.name for p in out.iterdir()) == before
+        assert (sorted(p.name for p in out.iterdir()) if out.exists() else None) == before
     assert len(temp_sizes) == 2 and min(temp_sizes) > 0, temp_sizes
     assert (earlier / "predictions.json").read_bytes() == b"old predictions\n"
 
@@ -1233,7 +1346,8 @@ def test_a_refused_run_leaves_no_out_directory(tmp_path, capsys, monkeypatch):
     train = ["train", "--data", data, "--schema", schema, *FAST]
     blocker = tmp_path / "blocker"
     blocker.write_text("")
-    monkeypatch.setattr(cli, "read_csv_rows", lambda *a, **k: pytest.fail("read data"))
+    for reader in ("read_csv_rows", "read_csv_tables"):
+        monkeypatch.setattr(cli, reader, lambda *a, **k: pytest.fail("read data"))
     for argv in (train, predict):
         for out in (blocker, blocker / "sub" / "dir"):
             capsys.readouterr()
@@ -1393,20 +1507,27 @@ def test_csv_rows_are_read_once_and_encoded_once_per_trial(tmp_path, monkeypatch
     # three splits per trial, every row in one of them, for both heads
     assert len(encoded) == 2 * 3 and sum(encoded) == 2 * 150
 
+    # scoring reads the file once, 64 rows at a time, and encodes each chunk
+    # once for both models
+    tables = []
+    read_tables = cli.read_csv_tables
+    monkeypatch.setattr(cli, "read_csv_tables", lambda *args: map(
+        lambda table: tables.append(len(table)) or table, read_tables(*args)))
+    monkeypatch.setattr(cli, "_chunk_rows", lambda artifacts: 64)
     reads.clear(), encoded.clear()
     assert run(["conformal", "--data", data,
                 "--model", str(out / "model_dwac_trial0.json"),
                 "--model", str(out / "model_softmax_trial0.json"),
                 "--out", str(tmp_path / "conf")]) == 0
-    assert reads == [150] and encoded == [150]
+    assert reads == [] and tables == [64, 64, 22] and encoded == [64, 64, 22]
     # two trials' models (of two heads, as one head's would share output
     # names): their stats differ, the file does not
-    reads.clear(), encoded.clear()
+    tables.clear(), encoded.clear()
     assert run(["conformal", "--data", data,
                 "--model", str(out / "model_dwac_trial0.json"),
                 "--model", str(out / "model_softmax_trial1.json"),
                 "--out", str(tmp_path / "conf2")]) == 0
-    assert reads == [150] and encoded == [150, 150]
+    assert tables == [64, 64, 22] and encoded == [64, 64, 64, 64, 22, 22]
 
 
 @pytest.mark.parametrize("fixed_test", [False, True])
@@ -1440,18 +1561,16 @@ def test_train_lets_its_tables_go_before_the_last_trial_trains(tmp_path, monkeyp
 
 @pytest.mark.parametrize("command", ["conformal", "ood"])
 def test_scoring_lets_its_tables_go_before_any_artifact_scores(tmp_path, monkeypatch, command):
-    # every artifact's encoding is made before the first one scores, so no
-    # table read sits beside a kernel sum
+    # each chunk's table goes once every artifact's encoding of it is made,
+    # before the first one scores, so no table read sits beside a kernel sum
     data, schema = write_csv_data(tmp_path)
     out = tmp_path / "train"
     assert run(["train", "--data", data, "--schema", schema, "--out", str(out), *FAST]) == 0
     tables, alive = [], []
-    read = cli.read_csv_rows
+    read = cli.read_csv_tables
 
-    def recorded_read(*args, **kwargs):
-        table, has_labels = read(*args, **kwargs)
-        tables.append(weakref.ref(table))
-        return table, has_labels
+    def recorded_read(*args):
+        return map(lambda data: tables.append(weakref.ref(data.table)) or data, read(*args))
 
     def recorded(scorer):
         def call(*args, **kwargs):
@@ -1459,16 +1578,22 @@ def test_scoring_lets_its_tables_go_before_any_artifact_scores(tmp_path, monkeyp
             return scorer(*args, **kwargs)
         return call
 
-    monkeypatch.setattr(cli, "read_csv_rows", recorded_read)
+    monkeypatch.setattr(cli, "read_csv_tables", recorded_read)
+    monkeypatch.setattr(cli, "_chunk_rows", lambda artifacts: 64)
     monkeypatch.setattr(cli, "predict", recorded(cli.predict))
-    monkeypatch.setattr(cli, "ood_cross_dataset", recorded(cli.ood_cross_dataset))
+    monkeypatch.setattr(cli, "credibility", recorded(cli.credibility))
     argv = [command, "--data", data, "--model", str(out / "model_dwac_trial0.json"),
             "--model", str(out / "model_softmax_trial0.json"), "--out", str(tmp_path / "o")]
     if command == "ood":
         argv += ["--foreign", data]
     assert run(argv) == 0
-    tables_read = 2 if command == "ood" else 1  # ood reads --data and --foreign
-    assert alive == [[False] * tables_read] * 2  # one scoring call per artifact
+    sources = 2 if command == "ood" else 1  # ood reads --data and --foreign
+    assert len(tables) == 3 * sources  # 150 rows, 64 at a time
+    # the tables read by the time of each scoring call, one call per chunk and
+    # artifact: ood reads the first chunk of --data and of --foreign before
+    # it scores either
+    reads = [2, 3, 4, 4, 5, 6] if command == "ood" else [1, 2, 3]
+    assert alive == [[False] * n for n in reads for _ in range(2)]
 
 
 def test_ood_holdout_splits_and_encodes_once_for_both_heads(tmp_path, monkeypatch):

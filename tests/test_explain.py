@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from dwac_kit import explain as explain_module
 from dwac_kit import heads
 from dwac_kit.explain import explain_with_agreement
 from dwac_kit.heads import EmbeddedTrainingSet, Predictor, kernel_weights
@@ -354,6 +355,21 @@ def test_block_ranking_equals_the_per_row_oracle(monkeypatch, case, cpus):
     train, x, k, k_list = RANKING_CASES[case]()
     monkeypatch.setattr(heads, "BLOCK_ENTRIES", 4 * len(train))
     use_cpus(monkeypatch, cpus)
+    explanations, table = explain_with_agreement(x, identity_head(train), k=k,
+                                                 k_list=k_list)
+    docs, expected = explain_rows_oracle(kernel_matrix(x, train),
+                                         heads.kernel_blocks(x, train, None)[0], train, k, k_list)
+    assert decode_lines(explanations) == docs
+    assert table == expected
+
+
+@pytest.mark.parametrize("case", RANKING_CASES)
+def test_pivots_of_a_few_rows_at_a_time_equal_the_per_row_oracle(monkeypatch, case):
+    # 3-row groups of 4-row blocks: a block's pivots come from a 3-row and a
+    # 1-row partition
+    train, x, k, k_list = RANKING_CASES[case]()
+    monkeypatch.setattr(heads, "BLOCK_ENTRIES", 4 * len(train))
+    monkeypatch.setattr(explain_module, "PIVOT_ENTRIES", 3 * len(train))
     explanations, table = explain_with_agreement(x, identity_head(train), k=k,
                                                  k_list=k_list)
     docs, expected = explain_rows_oracle(kernel_matrix(x, train),
