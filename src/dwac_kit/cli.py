@@ -67,6 +67,12 @@ log = logging.getLogger("dwac_kit")
 BLOBS_STREAM = 3
 RECORD_ROWS = 1024  # predictions turned into records at a time, as they are written
 HIST_BINS = 20  # equal bins of [0, 1] in every credibility histogram
+# Fewest query rows scored at a time. Each chunk's kernel call starts and joins
+# its threads anew: against 20,000 reference rows on a 2-vCPU VM the caller
+# waited about 3 ms per call for its helper, so 1,024-row chunks made serve-20k's
+# predict and conformal slower than one call, while 4,096-row chunks did not
+# raise its peak.
+CHUNK_MIN_ROWS = 4096
 BLOB_KEYS = {"n": int, "c": int, "d": int, "sep": float, "seed": int}
 
 BOTH = "both"
@@ -307,10 +313,10 @@ def _chunk_rows(artifacts: list[ModelArtifact]) -> int:
     """Query rows scored at a time: a multiple of GATHER_ROWS, so only the
     last chunk pads its eval block, with at least RUN_BLOCKS kernel blocks
     for each usable CPU against each artifact's embedded training set, so
-    the kernel engine runs a thread on each."""
+    the kernel engine runs a thread on each, and at least CHUNK_MIN_ROWS."""
     blocks = heads.usable_cpus() * heads.RUN_BLOCKS
-    rows = max((blocks * heads.block_rows(len(a.embedded)) for a in artifacts
-                if a.embedded is not None), default=1)
+    rows = max([CHUNK_MIN_ROWS, *(blocks * heads.block_rows(len(a.embedded))
+                                  for a in artifacts if a.embedded is not None)])
     return -(-rows // GATHER_ROWS) * GATHER_ROWS
 
 

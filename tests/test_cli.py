@@ -14,6 +14,7 @@ import tracemalloc
 import weakref
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -854,6 +855,22 @@ def test_scoring_outputs_do_not_depend_on_the_chunk_size(quick_start_model, tmp_
     # the ood summary and its 2 histograms
     assert len(outputs[0]) == 2 * 10
     assert all(other == outputs[0] for other in outputs[1:])
+
+
+def test_a_chunk_is_whole_eval_blocks_and_a_run_of_kernel_blocks_per_cpu(monkeypatch):
+    # the smallest multiple of GATHER_ROWS that holds RUN_BLOCKS kernel blocks
+    # per CPU against the largest reference set, and CHUNK_MIN_ROWS
+    for cpus in (1, 2, 4):
+        monkeypatch.setattr(heads, "usable_cpus", lambda n=cpus: n)
+        for sizes in ((), (20_000,), (2_400,), (1_800, 2_400), (200_000,)):
+            rows = cli._chunk_rows([SimpleNamespace(embedded=range(t)) for t in sizes]
+                                   + [SimpleNamespace(embedded=None)])
+            least = max([cli.CHUNK_MIN_ROWS,
+                         *(cpus * heads.RUN_BLOCKS * heads.block_rows(t) for t in sizes)])
+            assert rows % GATHER_ROWS == 0 and least <= rows < least + GATHER_ROWS
+    monkeypatch.setattr(heads, "usable_cpus", lambda: 2)
+    assert [cli._chunk_rows([SimpleNamespace(embedded=range(t))])
+            for t in (20_000, 2_400)] == [4096, 7168]
 
 
 def test_a_bad_row_in_a_later_chunk_is_one_error_line_and_no_output(tmp_path, capsys,
