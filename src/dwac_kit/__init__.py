@@ -17,7 +17,6 @@ from .conformal import (
     ConformalScores,
     calibrate,
     conformal_predict,
-    coverage_report,
 )
 from .data import (
     ColumnSpec,
@@ -33,7 +32,6 @@ from .data import (
 from .evaluate import (
     accuracy,
     calibration_mae,
-    ood_cross_dataset,
     trial_splits,
 )
 from .explain import explain_with_agreement

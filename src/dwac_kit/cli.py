@@ -14,6 +14,11 @@ blob specs written inline as ``blobs:n=4000,c=4,d=8,sep=10`` (optional
 ``seed=``; defaults to the run seed). Blob data needs no schema file: it
 becomes a table with a generated one, and from there both kinds take the
 same path (split, stats fitted on the proper rows, encoding).
+
+A scoring run reads its input a chunk of rows at a time (``_chunks``).
+``predict``, ``conformal`` and both ``ood`` protocols predict through one
+loop, ``_predicted``; ``ood --held-class`` gives it the test and held-out
+sets of the heads it trains as one chunk each.
 """
 
 from __future__ import annotations
@@ -49,14 +54,7 @@ from .data import (
     read_csv_tables,
     save_model,
 )
-from .evaluate import (
-    PER_BIN,
-    accuracy,
-    calibration_mae,
-    credibility,
-    ood_cross_dataset,
-    trial_splits,
-)
+from .evaluate import PER_BIN, accuracy, calibration_mae, trial_splits
 from .explain import explain_rows
 from .linalg import make_rng, split_sizes
 from .network import DWAC, GATHER_ROWS, SOFTMAX
@@ -157,8 +155,11 @@ class RunConfig:
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("epsilons", "k_list"):
-            if not getattr(self, name):
+            values = getattr(self, name)
+            if not values:
                 raise ValueError(f"{name} must hold at least one value")
+            if len(set(values)) < len(values):  # a table would hold a column or row twice
+                raise ValueError(f"{name} must not repeat a value, got {list(values)}")
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if min(self.k_list) < 1:
@@ -312,9 +313,11 @@ def _load_raw(source: str, cfg: RunConfig, schema: Schema | None = None) -> CsvD
 def _chunk_rows(artifacts: list[ModelArtifact]) -> int:
     """Query rows scored at a time: a multiple of GATHER_ROWS, so only the
     last chunk pads its eval block, with at least RUN_BLOCKS kernel blocks
-    for each usable CPU against each artifact's embedded training set, so
-    the kernel engine runs a thread on each, and at least CHUNK_MIN_ROWS."""
-    blocks = heads.usable_cpus() * heads.RUN_BLOCKS
+    for each of up to two usable CPUs against each artifact's embedded
+    training set, so the kernel engine runs a thread on each, and at least
+    CHUNK_MIN_ROWS. A chunk's rows do not grow past two CPUs, so neither
+    does the memory that holds them."""
+    blocks = min(heads.usable_cpus(), 2) * heads.RUN_BLOCKS
     rows = max([CHUNK_MIN_ROWS, *(blocks * heads.block_rows(len(a.embedded))
                                   for a in artifacts if a.embedded is not None)])
     return -(-rows // GATHER_ROWS) * GATHER_ROWS
@@ -378,6 +381,19 @@ def _chunks(source: str, cfg: RunConfig, artifacts: list[ModelArtifact],
         raise ValueError(f"{source}: no data rows to score")
 
 
+def _predicted(chunks: Iterable[tuple[int, list[Dataset]]], predictors: list[heads.Predictor]
+               ) -> Iterator[tuple[int, int, Dataset, heads.Predictions]]:
+    """The one prediction of each chunk of ``chunks`` (pairs as ``_chunks``
+    yields them) by each predictor, in order: the chunk's first row, the
+    predictor's position, the chunk's rows encoded for it, and their
+    Predictions. A consumer lets go of the rows and predictions it is given
+    before it asks for the next, so no chunk sits beside the next one read."""
+    for start, datasets in chunks:
+        for i, predictor in enumerate(predictors):
+            yield start, i, datasets[i], predict(predictor, datasets[i].x)
+        del datasets  # the next chunk is read with this one let go
+
+
 def _artifacts(cfg: RunConfig) -> list[ModelArtifact]:
     """The --model artifacts of a scoring run, refused before any data is
     read. predict and explain take exactly one. conformal and ood --foreign
@@ -417,24 +433,29 @@ def _write_csv(cfg: RunConfig, name: str, header: list[str], rows: list[list]) -
     atomic_write_text(os.path.join(cfg.out, name), [buf.getvalue()])
 
 
-def _write_json(cfg: RunConfig, name: str, key: str, records: Iterable[str] | dict) -> None:
+def _write_json(cfg: RunConfig, name: str, key: str, records: Iterable[str] | dict) -> int:
     """Write ``{key: records, "provenance": ...}`` as ``name`` under --out,
     with sorted keys (``key`` sorts before "provenance") and one record per
     line: a dict entry, or a list item given as its ``encode_json`` line.
-    Each line is written as it comes, so no list of them all is held here."""
+    Each line is written as it comes, so no list of them all is held here.
+    Returns the number of records written."""
     if isinstance(records, dict):
         lines = (f"{encode_json(k)}: {encode_json(v)}" for k, v in sorted(records.items()))
         opening, closing = "{", "}"
     else:
         lines, opening, closing = records, "[", "]"
+    written = 0
 
     def chunks():
+        nonlocal written
         yield f"{{{encode_json(key)}: {opening}\n"
-        for i, line in enumerate(lines):
-            yield f",\n{line}" if i else line
+        for line in lines:
+            yield f",\n{line}" if written else line
+            written += 1
         yield f"\n{closing},\n{encode_json('provenance')}: {cfg.provenance()}}}\n"
 
     atomic_write_text(os.path.join(cfg.out, name), chunks())
+    return written
 
 
 def _require_out(cfg: RunConfig) -> None:
@@ -526,22 +547,18 @@ def cmd_train(cfg: RunConfig) -> int:
 def cmd_predict(cfg: RunConfig) -> int:
     artifact, = _artifacts(cfg)
     label_names = artifact.schema.label_values
-    written = 0
 
     def records():
-        nonlocal written
-        for start, (ds,) in _chunks(cfg.data, cfg, [artifact]):
-            preds = predict(artifact, ds.x)
+        for start, _, ds, preds in _predicted(_chunks(cfg.data, cfg, [artifact]), [artifact]):
             for a in range(0, len(preds), RECORD_ROWS):
                 b = a + RECORD_ROWS
                 for i, k, p in zip(range(start + a, start + b), preds.predicted[a:b].tolist(),
                                    preds.probs[a:b].tolist()):
                     yield encode_json({"index": i, "label": label_names[k], "predicted": k,
                                        "probs": p})
-            written += len(preds)
             del ds, preds  # the next chunk is read with this one let go
 
-    _write_json(cfg, "predictions.json", "predictions", records())
+    written = _write_json(cfg, "predictions.json", "predictions", records())
     log.info("wrote %d predictions", written)
     return 0
 
@@ -551,18 +568,15 @@ def cmd_explain(cfg: RunConfig) -> int:
     if artifact.model.head != DWAC:
         raise ValueError("explanations need a dwac artifact")
     hits = np.zeros(len(cfg.k_list), dtype=np.int64)  # rows agreeing at each k
-    written = 0
 
     def lines():
-        nonlocal written
         for start, (ds,) in _chunks(cfg.data, cfg, [artifact]):
             chunk, chunk_hits = explain_rows(ds.x, artifact, cfg.k, cfg.k_list, first=start)
             hits[:] += chunk_hits
-            written += len(chunk)
             yield from chunk
             del ds, chunk  # the next chunk is read with this one let go
 
-    _write_json(cfg, "explanations.json", "explanations", lines())
+    written = _write_json(cfg, "explanations.json", "explanations", lines())
     _write_csv(cfg, "agreement.csv", [f"k_{k}" for k in cfg.k_list],
                [[_fmt(h / written) for h in hits.tolist()]])
     log.info("wrote %d explanations and agreement table for k=%s",
@@ -575,17 +589,15 @@ def cmd_conformal(cfg: RunConfig) -> int:
     # per artifact, measure -> its coverage counts and credibility histogram
     tallies = [{measure: (Coverage(cfg.epsilons), np.zeros(HIST_BINS, dtype=np.int64))
                 for measure in artifact.calibrations} for artifact in artifacts]
-    for _, datasets in _chunks(cfg.data, cfg, artifacts, labels=True):
-        for artifact, ds, tally in zip(artifacts, datasets, tallies):
-            if ds.y is None:
-                raise ValueError(f"{cfg.data}: coverage evaluation needs labels")
-            preds = predict(artifact, ds.x)
-            for measure, calibration in artifact.calibrations.items():
-                scores = conformal_predict(preds, calibration, measure)
-                coverage, counts = tally[measure]
-                coverage.add(scores, ds.y)
-                counts += _histogram(scores.credibility())
-        del datasets, ds, preds, scores  # the next chunk is read with this one let go
+    for _, i, ds, preds in _predicted(_chunks(cfg.data, cfg, artifacts, labels=True), artifacts):
+        if ds.y is None:
+            raise ValueError(f"{cfg.data}: coverage evaluation needs labels")
+        for measure, calibration in artifacts[i].calibrations.items():
+            scores = conformal_predict(preds, calibration, measure)
+            coverage, counts = tallies[i][measure]
+            coverage.add(scores, ds.y)
+            counts += _histogram(scores.credibility())
+        del ds, preds, scores  # the next chunk is read with these let go
     for artifact, tally in zip(artifacts, tallies):
         head = artifact.model.head
         for measure, (coverage, counts) in tally.items():
@@ -598,43 +610,38 @@ def cmd_conformal(cfg: RunConfig) -> int:
     return 0
 
 
-def _credibility(chunks: Iterable[tuple[int, list[Dataset]]],
-                 artifacts: list[ModelArtifact]) -> list[dict[str, np.ndarray]]:
-    """Per artifact, measure -> the credibility of each row of the ``_chunks``."""
-    parts = [{measure: [] for measure in artifact.calibrations} for artifact in artifacts]
-    for _, datasets in chunks:
-        for artifact, ds, part in zip(artifacts, datasets, parts):
-            for measure, values in credibility(artifact, ds.x).items():
-                part[measure].append(values)
-        del datasets, ds  # the next chunk is read with this one let go
-    return [{measure: np.concatenate(values) for measure, values in part.items()}
-            for part in parts]
-
-
 def cmd_ood(cfg: RunConfig) -> int:
-    # head -> measure -> (in-domain, out-of-domain credibility), by either protocol
+    # the heads that score, and each one's in-domain and out-of-domain rows as
+    # chunks (pairs as _chunks yields them), by either protocol
     if cfg.held_class is not None:
         # one split and encoding, shared by every head; the held class is out of domain
         proper, calib, test, held = trial_splits(_load_raw(cfg.data, cfg), cfg.seed,
                                                  cfg.fractions, held_class=cfg.held_class)
-        results = train_many([(proper, calib, config) for config in cfg.training])
-        scored = {r.model.head: ood_cross_dataset(r, test, held) for r in results}
+        predictors = train_many([(proper, calib, config) for config in cfg.training])
+        inputs = [[(0, [ds] * len(predictors))] for ds in (test, held)]
     elif cfg.foreign is not None:
-        artifacts = _artifacts(cfg)
+        predictors = _artifacts(cfg)
         # each input's first chunk is read before either is scored, so a
         # missing or malformed --foreign is refused before --data is scored;
         # each first chunk is then held until its input is scored through
-        primed = [chain([next(chunks)], chunks) for chunks in
-                  [_chunks(source, cfg, artifacts) for source in (cfg.data, cfg.foreign)]]
-        inside, outside = (_credibility(chunks, artifacts) for chunks in primed)
-        scored = {a.model.head: {m: (i[m], o[m]) for m in i}
-                  for a, i, o in zip(artifacts, inside, outside)}
+        inputs = [chain([next(chunks)], chunks) for chunks in
+                  [_chunks(source, cfg, predictors) for source in (cfg.data, cfg.foreign)]]
     else:
         raise ValueError("ood needs either --held-class or --foreign")
 
+    # head -> measure -> (in-domain, out-of-domain) credibility, a chunk at a time
+    parts = {p.model.head: {m: ([], []) for m in p.calibrations} for p in predictors}
+    for side, chunks in enumerate(inputs):
+        for _, i, ds, preds in _predicted(chunks, predictors):
+            predictor = predictors[i]
+            for measure, scores in predictor.calibrations.items():
+                parts[predictor.model.head][measure][side].append(
+                    conformal_predict(preds, scores, measure).credibility())
+            del ds, preds  # the next chunk is read with these let go
     summary = {}
-    for head, per_measure in sorted(scored.items()):
-        for measure, (in_cred, out_cred) in per_measure.items():
+    for head, per_measure in sorted(parts.items()):
+        for measure, sides in per_measure.items():
+            in_cred, out_cred = map(np.concatenate, sides)
             name = f"{head}/{measure}"
             _write_histogram(cfg, f"ood_hist_{head}_{measure}.csv",
                              {"in_domain_count": _histogram(in_cred),

@@ -146,14 +146,3 @@ class Coverage:
                  "empty_rate": empty / n, "singleton_rate": singletons / n}
                 for eps, (covered, sizes, empty, singletons)
                 in zip(self.epsilons, self.counts.tolist())]
-
-
-def coverage_report(
-    scores: ConformalScores,
-    labels: np.ndarray,
-    epsilons: tuple[float, ...] = EPSILON_GRID,
-) -> list[dict[str, float]]:
-    """The :class:`Coverage` records of one batch of instances."""
-    coverage = Coverage(epsilons)
-    coverage.add(scores, labels)
-    return coverage.rows()

@@ -1,15 +1,12 @@
-"""Accuracy, adaptive-binning calibration error, and out-of-domain studies.
+"""Accuracy, adaptive-binning calibration error, and data splits.
 
 Calibration MAE pools all (instance, class) probability/indicator pairs,
 sorts by predicted probability, and cuts equal-count bins so every bin is
-equally well populated regardless of how probabilities cluster. The two
-OOD protocols score credibility (max conformal p-value) on data the model
-never saw the likes of: either a class held out of training entirely, or
-a width-matched foreign dataset. Both score by :func:`credibility`, a
-batch of rows at a time, with a ``TrainResult`` or a saved artifact as the
-predictor; :func:`ood_cross_dataset` scores two whole datasets.
-Training and the hold-out study split their data the same way, by
-:func:`trial_splits`.
+equally well populated regardless of how probabilities cluster. Training
+and the hold-out OOD study split their data the same way, by
+:func:`trial_splits`; the hold-out study's last set is the class held out
+of training, which ``ood --held-class`` scores for credibility beside the
+test set, as ``ood --foreign`` scores a foreign dataset beside ``--data``.
 """
 
 from __future__ import annotations
@@ -18,11 +15,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from .conformal import conformal_predict
 from .data import CsvData, Dataset, encode_rows, fit_stats, label_codes
-from .heads import Predictions, Predictor
+from .heads import Predictions
 from .linalg import make_rng, shuffle_split, split_sizes
-from .trainer import predict
 
 SPLIT_STREAM = 2
 PER_BIN = 100  # (probability, indicator) pairs per calibration bin
@@ -142,30 +137,3 @@ def trial_splits(
                        index=np.flatnonzero(labels == held_class))
     return (*(replace(ds, y=remap[ds.y], num_classes=ds.num_classes - 1) for ds in sets),
             replace(held, num_classes=held.num_classes - 1))
-
-
-def credibility(predictor: Predictor, x) -> dict[str, np.ndarray]:
-    """Each row's credibility under each measure of the predictor's
-    calibrations: measure -> one value per row of the encoded rows ``x``,
-    from one prediction by :func:`predict`, which refuses a width the model
-    does not take."""
-    preds = predict(predictor, x)
-    return {measure: conformal_predict(preds, scores, measure).credibility()
-            for measure, scores in predictor.calibrations.items()}
-
-
-def ood_cross_dataset(
-    predictor: Predictor, in_domain: Dataset, foreign: Dataset
-) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Credibility of a foreign dataset against a trained head, with an
-    in-domain dataset as the reference distribution: measure -> (in-domain
-    credibility, foreign credibility), one per row, under each measure of
-    the predictor's calibrations. Each dataset is predicted once for all
-    measures (:func:`credibility`)."""
-    if not predictor.calibrations:
-        raise ValueError("need at least one nonconformity measure")
-    for name, ds in (("in-domain", in_domain), ("foreign", foreign)):
-        if len(ds) == 0:
-            raise ValueError(f"{name} dataset is empty")
-    inside, outside = credibility(predictor, in_domain.x), credibility(predictor, foreign.x)
-    return {measure: (inside[measure], outside[measure]) for measure in inside}

@@ -23,7 +23,6 @@ from dwac_kit import (
     calibrate,
     calibration_mae,
     conformal_predict,
-    coverage_report,
     accuracy,
     dwac_batch_loss,
     dwac_predict,
@@ -39,9 +38,9 @@ from dwac_kit import (
     train,
 )
 from dwac_kit.cli import main as cli_main
-from dwac_kit.conformal import NEG_PROB, NEG_WEIGHT_SUM, p_values
+from dwac_kit.conformal import NEG_PROB, NEG_WEIGHT_SUM, Coverage, p_values
 from dwac_kit.data import blob_data
-from dwac_kit.evaluate import ood_cross_dataset, trial_splits
+from dwac_kit.evaluate import trial_splits
 from dwac_kit.heads import EmbeddedTrainingSet
 from dwac_kit.linalg import shuffle_split
 from dwac_kit.network import DWAC, SOFTMAX, Inputs, backward, init_model
@@ -255,9 +254,9 @@ def test_criterion_03_conformal_validity(separated):
             for seed in SEEDS:
                 run = separated[head, seed]
                 scores = calibrate(run.calib_preds, run.calib.y, measure)
-                cs = conformal_predict(run.test_preds, scores, measure)
-                row = coverage_report(cs, run.test.y, (eps,))[0]
-                per_seed.append(row["coverage"])
+                coverage = Coverage((eps,))
+                coverage.add(conformal_predict(run.test_preds, scores, measure), run.test.y)
+                per_seed.append(coverage.rows()[0]["coverage"])
             mean_cov = float(np.mean(per_seed))
             target = 1.0 - eps - 0.03
             margins.append(mean_cov - target)
@@ -394,11 +393,13 @@ def test_criterion_07_ood_direction():
         soft_cfg = TrainConfig(head=SOFTMAX, seed=seed, max_epochs=60, patience=10)
         splits = trial_splits(blob_data(blobs), seed, (0.6, 0.2, 0.2), held_class=3)
         dwac_res, soft_res = (train(*splits[:2], cfg) for cfg in (dwac_cfg, soft_cfg))
-        dwac_rep = ood_cross_dataset(dwac_res, *splits[2:])
-        soft_rep = ood_cross_dataset(soft_res, *splits[2:])
-        ws = float(np.mean(dwac_rep[NEG_WEIGHT_SUM][1]))
-        np_same = float(np.mean(dwac_rep[NEG_PROB][1]))
-        np_soft = float(np.mean(soft_rep[NEG_PROB][1]))
+        held = splits[3]
+        # mean credibility of the held-out class's rows, per head and measure
+        ws, np_same, np_soft = (
+            float(np.mean(conformal_predict(predict(res, held.x), res.calibrations[measure],
+                                            measure).credibility()))
+            for res, measure in ((dwac_res, NEG_WEIGHT_SUM), (dwac_res, NEG_PROB),
+                                 (soft_res, NEG_PROB)))
         seed_ok = ws < 0.2 and ws < np_same and ws < np_soft
         ok = ok and seed_ok
         details.append(f"s{seed}: ws {ws:.3f} np {np_same:.3f} soft {np_soft:.3f}")

@@ -24,15 +24,15 @@ from hypothesis import strategies as st
 from dataclasses import replace
 
 from dwac_kit import (TrainConfig, blob_data, heads, load_model, make_blobs, make_rng, predict,
-                      save_model)
+                      save_model, train)
 from dwac_kit import cli, evaluate
 from dwac_kit.cli import (
     BLOBS_STREAM, KEYS, PATH_KEYS, READS, TRAINS, RunConfig, _flag, build_config, main,
     make_parser,
 )
-from dwac_kit.conformal import NEG_PROB
+from dwac_kit.conformal import NEG_PROB, conformal_predict
 from dwac_kit.data import encode_json, encode_rows, label_codes
-from dwac_kit.evaluate import ood_cross_dataset
+from dwac_kit.evaluate import trial_splits
 from dwac_kit.explain import explain_with_agreement
 from dwac_kit.network import GATHER_ROWS, forward
 from helpers import (
@@ -542,6 +542,66 @@ def test_ood_cross_dataset(trained_dir, tmp_path):
     assert doc["provenance"]["foreign"].startswith("blobs:")
 
 
+def _ood_oracle(scored) -> tuple[dict, dict]:
+    """ood_summary.json's combinations, and each one's histogram counts in and
+    out of domain, of ``scored``: pairs of a head and its (in-domain,
+    out-of-domain) encoded rows, each predicted whole by the library."""
+    combinations, counts = {}, {}
+    for head, rows in scored:
+        for measure, scores in head.calibrations.items():
+            inside, outside = (conformal_predict(predict(head, ds.x), scores,
+                                                 measure).credibility() for ds in rows)
+            name = f"{head.model.head}/{measure}"
+            combinations[name] = {"in_domain_mean": float(np.mean(inside)),
+                                  "out_of_domain_mean": float(np.mean(outside)),
+                                  "in_domain_n": inside.size, "out_of_domain_n": outside.size}
+            counts[name] = [np.histogram(c, bins=cli.HIST_BINS, range=(0.0, 1.0))[0].tolist()
+                            for c in (inside, outside)]
+    return combinations, counts
+
+
+@pytest.mark.parametrize("protocol", ["held-class", "foreign"])
+def test_ood_credibility_is_each_heads_conformal_predict_on_its_rows(
+        protocol, trained_dir, tmp_path, monkeypatch):
+    # Every combination's means, counts and histograms are those of each head's
+    # own prediction of its own rows, in domain and out. For --foreign, the
+    # softmax artifact is trained on other blobs, so its stats and its encoded
+    # rows differ from the dwac artifact's, and --data spans three chunks.
+    out = tmp_path / "ood"
+    if protocol == "held-class":
+        spec = "blobs:n=240,c=4,d=4,sep=8,seed=0"
+        assert run(["ood", "--data", spec, "--held-class", "3", "--out", str(out),
+                    "--max-epochs", "12", "--batch-size", "64"]) == 0
+        data = blob_data(make_blobs(240, 4, 4, 8.0, make_rng(0, BLOBS_STREAM)))
+        proper, calib, test, held = trial_splits(data, 0, (0.6, 0.2, 0.2), held_class=3)
+        scored = [(train(proper, calib, TrainConfig(head=head, seed=0, max_epochs=12,
+                                                    batch_size=64)), (test, held))
+                  for head in ("softmax", "dwac")]
+    else:
+        softmax = tmp_path / "softmax"
+        assert run(["train", "--data", "blobs:n=150,c=3,d=3,sep=5,seed=4", "--head", "softmax",
+                    "--out", str(softmax), *FAST]) == 0
+        models = [str(trained_dir / "model_dwac_trial0.json"),
+                  str(softmax / "model_softmax_trial0.json")]
+        monkeypatch.setattr(cli, "_chunk_rows", lambda artifacts: GATHER_ROWS)
+        assert run(["ood", "--data", "blobs:n=2500,c=3,d=3,sep=8,seed=0",
+                    "--foreign", "blobs:n=300,c=3,d=3,sep=30,seed=9", "--model", models[0],
+                    "--model", models[1], "--out", str(out)]) == 0
+        tables = [blob_data(make_blobs(n, 3, 3, sep, make_rng(seed, BLOBS_STREAM)))
+                  for n, sep, seed in ((2500, 8.0, 0), (300, 30.0, 9))]
+        artifacts = [load_model(m) for m in models]
+        assert artifacts[0].stats != artifacts[1].stats
+        scored = [(head, [encode_rows(t.table, t.schema, head.stats, has_labels=False)
+                          for t in tables]) for head in artifacts]
+    combinations, counts = _ood_oracle(scored)
+    assert len(combinations) == 3
+    assert json.loads((out / "ood_summary.json").read_text())["combinations"] == combinations
+    for name, (inside, outside) in counts.items():
+        _, rows = read_table(out / f"ood_hist_{name.replace('/', '_')}.csv")
+        assert [int(r[2]) for r in rows[1:]] == inside
+        assert [int(r[3]) for r in rows[1:]] == outside
+
+
 @pytest.mark.parametrize("command, empty", [
     ("predict", "data"), ("explain", "data"), ("conformal", "data"), ("ood", "data"),
     ("ood", "foreign"),
@@ -603,6 +663,25 @@ def test_a_missing_calibration_is_refused_before_any_output(trained_dir, tmp_pat
         assert not out.exists()
 
 
+def test_an_artifact_that_encodes_another_width_is_refused_by_its_data(tmp_path, capsys):
+    # stats with a categorical value more than the model was trained with
+    # encode a row one column wider than the model takes: each scoring
+    # command refuses its first chunk by name, and writes nothing
+    data, schema = write_csv_data(tmp_path)
+    assert run(["train", "--data", data, "--schema", schema, "--head", "dwac",
+                "--out", str(tmp_path / "m"), *FAST]) == 0
+    doc = json.loads((tmp_path / "m" / "model_dwac_trial0.json").read_text())
+    doc["stats"]["vocabs"]["color"].append("teal")
+    model = tmp_path / "wide.json"
+    model.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    for command in (["predict"], ["conformal"], ["explain"], ["ood", "--foreign", data]):
+        capsys.readouterr()
+        assert run([*command, "--data", data, "--model", str(model), "--out", str(out)]) == 2
+        assert assert_one_error_line(capsys) == f"error: {data}: feature width 6, model expects 5"
+        assert not out.exists()
+
+
 def test_ood_foreign_predicts_each_dataset_once(trained_dir, tmp_path, monkeypatch):
     # both measures score the same two predictions
     rows = []
@@ -611,7 +690,7 @@ def test_ood_foreign_predicts_each_dataset_once(trained_dir, tmp_path, monkeypat
         rows.append(len(x))
         return predict(model, x, *args, **kwargs)
 
-    monkeypatch.setattr(evaluate, "predict", counted)
+    monkeypatch.setattr(cli, "predict", counted)
     assert run(["ood", "--data", BLOBS, "--foreign", "blobs:n=30,c=3,d=3,sep=8,seed=9",
                 "--model", str(trained_dir / "model_dwac_trial0.json"),
                 "--out", str(tmp_path / "ood")]) == 0
@@ -739,15 +818,10 @@ def test_json_outputs_hold_one_record_per_line(trained_dir, tmp_path):
         "ood_summary.json": {
             "provenance": {"command": "ood", "data": BLOBS, "foreign": foreign_spec,
                            "seed": 0},
-            "combinations": {}},
+            "combinations": _ood_oracle([(artifact, blobs)])[0]},
     }
-    credibility = ood_cross_dataset(artifact, *blobs)
-    assert set(credibility) == {"neg_prob", "neg_weight_sum"}
-    for measure, (in_cred, out_cred) in credibility.items():
-        expected["ood_summary.json"]["combinations"][f"dwac/{measure}"] = {
-            "in_domain_mean": float(np.mean(in_cred)),
-            "out_of_domain_mean": float(np.mean(out_cred)),
-            "in_domain_n": int(in_cred.size), "out_of_domain_n": int(out_cred.size)}
+    assert set(expected["ood_summary.json"]["combinations"]) == {"dwac/neg_prob",
+                                                                 "dwac/neg_weight_sum"}
     scoring = ["--data", BLOBS, "--model", model, "--out", str(tmp_path)]
     assert run(["predict", *scoring]) == 0
     assert run(["explain", *scoring]) == 0
@@ -859,18 +933,23 @@ def test_scoring_outputs_do_not_depend_on_the_chunk_size(quick_start_model, tmp_
 
 def test_a_chunk_is_whole_eval_blocks_and_a_run_of_kernel_blocks_per_cpu(monkeypatch):
     # the smallest multiple of GATHER_ROWS that holds RUN_BLOCKS kernel blocks
-    # per CPU against the largest reference set, and CHUNK_MIN_ROWS
+    # per CPU, for up to two CPUs, against the largest reference set, and
+    # CHUNK_MIN_ROWS
     for cpus in (1, 2, 4):
         monkeypatch.setattr(heads, "usable_cpus", lambda n=cpus: n)
         for sizes in ((), (20_000,), (2_400,), (1_800, 2_400), (200_000,)):
             rows = cli._chunk_rows([SimpleNamespace(embedded=range(t)) for t in sizes]
                                    + [SimpleNamespace(embedded=None)])
-            least = max([cli.CHUNK_MIN_ROWS,
-                         *(cpus * heads.RUN_BLOCKS * heads.block_rows(t) for t in sizes)])
+            least = max([cli.CHUNK_MIN_ROWS, *(min(cpus, 2) * heads.RUN_BLOCKS
+                                               * heads.block_rows(t) for t in sizes)])
             assert rows % GATHER_ROWS == 0 and least <= rows < least + GATHER_ROWS
-    monkeypatch.setattr(heads, "usable_cpus", lambda: 2)
-    assert [cli._chunk_rows([SimpleNamespace(embedded=range(t))])
-            for t in (20_000, 2_400)] == [4096, 7168]
+    # past two CPUs a chunk holds no more rows, so its memory does not grow
+    chunk_rows = {}
+    for cpus in (2, 4, 8):
+        monkeypatch.setattr(heads, "usable_cpus", lambda n=cpus: n)
+        chunk_rows[cpus] = [cli._chunk_rows([SimpleNamespace(embedded=range(t))])
+                            for t in (20_000, 2_400, 1_800)]
+    assert chunk_rows == {cpus: [4096, 7168, 9216] for cpus in (2, 4, 8)}
 
 
 def test_a_bad_row_in_a_later_chunk_is_one_error_line_and_no_output(tmp_path, capsys,
@@ -911,7 +990,7 @@ def test_a_bad_row_in_a_later_chunk_is_one_error_line_and_no_output(tmp_path, ca
 def test_ood_refuses_a_bad_foreign_input_before_it_scores_its_data(trained_dir, tmp_path,
                                                                     capsys, monkeypatch):
     # the first chunk of --data and of --foreign is read before either is scored
-    monkeypatch.setattr(cli, "credibility", lambda *args: pytest.fail("scored"))
+    monkeypatch.setattr(cli, "predict", lambda *args: pytest.fail("scored"))
     missing = tmp_path / "missing.csv"
     cases = [(str(missing), f"error: [Errno 2] No such file or directory: '{missing}'"),
              ("blobs:n=50,c=2,d=4,sep=40", "error: blobs:n=50,c=2,d=4,sep=40: blob columns "
@@ -1083,6 +1162,15 @@ def test_a_bad_flag_is_one_error_line(argv, message, tmp_path, capsys):
      "epsilons must hold at least one value"),
     (["conformal", "--data", BLOBS, "--model", "{dwac}"], '{"epsilons": []}',
      "epsilons must hold at least one value"),
+    # a repeated value would write one table column or row twice
+    (["explain", "--data", BLOBS, "--model", "{dwac}", "--k-list", "5,5,1"], None,
+     "k_list must not repeat a value, got [5, 5, 1]"),
+    (["explain", "--data", BLOBS, "--model", "{dwac}"], '{"k_list": [1, 10, 1]}',
+     "k_list must not repeat a value, got [1, 10, 1]"),
+    (["conformal", "--data", BLOBS, "--model", "{dwac}", "--epsilon-grid", "0.05,0.05"], None,
+     "epsilons must not repeat a value, got [0.05, 0.05]"),
+    (["conformal", "--data", BLOBS, "--model", "{dwac}"], '{"epsilons": [0.1, 0.1]}',
+     "epsilons must not repeat a value, got [0.1, 0.1]"),
     (["train", "--data", "{missing}", "--schema", "{schema}", "--batch-size", "0"], None,
      "batch_size must be >= 1, got 0"),
     (["train", "--data", "{missing}", "--schema", "{schema}", "--patience", "0"], None,
@@ -1126,7 +1214,9 @@ def test_a_bad_flag_is_one_error_line(argv, message, tmp_path, capsys):
     (["ood", "--data", BLOBS, "--foreign", BLOBS, "--model", "{dwac}"], '{"measure": "neg_prob"}',
      "{config}: unknown config keys ['measure']"),
 ], ids=["seed-flag-blobs", "seed-flag-csv", "seed-config", "truncated-config", "empty-k-list",
-        "empty-epsilon-grid", "empty-epsilons-config", "batch-size-0", "patience-0",
+        "empty-epsilon-grid", "empty-epsilons-config", "repeated-k-list",
+        "repeated-k-list-config", "repeated-epsilon-grid", "repeated-epsilons-config",
+        "batch-size-0", "patience-0",
         "sigma-negative", "learning-rate-0", "dropout-1", "dropout-1-config", "hidden-0",
         "ood-h-dim-0", "dwac-batch-size-1", "k-0", "k-list-0", "fractions-sum",
         "fractions-sum-config", "held-class-negative", "held-class-negative-config",
@@ -1142,6 +1232,7 @@ def test_a_bad_setting_is_refused_by_name_before_any_data_is_read(
         Path(paths["config"]).write_text(config)
         argv = argv + ["--config", paths["config"]]
     monkeypatch.setattr(cli, "_load_raw", lambda *a, **k: pytest.fail("read data"))
+    monkeypatch.setattr(cli, "load_model", lambda *a: pytest.fail("read an artifact"))
     capsys.readouterr()
     out = tmp_path / "x"
     assert run([a.format(**paths) for a in argv] + ["--out", str(out)]) == 2
@@ -1598,7 +1689,6 @@ def test_scoring_lets_its_tables_go_before_any_artifact_scores(tmp_path, monkeyp
     monkeypatch.setattr(cli, "read_csv_tables", recorded_read)
     monkeypatch.setattr(cli, "_chunk_rows", lambda artifacts: 64)
     monkeypatch.setattr(cli, "predict", recorded(cli.predict))
-    monkeypatch.setattr(cli, "credibility", recorded(cli.credibility))
     argv = [command, "--data", data, "--model", str(out / "model_dwac_trial0.json"),
             "--model", str(out / "model_softmax_trial0.json"), "--out", str(tmp_path / "o")]
     if command == "ood":

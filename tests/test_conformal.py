@@ -8,9 +8,9 @@ from dwac_kit.conformal import (
     NEG_PROB,
     NEG_WEIGHT_SUM,
     ConformalScores,
+    Coverage,
     calibrate,
     conformal_predict,
-    coverage_report,
     nonconformity,
     p_values,
 )
@@ -126,7 +126,9 @@ def test_degenerate_far_query_is_maximally_nonconforming(dwac_run):
 def test_coverage_report_hand_example():
     scores = ConformalScores(np.array([[0.9, 0.05], [0.5, 0.3], [0.02, 0.8], [0.04, 0.01]]))
     labels = np.array([0, 1, 1, 0])
-    row, = coverage_report(scores, labels, epsilons=(0.1,))
+    coverage = Coverage(epsilons=(0.1,))
+    coverage.add(scores, labels)
+    row, = coverage.rows()
     # true-label p-values: 0.9, 0.3, 0.8, 0.04 -> covered: 3 of 4
     # sets at 0.1: {0}, {0,1}, {1}, {} -> sizes 1, 2, 1, 0
     assert row == {"epsilon": 0.1, "coverage": 0.75, "mean_set_size": 1.0,
@@ -135,7 +137,9 @@ def test_coverage_report_hand_example():
 
 def test_coverage_report_grid_size():
     scores = ConformalScores(np.full((5, 2), 0.5))
-    rows = coverage_report(scores, np.zeros(5, dtype=np.int64))
+    coverage = Coverage()
+    coverage.add(scores, np.zeros(5, dtype=np.int64))
+    rows = coverage.rows()
     assert len(rows) == len(EPSILON_GRID) == 21
 
 

@@ -18,7 +18,6 @@ from dwac_kit import (
     conformal_predict,
     make_blobs,
     make_rng,
-    ood_cross_dataset,
     predict,
     train,
 )
@@ -248,7 +247,10 @@ def holdout_reports():
     config = TrainConfig(head="dwac", seed=11, max_epochs=40, batch_size=64)
     _, _, test, held = splits = trial_splits(blobs, 11, (0.6, 0.2, 0.2), held_class=3)
     result = train(*splits[:2], config)
-    return ood_cross_dataset(result, test, held)
+    # measure -> (test, held-out) credibility, each set predicted once
+    preds = [predict(result, ds.x) for ds in (test, held)]
+    return {measure: tuple(conformal_predict(p, scores, measure).credibility() for p in preds)
+            for measure, scores in result.calibrations.items()}
 
 
 def test_holdout_reports_shape(holdout_reports):
@@ -269,17 +271,6 @@ def test_holdout_weight_sums_flag_the_held_class(holdout_reports):
     assert out_mean < 0.2
     assert out_mean < in_mean
     assert out_mean < np.mean(holdout_reports[NEG_PROB][0])
-
-
-def test_holdout_single_measure_matches_multi(holdout_reports):
-    blobs = blob_data(make_blobs(480, 4, 4, 8.0, make_rng(11, 3)))
-    config = TrainConfig(head="dwac", seed=11, max_epochs=40, batch_size=64)
-    _, _, test, held = splits = trial_splits(blobs, 11, (0.6, 0.2, 0.2), held_class=3)
-    result = train(*splits[:2], config)
-    single = ood_cross_dataset(
-        replace(result, calibrations={NEG_WEIGHT_SUM: result.calibrations[NEG_WEIGHT_SUM]}),
-        test, held)[NEG_WEIGHT_SUM]
-    assert np.array_equal(single[1], holdout_reports[NEG_WEIGHT_SUM][1])
 
 
 def test_drop_class_validation():
@@ -308,53 +299,25 @@ def test_holdout_validation():
 # cross-dataset OOD
 # ---------------------------------------------------------------------------
 
-def test_cross_dataset_identical_foreign_scores_identically(dwac_run):
+def weight_sum_credibility(dwac_run, ds):
+    """Each row's credibility under the weight sum, calibrated on the run's
+    calibration split."""
     result, proper, calib, test = dwac_run
-    calib_preds = predict(result, calib.x)
-    scores = calibrate(calib_preds, calib.y, NEG_WEIGHT_SUM)
-    in_cred, out_cred = ood_cross_dataset(replace(result, calibrations={NEG_WEIGHT_SUM: scores}),
-                                          in_domain=test, foreign=test)[NEG_WEIGHT_SUM]
+    scores = calibrate(predict(result, calib.x), calib.y, NEG_WEIGHT_SUM)
+    return conformal_predict(predict(result, ds.x), scores, NEG_WEIGHT_SUM).credibility()
+
+
+def test_cross_dataset_identical_foreign_scores_identically(dwac_run):
+    test = dwac_run[3]
+    copy = Dataset(x=test.x.cont.copy(), y=None, num_classes=test.num_classes)
+    in_cred, out_cred = (weight_sum_credibility(dwac_run, ds) for ds in (test, copy))
     assert np.array_equal(in_cred, out_cred)
     assert np.mean(in_cred) == np.mean(out_cred)
 
 
 def test_cross_dataset_shifted_foreign_loses_credibility(dwac_run):
-    result, proper, calib, test = dwac_run
-    calib_preds = predict(result, calib.x)
-    scores = calibrate(calib_preds, calib.y, NEG_WEIGHT_SUM)
+    test = dwac_run[3]
     foreign = Dataset(x=test.x.cont + 40.0, y=None, num_classes=test.num_classes)
-    in_mean, out_mean = map(np.mean, ood_cross_dataset(
-        replace(result, calibrations={NEG_WEIGHT_SUM: scores}), in_domain=test,
-        foreign=foreign)[NEG_WEIGHT_SUM])
+    in_mean, out_mean = (np.mean(weight_sum_credibility(dwac_run, ds)) for ds in (test, foreign))
     assert out_mean < 0.05
     assert out_mean < in_mean
-
-
-def test_cross_dataset_credibility_matches_conformal(dwac_run):
-    result, proper, calib, test = dwac_run
-    calib_preds = predict(result, calib.x)
-    scores = calibrate(calib_preds, calib.y, NEG_PROB)
-    in_cred, _ = ood_cross_dataset(replace(result, calibrations={NEG_PROB: scores}),
-                                   in_domain=test, foreign=test)[NEG_PROB]
-    test_preds = predict(result, test.x)
-    direct = conformal_predict(test_preds, scores, NEG_PROB).credibility()
-    assert np.array_equal(in_cred, direct)
-
-
-def test_cross_dataset_validation(dwac_run):
-    result, proper, calib, test = dwac_run
-    calib_preds = predict(result, calib.x)
-    scores = calibrate(calib_preds, calib.y, NEG_PROB)
-    empty = Dataset(x=np.zeros((0, test.dim)), y=None, num_classes=test.num_classes)
-    scored = replace(result, calibrations={NEG_PROB: scores})
-    with pytest.raises(ValueError, match="^foreign dataset is empty$"):
-        ood_cross_dataset(scored, in_domain=test, foreign=empty)
-    with pytest.raises(ValueError, match="^in-domain dataset is empty$"):
-        ood_cross_dataset(scored, in_domain=empty, foreign=test)
-    narrow = Dataset(x=test.x.cont[:, :-1], y=None, num_classes=test.num_classes)
-    with pytest.raises(ValueError):
-        ood_cross_dataset(scored, in_domain=test, foreign=narrow)
-    with pytest.raises(ValueError, match="embedded training set"):
-        ood_cross_dataset(replace(scored, embedded=None), in_domain=test, foreign=test)
-    with pytest.raises(ValueError, match="at least one nonconformity measure"):
-        ood_cross_dataset(replace(result, calibrations={}), in_domain=test, foreign=test)

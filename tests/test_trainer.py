@@ -26,7 +26,7 @@ from dwac_kit import (
 )
 from dwac_kit.cli import main
 from dwac_kit.conformal import HEAD_MEASURES, NEG_PROB, calibrate, conformal_predict
-from dwac_kit.evaluate import accuracy, ood_cross_dataset, trial_splits
+from dwac_kit.evaluate import accuracy, trial_splits
 from dwac_kit.network import DWAC, SOFTMAX, adam_step, forward
 from dwac_kit.trainer import (
     build_model,
@@ -169,20 +169,22 @@ def test_a_head_scores_at_the_width_it_was_trained_at(tmp_path):
 
     foreign = Dataset(x=test.x.cont + 3.0, y=None, num_classes=test.num_classes)
     h_foreign, _ = forward(result.model, foreign.x, mode="eval")
+
+    def credibility(head, ds, measure):
+        return conformal_predict(predict(head, ds.x), head.calibrations[measure],
+                                 measure).credibility()
+
     for head in (result, at_default):
         in_preds, out_preds = (dwac_predict(x, result.embedded, sigma=head.sigma)
                                for x in (h, h_foreign))
-        credibility = ood_cross_dataset(head, test, foreign)
-        assert list(credibility) == list(HEAD_MEASURES[DWAC])
-        for measure, (in_cred, out_cred) in credibility.items():
-            scores = result.calibrations[measure]
-            assert np.array_equal(in_cred, conformal_predict(in_preds, scores,
-                                                             measure).credibility())
-            assert np.array_equal(out_cred, conformal_predict(out_preds, scores,
-                                                              measure).credibility())
-    trained_cred = ood_cross_dataset(result, test, foreign)[NEG_PROB][0]
-    assert not np.array_equal(trained_cred, ood_cross_dataset(at_default, test,
-                                                              foreign)[NEG_PROB][0])
+        assert list(head.calibrations) == list(HEAD_MEASURES[DWAC])
+        for measure, scores in result.calibrations.items():
+            assert np.array_equal(credibility(head, test, measure),
+                                  conformal_predict(in_preds, scores, measure).credibility())
+            assert np.array_equal(credibility(head, foreign, measure),
+                                  conformal_predict(out_preds, scores, measure).credibility())
+    assert not np.array_equal(credibility(result, test, NEG_PROB),
+                              credibility(at_default, test, NEG_PROB))
 
     path = str(tmp_path / "model.json")
     save_model(ModelArtifact.of(result, blobs.schema, proper.stats), path)
